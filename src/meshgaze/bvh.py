@@ -12,21 +12,62 @@ from __future__ import annotations
 import numpy as np
 
 _TINY = 1e-300
+_RAY_CHUNK = 4096          # rays traversed together
+_PAIR_CHUNK = 1 << 15      # (ray, triangle) pairs per leaf kernel call
 
 
-def _ray_frame(direction):
-    """Permutation (kx, ky, kz) and shear constants for one ray."""
-    d = np.asarray(direction, dtype=np.float64)
-    kz = int(np.argmax(np.abs(d)))
-    kx = (kz + 1) % 3
-    ky = (kz + 2) % 3
-    if d[kz] < 0.0:
-        kx, ky = ky, kx
-    dz = d[kz]
-    sx = d[kx] / dz
-    sy = d[ky] / dz
-    sz = 1.0 / dz
-    return kx, ky, kz, sx, sy, sz
+def _ray_frames(d):
+    """Per-ray permutation (kx, ky, kz) and shear constants for d (n, 3).
+
+    Components below _TINY count as exactly zero: sheared by a subnormal,
+    coordinates underflow and the edge tests stop being watertight.
+    """
+    d = np.where(np.abs(d) < _TINY, 0.0, d)
+    rows = np.arange(len(d))
+    kz = np.argmax(np.abs(d), axis=1)
+    dz = d[rows, kz]
+    flip = dz < 0.0
+    kx = np.where(flip, (kz + 2) % 3, (kz + 1) % 3)
+    ky = np.where(flip, (kz + 1) % 3, (kz + 2) % 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return kx, ky, kz, d[rows, kx] / dz, d[rows, ky] / dz, 1.0 / dz
+
+
+def _watertight(a, b, c, frame, tmin):
+    """Watertight test of triangles (a, b, c) given relative to the ray origin.
+
+    The frame entries are scalars (one ray against every row) or arrays
+    with one entry per row (one ray per row).  Returns (t, bary, valid) as
+    intersect_triangles does.
+    """
+    kx, ky, kz, sx, sy, sz = frame
+    rows = np.arange(len(a)) if np.ndim(kx) else slice(None)
+    ax = a[rows, kx] - sx * a[rows, kz]
+    ay = a[rows, ky] - sy * a[rows, kz]
+    bx = b[rows, kx] - sx * b[rows, kz]
+    by = b[rows, ky] - sy * b[rows, kz]
+    cx = c[rows, kx] - sx * c[rows, kz]
+    cy = c[rows, ky] - sy * c[rows, kz]
+
+    u = cx * by - cy * bx
+    v = ax * cy - ay * cx
+    w = bx * ay - by * ax
+
+    det = u + v + w
+    same_sign = ((u >= 0) & (v >= 0) & (w >= 0)) | ((u <= 0) & (v <= 0) & (w <= 0))
+    valid = same_sign & (det != 0.0)
+
+    az = sz * a[rows, kz]
+    bz = sz * b[rows, kz]
+    cz = sz * c[rows, kz]
+    tnum = u * az + v * bz + w * cz
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(valid, tnum / det, np.inf)
+        bary = np.stack([u / det, v / det, w / det], axis=1)
+    valid &= t > tmin
+    t = np.where(valid, t, np.inf)
+    return t, bary, valid
 
 
 def intersect_triangles(origin, direction, v0, v1, v2, tmin: float = 0.0):
@@ -37,40 +78,9 @@ def intersect_triangles(origin, direction, v0, v1, v2, tmin: float = 0.0):
     t > tmin.
     """
     origin = np.asarray(origin, dtype=np.float64)
-    kx, ky, kz, sx, sy, sz = _ray_frame(direction)
-
-    a = v0 - origin
-    b = v1 - origin
-    c = v2 - origin
-    ax = a[:, kx] - sx * a[:, kz]
-    ay = a[:, ky] - sy * a[:, kz]
-    bx = b[:, kx] - sx * b[:, kz]
-    by = b[:, ky] - sy * b[:, kz]
-    cx = c[:, kx] - sx * c[:, kz]
-    cy = c[:, ky] - sy * c[:, kz]
-
-    u = cx * by - cy * bx
-    v = ax * cy - ay * cx
-    w = bx * ay - by * ax
-
-    det = u + v + w
-    same_sign = ((u >= 0) & (v >= 0) & (w >= 0)) | ((u <= 0) & (v <= 0) & (w <= 0))
-    valid = same_sign & (det != 0.0)
-
-    az = sz * a[:, kz]
-    bz = sz * b[:, kz]
-    cz = sz * c[:, kz]
-    tnum = u * az + v * bz + w * cz
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(valid, tnum / det, np.inf)
-        bary = np.empty((len(v0), 3), dtype=np.float64)
-        bary[:, 0] = u / det
-        bary[:, 1] = v / det
-        bary[:, 2] = w / det
-    valid &= t > tmin
-    t = np.where(valid, t, np.inf)
-    return t, bary, valid
+    d = np.asarray(direction, dtype=np.float64).reshape(1, 3)
+    frame = [f[0] for f in _ray_frames(d)]
+    return _watertight(v0 - origin, v1 - origin, v2 - origin, frame, tmin)
 
 
 def _best_hit(t, bary, valid, ids):
@@ -100,7 +110,7 @@ class TriangleBVH:
 
     __slots__ = ("vertices", "triangles", "order", "node_lo", "node_hi",
                  "node_left", "node_right", "node_start", "node_count",
-                 "_v0", "_v1", "_v2")
+                 "_pad_lo", "_pad_hi", "_v0", "_v1", "_v2")
 
     def __init__(self, vertices, triangles, leaf_size: int = 8):
         self.vertices = np.asarray(vertices, dtype=np.float64)
@@ -112,23 +122,19 @@ class TriangleBVH:
         centroids = tv.mean(axis=1)
 
         order = np.arange(m, dtype=np.int64)
-        node_lo, node_hi = [], []
         node_left, node_right = [], []
-        node_start, node_count = [], []
+        node_start, node_end, node_count = [], [], []
 
         # iterative build over [start, end) ranges of `order`
         stack = [(0, m, -1, False)]
         while stack:
             start, end, parent, is_right = stack.pop()
             idx = order[start:end]
-            lo = tri_lo[idx].min(axis=0)
-            hi = tri_hi[idx].max(axis=0)
-            me = len(node_lo)
-            node_lo.append(lo)
-            node_hi.append(hi)
+            me = len(node_start)
             node_left.append(-1)
             node_right.append(-1)
             node_start.append(start)
+            node_end.append(end)
             node_count.append(0)
             if parent >= 0:
                 if is_right:
@@ -149,8 +155,20 @@ class TriangleBVH:
             stack.append((start, mid, me, False))
 
         self.order = order
-        self.node_lo = np.asarray(node_lo)
-        self.node_hi = np.asarray(node_hi)
+        # node boxes in one pass: reduceat over the interleaved [start, end)
+        # ranges (a pad row keeps end == m a valid index)
+        cuts = np.stack([node_start, node_end], axis=1).ravel()
+        pad_row = np.zeros((1, 3))
+        self.node_lo = np.minimum.reduceat(
+            np.vstack([tri_lo[order], pad_row]), cuts)[::2]
+        self.node_hi = np.maximum.reduceat(
+            np.vstack([tri_hi[order], pad_row]), cuts)[::2]
+        # intersect_many's boxes are padded so slab rounding never prunes a
+        # triangle whose hit lies on a box face, as for a ray through a
+        # shared vertex; occluded keeps the tight boxes
+        pad = 1e-9 * (1.0 + float(np.abs(self.vertices).max()))
+        self._pad_lo = self.node_lo - pad
+        self._pad_hi = self.node_hi + pad
         self.node_left = np.asarray(node_left, dtype=np.int64)
         self.node_right = np.asarray(node_right, dtype=np.int64)
         self.node_start = np.asarray(node_start, dtype=np.int64)
@@ -166,50 +184,97 @@ class TriangleBVH:
         inv = 1.0 / safe
         return np.asarray(origin, dtype=np.float64), inv
 
-    def _node_entry_exit(self, node, origin, inv):
-        t0 = (self.node_lo[node] - origin) * inv
-        t1 = (self.node_hi[node] - origin) * inv
-        tlo = np.minimum(t0, t1)
-        thi = np.maximum(t0, t1)
-        return max(tlo[0], tlo[1], tlo[2]), min(thi[0], thi[1], thi[2])
+    @staticmethod
+    def _entry_exit(lo, hi, origin, inv):
+        """Slab entry and exit distances of boxes (lo, hi), one or a stack."""
+        t0 = (lo - origin) * inv
+        t1 = (hi - origin) * inv
+        lo, hi = np.minimum(t0, t1), np.maximum(t0, t1)
+        return (np.maximum(np.maximum(lo[..., 0], lo[..., 1]), lo[..., 2]),
+                np.minimum(np.minimum(hi[..., 0], hi[..., 1]), hi[..., 2]))
 
     def intersect(self, origin, direction, tmin: float = 0.0):
         """Nearest hit as (t, tri_id, bary) with ids in input triangle order."""
-        origin, inv = self._slabs(origin, direction)
-        best_t = np.inf
-        best = None
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            entry, exit_ = self._node_entry_exit(node, origin, inv)
+        t, tri, bary = self.intersect_many(origin, direction, tmin)
+        if tri[0] < 0:
+            return None
+        return float(t[0]), int(tri[0]), bary[0]
+
+    def intersect_many(self, origins, directions, tmin: float = 0.0):
+        """Nearest hits of n rays as (t (n,), tri (n,), bary (n, 3)).
+
+        A ray that misses has t = inf, tri = -1 and a NaN bary row.  Each
+        hit is the lexicographic minimum (t, triangle id) that an
+        exhaustive scan returns, bit for bit.
+        """
+        origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
+        directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+        if len(origins) != len(directions):
+            raise ValueError("origins and directions differ in length")
+        n = len(origins)
+        t = np.full(n, np.inf)
+        tri = np.full(n, -1, dtype=np.int64)
+        bary = np.full((n, 3), np.nan)
+        for s in range(0, n, _RAY_CHUNK):
+            e = s + _RAY_CHUNK
+            self._traverse(origins[s:e], directions[s:e], tmin,
+                           t[s:e], tri[s:e], bary[s:e])
+        return t, tri, bary
+
+    def _traverse(self, origins, directions, tmin, best_t, best_id, best_bary):
+        """Wavefront traversal: each step advances every live (ray, node)
+        pair; the best-hit arrays (views of the caller's) update in place."""
+        origins, inv = self._slabs(origins, directions)
+        frame = _ray_frames(directions)
+        ray = np.arange(len(origins))
+        node = np.zeros(len(origins), dtype=np.int64)
+        while len(ray):
+            entry, exit_ = self._entry_exit(self._pad_lo[node],
+                                            self._pad_hi[node],
+                                            origins[ray], inv[ray])
             # prune only strictly-beyond nodes so exact ties match brute force
-            if entry > best_t or exit_ < max(entry, tmin) or exit_ < tmin:
+            live = ~((entry > best_t[ray]) | (exit_ < np.maximum(entry, tmin)))
+            ray, node = ray[live], node[live]
+            leaf = self.node_count[node] > 0
+            self._leaf_hits(ray[leaf], node[leaf], origins, frame, tmin,
+                            best_t, best_id, best_bary)
+            inner = node[~leaf]
+            ray = np.repeat(ray[~leaf], 2)
+            node = np.stack([self.node_left[inner], self.node_right[inner]],
+                            axis=1).ravel()
+
+    def _leaf_hits(self, ray, node, origins, frame, tmin,
+                   best_t, best_id, best_bary):
+        """Test leaf (ray, triangle) pairs in bounded blocks; keep per-ray bests."""
+        cnt = self.node_count[node]
+        first = np.cumsum(cnt) - cnt    # offset of each pair's first triangle
+        cuts = np.searchsorted(first, np.arange(0, int(cnt.sum()), _PAIR_CHUNK))
+        for lo, hi in zip(cuts, list(cuts[1:]) + [len(ray)]):
+            if lo == hi:
                 continue
-            cnt = self.node_count[node]
-            if cnt > 0:
-                s = self.node_start[node]
-                e = s + cnt
-                t, bary, valid = intersect_triangles(
-                    origin, direction, self._v0[s:e], self._v1[s:e],
-                    self._v2[s:e], tmin)
-                hit = _best_hit(t, bary, valid, self.order[s:e])
-                if hit is not None:
-                    if hit[0] < best_t or (hit[0] == best_t and
-                                           (best is None or hit[1] < best[1])):
-                        best_t = hit[0]
-                        best = hit
-            else:
-                left, right = self.node_left[node], self.node_right[node]
-                el, _ = self._node_entry_exit(left, origin, inv)
-                er, _ = self._node_entry_exit(right, origin, inv)
-                # visit nearer child first
-                if el <= er:
-                    stack.append(right)
-                    stack.append(left)
-                else:
-                    stack.append(left)
-                    stack.append(right)
-        return best
+            r = np.repeat(ray[lo:hi], cnt[lo:hi])
+            slot = (np.repeat(self.node_start[node[lo:hi]] - first[lo:hi],
+                              cnt[lo:hi])
+                    + np.arange(first[lo], first[lo] + len(r)))
+            o = origins[r]
+            t, bary, valid = _watertight(
+                self._v0[slot] - o, self._v1[slot] - o, self._v2[slot] - o,
+                [f[r] for f in frame], tmin)
+            if not valid.any():
+                continue
+            r, t, bary = r[valid], t[valid], bary[valid]
+            ids = self.order[slot[valid]]
+            # per-ray lexicographic minimum of (t, id) within the block
+            srt = np.lexsort((ids, t, r))
+            rs = r[srt]
+            head = srt[np.r_[True, rs[1:] != rs[:-1]]]
+            r, t, ids, bary = r[head], t[head], ids[head], bary[head]
+            better = ((best_id[r] < 0) | (t < best_t[r])
+                      | ((t == best_t[r]) & (ids < best_id[r])))
+            r = r[better]
+            best_t[r] = t[better]
+            best_id[r] = ids[better]
+            best_bary[r] = bary[better]
 
     def occluded(self, origin, direction, tmax: float, tmin: float = 0.0) -> bool:
         """True if any triangle is hit with tmin < t < tmax (early exit)."""
@@ -217,7 +282,8 @@ class TriangleBVH:
         stack = [0]
         while stack:
             node = stack.pop()
-            entry, exit_ = self._node_entry_exit(node, origin, inv)
+            entry, exit_ = self._entry_exit(self.node_lo[node],
+                                            self.node_hi[node], origin, inv)
             if entry >= tmax or exit_ < max(entry, tmin):
                 continue
             cnt = self.node_count[node]

@@ -29,7 +29,7 @@ from .fdm import (FdmError, FixationDensityMap, build_ground_truth,
 from .fixation import (FixationError, extract_fixations, load_fixations,
                        saccade_amplitude, save_fixations)
 from .gaze import GazeError, load_recording, trace_samples
-from .mesh import Mesh, MeshError, _atomic_write, load_mesh
+from .mesh import Mesh, MeshError, _atomic_write, load_mesh, read_vertex_csv
 from .saliency import SaliencyError, baseline_curvature_saliency, saliency_map
 from .synth import (ScenarioError, check_targets_reachable, generate_recording,
                     scenario_from_json)
@@ -214,15 +214,7 @@ def cmd_baseline(args) -> int:
 
 def _read_prediction(path) -> np.ndarray:
     """Accept both plain (vertex_id,value) maps and (vertex_id,S,U,C) exports."""
-    import csv as _csv
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(_csv.reader(fh))
-    if not rows or rows[0][0] != "vertex_id":
-        raise EvaluationError(f"prediction file {path!r}: bad header")
-    out = np.zeros(len(rows) - 1)
-    for row in rows[1:]:
-        out[int(row[0])] = float(row[1])
-    return out
+    return read_vertex_csv(path, ["vertex_id"], "prediction file", FdmError)
 
 
 def cmd_evaluate(args) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .fdm import FdmError, plcc
 from .gaze import head_orientation, rotation_matrix
@@ -122,7 +121,8 @@ def inter_observer_test(same_mesh, cross_mesh):
         if float(a.mean()) == float(b.mean()):
             return 0.0, 1.0
         raise EvaluationError("zero variance in both samples with unequal means")
-    t, p = _scipy_stats.ttest_ind(a, b, equal_var=False)
+    from scipy import stats   # deferred: slow to import, used only here
+    t, p = stats.ttest_ind(a, b, equal_var=False)
     return float(t), float(p)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaze import head_orientation
-from .mesh import Mesh, _atomic_write, save_ply
+from .mesh import Mesh, _atomic_write, read_vertex_csv, save_ply
 from .visibility import VisibleSet
 
 
@@ -162,18 +162,9 @@ def save_map_csv(path, values) -> None:
 
 
 def load_map_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FdmError(f"map file {path!r} is empty")
-    header = rows[0]
-    if header[0] != "vertex_id":
-        raise FdmError(f"map file {path!r}: bad header")
-    # accept both plain value maps and diagnostic exports (value in column 1)
-    out = np.zeros(len(rows) - 1)
-    for row in rows[1:]:
-        out[int(row[0])] = float(row[1])
-    return out
+    """Per-vertex values of a map CSV: plain (vertex_id,value) maps and
+    diagnostic exports (vertex_id,S,U,C), whose value is column 1."""
+    return read_vertex_csv(path, ["vertex_id"], "map file", FdmError)
 
 
 def save_map_ply(path, mesh: Mesh, values) -> None:

@@ -120,6 +120,14 @@ def actual_sightline(p, y) -> SightLine:
     return SightLine(p.copy(), d / n)
 
 
+def _record(mesh: Mesh, origin, tri: int, bary, sample_index: int):
+    tv = mesh.vertices[mesh.triangles[tri]]
+    point = bary[0] * tv[0] + bary[1] * tv[1] + bary[2] * tv[2]
+    return IntersectionRecord(point=point, triangle=tri, bary=bary,
+                              distance=float(np.linalg.norm(point - origin)),
+                              sample_index=sample_index)
+
+
 def intersect_ray_mesh(ray: SightLine, mesh: Mesh, exhaustive: bool = False,
                        sample_index: int = -1) -> IntersectionRecord | None:
     """Nearest mesh intersection along the ray, or None on a miss."""
@@ -131,32 +139,55 @@ def intersect_ray_mesh(ray: SightLine, mesh: Mesh, exhaustive: bool = False,
     if hit is None:
         return None
     t, tri, bary = hit
-    tv = mesh.vertices[mesh.triangles[tri]]
-    point = bary[0] * tv[0] + bary[1] * tv[1] + bary[2] * tv[2]
-    return IntersectionRecord(point=point, triangle=tri, bary=bary,
-                              distance=float(np.linalg.norm(point - ray.origin)),
-                              sample_index=sample_index)
+    return _record(mesh, ray.origin, tri, bary, sample_index)
 
 
-def trace_sample(sample: PoseSample, mesh: Mesh, d_screen: float):
-    """PoseSample -> IntersectionRecord or None (miss).
+def sightlines(p, o_deg, s, d_screen: float):
+    """(origins, directions) of n poses' actual sight-lines, one row each.
+
+    A pose whose sight-line raises GazeError (head facing straight up or
+    down, say) gets a NaN direction row.
+    """
+    p = np.asarray(p, dtype=np.float64).reshape(-1, 3)
+    directions = np.full_like(p, np.nan)
+    for k, (o_k, s_k) in enumerate(zip(o_deg, s)):
+        try:
+            o = head_orientation(o_k)
+            y = gaze_point(screen_point(p[k], o, d_screen), o, s_k)
+            directions[k] = actual_sightline(p[k], y).direction
+        except GazeError:
+            pass
+    return p, directions
+
+
+def cast_sightlines(mesh: Mesh, origins, directions, sample_indices=None):
+    """Nearest mesh intersection of each ray (None on a miss or a NaN
+    direction), all cast in one batched BVH traversal."""
+    if sample_indices is None:
+        sample_indices = [-1] * len(origins)
+    records = [None] * len(origins)
+    cast = np.nonzero(np.isfinite(directions).all(axis=1))[0]
+    _, tri, bary = mesh.bvh.intersect_many(origins[cast], directions[cast], 0.0)
+    for k, tri_k, bary_k in zip(cast, tri, bary):
+        if tri_k >= 0:
+            records[k] = _record(mesh, origins[k], int(tri_k), bary_k,
+                                 sample_indices[k])
+    return records
+
+
+def trace_samples(samples, mesh: Mesh, d_screen: float):
+    """[(sample, record-or-None)] for a whole recording, cast in one batch.
 
     A sample whose screen frame degenerates (head facing straight up or
     down) is treated as a miss rather than aborting the recording.
     """
-    try:
-        o = head_orientation(sample.o_deg)
-        b = screen_point(sample.p, o, d_screen)
-        y = gaze_point(b, o, sample.s)
-        ray = actual_sightline(sample.p, y)
-    except GazeError:
-        return None
-    return intersect_ray_mesh(ray, mesh, sample_index=sample.index)
-
-
-def trace_samples(samples, mesh: Mesh, d_screen: float):
-    """[(sample, record-or-None)] for a whole recording."""
-    return [(s, trace_sample(s, mesh, d_screen)) for s in samples]
+    samples = list(samples)
+    origins, directions = sightlines([x.p for x in samples],
+                                     [x.o_deg for x in samples],
+                                     [x.s for x in samples], d_screen)
+    records = cast_sightlines(mesh, origins, directions,
+                              [x.index for x in samples])
+    return list(zip(samples, records))
 
 
 # ---------------------------------------------------------------------------

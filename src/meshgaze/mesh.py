@@ -7,11 +7,18 @@ exported per-vertex CSV rows stay aligned with the source.
 """
 from __future__ import annotations
 
+import csv
+import math
 import os
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+# scipy is imported where it is used: at module level it would add about a
+# second of start-up to every CLI verb, most of which never need it
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 
 class MeshError(Exception):
@@ -62,8 +69,9 @@ class Mesh:
         return self._normal_flags
 
     @property
-    def kdtree(self) -> cKDTree:
+    def kdtree(self) -> "cKDTree":
         if self._kdtree is None:
+            from scipy.spatial import cKDTree
             self._kdtree = cKDTree(self.vertices)
         return self._kdtree
 
@@ -120,6 +128,7 @@ class SpatialIndex:
     __slots__ = ("positions", "tree")
 
     def __init__(self, positions):
+        from scipy.spatial import cKDTree
         self.positions = np.asarray(positions, dtype=np.float64)
         self.tree = cKDTree(self.positions)
 
@@ -300,6 +309,41 @@ def _atomic_write(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_vertex_csv(path, header, what: str, error) -> np.ndarray:
+    """Column 1 of a per-vertex CSV as floats indexed by vertex id.
+
+    The first row must start with `header`.  Every other non-blank row is
+    `vertex_id,value[,...]`: the ids of n rows must be 0..n-1, each exactly
+    once, and every value a finite number.  Anything else raises `error`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"{what} {path!r}: {exc}") from exc
+    if not rows or rows[0][:len(header)] != list(header):
+        raise error(f"{what} {path!r}: bad header")
+    n = len(rows) - 1
+    values = np.zeros(n)
+    seen = np.zeros(n, dtype=bool)
+    for k, row in enumerate(rows[1:], start=1):
+        try:
+            vid, value = int(row[0]), float(row[1])
+        except (IndexError, ValueError):
+            raise error(f"{what} {path!r}: row {k}: expected vertex_id,value, "
+                        f"got {row!r}") from None
+        if not 0 <= vid < n:
+            raise error(f"{what} {path!r}: row {k}: vertex id {vid} outside "
+                        f"0..{n - 1} (ids missing or out of range)")
+        if seen[vid]:
+            raise error(f"{what} {path!r}: row {k}: duplicate vertex id {vid}")
+        if not math.isfinite(value):
+            raise error(f"{what} {path!r}: row {k}: non-finite value {row[1]!r}")
+        seen[vid] = True
+        values[vid] = value
+    return values
 
 
 def save_ply(mesh: Mesh, path, colors=None) -> None:

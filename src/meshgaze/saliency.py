@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .mesh import Mesh, bounding_box_diagonal
 from .visibility import ViewPose, VisibleSet, visible_points
@@ -92,6 +91,7 @@ def compute_fpfh(positions, normals, r: float):
         raise SaliencyError("FPFH radius must be positive")
     positions = np.asarray(positions, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
+    from scipy.spatial import cKDTree
     n = len(positions)
     tree = cKDTree(positions)
     neighbor_lists = tree.query_ball_point(positions, r)

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaze import (GazeError, PoseSample, actual_sightline, gaze_point,
-                   head_orientation, intersect_ray_mesh, screen_frame,
-                   screen_point)
+from .gaze import (PoseSample, cast_sightlines, head_orientation,
+                   screen_frame, screen_point, sightlines)
 from .mesh import Mesh
 
 
@@ -187,22 +186,29 @@ def check_targets_reachable(scenario: SyntheticScenario, mesh: Mesh, cfg,
     if tol is None:
         tol = 2.0 * cfg.cluster_interval
     per_dwell = max(1, int(round(scenario.dwell_s * scenario.rate_hz)))
-    reached = [False] * len(scenario.targets)
-    for k, sample in enumerate(samples):
-        t_idx = (k // per_dwell) % len(scenario.targets)
-        if reached[t_idx]:
-            continue
-        target = mesh.vertices[int(scenario.targets[t_idx])]
-        o_vec = head_orientation(sample.o_deg)
-        s = inverse_gaze_offset(sample.p, o_vec, target, cfg.d_screen)
-        b = screen_point(sample.p, o_vec, cfg.d_screen)
-        try:
-            ray = actual_sightline(sample.p, gaze_point(b, o_vec, s))
-        except GazeError:
-            continue
-        rec = intersect_ray_mesh(ray, mesh)
-        if rec is not None and float(np.linalg.norm(rec.point - target)) <= tol:
-            reached[t_idx] = True
+    targets = mesh.vertices[np.asarray(scenario.targets, dtype=np.int64)]
+    aimed = np.arange(len(samples)) // per_dwell % len(targets)
+    reached = [False] * len(targets)
+
+    def cast(ks):
+        offsets = [inverse_gaze_offset(samples[k].p,
+                                       head_orientation(samples[k].o_deg),
+                                       targets[aimed[k]], cfg.d_screen)
+                   for k in ks]
+        origins, directions = sightlines(
+            [samples[k].p for k in ks], [samples[k].o_deg for k in ks],
+            offsets, cfg.d_screen)
+        for k, rec in zip(ks, cast_sightlines(mesh, origins, directions)):
+            target = targets[aimed[k]]
+            if rec is not None and float(np.linalg.norm(rec.point - target)) <= tol:
+                reached[aimed[k]] = True
+
+    # each target's first sample usually reaches it; a second batch casts
+    # every sample of the targets the first one left unreached
+    first = np.unique(aimed, return_index=True)[1]
+    cast(first)
+    cast([k for k in range(len(samples))
+          if not reached[aimed[k]] and k not in first])
     missing = [int(scenario.targets[i]) for i, ok in enumerate(reached) if not ok]
     if missing:
         raise ScenarioError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaze import rotation_matrix
-from .mesh import Mesh, _atomic_write, bounding_box_diagonal
+from .mesh import Mesh, _atomic_write, bounding_box_diagonal, read_vertex_csv
 
 
 class VisibilityError(Exception):
@@ -271,11 +271,8 @@ def save_visibility(path, vs: VisibleSet) -> None:
 
 
 def load_visibility(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["vertex_id", "visible"]:
-        raise VisibilityError(f"visibility file {path!r}: bad header")
-    bits = np.zeros(len(rows) - 1, dtype=bool)
-    for row in rows[1:]:
-        bits[int(row[0])] = bool(int(row[1]))
-    return bits
+    bits = read_vertex_csv(path, ["vertex_id", "visible"], "visibility file",
+                           VisibilityError)
+    if not np.isin(bits, (0.0, 1.0)).all():
+        raise VisibilityError(f"visibility file {path!r}: values must be 0 or 1")
+    return bits == 1.0

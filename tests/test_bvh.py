@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meshgaze import bvh as bvh_module
 from meshgaze import primitives
 from meshgaze.bvh import TriangleBVH, intersect_brute, intersect_triangles
 from meshgaze.gaze import SightLine, intersect_ray_mesh
@@ -96,6 +99,21 @@ def test_brute_matches_independent_oracle(sphere2):
             assert got is not None
             assert got[1] == want[1]
             assert got[0] == pytest.approx(want[0], abs=1e-9)
+    # rays in the grid's plane whose normal component is subnormal or below
+    # the slab guard: Moller-Trumbore sees a zero determinant, so a miss
+    grid = primitives.plane_grid(12, 12)
+    rng = np.random.default_rng(6)
+    lo, hi = grid.vertices.min(axis=0), grid.vertices.max(axis=0)
+    rays = [(np.array([1.0954, 1.5, 0.19134785]), np.array([-1.0, -5e-324, 1e-49]))]
+    for dy in (5e-324, -5e-324, 1e-310, -1e-305):
+        for _ in range(10):
+            o = lo + rng.uniform(-0.2, 1.2, size=3) * (hi - lo)
+            o[1] = 1.5
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            rays.append((o, np.array([np.cos(ang), dy, np.sin(ang)])))
+    for o, d in rays:
+        assert mt_scan(grid, o, d) is None
+        assert intersect_brute(grid.vertices, grid.triangles, o, d) is None
 
 
 def test_edge_and_vertex_hits_are_watertight(sphere3):
@@ -171,3 +189,111 @@ def test_tmin_skips_near_hits(sphere3):
 def test_brute_empty_direction_error(sphere2):
     with pytest.raises(Exception):
         SightLine(origin=np.zeros(3), direction=np.array([0.0, 0.0, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# batched traversal against the exhaustive scan
+
+MESHES = {"bumpy": primitives.bumpy_sphere(3),
+          "grid": primitives.plane_grid(12, 12)}
+BVHS = {k: TriangleBVH(m.vertices, m.triangles) for k, m in MESHES.items()}
+UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def rays(draw, mesh):
+    """One ray aimed at a vertex, an edge midpoint, a point in the bounding
+    box, or nowhere in particular; optionally one direction component is
+    zero or below the slab guard, with the origin aligned on that axis."""
+    v, f = mesh.vertices, mesh.triangles
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    kind = draw(st.sampled_from(["vertex", "edge", "box", "free"]))
+    if kind == "vertex":
+        target = v[draw(st.integers(0, len(v) - 1))]
+    elif kind == "edge":
+        a, b, _ = f[draw(st.integers(0, len(f) - 1))]
+        target = 0.5 * (v[a] + v[b])
+    else:
+        frac = np.array([draw(st.floats(0.0, 1.0)) for _ in range(3)])
+        target = lo + frac * (hi - lo)
+    d = np.array([draw(UNIT) for _ in range(3)])
+    if kind != "free":
+        d = 0.5 * (lo + hi) + 1e-3 * d - target      # roughly inward
+    axis = draw(st.sampled_from([None, 0, 1, 2]))
+    if axis is not None:
+        d[axis] = draw(st.sampled_from([0.0, -0.0, 1e-310, -1e-310]))
+    if np.linalg.norm(d) < 1e-9:
+        d[(axis or 0) - 1] = 1.0
+    d = d / np.linalg.norm(d)
+    origin = target - draw(st.floats(0.5, 3.0)) * d
+    if axis is not None:
+        origin[axis] = target[axis]
+    return origin, d
+
+
+def batches(name):
+    return st.lists(rays(MESHES[name]), min_size=1, max_size=12)
+
+
+TMIN = st.one_of(st.just(0.0), st.floats(0.0, 2.5))
+
+
+def assert_matches_brute(name, batch, tmin):
+    mesh = MESHES[name]
+    origins = np.array([o for o, _ in batch])
+    dirs = np.array([d for _, d in batch])
+    t, tri, bary = BVHS[name].intersect_many(origins, dirs, tmin)
+    assert t.shape == tri.shape == (len(batch),) and bary.shape == (len(batch), 3)
+    for k, (o, d) in enumerate(batch):
+        want = intersect_brute(mesh.vertices, mesh.triangles, o, d, tmin)
+        if want is None:
+            assert tri[k] == -1 and t[k] == np.inf
+        else:
+            assert (t[k], tri[k]) == want[:2]
+            assert np.array_equal(bary[k], want[2])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch=batches("bumpy"), tmin=TMIN)
+def test_intersect_many_matches_brute_on_bumpy_sphere(batch, tmin):
+    assert_matches_brute("bumpy", batch, tmin)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch=batches("grid"), tmin=TMIN)
+def test_intersect_many_matches_brute_on_plane_grid(batch, tmin):
+    assert_matches_brute("grid", batch, tmin)
+
+
+def test_subnormal_direction_component_is_zero():
+    """A ray in the grid's plane with a subnormal tilt: the shear used to
+    underflow into a spurious vertex 'hit' 0.47 off the ray."""
+    mesh = MESHES["grid"]
+    o = np.array([1.0954, 1.5, 0.19134785])
+    for dy in (-5e-324, 0.0, 1e-310):
+        d = np.array([-1.0, dy, 1e-49])
+        assert intersect_brute(mesh.vertices, mesh.triangles, o, d) is None
+        assert BVHS["grid"].intersect(o, d) is None
+
+
+def test_intersect_many_single_ray_and_empty_batch():
+    mesh = MESHES["bumpy"]
+    o, d = np.array([0.0, 1.5, -2.0]), np.array([0.0, 0.0, 1.0])
+    t, tri, bary = BVHS["bumpy"].intersect_many(o, d)
+    want = intersect_brute(mesh.vertices, mesh.triangles, o, d)
+    assert (t[0], tri[0]) == want[:2] and np.array_equal(bary[0], want[2])
+    assert BVHS["bumpy"].intersect(o, d)[:2] == want[:2]
+    t, tri, bary = BVHS["bumpy"].intersect_many(np.zeros((0, 3)), np.zeros((0, 3)))
+    assert t.shape == tri.shape == (0,) and bary.shape == (0, 3)
+
+
+def test_intersect_many_chunking_is_invisible(monkeypatch):
+    """Splitting rays and leaf pairs into small blocks changes nothing."""
+    origins, dirs = random_rays(300, np.array([0.0, 1.5, 0.0]), seed=3)
+    want = BVHS["bumpy"].intersect_many(origins, dirs)
+    monkeypatch.setattr(bvh_module, "_RAY_CHUNK", 7)
+    monkeypatch.setattr(bvh_module, "_PAIR_CHUNK", 5)
+    got = BVHS["bumpy"].intersect_many(origins, dirs)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    assert (want[1] >= 0).sum() > 100 and (want[1] < 0).any()

@@ -537,3 +537,52 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where, body", [
+    ("preds/m1.csv", "vertex_id,value\n0,0.5\n1,0.25\n1,0.75\n2,0.1\n"),
+    ("preds/m1.csv", "vertex_id,value\n0,0.5\n1,0.25\n2,0.75\n7,0.1\n"),
+    ("preds/m1.csv", "vertex_id,value\n0,0.5\n1,high\n2,0.75\n3,0.1\n"),
+    ("preds/m1.csv", "vertex_id,value\n0,0.5\n1,nan\n2,0.75\n3,0.1\n"),
+    ("gt/m1.csv", "vertex_id,value\n0,0.5\n0,0.25\n2,0.75\n3,0.1\n"),
+    ("gt/m1.vis.csv", "vertex_id,visible\n0,1\n1,1\n1,0\n3,1\n"),
+    ("gt/m1.vis.csv", "vertex_id,visible\n0,1\n1,yes\n2,0\n3,1\n"),
+], ids=["pred-duplicate-id", "pred-id-out-of-range", "pred-non-numeric",
+        "pred-non-finite", "gt-duplicate-id", "vis-duplicate-id",
+        "vis-non-numeric"])
+def test_evaluate_rejects_malformed_map_csv(tmp_path, capsys, where, body):
+    """A bad per-vertex file is an error, never a traceback or a silently
+    wrong score (a duplicated id used to displace another row to 0)."""
+    for d in ("gt", "preds"):
+        (tmp_path / d).mkdir()
+        save_map_csv(tmp_path / d / "m1.csv", [0.5, 0.25, 0.75, 0.1])
+    (tmp_path / where).write_text(body)
+    assert run("evaluate", "--ground-truth", tmp_path / "gt", "--predictions",
+               tmp_path / "preds", "--out", tmp_path / "r.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Verbs that never use scipy must not pay for importing it."""
+    import subprocess
+    import sys
+
+    import meshgaze
+    from meshgaze.evaluation import inter_observer_test
+
+    a, b = [0.2, 0.5, 0.7, 0.4, 0.1], [0.3, 0.9, 0.8, 0.6]
+    code = (
+        "import sys, meshgaze.cli\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.spatial')"
+        " if m in sys.modules))\n"
+        "from meshgaze.evaluation import inter_observer_test\n"
+        f"print(repr(inter_observer_test({a}, {b})))\n")
+    src = os.path.dirname(os.path.dirname(meshgaze.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    loaded, tp = out.splitlines()
+    assert loaded == "[]"
+    assert tp == repr(inter_observer_test(a, b))

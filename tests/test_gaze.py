@@ -6,8 +6,9 @@ import pytest
 
 from meshgaze.gaze import (GazeError, PoseSample, actual_sightline,
                            gaze_point, head_orientation, load_recording,
-                           rotation_matrix, save_recording, screen_frame,
-                           screen_point, trace_samples)
+                           intersect_ray_mesh, rotation_matrix,
+                           save_recording, screen_frame, screen_point,
+                           sightlines, trace_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +176,60 @@ def test_trace_degenerate_orientation_is_miss(sphere3):
                         s=np.array([0.01, 0.0]), index=0)
     (s, rec), = trace_samples([sample], sphere3, d_screen=0.05)
     assert rec is None          # degenerate beta cannot resolve the offset
+
+
+def _chain(p, o_deg, s, d_screen):
+    """The per-sample sight-line, or None where the chain raises."""
+    try:
+        o = head_orientation(o_deg)
+        return actual_sightline(p, gaze_point(screen_point(p, o, d_screen), o, s))
+    except GazeError:
+        return None
+
+
+def test_sightlines_match_per_sample_chain_bit_for_bit():
+    rng = np.random.default_rng(12)
+    n = 500
+    p = rng.normal(size=(n, 3))
+    o = rng.uniform(-180.0, 180.0, size=(n, 3))
+    s = rng.uniform(-0.15, 0.15, size=(n, 2))
+    o[::25] = [90.0, 0.0, 0.0]                       # degenerate screen frame
+    o[7] = [np.nan, 0.0, 0.0]
+    o[11] = [0.0, np.inf, 0.0]
+    origins, dirs = sightlines(p, o, s, 0.05)
+    assert np.array_equal(origins, p)
+    for k in range(n):
+        ray = _chain(p[k], o[k], s[k], 0.05)
+        if ray is None:
+            assert np.isnan(dirs[k]).all()
+        else:
+            assert np.array_equal(dirs[k], ray.direction)
+    assert 0 < np.isnan(dirs[:, 0]).sum() < n
+    assert np.isnan(sightlines(p, o, s, 0.0)[1]).all()
+
+
+def test_trace_samples_match_per_ray_records(sphere3):
+    """Batched tracing gives the records of the one-ray path, bit for bit."""
+    rng = np.random.default_rng(4)
+    samples = [PoseSample(t=0.1 * k, p=np.array([0.0, 1.5, -2.0]) + 0.1 * rng.normal(size=3),
+                          o_deg=rng.normal(0.0, 8.0, size=3),
+                          s=rng.uniform(-0.05, 0.05, size=2), index=k)
+               for k in range(120)]
+    traced = trace_samples(samples, sphere3, d_screen=0.05)
+    assert [x for x, _ in traced] == samples
+    hits = 0
+    for x, rec in traced:
+        want = intersect_ray_mesh(_chain(x.p, x.o_deg, x.s, 0.05), sphere3,
+                                  exhaustive=True, sample_index=x.index)
+        assert (rec is None) == (want is None)
+        if rec is not None:
+            hits += 1
+            assert rec.triangle == want.triangle
+            assert rec.sample_index == want.sample_index == x.index
+            assert rec.distance == want.distance
+            assert np.array_equal(rec.point, want.point)
+            assert np.array_equal(rec.bary, want.bary)
+    assert 0 < hits < len(samples)
 
 
 def test_recording_roundtrip(tmp_path):
