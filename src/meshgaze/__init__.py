@@ -10,7 +10,8 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .config import (ConfigError, MeshgazeError, RunConfig, load_config,
+                     parse_config)
 from .mesh import Mesh, MeshError, load_mesh, save_ply
 from .gaze import (GazeError, PoseSample, head_orientation, load_recording,
                    screen_frame, screen_point, trace_samples)
@@ -28,7 +29,7 @@ from .synth import ScenarioError, SyntheticScenario, generate_recording
 
 __all__ = [
     "__version__",
-    "ConfigError", "RunConfig", "load_config", "parse_config",
+    "MeshgazeError", "ConfigError", "RunConfig", "load_config", "parse_config",
     "Mesh", "MeshError", "load_mesh", "save_ply",
     "GazeError", "PoseSample", "head_orientation", "load_recording",
     "screen_frame", "screen_point", "trace_samples",

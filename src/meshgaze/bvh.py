@@ -110,7 +110,7 @@ class TriangleBVH:
 
     __slots__ = ("vertices", "triangles", "order", "node_lo", "node_hi",
                  "node_left", "node_right", "node_start", "node_count",
-                 "_pad_lo", "_pad_hi", "_v0", "_v1", "_v2")
+                 "_v0", "_v1", "_v2")
 
     def __init__(self, vertices, triangles, leaf_size: int = 8):
         self.vertices = np.asarray(vertices, dtype=np.float64)
@@ -163,12 +163,11 @@ class TriangleBVH:
             np.vstack([tri_lo[order], pad_row]), cuts)[::2]
         self.node_hi = np.maximum.reduceat(
             np.vstack([tri_hi[order], pad_row]), cuts)[::2]
-        # intersect_many's boxes are padded so slab rounding never prunes a
-        # triangle whose hit lies on a box face, as for a ray through a
-        # shared vertex; occluded keeps the tight boxes
+        # padded so slab rounding never prunes a triangle whose hit lies on
+        # a box face, as for a ray through a shared vertex
         pad = 1e-9 * (1.0 + float(np.abs(self.vertices).max()))
-        self._pad_lo = self.node_lo - pad
-        self._pad_hi = self.node_hi + pad
+        self.node_lo -= pad
+        self.node_hi += pad
         self.node_left = np.asarray(node_left, dtype=np.int64)
         self.node_right = np.asarray(node_right, dtype=np.int64)
         self.node_start = np.asarray(node_start, dtype=np.int64)
@@ -177,28 +176,6 @@ class TriangleBVH:
         self._v0 = self.vertices[ordered[:, 0]]
         self._v1 = self.vertices[ordered[:, 1]]
         self._v2 = self.vertices[ordered[:, 2]]
-
-    def _slabs(self, origin, direction):
-        d = np.asarray(direction, dtype=np.float64)
-        safe = np.where(np.abs(d) < _TINY, np.copysign(_TINY, d), d)
-        inv = 1.0 / safe
-        return np.asarray(origin, dtype=np.float64), inv
-
-    @staticmethod
-    def _entry_exit(lo, hi, origin, inv):
-        """Slab entry and exit distances of boxes (lo, hi), one or a stack."""
-        t0 = (lo - origin) * inv
-        t1 = (hi - origin) * inv
-        lo, hi = np.minimum(t0, t1), np.maximum(t0, t1)
-        return (np.maximum(np.maximum(lo[..., 0], lo[..., 1]), lo[..., 2]),
-                np.minimum(np.minimum(hi[..., 0], hi[..., 1]), hi[..., 2]))
-
-    def intersect(self, origin, direction, tmin: float = 0.0):
-        """Nearest hit as (t, tri_id, bary) with ids in input triangle order."""
-        t, tri, bary = self.intersect_many(origin, direction, tmin)
-        if tri[0] < 0:
-            return None
-        return float(t[0]), int(tri[0]), bary[0]
 
     def intersect_many(self, origins, directions, tmin: float = 0.0):
         """Nearest hits of n rays as (t (n,), tri (n,), bary (n, 3)).
@@ -224,14 +201,19 @@ class TriangleBVH:
     def _traverse(self, origins, directions, tmin, best_t, best_id, best_bary):
         """Wavefront traversal: each step advances every live (ray, node)
         pair; the best-hit arrays (views of the caller's) update in place."""
-        origins, inv = self._slabs(origins, directions)
+        safe = np.where(np.abs(directions) < _TINY,
+                        np.copysign(_TINY, directions), directions)
+        inv = 1.0 / safe
         frame = _ray_frames(directions)
         ray = np.arange(len(origins))
         node = np.zeros(len(origins), dtype=np.int64)
         while len(ray):
-            entry, exit_ = self._entry_exit(self._pad_lo[node],
-                                            self._pad_hi[node],
-                                            origins[ray], inv[ray])
+            # slab entry and exit distances of each pair's node box
+            o, r = origins[ray], inv[ray]
+            t0 = (self.node_lo[node] - o) * r
+            t1 = (self.node_hi[node] - o) * r
+            entry = np.minimum(t0, t1).max(axis=1)
+            exit_ = np.maximum(t0, t1).min(axis=1)
             # prune only strictly-beyond nodes so exact ties match brute force
             live = ~((entry > best_t[ray]) | (exit_ < np.maximum(entry, tmin)))
             ray, node = ray[live], node[live]
@@ -275,27 +257,3 @@ class TriangleBVH:
             best_t[r] = t[better]
             best_id[r] = ids[better]
             best_bary[r] = bary[better]
-
-    def occluded(self, origin, direction, tmax: float, tmin: float = 0.0) -> bool:
-        """True if any triangle is hit with tmin < t < tmax (early exit)."""
-        origin, inv = self._slabs(origin, direction)
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            entry, exit_ = self._entry_exit(self.node_lo[node],
-                                            self.node_hi[node], origin, inv)
-            if entry >= tmax or exit_ < max(entry, tmin):
-                continue
-            cnt = self.node_count[node]
-            if cnt > 0:
-                s = self.node_start[node]
-                e = s + cnt
-                t, _, valid = intersect_triangles(
-                    origin, direction, self._v0[s:e], self._v1[s:e],
-                    self._v2[s:e], tmin)
-                if (t[valid] < tmax).any():
-                    return True
-            else:
-                stack.append(self.node_right[node])
-                stack.append(self.node_left[node])
-        return False

@@ -18,7 +18,7 @@ from collections import defaultdict
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, apply_overrides, load_config
+from .config import MeshgazeError, RunConfig, apply_overrides, load_config
 from .evaluation import (EvaluationError, ViewScore, bias_distance,
                          initial_move_direction, inter_observer_test,
                          metric_cc, metric_kl, metric_se,
@@ -29,8 +29,8 @@ from .fdm import (FdmError, FixationDensityMap, build_ground_truth,
 from .fixation import (FixationError, extract_fixations, load_fixations,
                        saccade_amplitude, save_fixations)
 from .gaze import GazeError, load_recording, trace_samples
-from .mesh import Mesh, MeshError, _atomic_write, load_mesh, read_vertex_csv
-from .saliency import SaliencyError, baseline_curvature_saliency, saliency_map
+from .mesh import Mesh, _atomic_write, load_mesh, read_vertex_csv
+from .saliency import baseline_curvature_saliency, saliency_map
 from .synth import (ScenarioError, check_targets_reachable, generate_recording,
                     scenario_from_json)
 from .visibility import (CameraModel, ViewPose, VisibilityError,
@@ -217,6 +217,23 @@ def _read_prediction(path) -> np.ndarray:
     return read_vertex_csv(path, ["vertex_id"], "prediction file", FdmError)
 
 
+def _read_weights(path) -> dict:
+    """Per-view visit weights A_w: a JSON object of integers >= 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            weights = json.load(fh)
+        except ValueError as exc:
+            raise EvaluationError(f"weights file {path!r}: {exc}") from exc
+    if not isinstance(weights, dict):
+        raise EvaluationError(f"weights file {path!r}: not a JSON object")
+    for pid, w in weights.items():
+        if type(w) is not int or w < 1:      # bool and float are rejected
+            raise EvaluationError(
+                f"weights file {path!r}: weight of {pid!r} must be an "
+                f"integer >= 1, got {w!r}")
+    return weights
+
+
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     gt_files = {os.path.splitext(f)[0]: os.path.join(args.ground_truth, f)
@@ -230,10 +247,7 @@ def cmd_evaluate(args) -> int:
     if missing:
         raise EvaluationError(f"predictions missing for pose ids: {missing}")
     weights_path = os.path.join(args.ground_truth, "weights.json")
-    weights = {}
-    if os.path.exists(weights_path):
-        with open(weights_path, "r", encoding="utf-8") as fh:
-            weights = json.load(fh)
+    weights = _read_weights(weights_path) if os.path.exists(weights_path) else {}
     scores = []
     per_view = {}
     for pid in sorted(gt_files):
@@ -244,7 +258,7 @@ def cmd_evaluate(args) -> int:
         if os.path.exists(vis_path):
             from .visibility import load_visibility
             domain = load_visibility(vis_path)
-        a_w = int(weights.get(pid, 1))
+        a_w = weights.get(pid, 1)
         try:
             cc = metric_cc(g, r, domain)
             se = metric_se(g, r, domain, cfg.se_variant)
@@ -562,16 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_ERRORS = (ConfigError, MeshError, GazeError, FixationError, VisibilityError,
-           FdmError, SaliencyError, EvaluationError, ScenarioError, OSError)
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except _ERRORS as exc:
+    except (MeshgazeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,11 @@ from dataclasses import dataclass
 from typing import get_type_hints
 
 
-class ConfigError(Exception):
+class MeshgazeError(Exception):
+    """Base of every error meshgaze raises for bad input files or settings."""
+
+
+class ConfigError(MeshgazeError):
     """Malformed config file, unknown key, or out-of-range value."""
 
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MeshgazeError
 from .fdm import FdmError, plcc
 from .gaze import head_orientation, rotation_matrix
 
 
-class EvaluationError(Exception):
+class EvaluationError(MeshgazeError):
     pass
 
 

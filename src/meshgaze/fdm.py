@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MeshgazeError
 from .gaze import head_orientation
 from .mesh import Mesh, _atomic_write, read_vertex_csv, save_ply
 from .visibility import VisibleSet
 
 
-class FdmError(Exception):
+class FdmError(MeshgazeError):
     pass
 
 
@@ -76,10 +77,7 @@ def plcc(map_a, map_b, domain=None) -> float:
         raise FdmError("maps are not aligned")
     if domain is not None:
         domain = np.asarray(domain)
-        if domain.dtype == bool:
-            a, b = a[domain], b[domain]
-        else:
-            a, b = a[domain], b[domain]
+        a, b = a[domain], b[domain]
     if len(a) < 2:
         raise FdmError("correlation needs at least 2 values")
     da = a - a.mean()

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MeshgazeError
 from .gaze import IntersectionRecord, PoseSample
 from .mesh import _atomic_write
 
@@ -26,7 +27,7 @@ SACCADE = "saccade"
 MISS = "miss"
 
 
-class FixationError(Exception):
+class FixationError(MeshgazeError):
     """Invalid stream or degenerate fixation geometry."""
 
 
@@ -281,17 +282,25 @@ def load_fixations(path) -> list[tuple[str, int, FixationPoint]]:
     if not rows or rows[0] != FIXATION_HEADER:
         raise FixationError(f"fixation file {path!r}: bad or missing header")
     out = []
-    for row in rows[1:]:
+    for i, row in enumerate(rows[1:]):
         if not row:
             continue
         if len(row) != len(FIXATION_HEADER):
             raise FixationError(f"fixation file {path!r}: malformed row")
         rec_id = row[0]
-        cluster_id = int(row[1])
-        vals = [float(x) for x in row[2:12]]
+        try:
+            cluster_id = int(row[1])
+            vals = [float(x) for x in row[2:12]]
+            weight = int(row[12])
+        except ValueError as exc:
+            raise FixationError(f"fixation file {path!r}: row {i}: {exc}") from exc
+        if not np.isfinite(vals).all():
+            raise FixationError(f"fixation file {path!r}: row {i}: non-finite value")
+        if weight < 1:
+            raise FixationError(f"fixation file {path!r}: row {i}: weight must be >= 1")
         fp = FixationPoint(position=np.array(vals[0:3]),
                            pose_p=np.array(vals[3:6]),
                            pose_o=np.array(vals[6:9]),
-                           duration=vals[9], weight=int(row[12]))
+                           duration=vals[9], weight=weight)
         out.append((rec_id, cluster_id, fp))
     return out

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvh import intersect_brute
+from .config import MeshgazeError
 from .mesh import Mesh, _atomic_write
 
 
-class GazeError(Exception):
+class GazeError(MeshgazeError):
     """Invalid pose sample, degenerate geometry, or malformed recording."""
 
 
@@ -33,18 +33,6 @@ class PoseSample:
     o_deg: np.ndarray   # Euler angles, degrees, (3,)
     s: np.ndarray       # eye offset on screen plane, (2,)
     index: int          # row index within the recording
-
-
-@dataclass
-class SightLine:
-    __slots__ = ("origin", "direction")
-    origin: np.ndarray
-    direction: np.ndarray  # unit length
-
-    def __post_init__(self):
-        n = float(np.linalg.norm(self.direction))
-        if abs(n - 1.0) > 1e-9:
-            raise GazeError("sight-line direction must be unit length")
 
 
 @dataclass
@@ -110,36 +98,13 @@ def gaze_point(b, o_vec, s) -> np.ndarray:
     return np.asarray(b, dtype=np.float64) + s[0] * e_sx + s[1] * e_sy
 
 
-def actual_sightline(p, y) -> SightLine:
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    d = y - p
+def actual_sightline(p, y) -> np.ndarray:
+    """Unit direction of the sight-line from head position P through gaze point Y."""
+    d = np.asarray(y, dtype=np.float64) - np.asarray(p, dtype=np.float64)
     n = float(np.linalg.norm(d))
     if n <= 1e-9:
         raise GazeError("gaze point coincides with head position")
-    return SightLine(p.copy(), d / n)
-
-
-def _record(mesh: Mesh, origin, tri: int, bary, sample_index: int):
-    tv = mesh.vertices[mesh.triangles[tri]]
-    point = bary[0] * tv[0] + bary[1] * tv[1] + bary[2] * tv[2]
-    return IntersectionRecord(point=point, triangle=tri, bary=bary,
-                              distance=float(np.linalg.norm(point - origin)),
-                              sample_index=sample_index)
-
-
-def intersect_ray_mesh(ray: SightLine, mesh: Mesh, exhaustive: bool = False,
-                       sample_index: int = -1) -> IntersectionRecord | None:
-    """Nearest mesh intersection along the ray, or None on a miss."""
-    if exhaustive:
-        hit = intersect_brute(mesh.vertices, mesh.triangles, ray.origin,
-                              ray.direction, 0.0)
-    else:
-        hit = mesh.bvh.intersect(ray.origin, ray.direction, 0.0)
-    if hit is None:
-        return None
-    t, tri, bary = hit
-    return _record(mesh, ray.origin, tri, bary, sample_index)
+    return d / n
 
 
 def sightlines(p, o_deg, s, d_screen: float):
@@ -154,7 +119,7 @@ def sightlines(p, o_deg, s, d_screen: float):
         try:
             o = head_orientation(o_k)
             y = gaze_point(screen_point(p[k], o, d_screen), o, s_k)
-            directions[k] = actual_sightline(p[k], y).direction
+            directions[k] = actual_sightline(p[k], y)
         except GazeError:
             pass
     return p, directions
@@ -169,9 +134,14 @@ def cast_sightlines(mesh: Mesh, origins, directions, sample_indices=None):
     cast = np.nonzero(np.isfinite(directions).all(axis=1))[0]
     _, tri, bary = mesh.bvh.intersect_many(origins[cast], directions[cast], 0.0)
     for k, tri_k, bary_k in zip(cast, tri, bary):
-        if tri_k >= 0:
-            records[k] = _record(mesh, origins[k], int(tri_k), bary_k,
-                                 sample_indices[k])
+        if tri_k < 0:
+            continue
+        tv = mesh.vertices[mesh.triangles[tri_k]]
+        point = bary_k[0] * tv[0] + bary_k[1] * tv[1] + bary_k[2] * tv[2]
+        records[k] = IntersectionRecord(
+            point=point, triangle=int(tri_k), bary=bary_k,
+            distance=float(np.linalg.norm(point - origins[k])),
+            sample_index=sample_indices[k])
     return records
 
 

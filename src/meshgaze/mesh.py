@@ -15,13 +15,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .bvh import TriangleBVH
+from .config import MeshgazeError
+
 # scipy is imported where it is used: at module level it would add about a
 # second of start-up to every CLI verb, most of which never need it
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
 
-class MeshError(Exception):
+class MeshError(MeshgazeError):
     """Malformed mesh file or invalid mesh structure."""
 
 
@@ -78,7 +81,6 @@ class Mesh:
     @property
     def bvh(self):
         if self._bvh is None:
-            from .bvh import TriangleBVH
             self._bvh = TriangleBVH(self.vertices, self.triangles)
         return self._bvh
 
@@ -120,35 +122,6 @@ def bounding_box_diagonal(mesh_or_vertices) -> float:
     if len(vertices) == 0:
         raise MeshError("empty vertex set")
     return float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
-
-
-class SpatialIndex:
-    """k-d organization over mesh vertices; queries match brute force exactly."""
-
-    __slots__ = ("positions", "tree")
-
-    def __init__(self, positions):
-        from scipy.spatial import cKDTree
-        self.positions = np.asarray(positions, dtype=np.float64)
-        self.tree = cKDTree(self.positions)
-
-
-def build_spatial_index(mesh_or_vertices) -> SpatialIndex:
-    vertices = getattr(mesh_or_vertices, "vertices", mesh_or_vertices)
-    return SpatialIndex(vertices)
-
-
-def radius_query(index: SpatialIndex, center, r: float):
-    """Ids of all vertices within Euclidean distance r of center (sorted)."""
-    if r < 0:
-        raise MeshError("radius must be nonnegative")
-    ids = index.tree.query_ball_point(np.asarray(center, dtype=np.float64), r)
-    return np.sort(np.asarray(ids, dtype=np.int64))
-
-
-def nearest_vertex(index: SpatialIndex, point) -> int:
-    _, idx = index.tree.query(np.asarray(point, dtype=np.float64))
-    return int(idx)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MeshgazeError
 from .mesh import Mesh, bounding_box_diagonal
 from .visibility import ViewPose, VisibleSet, visible_points
 
@@ -24,7 +25,7 @@ N_FEATURES = 3
 DESCRIPTOR_SIZE = N_BINS * N_FEATURES  # 33
 
 
-class SaliencyError(Exception):
+class SaliencyError(MeshgazeError):
     pass
 
 

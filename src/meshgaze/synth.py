@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MeshgazeError
 from .gaze import (PoseSample, cast_sightlines, head_orientation,
                    screen_frame, screen_point, sightlines)
 from .mesh import Mesh
 
 
-class ScenarioError(Exception):
+class ScenarioError(MeshgazeError):
     pass
 
 

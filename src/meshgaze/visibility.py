@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MeshgazeError
 from .gaze import rotation_matrix
 from .mesh import Mesh, _atomic_write, bounding_box_diagonal, read_vertex_csv
 
 
-class VisibilityError(Exception):
+class VisibilityError(MeshgazeError):
     pass
 
 
@@ -200,7 +201,7 @@ def visible_points(mesh: Mesh, pose: ViewPose,
 
         ok = winner < 0                             # uncovered pixel: nothing occludes
         covered = ~ok
-        # a vertex can never be occluded by a triangle it belongs to
+        # a vertex can never be hidden by a triangle it belongs to
         own = (mesh.triangles[winner] == cand[:, None]).any(axis=1)
         ok |= covered & own
 
@@ -224,38 +225,6 @@ def visible_points(mesh: Mesh, pose: ViewPose,
     ids = np.nonzero(mask)[0].astype(np.int64)
     center = mesh.vertices[ids].mean(axis=0) if len(ids) else None
     return VisibleSet(ids=ids, mask=mask, center=center)
-
-
-def visible_center(vs: VisibleSet) -> np.ndarray:
-    if vs.empty:
-        raise VisibilityError("empty visible set has no center")
-    return vs.center
-
-
-def occlusion_oracle(mesh: Mesh, pose: ViewPose,
-                     eps_frac: float = 1e-3) -> np.ndarray:
-    """Ray-cast reference visibility: vertex visible iff within the frustum,
-    front-facing, and no triangle hit strictly before it (minus slack)."""
-    cam = pose.camera
-    eps = eps_frac * bounding_box_diagonal(mesh)
-    tan_h = np.tan(np.radians(cam.hfov_deg) / 2.0)
-    tan_v = np.tan(np.radians(cam.vfov_deg) / 2.0)
-    vp = _view_space(pose, mesh.vertices)
-    zs = vp[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        in_frustum = (zs >= cam.near) & \
-            (np.abs(vp[:, 0] / (zs * tan_h)) <= 1.0) & \
-            (np.abs(vp[:, 1] / (zs * tan_v)) <= 1.0)
-    front = np.einsum("ij,ij->i", mesh.normals, pose.p - mesh.vertices) > 0.0
-    bvh = mesh.bvh
-    mask = np.zeros(len(mesh.vertices), dtype=bool)
-    for v in np.nonzero(in_frustum & front)[0]:
-        d = mesh.vertices[v] - pose.p
-        tv = float(np.linalg.norm(d))
-        if tv <= 0:
-            continue
-        mask[v] = not bvh.occluded(pose.p, d / tv, tv - eps)
-    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import pytest
 
 from meshgaze import primitives
 from meshgaze.config import RunConfig
+from meshgaze.gaze import rotation_matrix
+from meshgaze.mesh import bounding_box_diagonal
 from meshgaze.synth import euler_facing
 from meshgaze.visibility import CameraModel, ViewPose
 
@@ -117,3 +119,37 @@ def pick_visible_targets(mesh, viewer_p, n, center=(0.0, 1.5, 0.0),
             return chosen
     raise AssertionError(
         f"could not place {n} viewer-facing targets (got {len(chosen)})")
+
+
+# ---------------------------------------------------------------------------
+# ray-cast visibility oracle (shares no code with the rasterizer it checks)
+
+def view_candidates(mesh, pose):
+    """Vertices inside pose's frustum whose normals face the eye, as
+    (ids, unit directions from the eye, distances from the eye)."""
+    cam = pose.camera
+    rel = mesh.vertices - pose.p
+    vp = rel @ rotation_matrix(pose.o_deg)      # x right, y up, z forward
+    zs = vp[:, 2]
+    tan_h = np.tan(np.radians(cam.hfov_deg) / 2.0)
+    tan_v = np.tan(np.radians(cam.vfov_deg) / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        in_frustum = (zs >= cam.near) & \
+            (np.abs(vp[:, 0] / (zs * tan_h)) <= 1.0) & \
+            (np.abs(vp[:, 1] / (zs * tan_v)) <= 1.0)
+    front = np.einsum("ij,ij->i", mesh.normals, -rel) > 0.0
+    dist = np.linalg.norm(rel, axis=1)
+    ids = np.nonzero(in_frustum & front & (dist > 0.0))[0]
+    return ids, rel[ids] / dist[ids, None], dist[ids]
+
+
+def occlusion_oracle(mesh, pose, eps_frac=1e-3):
+    """Ray-cast reference visibility: a candidate vertex is visible unless
+    the nearest hit on the ray from the eye to it lies more than
+    eps_frac * bbox diagonal before it.  One intersect_many call per pose."""
+    ids, dirs, dist = view_candidates(mesh, pose)
+    eps = eps_frac * bounding_box_diagonal(mesh)
+    t, _, _ = mesh.bvh.intersect_many(np.tile(pose.p, (len(ids), 1)), dirs)
+    mask = np.zeros(len(mesh.vertices), dtype=bool)
+    mask[ids] = ~(t < dist - eps)
+    return mask

@@ -15,23 +15,23 @@ import time
 
 import numpy as np
 import pytest
-from conftest import criterion, facing_pose, pick_visible_targets
+from conftest import (criterion, facing_pose, occlusion_oracle,
+                      pick_visible_targets)
 
+from meshgaze.bvh import intersect_brute
 from meshgaze.cli import main as cli_main
 from meshgaze.config import RunConfig
 from meshgaze.evaluation import (ViewScore, bias_distance, metric_cc,
                                  metric_kl, metric_se,
                                  viewing_direction_dependence, weighted_eval)
 from meshgaze.fixation import FIXATION, SACCADE, classify_ivt, load_fixations
-from meshgaze.gaze import (IntersectionRecord, PoseSample, SightLine,
-                           intersect_ray_mesh)
+from meshgaze.gaze import IntersectionRecord, PoseSample
 from meshgaze.mesh import save_ply
 from meshgaze.primitives import (bumpy_sphere, icosphere, plane_grid,
                                  spike_sphere, vertex_rings)
 from meshgaze.saliency import compute_fpfh, saliency_map, uniqueness
 from meshgaze.synth import SyntheticScenario, scenario_to_json
-from meshgaze.visibility import (CameraModel, ViewPose, occlusion_oracle,
-                                 visible_points)
+from meshgaze.visibility import CameraModel, ViewPose, visible_points
 
 CENTER = np.array([0.0, 1.5, 0.0])
 
@@ -50,6 +50,7 @@ def test_criterion_01_ray_oracle(sphere3, bumpy, spike_pack):
         t0 = time.perf_counter()
         for mesh in (sphere3, bumpy, spike_pack[0]):
             lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+            origins, directions = [], []
             for k in range(500):
                 origin = CENTER + 1.5 * random_unit(rng)
                 if k % 10 == 0:
@@ -58,13 +59,17 @@ def test_criterion_01_ray_oracle(sphere3, bumpy, spike_pack):
                     inside = lo + rng.random(3) * (hi - lo)
                     direction = inside - origin
                     direction = direction / np.linalg.norm(direction)
-                ray = SightLine(origin=origin, direction=direction)
-                fast = intersect_ray_mesh(ray, mesh)
-                slow = intersect_ray_mesh(ray, mesh, exhaustive=True)
-                assert (fast is None) == (slow is None)
-                if fast is not None:
-                    assert fast.triangle == slow.triangle
-                    assert np.linalg.norm(fast.point - slow.point) < 1e-9
+                origins.append(origin)
+                directions.append(direction)
+            _, tri, bary = mesh.bvh.intersect_many(origins, directions)
+            for o, d, fast_tri, fast_bary in zip(origins, directions, tri, bary):
+                slow = intersect_brute(mesh.vertices, mesh.triangles, o, d)
+                assert (fast_tri < 0) == (slow is None)
+                if slow is not None:
+                    assert fast_tri == slow[1]
+                    corners = mesh.vertices[mesh.triangles[fast_tri]]
+                    assert np.linalg.norm(fast_bary @ corners
+                                          - slow[2] @ corners) < 1e-9
         assert time.perf_counter() - t0 < 10.0
 
 

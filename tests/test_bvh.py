@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from meshgaze import bvh as bvh_module
 from meshgaze import primitives
 from meshgaze.bvh import TriangleBVH, intersect_brute, intersect_triangles
-from meshgaze.gaze import SightLine, intersect_ray_mesh
+from meshgaze.gaze import cast_sightlines
 
 RNG = np.random.default_rng(20240817)
 
@@ -72,17 +72,17 @@ def _unit(v):
 def test_bvh_matches_brute_exactly(sphere3):
     origins, dirs = random_rays(300, np.array([0.0, 1.5, 0.0]), seed=11)
     bvh = TriangleBVH(sphere3.vertices, sphere3.triangles)
+    t, tri, _ = bvh.intersect_many(origins, dirs)
     hits = misses = 0
-    for o, d in zip(origins, dirs):
-        got = bvh.intersect(o, d)
+    for k, (o, d) in enumerate(zip(origins, dirs)):
         want = intersect_brute(sphere3.vertices, sphere3.triangles, o, d)
         if want is None:
-            assert got is None
+            assert tri[k] == -1
             misses += 1
         else:
-            assert got is not None
-            assert got[1] == want[1]                 # same triangle id
-            assert abs(got[0] - want[0]) == 0.0      # identical t
+            assert tri[k] >= 0
+            assert tri[k] == want[1]                 # same triangle id
+            assert abs(t[k] - want[0]) == 0.0        # identical t
             hits += 1
     assert hits > 100 and misses > 0                 # both branches exercised
 
@@ -121,28 +121,26 @@ def test_edge_and_vertex_hits_are_watertight(sphere3):
     center = np.array([0.0, 1.5, 0.0])
     bvh = TriangleBVH(sphere3.vertices, sphere3.triangles)
     rng = np.random.default_rng(99)
-    for vid in rng.choice(len(sphere3.vertices), size=40, replace=False):
-        target = sphere3.vertices[vid]
-        out = _unit(target - center)
-        origin = center + 2.0 * out              # outside, shooting inward
-        hit = bvh.intersect(origin, -out)
-        assert hit is not None
+    vids = rng.choice(len(sphere3.vertices), size=40, replace=False)
+    out = _unit(sphere3.vertices[vids] - center)
+    _, tri, _ = bvh.intersect_many(center + 2.0 * out, -out)   # shooting inward
+    assert (tri >= 0).all()
     # edge midpoints
-    for a, b, _c in sphere3.triangles[rng.choice(len(sphere3.triangles), 40)]:
-        target = 0.5 * (sphere3.vertices[a] + sphere3.vertices[b])
-        out = _unit(target - center)
-        origin = center + 2.0 * out
-        assert bvh.intersect(origin, -out) is not None
+    edges = sphere3.triangles[rng.choice(len(sphere3.triangles), 40)]
+    out = _unit(0.5 * (sphere3.vertices[edges[:, 0]]
+                       + sphere3.vertices[edges[:, 1]]) - center)
+    _, tri, _ = bvh.intersect_many(center + 2.0 * out, -out)
+    assert (tri >= 0).all()
 
 
 def test_axis_aligned_rays(sphere3):
     """Zero direction components exercise the slab-test guards."""
     bvh = TriangleBVH(sphere3.vertices, sphere3.triangles)
-    hit = bvh.intersect(np.array([0.0, 1.5, -2.0]), np.array([0.0, 0.0, 1.0]))
-    assert hit is not None
-    assert hit[0] == pytest.approx(1.7, abs=0.02)    # 2.0 - 0.3, tessellated
-    assert bvh.intersect(np.array([0.0, 5.0, -2.0]),
-                         np.array([0.0, 0.0, 1.0])) is None
+    t, tri, _ = bvh.intersect_many([[0.0, 1.5, -2.0], [0.0, 5.0, -2.0]],
+                                   [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    assert tri[0] >= 0
+    assert t[0] == pytest.approx(1.7, abs=0.02)      # 2.0 - 0.3, tessellated
+    assert tri[1] == -1
 
 
 def test_intersect_triangles_degenerate():
@@ -155,16 +153,15 @@ def test_intersect_triangles_degenerate():
 
 
 def test_barycentric_reconstruction(sphere2):
-    ray = SightLine(origin=np.array([0.0, 1.5, -3.0]),
-                    direction=np.array([0.0, 0.0, 1.0]))
-    rec = intersect_ray_mesh(ray, sphere2)
+    origin = np.array([0.0, 1.5, -3.0])
+    rec, = cast_sightlines(sphere2, origin[None], np.array([[0.0, 0.0, 1.0]]))
     assert rec is not None
     a, b, c = sphere2.triangles[rec.triangle]
     recon = (rec.bary[0] * sphere2.vertices[a] + rec.bary[1] * sphere2.vertices[b]
              + rec.bary[2] * sphere2.vertices[c])
     np.testing.assert_allclose(recon, rec.point, atol=1e-12)
     assert rec.bary.min() >= 0 and rec.bary.sum() == pytest.approx(1.0, abs=1e-9)
-    assert rec.distance == pytest.approx(np.linalg.norm(rec.point - ray.origin),
+    assert rec.distance == pytest.approx(np.linalg.norm(rec.point - origin),
                                          abs=1e-9)
 
 
@@ -172,23 +169,19 @@ def test_occluded_variants(sphere3):
     bvh = TriangleBVH(sphere3.vertices, sphere3.triangles)
     origin = np.array([0.0, 1.5, -2.0])
     d = np.array([0.0, 0.0, 1.0])
-    assert bvh.occluded(origin, d, tmax=3.0)
-    assert not bvh.occluded(origin, d, tmax=1.0)     # sphere starts at t=1.7
-    assert not bvh.occluded(origin, -d, tmax=np.inf)  # looking away
+    t, _, _ = bvh.intersect_many([origin, origin], [d, -d])
+    assert t[0] < 3.0
+    assert not t[0] < 1.0                            # sphere starts at t=1.7
+    assert not t[1] < np.inf                         # looking away
 
 
 def test_tmin_skips_near_hits(sphere3):
     bvh = TriangleBVH(sphere3.vertices, sphere3.triangles)
     origin = np.array([0.0, 1.5, -2.0])
     d = np.array([0.0, 0.0, 1.0])
-    t_first = bvh.intersect(origin, d)[0]
-    t_second = bvh.intersect(origin, d, tmin=t_first + 1e-9)[0]
+    t_first = bvh.intersect_many(origin, d)[0][0]
+    t_second = bvh.intersect_many(origin, d, tmin=t_first + 1e-9)[0][0]
     assert t_second > t_first + 0.5                  # back side of the sphere
-
-
-def test_brute_empty_direction_error(sphere2):
-    with pytest.raises(Exception):
-        SightLine(origin=np.zeros(3), direction=np.array([0.0, 0.0, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +266,7 @@ def test_subnormal_direction_component_is_zero():
     for dy in (-5e-324, 0.0, 1e-310):
         d = np.array([-1.0, dy, 1e-49])
         assert intersect_brute(mesh.vertices, mesh.triangles, o, d) is None
-        assert BVHS["grid"].intersect(o, d) is None
+        assert BVHS["grid"].intersect_many(o, d)[1][0] == -1
 
 
 def test_intersect_many_single_ray_and_empty_batch():
@@ -282,7 +275,6 @@ def test_intersect_many_single_ray_and_empty_batch():
     t, tri, bary = BVHS["bumpy"].intersect_many(o, d)
     want = intersect_brute(mesh.vertices, mesh.triangles, o, d)
     assert (t[0], tri[0]) == want[:2] and np.array_equal(bary[0], want[2])
-    assert BVHS["bumpy"].intersect(o, d)[:2] == want[:2]
     t, tri, bary = BVHS["bumpy"].intersect_many(np.zeros((0, 3)), np.zeros((0, 3)))
     assert t.shape == tri.shape == (0,) and bary.shape == (0, 3)
 

@@ -564,6 +564,39 @@ def test_evaluate_rejects_malformed_map_csv(tmp_path, capsys, where, body):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("body", ['{"m1": 3', '{"m1": "two"}', '{"m1": 2.7}'],
+                         ids=["truncated", "non-numeric", "non-integer"])
+def test_evaluate_rejects_malformed_weights(tmp_path, capsys, body):
+    """A bad weights.json is an error, never a traceback or a silently
+    truncated weight."""
+    for d in ("gt", "preds"):
+        (tmp_path / d).mkdir()
+        save_map_csv(tmp_path / d / "m1.csv", [0.5, 0.25, 0.75, 0.1])
+    (tmp_path / "gt" / "weights.json").write_text(body)
+    assert run("evaluate", "--ground-truth", tmp_path / "gt", "--predictions",
+               tmp_path / "preds", "--out", tmp_path / "r.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [(2, "x"), (4, "nan"), (12, "0")],
+                         ids=["non-numeric", "non-finite", "weight-below-1"])
+def test_fdm_rejects_malformed_fixation_file(pipeline, tmp_path, capsys,
+                                             field, value):
+    row = "s00,0,0.0,1.5,-0.3,0.0,1.6,-1.5,0.0,0.0,0.0,0.5,3".split(",")
+    row[field] = value
+    fix = tmp_path / "fix"
+    fix.mkdir()
+    (fix / "s00.csv").write_text(
+        "recording_id,cluster_id,x,y,z,px,py,pz,ox,oy,oz,duration,weight\n"
+        + ",".join(row) + "\n")
+    assert run("fdm", "--mesh", pipeline["mesh_path"], "--fixations", fix,
+               "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """Verbs that never use scipy must not pay for importing it."""
     import subprocess

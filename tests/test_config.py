@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
-from meshgaze.config import (ConfigError, RunConfig, apply_overrides,
-                             load_config, parse_config, save_config,
-                             serialize_config)
+import meshgaze
+from meshgaze.config import (ConfigError, MeshgazeError, RunConfig,
+                             apply_overrides, load_config, parse_config,
+                             save_config, serialize_config)
 
 
 def test_defaults_validate():
@@ -91,3 +95,15 @@ def test_scene_center_and_translate_helpers():
     cfg = RunConfig(mesh_translate_x=1.0, scene_center_y=2.0)
     assert cfg.mesh_translate() == (1.0, 0.0, 0.0)
     assert cfg.scene_center() == (0.0, 2.0, 0.0)
+
+
+def test_every_error_class_derives_from_meshgaze_error():
+    """One base class lets the CLI report every input error the same way."""
+    errors = []
+    for info in pkgutil.iter_modules(meshgaze.__path__):
+        module = importlib.import_module(f"meshgaze.{info.name}")
+        errors += [obj for obj in vars(module).values()
+                   if inspect.isclass(obj) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__]
+    assert len(errors) == 10                 # the base and nine errors
+    assert all(issubclass(e, MeshgazeError) for e in errors)

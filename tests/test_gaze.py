@@ -4,11 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from meshgaze.bvh import intersect_brute
 from meshgaze.gaze import (GazeError, PoseSample, actual_sightline,
                            gaze_point, head_orientation, load_recording,
-                           intersect_ray_mesh, rotation_matrix,
-                           save_recording, screen_frame, screen_point,
-                           sightlines, trace_samples)
+                           rotation_matrix, save_recording, screen_frame,
+                           screen_point, sightlines, trace_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +132,8 @@ def test_gaze_point_lipschitz_in_offset():
 
 
 def test_actual_sightline():
-    sl = actual_sightline(np.zeros(3), np.array([3.0, 0, 4.0]))
-    np.testing.assert_allclose(sl.direction, [0.6, 0, 0.8], atol=1e-12)
+    d = actual_sightline(np.zeros(3), np.array([3.0, 0, 4.0]))
+    np.testing.assert_allclose(d, [0.6, 0, 0.8], atol=1e-12)
     with pytest.raises(GazeError):
         actual_sightline(np.ones(3), np.ones(3))
 
@@ -145,7 +145,7 @@ def test_doubling_d_screen_keeps_direction_when_centered():
     for d_screen in (0.05, 0.10):
         b = screen_point(p, o_vec, d_screen)
         y = gaze_point(b, o_vec, np.zeros(2))
-        dirs.append(actual_sightline(p, y).direction)
+        dirs.append(actual_sightline(p, y))
     np.testing.assert_allclose(dirs[0], dirs[1], atol=1e-12)
 
 
@@ -179,7 +179,7 @@ def test_trace_degenerate_orientation_is_miss(sphere3):
 
 
 def _chain(p, o_deg, s, d_screen):
-    """The per-sample sight-line, or None where the chain raises."""
+    """The per-sample sight-line direction, or None where the chain raises."""
     try:
         o = head_orientation(o_deg)
         return actual_sightline(p, gaze_point(screen_point(p, o, d_screen), o, s))
@@ -199,17 +199,17 @@ def test_sightlines_match_per_sample_chain_bit_for_bit():
     origins, dirs = sightlines(p, o, s, 0.05)
     assert np.array_equal(origins, p)
     for k in range(n):
-        ray = _chain(p[k], o[k], s[k], 0.05)
-        if ray is None:
+        d = _chain(p[k], o[k], s[k], 0.05)
+        if d is None:
             assert np.isnan(dirs[k]).all()
         else:
-            assert np.array_equal(dirs[k], ray.direction)
+            assert np.array_equal(dirs[k], d)
     assert 0 < np.isnan(dirs[:, 0]).sum() < n
     assert np.isnan(sightlines(p, o, s, 0.0)[1]).all()
 
 
 def test_trace_samples_match_per_ray_records(sphere3):
-    """Batched tracing gives the records of the one-ray path, bit for bit."""
+    """Batched tracing gives the exhaustive scan's hits, bit for bit."""
     rng = np.random.default_rng(4)
     samples = [PoseSample(t=0.1 * k, p=np.array([0.0, 1.5, -2.0]) + 0.1 * rng.normal(size=3),
                           o_deg=rng.normal(0.0, 8.0, size=3),
@@ -219,16 +219,19 @@ def test_trace_samples_match_per_ray_records(sphere3):
     assert [x for x, _ in traced] == samples
     hits = 0
     for x, rec in traced:
-        want = intersect_ray_mesh(_chain(x.p, x.o_deg, x.s, 0.05), sphere3,
-                                  exhaustive=True, sample_index=x.index)
+        want = intersect_brute(sphere3.vertices, sphere3.triangles, x.p,
+                               _chain(x.p, x.o_deg, x.s, 0.05))
         assert (rec is None) == (want is None)
         if rec is not None:
             hits += 1
-            assert rec.triangle == want.triangle
-            assert rec.sample_index == want.sample_index == x.index
-            assert rec.distance == want.distance
-            assert np.array_equal(rec.point, want.point)
-            assert np.array_equal(rec.bary, want.bary)
+            _, tri, bary = want
+            tv = sphere3.vertices[sphere3.triangles[tri]]
+            point = bary[0] * tv[0] + bary[1] * tv[1] + bary[2] * tv[2]
+            assert rec.triangle == tri
+            assert rec.sample_index == x.index
+            assert rec.distance == float(np.linalg.norm(point - x.p))
+            assert np.array_equal(rec.point, point)
+            assert np.array_equal(rec.bary, bary)
     assert 0 < hits < len(samples)
 
 

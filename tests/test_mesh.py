@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from meshgaze import primitives
-from meshgaze.mesh import (Mesh, MeshError, bounding_box_diagonal,
-                           build_spatial_index, load_mesh, nearest_vertex,
-                           radius_query, save_ply)
+from meshgaze.mesh import (Mesh, MeshError, bounding_box_diagonal, load_mesh,
+                           save_ply)
 
 TRI_OBJ = """\
 # minimal
@@ -136,32 +135,40 @@ def test_normals_deterministic(sphere2):
 
 
 # ---------------------------------------------------------------------------
-# spatial index vs brute force
+# Mesh.kdtree vs brute force
+
+def _point_mesh(pts):
+    """A mesh whose vertices are pts, for queries through Mesh.kdtree."""
+    return Mesh(vertices=pts, triangles=np.array([[0, 1, 2]]))
+
+
+def _radius_query(mesh, center, r):
+    return np.sort(mesh.kdtree.query_ball_point(center, r))
+
 
 def test_radius_query_matches_bruteforce():
     rng = np.random.default_rng(1234)
     pts = rng.uniform(-1.0, 1.0, size=(200, 3))
-    idx = build_spatial_index(pts)
+    mesh = _point_mesh(pts)
     for _ in range(100):
         center = rng.uniform(-1.2, 1.2, size=3)
         r = rng.uniform(0.0, 0.8)
-        got = radius_query(idx, center, r)
+        got = _radius_query(mesh, center, r)
         want = np.nonzero(np.linalg.norm(pts - center, axis=1) <= r)[0]
         np.testing.assert_array_equal(got, want)
 
 
 def test_radius_query_edge_radii():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0]])
-    idx = build_spatial_index(pts)
-    np.testing.assert_array_equal(radius_query(idx, [1.0, 0, 0], 0.0), [1])
-    np.testing.assert_array_equal(radius_query(idx, [0.3, 0.3, 0.3], 10.0),
+    mesh = _point_mesh(pts)
+    np.testing.assert_array_equal(_radius_query(mesh, [1.0, 0, 0], 0.0), [1])
+    np.testing.assert_array_equal(_radius_query(mesh, [0.3, 0.3, 0.3], 10.0),
                                   [0, 1, 2])
 
 
 def test_nearest_vertex():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0]])
-    idx = build_spatial_index(pts)
-    assert nearest_vertex(idx, [0.9, 0.1, 0.0]) == 1
+    assert _point_mesh(pts).kdtree.query([0.9, 0.1, 0.0])[1] == 1
 
 
 def test_unknown_format_rejected(tmp_path):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from conftest import pick_visible_targets
 
-from meshgaze.gaze import (actual_sightline, gaze_point, head_orientation,
-                           intersect_ray_mesh, screen_point)
+from meshgaze.gaze import (actual_sightline, cast_sightlines, gaze_point,
+                           head_orientation, screen_point)
 from meshgaze.synth import (ScenarioError, SyntheticScenario,
                             check_targets_reachable, euler_facing,
                             generate_recording, inverse_gaze_offset,
@@ -105,10 +105,10 @@ def test_inverse_gaze_offset_round_trip():
         s = inverse_gaze_offset(p, o_vec, target, D_SCREEN)
         b = screen_point(p, o_vec, D_SCREEN)
         y = gaze_point(b, o_vec, s)
-        ray = actual_sightline(p, y)
+        d = actual_sightline(p, y)
         # the sight-line passes through the target
-        along = np.dot(target - p, ray.direction)
-        closest = p + along * ray.direction
+        along = np.dot(target - p, d)
+        closest = p + along * d
         np.testing.assert_allclose(closest, target, atol=1e-6)
 
 
@@ -176,8 +176,8 @@ def test_noise_free_recording_hits_targets(sphere3, cfg):
         s = samples[k]
         o_vec = head_orientation(s.o_deg)
         b = screen_point(s.p, o_vec, cfg.d_screen)
-        ray = actual_sightline(s.p, gaze_point(b, o_vec, s.s))
-        rec = intersect_ray_mesh(ray, sphere3)
+        d = actual_sightline(s.p, gaze_point(b, o_vec, s.s))
+        rec, = cast_sightlines(sphere3, s.p[None], d[None])
         if rec is None:
             continue
         checked += 1

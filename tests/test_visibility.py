@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import facing_pose, occlusion_oracle, view_candidates
 
-from meshgaze.mesh import Mesh
+from meshgaze.bvh import intersect_brute
+from meshgaze.mesh import Mesh, bounding_box_diagonal
+from meshgaze.primitives import bumpy_sphere, icosphere
 from meshgaze.visibility import (CameraModel, ViewPose, VisibilityError,
                                  camera_from_config, load_visibility,
-                                 occlusion_oracle, pose_hash, save_visibility,
-                                 visible_center, visible_points)
+                                 pose_hash, save_visibility, visible_points)
 
 FRONT_TRI = Mesh(
     vertices=np.array([[-0.1, -0.1, 1.0], [0.1, -0.1, 1.0], [0.0, 0.1, 1.0]]),
@@ -100,15 +102,13 @@ def test_visible_center_is_member_mean(sphere3):
     pose = ViewPose(p=np.array([0.0, 1.5, -1.5]), o_deg=np.zeros(3))
     vs = visible_points(sphere3, pose)
     want = sphere3.vertices[vs.ids].mean(axis=0)
-    np.testing.assert_allclose(visible_center(vs), want, atol=1e-12)
+    np.testing.assert_allclose(vs.center, want, atol=1e-12)
 
 
 def test_empty_visible_set(sphere3):
     pose = ViewPose(p=np.array([0.0, 1.5, -1.5]), o_deg=np.array([0.0, 180.0, 0.0]))
     vs = visible_points(sphere3, pose)
     assert vs.empty and vs.center is None and len(vs.ids) == 0
-    with pytest.raises(VisibilityError):
-        visible_center(vs)
 
 
 def test_oracle_beats_chance_on_sphere(sphere3):
@@ -117,6 +117,25 @@ def test_oracle_beats_chance_on_sphere(sphere3):
     # close to half the sphere faces a distant viewer
     frac = ref.mean()
     assert 0.3 < frac < 0.6
+
+
+def test_oracle_matches_per_vertex_brute_any_hit():
+    """The batched oracle against one exhaustive scan per candidate vertex:
+    occluded iff some triangle is hit more than eps before the vertex."""
+    rng = np.random.default_rng(77)
+    for mesh in (icosphere(3), bumpy_sphere(3, seed=5)):
+        eps = 1e-3 * bounding_box_diagonal(mesh)
+        for _ in range(4):
+            u = rng.standard_normal(3)
+            pose = facing_pose(np.array([0.0, 1.5, 0.0])
+                               + rng.uniform(1.0, 2.0) * u / np.linalg.norm(u))
+            want = np.zeros(len(mesh.vertices), dtype=bool)
+            ids, dirs, dist = view_candidates(mesh, pose)
+            for v, d, tv in zip(ids, dirs, dist):
+                hit = intersect_brute(mesh.vertices, mesh.triangles, pose.p, d)
+                want[v] = hit is None or not hit[0] < tv - eps
+            np.testing.assert_array_equal(occlusion_oracle(mesh, pose), want)
+            assert 0.15 < want.mean() < 0.7
 
 
 # ---------------------------------------------------------------------------
