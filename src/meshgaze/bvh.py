@@ -177,25 +177,29 @@ class TriangleBVH:
         self._v1 = self.vertices[ordered[:, 1]]
         self._v2 = self.vertices[ordered[:, 2]]
 
-    def intersect_many(self, origins, directions, tmin: float = 0.0):
+    def intersect_many(self, origins, directions, tmin: float = 0.0,
+                       tmax=np.inf):
         """Nearest hits of n rays as (t (n,), tri (n,), bary (n, 3)).
 
         A ray that misses has t = inf, tri = -1 and a NaN bary row.  Each
         hit is the lexicographic minimum (t, triangle id) that an
-        exhaustive scan returns, bit for bit.
+        exhaustive scan returns, bit for bit.  Only hits with t < tmax (a
+        scalar or one bound per ray) count, and no node that starts beyond
+        a ray's bound is visited.
         """
         origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
         directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
         if len(origins) != len(directions):
             raise ValueError("origins and directions differ in length")
         n = len(origins)
-        t = np.full(n, np.inf)
+        t = np.array(np.broadcast_to(tmax, n), dtype=np.float64)
         tri = np.full(n, -1, dtype=np.int64)
         bary = np.full((n, 3), np.nan)
         for s in range(0, n, _RAY_CHUNK):
             e = s + _RAY_CHUNK
             self._traverse(origins[s:e], directions[s:e], tmin,
                            t[s:e], tri[s:e], bary[s:e])
+        t[tri < 0] = np.inf
         return t, tri, bary
 
     def _traverse(self, origins, directions, tmin, best_t, best_id, best_bary):
@@ -251,8 +255,7 @@ class TriangleBVH:
             rs = r[srt]
             head = srt[np.r_[True, rs[1:] != rs[:-1]]]
             r, t, ids, bary = r[head], t[head], ids[head], bary[head]
-            better = ((best_id[r] < 0) | (t < best_t[r])
-                      | ((t == best_t[r]) & (ids < best_id[r])))
+            better = (t < best_t[r]) | ((t == best_t[r]) & (ids < best_id[r]))
             r = r[better]
             best_t[r] = t[better]
             best_id[r] = ids[better]

@@ -189,7 +189,6 @@ def cmd_saliency(args) -> int:
             "pose_p": [float(x) for x in pose.p],
             "pose_o": [float(x) for x in pose.o_deg],
             "camera": {"hfov_deg": cam.hfov_deg, "vfov_deg": cam.vfov_deg,
-                       "width": cam.width, "height": cam.height,
                        "near": cam.near},
             "params": smap.params,
             "flagged_empty": smap.flagged,

@@ -58,10 +58,10 @@ class RunConfig:
     # camera / visibility
     cam_hfov_deg: float = 110.0
     cam_vfov_deg: float = 110.0
-    cam_width: int = 1080
-    cam_height: int = 1200
     cam_near: float = 0.05
-    depth_tol_frac: float = 0.001       # z tolerance as fraction of bbox diagonal
+    # a hit on a vertex's sight line hides it only when nearer than the
+    # vertex by more than this fraction of the bbox diagonal
+    depth_tol_frac: float = 0.001
 
     # pose bucketing
     pose_grid_m: float = 0.25
@@ -106,8 +106,6 @@ class RunConfig:
             raise ConfigError(f"unknown se_variant {self.se_variant!r}")
         if not 0.0 < self.cam_hfov_deg < 180.0 or not 0.0 < self.cam_vfov_deg < 180.0:
             raise ConfigError("camera FoV must lie in (0, 180) degrees")
-        if self.cam_width < 64 or self.cam_height < 64:
-            raise ConfigError("raster dimensions must be >= 64")
         if self.vdd_repetitions < 1:
             raise ConfigError("vdd_repetitions must be >= 1")
 

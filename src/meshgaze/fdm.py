@@ -53,15 +53,11 @@ def splat_fdm(mesh: Mesh, fixations, sigma: float,
     values = np.zeros(len(mesh.vertices))
     fixations = list(fixations)
     radius = cutoff_sigmas * sigma
-    tree = mesh.kdtree
     for fp in fixations:
-        ids = tree.query_ball_point(np.asarray(fp.position, dtype=np.float64),
-                                    radius)
-        if not ids:
-            continue
-        ids = np.asarray(ids, dtype=np.int64)
-        d2 = np.sum((mesh.vertices[ids] - fp.position) ** 2, axis=1)
-        values[ids] += fp.weight * np.exp(-d2 / (2.0 * sigma * sigma))
+        d2 = np.sum((mesh.vertices - fp.position) ** 2, axis=1)
+        ids = np.nonzero(d2 <= radius * radius)[0]
+        if len(ids):
+            values[ids] += fp.weight * np.exp(-d2[ids] / (2.0 * sigma * sigma))
     # an all-zero map (no fixations, or none within reach of any vertex)
     # is structurally valid but carries no signal; flag it for callers
     return FixationDensityMap(values=values,

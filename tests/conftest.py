@@ -122,7 +122,7 @@ def pick_visible_targets(mesh, viewer_p, n, center=(0.0, 1.5, 0.0),
 
 
 # ---------------------------------------------------------------------------
-# ray-cast visibility oracle (shares no code with the rasterizer it checks)
+# visibility oracles (no BVH, no watertight kernel, no visibility helper)
 
 def view_candidates(mesh, pose):
     """Vertices inside pose's frustum whose normals face the eye, as
@@ -143,13 +143,40 @@ def view_candidates(mesh, pose):
     return ids, rel[ids] / dist[ids, None], dist[ids]
 
 
-def occlusion_oracle(mesh, pose, eps_frac=1e-3):
-    """Ray-cast reference visibility: a candidate vertex is visible unless
-    the nearest hit on the ray from the eye to it lies more than
-    eps_frac * bbox diagonal before it.  One intersect_many call per pose."""
+def convex_oracle(mesh, pose):
+    """Analytic visibility on a convex mesh: every candidate is visible."""
+    mask = np.zeros(len(mesh.vertices), dtype=bool)
+    mask[view_candidates(mesh, pose)[0]] = True
+    return mask
+
+
+def occlusion_oracle(mesh, pose, eps_frac=1e-3, block=256):
+    """Exhaustive reference visibility: a candidate vertex is visible unless
+    some triangle crosses the ray from the eye to it more than
+    eps_frac * bbox diagonal before it.  Every ray is tested against every
+    triangle with Moller-Trumbore, a block of rays at a time.  All rays
+    leave the eye, so the cross products that do not involve the direction
+    are taken once per triangle: with s = eye - v0, det = d.(e2 x e1),
+    u = d.(e2 x s) / det, v = d.(s x e1) / det, t = e2.(s x e1) / det."""
     ids, dirs, dist = view_candidates(mesh, pose)
     eps = eps_frac * bounding_box_diagonal(mesh)
-    t, _, _ = mesh.bvh.intersect_many(np.tile(pose.p, (len(ids), 1)), dirs)
+    v0, v1, v2 = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
+    e1, e2 = v1 - v0, v2 - v0
+    s = pose.p - v0
+    q = np.cross(s, e1)
+    tnum = np.einsum("ij,ij->i", e2, q)
+    det_w, u_w, v_w = np.cross(e2, e1).T, np.cross(e2, s).T, q.T
+    hidden = np.zeros(len(ids), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(ids), block):
+            d = dirs[lo:lo + block]
+            det = d @ det_w
+            u = (d @ u_w) / det
+            v = (d @ v_w) / det
+            t = tnum / det
+            hit = (det != 0.0) & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & \
+                (t > 0.0) & (t < dist[lo:lo + block, None] - eps)
+            hidden[lo:lo + block] = hit.any(axis=1)
     mask = np.zeros(len(mesh.vertices), dtype=bool)
-    mask[ids] = ~(t < dist - eps)
+    mask[ids] = ~hidden
     return mask

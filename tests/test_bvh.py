@@ -231,15 +231,16 @@ def batches(name):
 TMIN = st.one_of(st.just(0.0), st.floats(0.0, 2.5))
 
 
-def assert_matches_brute(name, batch, tmin):
+def assert_matches_brute(name, batch, tmin, tmax=np.inf):
     mesh = MESHES[name]
     origins = np.array([o for o, _ in batch])
     dirs = np.array([d for _, d in batch])
-    t, tri, bary = BVHS[name].intersect_many(origins, dirs, tmin)
+    t, tri, bary = BVHS[name].intersect_many(origins, dirs, tmin, tmax)
     assert t.shape == tri.shape == (len(batch),) and bary.shape == (len(batch), 3)
+    bound = np.broadcast_to(tmax, len(batch))
     for k, (o, d) in enumerate(batch):
         want = intersect_brute(mesh.vertices, mesh.triangles, o, d, tmin)
-        if want is None:
+        if want is None or not want[0] < bound[k]:
             assert tri[k] == -1 and t[k] == np.inf
         else:
             assert (t[k], tri[k]) == want[:2]
@@ -256,6 +257,28 @@ def test_intersect_many_matches_brute_on_bumpy_sphere(batch, tmin):
 @given(batch=batches("grid"), tmin=TMIN)
 def test_intersect_many_matches_brute_on_plane_grid(batch, tmin):
     assert_matches_brute("grid", batch, tmin)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batch=batches("bumpy"), data=st.data())
+def test_intersect_many_tmax_matches_brute(batch, data):
+    """Per-ray upper bounds: only hits with t < tmax count."""
+    tmax = np.array([data.draw(st.one_of(st.just(np.inf), st.floats(0.0, 4.0)))
+                     for _ in batch])
+    assert_matches_brute("bumpy", batch, 0.0, tmax)
+
+
+def test_tmax_is_strict_at_the_nearest_hit():
+    origins, dirs = random_rays(300, np.array([0.0, 1.5, 0.0]), seed=4)
+    t, tri, bary = BVHS["bumpy"].intersect_many(origins, dirs)
+    hit = tri >= 0
+    assert hit.sum() > 100
+    _, at, _ = BVHS["bumpy"].intersect_many(origins[hit], dirs[hit], tmax=t[hit])
+    assert (at == -1).all()
+    above = np.nextafter(t[hit], np.inf)
+    got = BVHS["bumpy"].intersect_many(origins[hit], dirs[hit], tmax=above)
+    for g, w in zip(got, (t[hit], tri[hit], bary[hit])):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_subnormal_direction_component_is_zero():

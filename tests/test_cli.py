@@ -248,6 +248,16 @@ def test_unknown_config_key_fails(pipeline, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["cam_width", "cam_height"])
+def test_retired_raster_keys_fail(pipeline, tmp_path, capsys, key):
+    assert run("saliency", "--mesh", pipeline["mesh_path"],
+               "--pose", "0 1.6 -1.5 0 0 0", "--out", tmp_path / "out",
+               "--set", f"{key}=640") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown config key" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fdm_by_pose_layout(pipeline):
     gt = pipeline["gt"]
     names = sorted(os.listdir(gt))
@@ -412,7 +422,9 @@ def test_saliency_single_pose_matches_library(pipeline, tmp_path):
     assert meta["flagged_empty"] is False
     assert meta["uniqueness_subsampled"] is False
     assert meta["params"]["fpfh_radius_frac"] == cfg.fpfh_radius_frac
-    assert meta["camera"]["width"] == cfg.cam_width
+    assert meta["camera"] == {"hfov_deg": cfg.cam_hfov_deg,
+                              "vfov_deg": cfg.cam_vfov_deg,
+                              "near": cfg.cam_near}
     assert (out / f"{pid}.ply").exists()
 
 
@@ -597,25 +609,37 @@ def test_fdm_rejects_malformed_fixation_file(pipeline, tmp_path, capsys,
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """Verbs that never use scipy must not pay for importing it."""
+def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):
+    """Verbs that never use scipy must not pay for importing it.  A pooled
+    fdm run splats by a direct distance pass, and the Welch test needs
+    only scipy.special, so neither loads scipy.spatial or scipy.stats."""
     import subprocess
     import sys
 
     import meshgaze
     from meshgaze.evaluation import inter_observer_test
 
-    a, b = [0.2, 0.5, 0.7, 0.4, 0.1], [0.3, 0.9, 0.8, 0.6]
-    code = (
-        "import sys, meshgaze.cli\n"
-        "print(sorted(m for m in ('scipy.stats', 'scipy.spatial')"
-        " if m in sys.modules))\n"
-        "from meshgaze.evaluation import inter_observer_test\n"
-        f"print(repr(inter_observer_test({a}, {b})))\n")
     src = os.path.dirname(os.path.dirname(meshgaze.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    loaded, tp = out.splitlines()
-    assert loaded == "[]"
-    assert tp == repr(inter_observer_test(a, b))
+    loaded = ("print(sorted(m for m in ('scipy.stats', 'scipy.spatial')"
+              " if m in sys.modules))\n")
+
+    def python(code):
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True, text=True,
+                              timeout=120).stdout.splitlines()
+
+    a, b = [0.2, 0.5, 0.7, 0.4, 0.1], [0.3, 0.9, 0.8, 0.6]
+    out = python(
+        "import sys, meshgaze.cli\n" + loaded +
+        "from meshgaze.evaluation import inter_observer_test\n"
+        f"print(repr(inter_observer_test({a}, {b})))\n" + loaded)
+    assert out == ["[]", repr(inter_observer_test(a, b)), "[]"]
+
+    argv = ["fdm", "--mesh", str(pipeline["mesh_path"]), "--fixations",
+            str(pipeline["fix"]), "--out", str(tmp_path / "fdm")]
+    out = python("import sys\nfrom meshgaze.cli import main\n"
+                 f"assert main({argv!r}) == 0\n" + loaded)
+    assert out == ["[]"]
+    assert (tmp_path / "fdm" / "fdm.csv").read_bytes() == \
+        (pipeline["fdm"] / "fdm.csv").read_bytes()

@@ -19,7 +19,7 @@ def test_defaults_validate():
 
 
 def test_roundtrip_preserves_every_field():
-    cfg = RunConfig(sample_rate_hz=90.0, ivt_h=0.01, cam_width=640,
+    cfg = RunConfig(sample_rate_hz=90.0, ivt_h=0.01, rw_max_iter=640,
                     bias_squared_distance=True, se_variant="minmax", seed=7)
     again = parse_config(serialize_config(cfg))
     assert again == cfg
@@ -37,6 +37,14 @@ def test_unknown_key_rejected():
         parse_config("no_such_option=1\n")
 
 
+@pytest.mark.parametrize("key", ["cam_width", "cam_height"])
+def test_retired_raster_keys_rejected(key):
+    with pytest.raises(ConfigError, match="unknown"):
+        parse_config(f"{key}=1080\n")
+    with pytest.raises(ConfigError, match="unknown"):
+        apply_overrides(RunConfig(), [f"{key}=1080"])
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError):
         parse_config("just a bare token\n")
@@ -51,7 +59,7 @@ def test_bool_parsing(text, value):
 
 def test_int_field_rejects_float_text():
     with pytest.raises(ConfigError):
-        parse_config("cam_width=1080.5")
+        parse_config("rw_max_iter=1000.5")
 
 
 def test_validate_rejects_nonpositive_scales():
@@ -68,8 +76,8 @@ def test_validate_rejects_bad_variant():
 
 
 def test_apply_overrides():
-    cfg = apply_overrides(RunConfig(), ["ivt_h=0.02", "cam_width=256"])
-    assert cfg.ivt_h == 0.02 and cfg.cam_width == 256
+    cfg = apply_overrides(RunConfig(), ["ivt_h=0.02", "uniqueness_exact_limit=256"])
+    assert cfg.ivt_h == 0.02 and cfg.uniqueness_exact_limit == 256
 
 
 def test_apply_overrides_missing_equals():

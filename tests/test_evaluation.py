@@ -166,6 +166,22 @@ def test_welch_matches_independent_oracle():
         assert p == pytest.approx(p_ref, abs=1e-9), f"trial {trial}"
 
 
+@pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+def test_welch_matches_scipy_ttest_ind():
+    from scipy import stats
+    rng = np.random.default_rng(28)
+    for trial in range(500):
+        na, nb = (int(n) for n in rng.integers(2, 40, 2))
+        a = rng.normal(rng.uniform(-1, 1), rng.uniform(0.01, 2.0), size=na)
+        b = rng.normal(rng.uniform(-1, 1), rng.uniform(0.01, 2.0), size=nb)
+        if trial % 5 == 0:
+            a[:] = 0.5                      # one zero-variance sample
+        ref = stats.ttest_ind(a, b, equal_var=False)
+        got = inter_observer_test(a, b)
+        np.testing.assert_allclose(got, (ref.statistic, ref.pvalue),
+                                   rtol=1e-13, err_msg=f"trial {trial}")
+
+
 def test_welch_identical_sequences():
     a = np.array([0.2, 0.5, 0.7, 0.2])
     t, p = inter_observer_test(a, a.copy())

@@ -9,7 +9,7 @@ from meshgaze.fdm import (FdmError, FixationDensityMap, build_ground_truth,
                           save_map_ply, splat_fdm, values_to_colors)
 from meshgaze.fixation import FixationPoint
 from meshgaze.mesh import Mesh, load_mesh
-from meshgaze.primitives import plane_grid
+from meshgaze.primitives import bumpy_sphere, plane_grid
 from meshgaze.visibility import VisibleSet
 
 SIGMA = 0.03
@@ -84,6 +84,55 @@ def test_splat_truncation_error_bounds(plane):
 
     far = np.linalg.norm(plane.vertices - plane.vertices[840], axis=1) > 0.5
     assert (t4.values[far] == 0.0).any()
+
+
+def kdtree_splat(mesh, fixations, sigma, cutoff_sigmas=4.0):
+    """The k-d tree splat: query_ball_point selects each fixation's
+    vertices, then the same weight formula in the same fixation order."""
+    from scipy.spatial import cKDTree
+    tree = cKDTree(mesh.vertices)
+    values = np.zeros(len(mesh.vertices))
+    for f in fixations:
+        ids = np.asarray(tree.query_ball_point(f.position, cutoff_sigmas * sigma),
+                         dtype=np.int64)
+        if len(ids):
+            d2 = np.sum((mesh.vertices[ids] - f.position) ** 2, axis=1)
+            values[ids] += f.weight * np.exp(-d2 / (2.0 * sigma * sigma))
+    return values
+
+
+@pytest.mark.parametrize("mesh,sigma", [
+    (plane_grid(60, 60, size=1.0), 0.025),     # radius = 6 grid steps
+    (bumpy_sphere(4), 0.035),
+], ids=["plane_grid", "bumpy_sphere"])
+def test_splat_selection_matches_kdtree_on_the_boundary(mesh, sigma):
+    """The direct distance pass selects exactly query_ball_point's vertices,
+    including fixations placed at the truncation radius from a vertex, and
+    every vertex's sum is bit-identical."""
+    from scipy.spatial import cKDTree
+    tree = cKDTree(mesh.vertices)
+    radius = 4.0 * sigma
+    rng = np.random.default_rng(606)
+    anchors = rng.integers(0, len(mesh.vertices), 1000)
+    u = rng.standard_normal((1000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    # half on a sphere of the radius around a vertex; half on the grid's
+    # axes, where whole vertex rows sit exactly one radius away
+    axes = np.eye(3)[rng.integers(0, 3, 500)] * rng.choice([-1.0, 1.0], (500, 1))
+    u[500:] = axes
+    points = mesh.vertices[anchors] + radius * u
+    fixations = [fp(x, weight=int(w)) for x, w in
+                 zip(points, rng.integers(1, 4, len(points)))]
+    on_edge = 0
+    for f in fixations:
+        want = sorted(tree.query_ball_point(f.position, radius))
+        got = np.nonzero(splat_fdm(mesh, [f], sigma).values)[0]
+        assert got.tolist() == want
+        d = np.linalg.norm(mesh.vertices[want] - f.position, axis=1)
+        on_edge += int((np.abs(d - radius) < 1e-12).any())
+    assert on_edge > 100
+    np.testing.assert_array_equal(splat_fdm(mesh, fixations, sigma).values,
+                                  kdtree_splat(mesh, fixations, sigma))
 
 
 def test_splat_zero_mass_is_flagged(plane):
