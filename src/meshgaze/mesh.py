@@ -11,17 +11,11 @@ import csv
 import math
 import os
 import tempfile
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bvh import TriangleBVH
 from .config import MeshgazeError
-
-# scipy is imported where it is used: at module level it would add about a
-# second of start-up to every CLI verb, most of which never need it
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 
 class MeshError(MeshgazeError):
@@ -31,8 +25,7 @@ class MeshError(MeshgazeError):
 class Mesh:
     """Indexed triangle mesh with lazily derived normals and indexes."""
 
-    __slots__ = ("vertices", "triangles", "_normals", "_normal_flags",
-                 "_kdtree", "_bvh")
+    __slots__ = ("vertices", "triangles", "_normals", "_normal_flags", "_bvh")
 
     def __init__(self, vertices, triangles):
         vertices = np.asarray(vertices, dtype=np.float64)
@@ -51,7 +44,6 @@ class Mesh:
         self.triangles = triangles
         self._normals = None
         self._normal_flags = None
-        self._kdtree = None
         self._bvh = None
 
     def __len__(self):
@@ -70,13 +62,6 @@ class Mesh:
         if self._normal_flags is None:
             _ = self.normals
         return self._normal_flags
-
-    @property
-    def kdtree(self) -> "cKDTree":
-        if self._kdtree is None:
-            from scipy.spatial import cKDTree
-            self._kdtree = cKDTree(self.vertices)
-        return self._kdtree
 
     @property
     def bvh(self):
@@ -122,6 +107,59 @@ def bounding_box_diagonal(mesh_or_vertices) -> float:
     if len(vertices) == 0:
         raise MeshError("empty vertex set")
     return float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
+
+
+_MAX_CELLS = 1 << 20         # grid cells per axis, so cell keys fit int64
+_SOURCE_BLOCK = 1 << 14      # points whose neighbor cells are looked up at once
+_PAIR_CHUNK = 1 << 20        # candidate pairs tested at once
+
+
+def radius_pairs(points, r: float) -> np.ndarray:
+    """Every directed pair (i, j), i != j, with (dx*dx + dy*dy) + dz*dz <= r*r
+    for (dx, dy, dz) = p_j - p_i, as a (2, m) int64 array whose rows are i
+    and j, sorted by (i, j) as query_ball_point sorts them.  Points are
+    binned in cells a little wider than r (wider still where an axis would
+    need more than _MAX_CELLS), so each pair spans cells at most one apart on
+    every axis, rounding of the cell coordinates included.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    r, n = float(r), len(points)
+    if not (r > 0 and math.isfinite(r)):
+        raise MeshError("radius must be positive and finite")
+    if n < 2:
+        return np.zeros((2, 0), dtype=np.int64)
+    lo = points.min(axis=0)
+    width = np.maximum(r * (1.0 + 1e-6), (points.max(axis=0) - lo) / _MAX_CELLS)
+    cell = np.floor((points - lo) / width).astype(np.int64)
+    dims = cell.max(axis=0) + 1
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    coords = points.T.copy()
+    # the 3 x 3 columns of cells around a cell; each is one key range in z
+    cols = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    out = []
+    for s in range(0, n, _SOURCE_BLOCK):
+        c = cell[s:s + _SOURCE_BLOCK]
+        xy = c[:, None, :2] + cols
+        base = (xy[..., 0] * dims[1] + xy[..., 1]) * dims[2]
+        first = np.searchsorted(key, base + np.maximum(c[:, 2:] - 1, 0))
+        last = np.searchsorted(key, base + np.minimum(c[:, 2:] + 1, dims[2] - 1),
+                               side="right")
+        count = np.where(((xy >= 0) & (xy < dims[:2])).all(axis=2),
+                         last - first, 0)
+        step = max(1, _PAIR_CHUNK // int(count.sum(axis=1).max()))
+        for a in range(0, len(c), step):
+            f, k = first[a:a + step].ravel(), count[a:a + step].ravel()
+            i = np.repeat(np.arange(s + a, s + a + len(k) // 9).repeat(9), k)
+            j = order[np.arange(k.sum()) + np.repeat(f - np.cumsum(k) + k, k)]
+            d2 = np.zeros(len(i))
+            for x in coords:
+                d2 += (x[j] - x[i]) ** 2
+            keep = (d2 <= r * r) & (i != j)
+            i, j = i[keep], j[keep]
+            out.append(np.stack((i, j))[:, np.argsort(i * n + j)])
+    return np.concatenate(out, axis=1)
 
 
 # ---------------------------------------------------------------------------

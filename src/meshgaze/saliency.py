@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MeshgazeError
-from .mesh import Mesh, bounding_box_diagonal
+from .mesh import Mesh, bounding_box_diagonal, radius_pairs
 from .visibility import ViewPose, VisibleSet, visible_points
 
 N_BINS = 11
@@ -63,28 +63,13 @@ def _pair_features_batch(p_s, n_s, p_t, n_t):
     return alpha, phi, theta
 
 
-def _bin_features(alpha, phi, theta) -> np.ndarray:
-    """Histogram the three features into a concatenated 33-bin row."""
-    hist = np.zeros(DESCRIPTOR_SIZE)
-    k = len(alpha)
-    if k == 0:
-        return hist
-    for offset, feat, lo, hi in ((0, alpha, -1.0, 1.0),
-                                 (N_BINS, phi, -1.0, 1.0),
-                                 (2 * N_BINS, theta, -np.pi, np.pi)):
-        idx = np.floor((np.asarray(feat) - lo) / (hi - lo) * N_BINS).astype(np.int64)
-        idx = np.clip(idx, 0, N_BINS - 1)
-        np.add.at(hist, offset + idx, 1.0)
-    return hist / (N_FEATURES * k)
-
-
 def compute_fpfh(positions, normals, r: float):
     """FPFH descriptors for a point set with normals.
 
     Simplified histograms (SPFH) are built per point over neighbors within
     r, then blended: FPFH(p) = SPFH(p) + (1/k) sum_q SPFH(q) / |p - q|,
     renormalized to sum 1.  Points with no neighbors in r get the uniform
-    descriptor and a True flag.
+    descriptor and a True flag.  Sums run in radius_pairs order.
 
     Returns (descriptors (n, 33), flags (n,)).
     """
@@ -92,39 +77,32 @@ def compute_fpfh(positions, normals, r: float):
         raise SaliencyError("FPFH radius must be positive")
     positions = np.asarray(positions, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
-    from scipy.spatial import cKDTree
     n = len(positions)
-    tree = cKDTree(positions)
-    neighbor_lists = tree.query_ball_point(positions, r)
+    i, j = radius_pairs(positions, r)
+    dist = np.linalg.norm(positions[j] - positions[i], axis=1)
+    i, j, dist = (x[dist > 0] for x in (i, j, dist))
+    k = np.bincount(i, minlength=n)
+    flags, per = k == 0, np.maximum(k, 1)[:, None]
 
-    spfh = np.zeros((n, DESCRIPTOR_SIZE))
-    flags = np.zeros(n, dtype=bool)
-    neighbors: list[np.ndarray] = []
-    for i in range(n):
-        ids = np.asarray([j for j in neighbor_lists[i] if j != i], dtype=np.int64)
-        if len(ids):
-            dvec = positions[ids] - positions[i]
-            dist = np.linalg.norm(dvec, axis=1)
-            ids = ids[dist > 0]
-        neighbors.append(ids)
-        if len(ids) == 0:
-            flags[i] = True
-            continue
-        alpha, phi, theta = _pair_features_batch(
-            positions[i], normals[i], positions[ids], normals[ids])
-        spfh[i] = _bin_features(alpha, phi, theta)
+    alpha, phi, theta = _pair_features_batch(
+        positions[i], normals[i], positions[j], normals[j])
+    slot = i[:, None] * DESCRIPTOR_SIZE + np.arange(0, DESCRIPTOR_SIZE, N_BINS)
+    for col, (feat, lo, hi) in enumerate(((alpha, -1.0, 1.0), (phi, -1.0, 1.0),
+                                          (theta, -np.pi, np.pi))):
+        idx = np.floor((feat - lo) / (hi - lo) * N_BINS).astype(np.int64)
+        slot[:, col] += np.clip(idx, 0, N_BINS - 1)
+    spfh = np.bincount(slot.ravel(), minlength=n * DESCRIPTOR_SIZE)
+    spfh = spfh.reshape(n, DESCRIPTOR_SIZE) / (N_FEATURES * per)
 
-    uniform = np.full(DESCRIPTOR_SIZE, 1.0 / DESCRIPTOR_SIZE)
-    out = np.zeros_like(spfh)
-    for i in range(n):
-        ids = neighbors[i]
-        if len(ids) == 0:
-            out[i] = uniform
-            continue
-        dist = np.linalg.norm(positions[ids] - positions[i], axis=1)
-        blended = spfh[i] + (spfh[ids] / dist[:, None]).sum(axis=0) / len(ids)
-        total = blended.sum()
-        out[i] = blended / total if total > 0 else uniform
+    near, first = np.zeros_like(spfh), np.cumsum(k) - k
+    for rank in range(k.max(initial=0)):    # every point's rank-th neighbor
+        at = first[k > rank] + rank
+        near[i[at]] += spfh[j[at]] / dist[at, None]
+    blended = spfh + near / per
+    total = blended.sum(axis=1)
+    ok = ~flags & (total > 0)
+    out = np.full((n, DESCRIPTOR_SIZE), 1.0 / DESCRIPTOR_SIZE)
+    out[ok] = blended[ok] / total[ok, None]
     return out, flags
 
 
@@ -145,7 +123,8 @@ def uniqueness(positions, descriptors, exact_limit: int = 5000,
 
     U(v_i) = 1 - exp(-mean_j Dis(i, j) / (1 + |x_i - x_j|)).  The mean runs
     over the whole visible set up to exact_limit points; above that it is
-    estimated on a seeded uniform subsample of sample_size points.
+    estimated on a seeded uniform subsample of sample_size points, unless
+    that many points would be the whole set.
 
     Returns (u, subsampled: bool).
     """
@@ -154,7 +133,7 @@ def uniqueness(positions, descriptors, exact_limit: int = 5000,
     n = len(positions)
     if n == 0:
         raise SaliencyError("empty visible set")
-    subsampled = n > exact_limit
+    subsampled = n > exact_limit and n > sample_size
     if subsampled:
         rng = np.random.default_rng(seed)
         cols = np.sort(rng.choice(n, size=sample_size, replace=False))
@@ -164,17 +143,24 @@ def uniqueness(positions, descriptors, exact_limit: int = 5000,
     sqrt_all = np.sqrt(descriptors)
     sqrt_cols = sqrt_all[cols]
     pos_cols = positions[cols]
-    log_floor = np.log(eps_b)
 
     acc = np.zeros(n)
-    chunk = max(1, int(2.0e7 // max(len(cols), 1)))
+    chunk = max(1, int(2.0e7 // len(cols)))
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
-        bc = sqrt_all[s:e] @ sqrt_cols.T                     # (chunk, |cols|)
-        dis = -np.log(np.maximum(bc, eps_b))
-        np.maximum(dis, 0.0, out=dis)  # guard log(1+fp noise) < 0
-        d = np.linalg.norm(positions[s:e, None, :] - pos_cols[None, :, :], axis=2)
-        acc[s:e] = (dis / (1.0 + d)).mean(axis=1)
+        dis = sqrt_all[s:e] @ sqrt_cols.T                    # (chunk, |cols|)
+        np.log(np.maximum(dis, eps_b, out=dis), out=dis)
+        np.maximum(np.negative(dis, out=dis), 0.0, out=dis)  # -log(1 + noise) < 0
+        # |x_i - x_j| summed as np.linalg.norm sums it: (dx2 + dy2) + dz2
+        d, t = np.zeros_like(dis), np.empty_like(dis)
+        for axis in range(3):
+            np.subtract.outer(positions[s:e, axis], pos_cols[:, axis], out=t)
+            t *= t
+            d += t
+        np.sqrt(d, out=d)
+        d += 1.0
+        dis /= d
+        acc[s:e] = dis.mean(axis=1)
     return 1.0 - np.exp(-acc), subsampled
 
 
@@ -306,16 +292,18 @@ def mean_curvature(mesh: Mesh):
     return kappa, flags
 
 
-def _gaussian_average(values, positions, tree, sigma: float) -> np.ndarray:
-    """Gaussian-weighted neighborhood average, cutoff at 2 sigma."""
-    out = np.empty(len(values))
-    lists = tree.query_ball_point(positions, 2.0 * sigma)
-    for i in range(len(values)):
-        ids = np.asarray(lists[i], dtype=np.int64)
-        d2 = np.sum((positions[ids] - positions[i]) ** 2, axis=1)
-        wts = np.exp(-d2 / (2.0 * sigma * sigma))
-        out[i] = float(np.dot(wts, values[ids]) / wts.sum())
-    return out
+def _gaussian_averages(values, positions, sigmas):
+    """Gaussian-weighted neighborhood average, cutoff at 2 sigma, for each
+    sigma in turn.  Each vertex sums itself first, then its radius pairs in
+    (i, j) order; the pairs are found once, at the widest cutoff."""
+    i, j = (np.concatenate([np.arange(len(values)), ids])
+            for ids in radius_pairs(positions, 2.0 * max(sigmas, default=1.0)))
+    d2 = np.sum((positions[j] - positions[i]) ** 2, axis=1)
+    for sigma in sigmas:
+        keep = d2 <= (2.0 * sigma) * (2.0 * sigma)
+        wts = np.exp(-d2[keep] / (2.0 * sigma * sigma))
+        yield (np.bincount(i[keep], wts * values[j[keep]], minlength=len(values))
+               / np.bincount(i[keep], wts, minlength=len(values)))
 
 
 def _local_maxima_mean(values, tris) -> float:
@@ -354,11 +342,10 @@ def baseline_curvature_saliency(mesh: Mesh, scales=None,
         eps = eps_frac * diag
         scales = [m * eps for m in (2, 3, 4, 5, 6)]
     kappa, _ = mean_curvature(mesh)
-    tree = mesh.kdtree
+    averages = _gaussian_averages(kappa, mesh.vertices,
+                                  [f * sigma for sigma in scales for f in (1.0, 2.0)])
     combined = np.zeros(len(mesh.vertices))
-    for sigma in scales:
-        fine = _gaussian_average(kappa, mesh.vertices, tree, sigma)
-        coarse = _gaussian_average(kappa, mesh.vertices, tree, 2.0 * sigma)
+    for fine, coarse in zip(averages, averages):      # sigma, then 2 sigma
         smap = np.abs(fine - coarse)
         m = float(smap.max())
         mbar = _local_maxima_mean(smap, mesh.triangles)

@@ -180,3 +180,93 @@ def occlusion_oracle(mesh, pose, eps_frac=1e-3, block=256):
     mask = np.zeros(len(mesh.vertices), dtype=bool)
     mask[ids] = ~hidden
     return mask
+
+
+# ---------------------------------------------------------------------------
+# saliency oracles: the per-point FPFH and the 3-D-temporary uniqueness that
+# the radius-pair kernels replaced, kept to pin their bytes
+
+def fpfh_oracle(positions, normals, r):
+    """Two Python loops over a k-d tree's neighbor lists, one histogram and
+    one blend per point."""
+    from scipy.spatial import cKDTree
+
+    from meshgaze.saliency import (DESCRIPTOR_SIZE, N_BINS, N_FEATURES,
+                                   _pair_features_batch)
+    positions = np.asarray(positions, dtype=np.float64)
+    normals = np.asarray(normals, dtype=np.float64)
+    n = len(positions)
+    neighbor_lists = cKDTree(positions).query_ball_point(positions, r)
+
+    spfh = np.zeros((n, DESCRIPTOR_SIZE))
+    flags = np.zeros(n, dtype=bool)
+    neighbors = []
+    for i in range(n):
+        ids = np.asarray([j for j in neighbor_lists[i] if j != i], dtype=np.int64)
+        if len(ids):
+            ids = ids[np.linalg.norm(positions[ids] - positions[i], axis=1) > 0]
+        neighbors.append(ids)
+        if len(ids) == 0:
+            flags[i] = True
+            continue
+        feats = _pair_features_batch(positions[i], normals[i],
+                                     positions[ids], normals[ids])
+        for offset, feat, lo, hi in zip((0, N_BINS, 2 * N_BINS), feats,
+                                        (-1.0, -1.0, -np.pi), (1.0, 1.0, np.pi)):
+            idx = np.floor((feat - lo) / (hi - lo) * N_BINS).astype(np.int64)
+            np.add.at(spfh[i], offset + np.clip(idx, 0, N_BINS - 1), 1.0)
+        spfh[i] /= N_FEATURES * len(ids)
+
+    uniform = np.full(DESCRIPTOR_SIZE, 1.0 / DESCRIPTOR_SIZE)
+    out = np.zeros_like(spfh)
+    for i in range(n):
+        ids = neighbors[i]
+        if len(ids) == 0:
+            out[i] = uniform
+            continue
+        dist = np.linalg.norm(positions[ids] - positions[i], axis=1)
+        blended = spfh[i] + (spfh[ids] / dist[:, None]).sum(axis=0) / len(ids)
+        total = blended.sum()
+        out[i] = blended / total if total > 0 else uniform
+    return out, flags
+
+
+def uniqueness_oracle(positions, descriptors, exact_limit=5000,
+                      sample_size=5000, seed=0, eps_b=1e-12):
+    """Chunked uniqueness with a (chunk, cols, 3) difference temporary."""
+    positions = np.asarray(positions, dtype=np.float64)
+    descriptors = np.asarray(descriptors, dtype=np.float64)
+    n = len(positions)
+    subsampled = n > exact_limit
+    if subsampled:
+        rng = np.random.default_rng(seed)
+        cols = np.sort(rng.choice(n, size=sample_size, replace=False))
+    else:
+        cols = np.arange(n)
+    sqrt_all = np.sqrt(descriptors)
+    sqrt_cols = sqrt_all[cols]
+    pos_cols = positions[cols]
+    acc = np.zeros(n)
+    chunk = max(1, int(2.0e7 // max(len(cols), 1)))
+    for s in range(0, n, chunk):
+        e = min(n, s + chunk)
+        bc = sqrt_all[s:e] @ sqrt_cols.T
+        dis = -np.log(np.maximum(bc, eps_b))
+        np.maximum(dis, 0.0, out=dis)
+        d = np.linalg.norm(positions[s:e, None, :] - pos_cols[None, :, :], axis=2)
+        acc[s:e] = (dis / (1.0 + d)).mean(axis=1)
+    return 1.0 - np.exp(-acc), subsampled
+
+
+def gaussian_average_oracle(values, positions, sigma):
+    """The curvature baseline's Gaussian average, one vertex at a time over
+    a k-d tree's ball of radius 2 sigma, weighted with np.dot."""
+    from scipy.spatial import cKDTree
+    out = np.empty(len(values))
+    balls = cKDTree(positions).query_ball_point(positions, 2.0 * sigma)
+    for i, ids in enumerate(balls):
+        ids = np.asarray(ids, dtype=np.int64)
+        d2 = np.sum((positions[ids] - positions[i]) ** 2, axis=1)
+        wts = np.exp(-d2 / (2.0 * sigma * sigma))
+        out[i] = np.dot(wts, values[ids]) / wts.sum()
+    return out

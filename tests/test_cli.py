@@ -26,7 +26,7 @@ from meshgaze.fdm import load_map_csv, save_map_csv, splat_fdm
 from meshgaze.fixation import load_fixations
 from meshgaze.gaze import PoseSample, load_recording, save_recording
 from meshgaze.mesh import save_ply
-from meshgaze.primitives import icosphere
+from meshgaze.primitives import bumpy_sphere, icosphere
 from meshgaze.saliency import baseline_curvature_saliency, saliency_map
 from meshgaze.synth import SyntheticScenario, scenario_to_json
 from meshgaze.visibility import ViewPose, camera_from_config, load_visibility
@@ -447,6 +447,32 @@ def test_saliency_pose_errors(pipeline, tmp_path, capsys):
     assert "no poses" in capsys.readouterr().err
 
 
+def test_saliency_sample_covering_the_set_runs_exact(tmp_path):
+    """More visible vertices than uniqueness_exact_limit but no more than
+    uniqueness_sample_size: the subsample would be the whole set, so the
+    exact path runs and the maps equal the default run's."""
+    mesh_path = tmp_path / "bumpy.ply"
+    save_ply(bumpy_sphere(3), mesh_path)
+    pose = ("--pose", "0,1.6,-1.5,0,0,0")
+    assert run("saliency", "--mesh", mesh_path, *pose,
+               "--out", tmp_path / "exact") == 0
+    assert run("saliency", "--mesh", mesh_path, *pose,
+               "--out", tmp_path / "covered",
+               "--set", "uniqueness_exact_limit=10",
+               "--set", "uniqueness_sample_size=5000") == 0
+    csv_name = [n for n in os.listdir(tmp_path / "exact") if n.endswith(".csv")]
+    c = np.loadtxt(tmp_path / "exact" / csv_name[0], delimiter=",", skiprows=1)[:, 3]
+    assert (c > 0).sum() > 10                               # visible vertices
+    names = sorted(os.listdir(tmp_path / "exact"))
+    assert names == sorted(os.listdir(tmp_path / "covered"))
+    for name in names:
+        a, b = (tmp_path / d / name for d in ("exact", "covered"))
+        if name.endswith(".meta.json"):
+            assert read_json(b)["uniqueness_subsampled"] is False
+        else:
+            assert a.read_bytes() == b.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # baseline
 
@@ -611,8 +637,9 @@ def test_fdm_rejects_malformed_fixation_file(pipeline, tmp_path, capsys,
 
 def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):
     """Verbs that never use scipy must not pay for importing it.  A pooled
-    fdm run splats by a direct distance pass, and the Welch test needs
-    only scipy.special, so neither loads scipy.spatial or scipy.stats."""
+    fdm run splats by a direct distance pass, saliency and the baseline
+    find neighbors with radius_pairs, and the Welch test needs only
+    scipy.special, so none of them loads scipy.spatial or scipy.stats."""
     import subprocess
     import sys
 
@@ -643,3 +670,13 @@ def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):
     assert out == ["[]"]
     assert (tmp_path / "fdm" / "fdm.csv").read_bytes() == \
         (pipeline["fdm"] / "fdm.csv").read_bytes()
+
+    mesh = str(pipeline["mesh_path"])
+    for argv in (["saliency", "--mesh", mesh, "--pose", "0,1.6,-1.5,0,0,0",
+                  "--out", str(tmp_path / "sal")],
+                 ["baseline", "--mesh", mesh, "--out", str(tmp_path / "base")]):
+        out = python("import sys\nfrom meshgaze.cli import main\n"
+                     f"assert main({argv!r}) == 0\n" + loaded)
+        assert out == ["[]"]
+    assert len(os.listdir(tmp_path / "sal")) == 3
+    assert (tmp_path / "base.csv").exists()

@@ -5,7 +5,9 @@ scenario and seed, and every file it writes is compared by sha256.
 GOLDEN covers synth -> process -> fdm, with hashes recorded before the
 batched ray engine replaced the per-ray BVH walk.  QUICKSTART covers the
 rest (fdm --by-pose, saliency, baseline, evaluate, analyze), with hashes
-recorded when visibility moved from a z-buffer to ray casting.  A refactor
+recorded when visibility moved from a z-buffer to ray casting; the
+curvature baseline's hashes (and the scores and report built from it)
+moved when its Gaussian averages became fixed-order bincount sums.  A refactor
 or speedup must leave these bytes unchanged; a change that alters one must
 say why and give the largest absolute difference.
 """
@@ -33,7 +35,7 @@ GOLDEN = {
 
 
 QUICKSTART = {
-    "base/curvature.csv": "424c4ea1cedc00dba843207466ba1c767e9c62de6a8de33ac9db3f27b2653df0",
+    "base/curvature.csv": "cd0f3c914258b492d5c3a25e72c428a9274dcf0655adc26ccebc4ca8e17e50ef",
     "base/curvature.meta.json": "aa76a422656826e7dc564e1fa4c98dec5ffc4fd581cca2aba2e32a034b3cd1c7",
     "base/curvature.ply": "aa963ec0d6df7477fb6ee051ddf5b06008e7cb1c41e47f1b97d4f80040803aad",
     "gt/-1_6_-6_a2_e2.csv": "b31f0e27490c9d63726a7a14581c1b219ed7ab7a5a66133021507cdf77293065",
@@ -49,12 +51,12 @@ QUICKSTART = {
     "pred/f083d8a1641b.csv": "4165a2e49d8220908473e1b18ca0b67c75dbda6637916077834812d25c986b79",
     "pred/f083d8a1641b.meta.json": "6c705dd43122ac905df09845e01e518a142c7596d133ab0f4340fe50adf2c914",
     "pred/f083d8a1641b.ply": "8c76f21cddc881fae6ba0f77d1a83d0e17e31bd67d9128110929338725e284a9",
-    "report/report.csv": "7232afbfe5368bcf79c51e31de33dc365a9f3db95d81b368924c489710500662",
-    "report/report.json": "371b870398436445b51ff8ae2ecde8f6f06e4a54635a42c90569b494f4b18cab",
-    "scores/-1_6_-6_a2_e2.csv": "424c4ea1cedc00dba843207466ba1c767e9c62de6a8de33ac9db3f27b2653df0",
-    "scores/-2_6_-6_a2_e2.csv": "424c4ea1cedc00dba843207466ba1c767e9c62de6a8de33ac9db3f27b2653df0",
-    "scores/0_6_-6_a3_e2.csv": "424c4ea1cedc00dba843207466ba1c767e9c62de6a8de33ac9db3f27b2653df0",
-    "scores/1_6_-6_a3_e2.csv": "424c4ea1cedc00dba843207466ba1c767e9c62de6a8de33ac9db3f27b2653df0",
+    "report/report.csv": "b096b2d2ad7eac390b2309079eeb89eb1ba3d19b743f5cba867771a08a87f0f3",
+    "report/report.json": "814b73c999f23a21e7dc632730e94a56048fd8f5bfad66990ce55033f8a197f1",
+    "scores/-1_6_-6_a2_e2.csv": "cd0f3c914258b492d5c3a25e72c428a9274dcf0655adc26ccebc4ca8e17e50ef",
+    "scores/-2_6_-6_a2_e2.csv": "cd0f3c914258b492d5c3a25e72c428a9274dcf0655adc26ccebc4ca8e17e50ef",
+    "scores/0_6_-6_a3_e2.csv": "cd0f3c914258b492d5c3a25e72c428a9274dcf0655adc26ccebc4ca8e17e50ef",
+    "scores/1_6_-6_a3_e2.csv": "cd0f3c914258b492d5c3a25e72c428a9274dcf0655adc26ccebc4ca8e17e50ef",
     "stats/bias.json": "570b4fefc3f50f5cef80d79a1c07460f27e32b183bc8c4dbd67d94d624f838a1",
     "stats/direction_dependence.csv": "3442d4f50b5dc5f2a221794976cdce25957d0b1a6dee35a763e2f76f768838db",
     "stats/direction_dependence.json":

@@ -1,12 +1,17 @@
 """Mesh I/O, normals, and spatial queries."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meshgaze import mesh as mesh_module
 from meshgaze import primitives
 from meshgaze.mesh import (Mesh, MeshError, bounding_box_diagonal, load_mesh,
-                           save_ply)
+                           radius_pairs, save_ply)
 
 TRI_OBJ = """\
 # minimal
@@ -135,40 +140,106 @@ def test_normals_deterministic(sphere2):
 
 
 # ---------------------------------------------------------------------------
-# Mesh.kdtree vs brute force
+# radius_pairs vs an exhaustive all-pairs scan
 
-def _point_mesh(pts):
-    """A mesh whose vertices are pts, for queries through Mesh.kdtree."""
-    return Mesh(vertices=pts, triangles=np.array([[0, 1, 2]]))
+def all_pairs(pts, r):
+    """Every (i, j), i != j, with (dx^2 + dy^2) + dz^2 <= r^2, by (i, j)."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    d = pts[None, :, :] - pts[:, None, :]
+    d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
+    hit = (d2 <= float(r) * float(r)) & ~np.eye(len(pts), dtype=bool)
+    return np.nonzero(hit)
 
 
-def _radius_query(mesh, center, r):
-    return np.sort(mesh.kdtree.query_ball_point(center, r))
+def assert_pairs_exhaustive(pts, r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = radius_pairs(pts, r)
+    want = all_pairs(pts, r)
+    assert got[0].dtype == got[1].dtype == np.int64
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+COORD = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.25, 1.0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pts=st.lists(st.tuples(COORD, COORD, COORD), max_size=40),
+       r=st.one_of(st.floats(1e-3, 5.0), st.sampled_from([0.25, 0.5, 1.0])))
+def test_radius_pairs_match_exhaustive_scan(pts, r):
+    """Duplicated coordinates and radii that are distances between grid
+    values put pairs on the boundary and points on cell edges."""
+    assert_pairs_exhaustive(pts, r)
+
+
+def test_radius_pairs_fixed_cases():
+    line = np.array([[0.0, 0, 0], [0.5, 0, 0], [1.0, 0, 0], [1.5, 0, 0]])
+    assert_pairs_exhaustive(line, 0.5)                     # d == r exactly
+    i, j = radius_pairs(line, 0.5)
+    assert list(zip(i.tolist(), j.tolist())) == [
+        (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
+    same = np.array([[0.1, 0.2, 0.3]] * 3 + [[0.1, 0.2, 0.4]])
+    assert_pairs_exhaustive(same, 1e-6)                    # coincident points
+    assert len(radius_pairs(same, 1e-6)[0]) == 6
+    for n in (0, 1):
+        assert_pairs_exhaustive(np.zeros((n, 3)), 1.0)
+    rng = np.random.default_rng(7)
+    cloud = rng.uniform(-1.0, 1.0, size=(60, 3))
+    assert_pairs_exhaustive(cloud, 1e6)                    # r >> extent
+    assert len(radius_pairs(cloud, 1e6)[0]) == 60 * 59
+    far = np.array([[0.0, 0, 0], [1e-21, 0, 0], [2.5e-21, 0, 0], [1.0, 1.0, 1.0],
+                    [1.0, 1.0, 1.0], [-1.0, 0.5, 0.0]])
+    assert 1.0 / 2e-21 > 1e19                              # extent / r
+    assert_pairs_exhaustive(far, 2e-21)
+    i, j = radius_pairs(far, 2e-21)
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1),
+                                                 (3, 4), (4, 3)]
+
+
+def test_radius_pairs_rejects_bad_radius():
+    for r in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(MeshError):
+            radius_pairs(np.zeros((2, 3)), r)
+
+
+def test_radius_pairs_chunked_like_whole(monkeypatch):
+    """Source blocks and pair chunks change nothing but the temporaries."""
+    pts = primitives.bumpy_sphere(3).vertices
+    want = radius_pairs(pts, 0.2)
+    monkeypatch.setattr(mesh_module, "_SOURCE_BLOCK", 37)
+    monkeypatch.setattr(mesh_module, "_PAIR_CHUNK", 500)
+    got = radius_pairs(pts, 0.2)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+def _neighbors(pts, i, r):
+    a, b = radius_pairs(pts, r)
+    return b[a == i]
 
 
 def test_radius_query_matches_bruteforce():
     rng = np.random.default_rng(1234)
     pts = rng.uniform(-1.0, 1.0, size=(200, 3))
-    mesh = _point_mesh(pts)
     for _ in range(100):
-        center = rng.uniform(-1.2, 1.2, size=3)
-        r = rng.uniform(0.0, 0.8)
-        got = _radius_query(mesh, center, r)
-        want = np.nonzero(np.linalg.norm(pts - center, axis=1) <= r)[0]
-        np.testing.assert_array_equal(got, want)
+        i = int(rng.integers(200))
+        r = rng.uniform(1e-3, 0.8)
+        want = np.nonzero(np.linalg.norm(pts - pts[i], axis=1) <= r)[0]
+        np.testing.assert_array_equal(_neighbors(pts, i, r), want[want != i])
 
 
 def test_radius_query_edge_radii():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0]])
-    mesh = _point_mesh(pts)
-    np.testing.assert_array_equal(_radius_query(mesh, [1.0, 0, 0], 0.0), [1])
-    np.testing.assert_array_equal(_radius_query(mesh, [0.3, 0.3, 0.3], 10.0),
-                                  [0, 1, 2])
+    with pytest.raises(MeshError):
+        radius_pairs(pts, 0.0)
+    assert len(radius_pairs(pts, 0.999)[0]) == 0
+    np.testing.assert_array_equal(_neighbors(pts, 0, 10.0), [1, 2])
 
 
 def test_nearest_vertex():
-    pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0]])
-    assert _point_mesh(pts).kdtree.query([0.9, 0.1, 0.0])[1] == 1
+    pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0], [0.9, 0.1, 0.0]])
+    np.testing.assert_array_equal(_neighbors(pts, 3, 0.2), [1])
 
 
 def test_unknown_format_rejected(tmp_path):

@@ -5,13 +5,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import (facing_pose, fpfh_oracle, gaussian_average_oracle,
+                      uniqueness_oracle)
 
-from meshgaze.mesh import Mesh
-from meshgaze.primitives import plane_grid, vertex_rings
+from meshgaze.config import RunConfig
+from meshgaze.mesh import Mesh, bounding_box_diagonal
+from meshgaze.primitives import bumpy_sphere, plane_grid, vertex_rings
 from meshgaze.saliency import (DESCRIPTOR_SIZE, SaliencyError,
-                               baseline_curvature_saliency, bias_weight,
-                               compute_fpfh, dissimilarity, dissimilarity_max,
-                               mean_curvature, saliency_map, uniqueness)
+                               _gaussian_averages, baseline_curvature_saliency,
+                               bias_weight, compute_fpfh, dissimilarity,
+                               dissimilarity_max, mean_curvature, saliency_map,
+                               uniqueness)
 from meshgaze.visibility import ViewPose, VisibleSet, pose_hash, visible_points
 
 
@@ -39,6 +43,38 @@ def test_fpfh_isolated_point_uniform_and_flagged():
 def test_fpfh_rejects_bad_radius():
     with pytest.raises(SaliencyError):
         compute_fpfh(np.zeros((2, 3)), np.zeros((2, 3)), r=0.0)
+
+
+def _oracle_sets():
+    """(positions, normals, r) sets on which the pair-list kernels must
+    reproduce the per-point code byte for byte."""
+    frac = RunConfig().fpfh_radius_frac
+    grid = plane_grid(50, 50)
+    yield grid.vertices, grid.normals, frac * bounding_box_diagonal(grid)
+    ball = bumpy_sphere(4)
+    ids = visible_points(ball, facing_pose((0.0, 1.6, -1.5))).ids
+    r = 3.0 * frac * bounding_box_diagonal(ball)     # a few dozen neighbors
+    yield ball.vertices[ids], ball.normals[ids], r
+    lone = np.vstack([ball.vertices[ids], [[5.0, 5.0, 5.0]]])   # isolated
+    yield lone, np.vstack([ball.normals[ids], [[0.0, 1.0, 0.0]]]), r
+    dup = np.concatenate([ids, ids[::7]])                         # duplicated
+    yield ball.vertices[dup], ball.normals[dup], r
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_fpfh_and_uniqueness_bytes_match_oracles(case):
+    pos, nrm, r = list(_oracle_sets())[case]
+    desc, flags = compute_fpfh(pos, nrm, r)
+    want_desc, want_flags = fpfh_oracle(pos, nrm, r)
+    assert np.array_equal(desc, want_desc)
+    assert np.array_equal(flags, want_flags)
+    assert flags.mean() < 0.01 and flags[-1] == (case == 2)
+    n = len(pos)
+    for kw in ({}, {"exact_limit": n // 2, "sample_size": n // 3, "seed": 4}):
+        u, subsampled = uniqueness(pos, desc, **kw)
+        want_u, want_sub = uniqueness_oracle(pos, desc, **kw)
+        assert subsampled == want_sub == bool(kw)
+        assert np.array_equal(u, want_u)
 
 
 def test_dissimilarity_hand_values():
@@ -111,6 +147,19 @@ def test_uniqueness_subsampling_deterministic():
     assert not sub
     # the estimate stays in the neighborhood of the exact value
     assert np.abs(exact - u1).max() < 0.2
+
+
+def test_uniqueness_sample_covering_the_set_is_exact():
+    """Above exact_limit but not above sample_size, a subsample would be
+    the whole set: the exact path runs and reports subsampled=False."""
+    rng = np.random.default_rng(34)
+    pos = rng.normal(size=(60, 3))
+    desc = _random_descriptors(rng, 60)
+    exact, _ = uniqueness(pos, desc)
+    for size in (60, 61, 5000):
+        u, subsampled = uniqueness(pos, desc, exact_limit=10, sample_size=size)
+        assert not subsampled
+        np.testing.assert_array_equal(u, exact)
 
 
 def test_uniqueness_empty_set_raises():
@@ -236,6 +285,31 @@ def test_baseline_bumpy_sphere_not_suppressed(bumpy):
     values = baseline_curvature_saliency(bumpy)
     assert values.max() == 1.0
     assert 0.0 < values.mean() < 1.0
+
+
+@pytest.mark.parametrize("which", ["bumpy", "spike", "golden"])
+def test_gaussian_averages_match_per_vertex_oracle(which, bumpy, spike_pack):
+    """The pair-list averages sum in another order than the per-vertex
+    np.dot, so they agree to rounding, not to the byte."""
+    mesh = {"bumpy": bumpy, "spike": spike_pack[0],
+            "golden": bumpy_sphere(3, amplitude=0.04, seed=3)}[which]
+    kappa, _ = mean_curvature(mesh)
+    eps = 0.003 * bounding_box_diagonal(mesh)
+    sigmas = [m * eps for m in (2, 3, 4, 5, 6, 8, 10, 12)]
+    for sigma, got in zip(sigmas, _gaussian_averages(kappa, mesh.vertices, sigmas)):
+        want = gaussian_average_oracle(kappa, mesh.vertices, sigma)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(kappa).max()
+
+
+def test_gaussian_averages_include_the_cutoff():
+    """A neighbor exactly 2 sigma away is inside the average."""
+    pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
+    values = np.array([1.0, 3.0, 5.0])
+    (got,) = _gaussian_averages(values, pos, [0.5])
+    w = np.exp(-2.0)
+    np.testing.assert_allclose(got, [(1.0 + 3.0 * w) / (1.0 + w),
+                                     (3.0 + w) / (1.0 + w), 5.0], rtol=1e-15)
+    np.testing.assert_array_equal(got, gaussian_average_oracle(values, pos, 0.5))
 
 
 def test_baseline_scale_invariance(spike_pack):
