@@ -5,43 +5,43 @@ The pipeline runs recording -> sight-line intersection -> fixation
 classification -> density maps, and independently mesh + viewpoint ->
 visibility-gated saliency.  Everything is deterministic for a fixed
 config and seed.
+
+The names in ``__all__`` are imported from their submodules on first use
+(PEP 562), so ``import meshgaze`` loads no numpy.  That lets
+``meshgaze.cli`` fix numpy's BLAS thread count before numpy loads.
 """
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .config import (ConfigError, MeshgazeError, RunConfig, load_config,
-                     parse_config)
-from .mesh import Mesh, MeshError, load_mesh, save_ply
-from .gaze import (GazeError, PoseSample, head_orientation, load_recording,
-                   screen_frame, screen_point, trace_samples)
-from .fixation import (FixationError, FixationPoint, classify_ivt,
-                       extract_fixations, load_fixations, save_fixations)
-from .visibility import (CameraModel, ViewPose, VisibilityError, pose_hash,
-                         visible_points)
-from .fdm import (FdmError, FixationDensityMap, build_ground_truth, plcc,
-                  splat_fdm)
-from .saliency import (SaliencyError, SaliencyMap, baseline_curvature_saliency,
-                       compute_fpfh, saliency_map, uniqueness)
-from .evaluation import (EvaluationError, inter_observer_test, metric_cc,
-                         metric_kl, metric_se, weighted_eval)
-from .synth import ScenarioError, SyntheticScenario, generate_recording
+_EXPORTS = {
+    "config": ("MeshgazeError", "ConfigError", "RunConfig", "load_config",
+               "parse_config"),
+    "mesh": ("Mesh", "MeshError", "load_mesh", "save_ply"),
+    "gaze": ("GazeError", "PoseSample", "head_orientation", "load_recording",
+             "screen_frame", "screen_point", "trace_samples"),
+    "fixation": ("FixationError", "FixationPoint", "classify_ivt",
+                 "extract_fixations", "load_fixations", "save_fixations"),
+    "visibility": ("CameraModel", "ViewPose", "VisibilityError", "pose_hash",
+                   "visible_points"),
+    "fdm": ("FdmError", "FixationDensityMap", "build_ground_truth", "plcc",
+            "splat_fdm"),
+    "saliency": ("SaliencyError", "SaliencyMap", "baseline_curvature_saliency",
+                 "compute_fpfh", "saliency_map", "uniqueness"),
+    "evaluation": ("EvaluationError", "inter_observer_test", "metric_cc",
+                   "metric_kl", "metric_se", "weighted_eval"),
+    "synth": ("ScenarioError", "SyntheticScenario", "generate_recording"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "MeshgazeError", "ConfigError", "RunConfig", "load_config", "parse_config",
-    "Mesh", "MeshError", "load_mesh", "save_ply",
-    "GazeError", "PoseSample", "head_orientation", "load_recording",
-    "screen_frame", "screen_point", "trace_samples",
-    "FixationError", "FixationPoint", "classify_ivt", "extract_fixations",
-    "load_fixations", "save_fixations",
-    "CameraModel", "ViewPose", "VisibilityError", "pose_hash",
-    "visible_points",
-    "FdmError", "FixationDensityMap", "build_ground_truth", "plcc",
-    "splat_fdm",
-    "SaliencyError", "SaliencyMap", "baseline_curvature_saliency",
-    "compute_fpfh", "saliency_map", "uniqueness",
-    "EvaluationError", "inter_observer_test", "metric_cc", "metric_kl",
-    "metric_se", "weighted_eval",
-    "ScenarioError", "SyntheticScenario", "generate_recording",
-]
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value

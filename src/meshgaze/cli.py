@@ -6,6 +6,13 @@ Every command takes --config FILE (flat key=value) plus repeatable
 config, and the seeds: reruns write byte-identical outputs.  All file
 writes are atomic (temp file + rename) and every metadata sidecar embeds
 the package version.
+
+The CLI runs numpy's BLAS on one thread.  With more, OpenBLAS keeps
+worker threads spinning for nothing in these short processes, and splits
+the uniqueness product by core count, which changes its rounding and so
+the saliency bytes.  The variable is set, not defaulted, so the caller's
+environment cannot change the output; OpenBLAS reads it when numpy loads,
+which ``import meshgaze`` does not do.
 """
 from __future__ import annotations
 
@@ -15,7 +22,9 @@ import os
 import sys
 from collections import defaultdict
 
-import numpy as np
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (after the BLAS thread count is set)
 
 from . import __version__
 from .config import MeshgazeError, RunConfig, apply_overrides, load_config
@@ -177,6 +186,10 @@ def cmd_saliency(args) -> int:
         pid = smap.pose_id
         if smap.flagged:
             _warn(f"pose {pid}: empty visible set, all-zero saliency")
+        if smap.isolated:
+            _warn(f"pose {pid}: {smap.isolated} of {smap.visible} visible "
+                  f"vertices have no neighbour within the FPFH radius "
+                  f"{smap.fpfh_radius:.6g}")
         rows = ["vertex_id,S,U,C"]
         # .tolist() yields Python floats; numpy scalars repr as np.float64(..)
         for i, (s, u, c) in enumerate(zip(smap.s.tolist(), smap.u.tolist(),

@@ -23,7 +23,6 @@ class ConfigError(MeshgazeError):
 @dataclass
 class RunConfig:
     # recording / gaze geometry
-    sample_rate_hz: float = 120.0
     d_screen: float = 0.05              # head-to-screen distance, meters
     screen_half_extent: float = 0.15    # |sx|,|sy| bound, meters
 
@@ -85,8 +84,8 @@ class RunConfig:
 
     def validate(self) -> None:
         positive = (
-            "sample_rate_hz", "d_screen", "screen_half_extent", "ivt_h",
-            "min_fixation_s", "cluster_interval", "rw_sigma", "rw_rho_radius",
+            "d_screen", "screen_half_extent", "ivt_h", "min_fixation_s",
+            "cluster_interval", "rw_sigma", "rw_rho_radius",
             "rw_tol", "sigma_fdm", "fdm_cutoff_sigmas", "sigma_c",
             "fpfh_radius_frac", "eps_bhattacharyya", "baseline_eps_frac",
             "eps_kl_floor", "cam_near", "depth_tol_frac", "pose_grid_m",

@@ -186,6 +186,9 @@ class SaliencyMap:
     flagged: bool = False          # empty visible set
     subsampled: bool = False       # uniqueness estimated on a subsample
     params: dict = field(default_factory=dict)
+    visible: int = 0               # visible vertices
+    fpfh_radius: float = 0.0
+    isolated: int = 0              # visible vertices with no FPFH neighbor
 
 
 def saliency_map(mesh: Mesh, pose: ViewPose, cfg, vs: VisibleSet | None = None) -> SaliencyMap:
@@ -219,7 +222,7 @@ def saliency_map(mesh: Mesh, pose: ViewPose, cfg, vs: VisibleSet | None = None) 
     normals[flip] = -normals[flip]
 
     r = cfg.fpfh_radius_frac * bounding_box_diagonal(mesh)
-    descriptors, _ = compute_fpfh(positions, normals, r)
+    descriptors, isolated = compute_fpfh(positions, normals, r)
     u_vis, subsampled = uniqueness(positions, descriptors,
                                    cfg.uniqueness_exact_limit,
                                    cfg.uniqueness_sample_size,
@@ -233,7 +236,8 @@ def saliency_map(mesh: Mesh, pose: ViewPose, cfg, vs: VisibleSet | None = None) 
     c[ids] = c_vis
     s[ids] = u_vis * c_vis
     return SaliencyMap(s=s, u=u, c=c, pose_id=pid, flagged=False,
-                       subsampled=subsampled, params=params)
+                       subsampled=subsampled, params=params, visible=len(ids),
+                       fpfh_radius=r, isolated=int(isolated.sum()))
 
 
 # ---------------------------------------------------------------------------

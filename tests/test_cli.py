@@ -12,11 +12,14 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from conftest import pick_visible_targets
 
+import meshgaze
 from meshgaze import __version__
 from meshgaze.cli import main
 from meshgaze.config import RunConfig
@@ -25,7 +28,7 @@ from meshgaze.evaluation import (ViewScore, metric_cc, metric_kl, metric_se,
 from meshgaze.fdm import load_map_csv, save_map_csv, splat_fdm
 from meshgaze.fixation import load_fixations
 from meshgaze.gaze import PoseSample, load_recording, save_recording
-from meshgaze.mesh import save_ply
+from meshgaze.mesh import bounding_box_diagonal, save_ply
 from meshgaze.primitives import bumpy_sphere, icosphere
 from meshgaze.saliency import baseline_curvature_saliency, saliency_map
 from meshgaze.synth import SyntheticScenario, scenario_to_json
@@ -33,10 +36,25 @@ from meshgaze.visibility import ViewPose, camera_from_config, load_visibility
 
 HEX12 = re.compile(r"^[0-9a-f]{12}$")
 BUCKET = re.compile(r"^-?\d+_-?\d+_-?\d+_a\d+_e\d+$")
+SRC = os.path.dirname(os.path.dirname(meshgaze.__file__))
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def python(code, **env):
+    """stdout lines of `code` run in a fresh interpreter that imports meshgaze
+    from this checkout; an env value of None unsets that variable."""
+    full = dict(os.environ, PYTHONPATH=SRC)
+    for key, value in env.items():
+        if value is None:
+            full.pop(key, None)
+        else:
+            full[key] = value
+    return subprocess.run([sys.executable, "-c", code], env=full, check=True,
+                          capture_output=True, text=True,
+                          timeout=120).stdout.splitlines()
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +276,18 @@ def test_retired_raster_keys_fail(pipeline, tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_retired_sample_rate_key_fails(pipeline, tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("sample_rate_hz = 120\n")
+    assert run("fdm", "--mesh", pipeline["mesh_path"],
+               "--fixations", pipeline["fix"], "--out", tmp_path / "out",
+               "--config", cfg_file) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown config key" in err
+    assert "sample_rate_hz" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fdm_by_pose_layout(pipeline):
     gt = pipeline["gt"]
     names = sorted(os.listdir(gt))
@@ -473,6 +503,33 @@ def test_saliency_sample_covering_the_set_runs_exact(tmp_path):
             assert a.read_bytes() == b.read_bytes()
 
 
+def test_saliency_warns_when_fpfh_finds_no_neighbour(tmp_path, capsys):
+    """On the quick-start mesh the default FPFH radius is shorter than every
+    edge, so every visible vertex is isolated; the warning goes to stderr
+    only, and a radius that reaches the neighbours silences it."""
+    mesh = bumpy_sphere(3, amplitude=0.04, seed=3)
+    mesh_path = tmp_path / "bumpy.ply"
+    save_ply(mesh, mesh_path)
+    pose = ("--pose", "0,1.6,-1.5,0,0,0")
+    assert run("saliency", "--mesh", mesh_path, *pose,
+               "--out", tmp_path / "sal") == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (pid,) = [n[:-4] for n in os.listdir(tmp_path / "sal") if n.endswith(".csv")]
+    c = np.loadtxt(tmp_path / "sal" / f"{pid}.csv", delimiter=",",
+                   skiprows=1)[:, 3]
+    n = int((c > 0).sum())                                  # visible vertices
+    r = RunConfig().fpfh_radius_frac * bounding_box_diagonal(mesh)
+    assert n > 0
+    assert captured.err == (
+        f"warning: pose {pid}: {n} of {n} visible vertices have no neighbour "
+        f"within the FPFH radius {r:.6g}\n")
+
+    assert run("saliency", "--mesh", mesh_path, *pose, "--out", tmp_path / "wide",
+               "--set", "fpfh_radius_frac=0.2") == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # baseline
 
@@ -640,22 +697,10 @@ def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):
     fdm run splats by a direct distance pass, saliency and the baseline
     find neighbors with radius_pairs, and the Welch test needs only
     scipy.special, so none of them loads scipy.spatial or scipy.stats."""
-    import subprocess
-    import sys
-
-    import meshgaze
     from meshgaze.evaluation import inter_observer_test
 
-    src = os.path.dirname(os.path.dirname(meshgaze.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     loaded = ("print(sorted(m for m in ('scipy.stats', 'scipy.spatial')"
               " if m in sys.modules))\n")
-
-    def python(code):
-        return subprocess.run([sys.executable, "-c", code], env=env,
-                              check=True, capture_output=True, text=True,
-                              timeout=120).stdout.splitlines()
-
     a, b = [0.2, 0.5, 0.7, 0.4, 0.1], [0.3, 0.9, 0.8, 0.6]
     out = python(
         "import sys, meshgaze.cli\n" + loaded +
@@ -680,3 +725,30 @@ def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):
         assert out == ["[]"]
     assert len(os.listdir(tmp_path / "sal")) == 3
     assert (tmp_path / "base.csv").exists()
+
+
+def test_package_import_leaves_numpy_unloaded():
+    """`import meshgaze` resolves its names on first use: it loads no numpy
+    and leaves the BLAS thread count to the caller."""
+    out = python("import os, sys, meshgaze\n"
+                 "print('numpy' in sys.modules, "
+                 "'OPENBLAS_NUM_THREADS' in os.environ)\n"
+                 "from meshgaze import Mesh\n"
+                 "print('numpy' in sys.modules, Mesh.__module__)\n",
+                 OPENBLAS_NUM_THREADS=None)
+    assert out == ["False False", "True meshgaze.mesh"]
+
+
+def test_cli_import_runs_one_blas_thread():
+    """The CLI overrides a caller's OPENBLAS_NUM_THREADS: OpenBLAS starts no
+    worker thread, so the process has one thread after the import."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("threads are counted in /proc/self/task, which only Linux has")
+    blas = (getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+            .get("blas", {}).get("name", ""))
+    if "openblas" not in blas:
+        pytest.skip(f"numpy's BLAS is {blas or 'unknown'}, not OpenBLAS")
+    count = "import os, {}\nprint(len(os.listdir('/proc/self/task')))\n"
+    assert python(count.format("meshgaze.cli"), OPENBLAS_NUM_THREADS="2") == ["1"]
+    if len(os.sched_getaffinity(0)) >= 2:       # the count can tell 1 from 2
+        assert python(count.format("numpy"), OPENBLAS_NUM_THREADS="2") == ["2"]

@@ -19,7 +19,7 @@ def test_defaults_validate():
 
 
 def test_roundtrip_preserves_every_field():
-    cfg = RunConfig(sample_rate_hz=90.0, ivt_h=0.01, rw_max_iter=640,
+    cfg = RunConfig(d_screen=0.06, ivt_h=0.01, rw_max_iter=640,
                     bias_squared_distance=True, se_variant="minmax", seed=7)
     again = parse_config(serialize_config(cfg))
     assert again == cfg
@@ -43,6 +43,15 @@ def test_retired_raster_keys_rejected(key):
         parse_config(f"{key}=1080\n")
     with pytest.raises(ConfigError, match="unknown"):
         apply_overrides(RunConfig(), [f"{key}=1080"])
+
+
+def test_retired_sample_rate_key_rejected():
+    """Nothing read sample_rate_hz (timing comes from each sample's t), so
+    the key is gone and a config naming it is an unknown-key error."""
+    with pytest.raises(ConfigError, match="unknown"):
+        parse_config("sample_rate_hz=120\n")
+    with pytest.raises(ConfigError, match="unknown"):
+        apply_overrides(RunConfig(), ["sample_rate_hz=90"])
 
 
 def test_malformed_line_rejected():

@@ -10,12 +10,28 @@ curvature baseline's hashes (and the scores and report built from it)
 moved when its Gaussian averages became fixed-order bincount sums.  A refactor
 or speedup must leave these bytes unchanged; a change that alters one must
 say why and give the largest absolute difference.
+
+Both pipelines run in one fresh interpreter that loads meshgaze.cli before
+numpy, as the meshgaze command does, so the hashes are those of a CLI
+process: numpy's BLAS on one thread whatever the caller's environment.
+They run twice, with OPENBLAS_NUM_THREADS unset and set to 2, and must give
+the same hashes.  The saliency map's hashes (pred/*.csv and pred/*.ply)
+moved when the CLI fixed the thread count at one; with two OpenBLAS
+threads the uniqueness product had rounded differently.  In the CSV one
+row of 642 moved: U by 1.1e-16 and S by 1.4e-18 (the map is rounding noise
+here, every visible vertex having no FPFH neighbour); in the PLY that
+vertex's red and blue moved by 6 of 255.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
+import pytest
 from conftest import pick_visible_targets
 
+import meshgaze
 from meshgaze.cli import main
 from meshgaze.mesh import save_ply
 from meshgaze.primitives import bumpy_sphere
@@ -48,9 +64,9 @@ QUICKSTART = {
     "gt/1_6_-6_a3_e2.vis.csv": "6fefe52413da3175ed979604a0a5bb217029568d10389147030549cc0b3ec794",
     "gt/gt_meta.json": "f59b9ee4c1d65b3618f1ddae45c3af32e01269fc3498d6275a874fd2ebc766bd",
     "gt/weights.json": "cc5dc36fc6d0f4e1ab79040c583d38dfe4e345b76eee0caa13b968a47fe331ad",
-    "pred/f083d8a1641b.csv": "4165a2e49d8220908473e1b18ca0b67c75dbda6637916077834812d25c986b79",
+    "pred/f083d8a1641b.csv": "0fc68dea859c96c2d633b1b47c7ba7e1bd5ca9cc9e1b5b9b1320c3728a369357",
     "pred/f083d8a1641b.meta.json": "6c705dd43122ac905df09845e01e518a142c7596d133ab0f4340fe50adf2c914",
-    "pred/f083d8a1641b.ply": "8c76f21cddc881fae6ba0f77d1a83d0e17e31bd67d9128110929338725e284a9",
+    "pred/f083d8a1641b.ply": "bdea44f4d0512edc551b0b9bf301f49d6aa2d3299440382c2df56afc9c345d96",
     "report/report.csv": "b096b2d2ad7eac390b2309079eeb89eb1ba3d19b743f5cba867771a08a87f0f3",
     "report/report.json": "814b73c999f23a21e7dc632730e94a56048fd8f5bfad66990ce55033f8a197f1",
     "scores/-1_6_-6_a2_e2.csv": "cd0f3c914258b492d5c3a25e72c428a9274dcf0655adc26ccebc4ca8e17e50ef",
@@ -67,6 +83,23 @@ QUICKSTART = {
 }
 
 
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.dirname(os.path.dirname(meshgaze.__file__))
+RECORDED = ("fdm", "fix", "rec")        # the GOLDEN part of a run's directory
+
+# A fresh interpreter that loads meshgaze.cli before anything loads numpy,
+# as the meshgaze command does, then runs both pipelines in ROOT.
+SCRIPT = """\
+import sys
+assert "numpy" not in sys.modules
+import meshgaze.cli
+sys.path.insert(0, {tests!r})
+from pathlib import Path
+import test_golden
+test_golden.run_pipelines(Path({root!r}))
+"""
+
+
 def _hashes(root):
     return {p.relative_to(root).as_posix():
             hashlib.sha256(p.read_bytes()).hexdigest()
@@ -74,35 +107,26 @@ def _hashes(root):
             if p.is_file() and p.parent != root}
 
 
-def _record(root):
-    """synth and process on the golden mesh; returns the mesh path."""
+def run_pipelines(root):
+    """On the golden mesh and scenario: synth -> process -> pooled fdm, then
+    the rest of the README quick-start on the same recordings into root/out:
+    fdm --by-pose, saliency, baseline, evaluate and analyze."""
     mesh = bumpy_sphere(3, amplitude=0.04, seed=3)
-    mesh_path = root / "bumpy.ply"
-    save_ply(mesh, mesh_path)
+    save_ply(mesh, root / "bumpy.ply")
     scenario = SyntheticScenario(
         mesh_id="bumpy", targets=pick_visible_targets(mesh, (0.0, 1.6, -1.5), 3),
         duration_s=3.0, noise_deg=0.5, subjects=2, seed=7)
     (root / "scenario.json").write_text(scenario_to_json(scenario))
+
+    mesh_path = str(root / "bumpy.ply")
+    rec, fix, out = str(root / "rec"), str(root / "fix"), root / "out"
     assert main(["synth", "--scenario", str(root / "scenario.json"),
-                 "--mesh", str(mesh_path), "--out", str(root / "rec")]) == 0
-    assert main(["process", "--mesh", str(mesh_path), "--recordings",
-                 str(root / "rec"), "--out", str(root / "fix")]) == 0
-    return mesh_path
+                 "--mesh", mesh_path, "--out", rec]) == 0
+    assert main(["process", "--mesh", mesh_path, "--recordings", rec,
+                 "--out", fix]) == 0
+    assert main(["fdm", "--mesh", mesh_path, "--fixations", fix,
+                 "--out", str(root / "fdm")]) == 0
 
-
-def test_pipeline_outputs_match_golden_hashes(tmp_path):
-    mesh_path = _record(tmp_path)
-    assert main(["fdm", "--mesh", str(mesh_path), "--fixations",
-                 str(tmp_path / "fix"), "--out", str(tmp_path / "fdm")]) == 0
-    assert _hashes(tmp_path) == GOLDEN
-
-
-def test_quickstart_outputs_match_golden_hashes(tmp_path):
-    """The rest of the README quick-start on the same recordings:
-    fdm --by-pose, saliency, baseline, evaluate and analyze."""
-    mesh_path = str(_record(tmp_path))
-    out = tmp_path / "out"
-    fix = str(tmp_path / "fix")
     assert main(["fdm", "--mesh", mesh_path, "--fixations", fix,
                  "--out", str(out / "gt"), "--by-pose"]) == 0
     assert main(["saliency", "--mesh", mesh_path, "--pose", "0,1.6,-1.5,0,0,0",
@@ -117,12 +141,41 @@ def test_quickstart_outputs_match_golden_hashes(tmp_path):
                 (out / "base" / "curvature.csv").read_bytes())
     assert main(["evaluate", "--ground-truth", str(out / "gt"), "--predictions",
                  str(scores), "--out", str(out / "report" / "report.json")]) == 0
-    (tmp_path / "meshes").mkdir()
-    (tmp_path / "meshes" / "bumpy.ply").write_bytes(open(mesh_path, "rb").read())
-    (tmp_path / "fixdir" / "bumpy").mkdir(parents=True)
-    for f in (tmp_path / "fix").glob("s*.csv"):
-        (tmp_path / "fixdir" / "bumpy" / f.name).write_bytes(f.read_bytes())
-    assert main(["analyze", "--mesh-dir", str(tmp_path / "meshes"),
-                 "--fixations", str(tmp_path / "fixdir"), "--recordings",
-                 str(tmp_path / "rec"), "--out", str(out / "stats")]) == 0
-    assert _hashes(out) == QUICKSTART
+    (root / "meshes").mkdir()
+    (root / "meshes" / "bumpy.ply").write_bytes((root / "bumpy.ply").read_bytes())
+    (root / "fixdir" / "bumpy").mkdir(parents=True)
+    for f in (root / "fix").glob("s*.csv"):
+        (root / "fixdir" / "bumpy" / f.name).write_bytes(f.read_bytes())
+    assert main(["analyze", "--mesh-dir", str(root / "meshes"),
+                 "--fixations", str(root / "fixdir"), "--recordings", rec,
+                 "--out", str(out / "stats")]) == 0
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Hashes of both pipelines, run with OPENBLAS_NUM_THREADS unset in the
+    caller's environment and with it set to 2: {setting: (recorded, quick)}."""
+    hashes = {}
+    for setting in ("unset", "2"):
+        root = tmp_path_factory.mktemp(f"golden-{setting}")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if setting != "unset":
+            env["OPENBLAS_NUM_THREADS"] = setting
+        subprocess.run([sys.executable, "-c",
+                        SCRIPT.format(tests=TESTS, root=str(root))],
+                       env=env, check=True, timeout=300)
+        recorded = {k: v for k, v in _hashes(root).items()
+                    if k.split("/")[0] in RECORDED}
+        hashes[setting] = (recorded, _hashes(root / "out"))
+    return hashes
+
+
+def test_pipeline_outputs_match_golden_hashes(runs):
+    for setting, (recorded, _) in runs.items():
+        assert recorded == GOLDEN, f"OPENBLAS_NUM_THREADS {setting}"
+
+
+def test_quickstart_outputs_match_golden_hashes(runs):
+    for setting, (_, quick) in runs.items():
+        assert quick == QUICKSTART, f"OPENBLAS_NUM_THREADS {setting}"

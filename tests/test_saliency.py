@@ -232,6 +232,21 @@ def test_saliency_map_respects_given_visible_set(sphere3, cfg):
     assert (smap.s[mask] > 0.0).any()
 
 
+@pytest.mark.parametrize("frac", [0.1, 0.001])
+def test_saliency_map_counts_isolated_vertices(sphere3, cfg, frac):
+    """The map keeps how many visible vertices FPFH flagged, out of how
+    many, at which radius."""
+    cfg = dataclasses.replace(cfg, fpfh_radius_frac=frac)
+    pose = ViewPose(p=np.array([0.0, 1.5, -1.5]), o_deg=np.zeros(3))
+    vs = visible_points(sphere3, pose, cfg.depth_tol_frac)
+    smap = saliency_map(sphere3, pose, cfg, vs=vs)
+    r = frac * bounding_box_diagonal(sphere3)
+    _, flags = compute_fpfh(sphere3.vertices[vs.ids], sphere3.normals[vs.ids], r)
+    assert (smap.visible, smap.fpfh_radius) == (len(vs.ids), r)
+    assert smap.isolated == flags.sum()
+    assert smap.isolated == (0 if frac == 0.1 else len(vs.ids))
+
+
 def test_saliency_map_empty_view_flagged(sphere3, cfg):
     pose = ViewPose(p=np.array([0.0, 1.5, -1.5]),
                     o_deg=np.array([0.0, 180.0, 0.0]))
