@@ -43,8 +43,8 @@ from .saliency import baseline_curvature_saliency, saliency_map
 from .synth import (ScenarioError, check_targets_reachable, generate_recording,
                     scenario_from_json)
 from .visibility import (CameraModel, ViewPose, VisibilityError,
-                         camera_from_config, pose_hash, save_visibility,
-                         visible_points)
+                         camera_from_config, load_visibility, pose_hash,
+                         save_visibility, visible_points)
 
 
 def _write_json(path, obj) -> None:
@@ -109,6 +109,17 @@ def _load_fixation_dir(path):
     return rows
 
 
+def _pose_groups(rows, cfg, per_recording=False) -> dict:
+    """Fixation rows grouped by pose bucket, or by (recording id, bucket),
+    in sorted key order: key -> [(recording_id, point)]."""
+    groups = defaultdict(list)
+    for rec_id, _, fp in rows:
+        key = pose_bucket(fp.pose_p, fp.pose_o, cfg.pose_grid_m,
+                          cfg.pose_angle_bin_deg)
+        groups[(rec_id, key) if per_recording else key].append((rec_id, fp))
+    return dict(sorted(groups.items()))
+
+
 def cmd_fdm(args) -> int:
     cfg = _load_cfg(args)
     mesh = _mesh_from_cfg(args.mesh, cfg)
@@ -116,8 +127,7 @@ def cmd_fdm(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if not args.by_pose:
         points = [fp for _, _, fp in rows]
-        fdm = splat_fdm(mesh, points, cfg.sigma_fdm, cfg.fdm_cutoff_sigmas,
-                        provenance={"subject": "pooled"})
+        fdm = splat_fdm(mesh, points, cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)
         if fdm.flagged:
             _warn("no fixations: all-zero density map")
         save_map_csv(os.path.join(args.out, "fdm.csv"), fdm.values)
@@ -129,23 +139,16 @@ def cmd_fdm(args) -> int:
         return 0
 
     # per-pose ground truth: bucket fixations, gate by per-bucket visibility
-    tagged = [(rec_id, fp) for rec_id, _, fp in rows]
-    buckets = defaultdict(list)
-    for rec_id, fp in tagged:
-        buckets[pose_bucket(fp.pose_p, fp.pose_o, cfg.pose_grid_m,
-                            cfg.pose_angle_bin_deg)].append((rec_id, fp))
     cam = camera_from_config(cfg)
     weights = {}
     meta = {"version": __version__, "sigma_fdm": cfg.sigma_fdm,
             "buckets": {}}
-    for bucket in sorted(buckets):
-        entries = buckets[bucket]
+    for bucket, entries in _pose_groups(rows, cfg).items():
         rep = entries[0][1]
         pose = ViewPose(p=rep.pose_p, o_deg=rep.pose_o, camera=cam)
         vs = visible_points(mesh, pose, cfg.depth_tol_frac)
         gt = build_ground_truth(mesh, entries, bucket, vs, cfg.sigma_fdm,
-                                cfg.fdm_cutoff_sigmas, cfg.pose_grid_m,
-                                cfg.pose_angle_bin_deg)
+                                cfg.fdm_cutoff_sigmas)
         if gt.map.flagged:
             _warn(f"bucket {bucket}: density is zero on the visible set")
         save_map_csv(os.path.join(args.out, f"{bucket}.csv"), gt.map.values)
@@ -268,7 +271,6 @@ def cmd_evaluate(args) -> int:
         vis_path = os.path.join(args.ground_truth, f"{pid}.vis.csv")
         domain = None
         if os.path.exists(vis_path):
-            from .visibility import load_visibility
             domain = load_visibility(vis_path)
         a_w = weights.get(pid, 1)
         try:
@@ -334,8 +336,7 @@ def _per_subject_maps(mesh, rows, cfg):
     by_subject = defaultdict(list)
     for rec_id, _, fp in rows:
         by_subject[rec_id].append(fp)
-    return {s: splat_fdm(mesh, pts, cfg.sigma_fdm, cfg.fdm_cutoff_sigmas,
-                         provenance={"subject": s})
+    return {s: splat_fdm(mesh, pts, cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)
             for s, pts in sorted(by_subject.items())}
 
 
@@ -402,12 +403,8 @@ def cmd_analyze(args) -> int:
     cam = camera_from_config(cfg)
     bias_rows = []
     for m in shared:
-        buckets = defaultdict(list)
-        for rec_id, _, fp in fixrows[m]:
-            buckets[pose_bucket(fp.pose_p, fp.pose_o, cfg.pose_grid_m,
-                                cfg.pose_angle_bin_deg)].append(fp)
-        for bucket in sorted(buckets):
-            pts = buckets[bucket]
+        for bucket, entries in _pose_groups(fixrows[m], cfg).items():
+            pts = [fp for _, fp in entries]
             if len(pts) < 3:
                 continue
             rep = pts[0]
@@ -460,23 +457,20 @@ def cmd_analyze(args) -> int:
     vdd_report = {"version": __version__, "per_mesh": {}}
     vdd_csv = ["mesh,correlation,abs_correlation"]
     for m in shared:
-        per_pose = defaultdict(list)
-        for rec_id, _, fp in fixrows[m]:
-            per_pose[(rec_id,
-                      pose_bucket(fp.pose_p, fp.pose_o, cfg.pose_grid_m,
-                                  cfg.pose_angle_bin_deg))].append(fp)
+        per_pose = [[fp for _, fp in entries] for entries in
+                    _pose_groups(fixrows[m], cfg, per_recording=True).values()]
         # height filter: keep the modal height grid cell
         def ycell(fp):
             return int(np.floor(fp.pose_p[1] / cfg.pose_grid_m))
         cells = defaultdict(int)
-        for pts in per_pose.values():
+        for pts in per_pose:
             cells[ycell(pts[0])] += 1
         if not cells:
             vdd_report["per_mesh"][m] = {"skipped": "no fixations"}
             continue
         modal = max(sorted(cells), key=lambda c: cells[c])
         entries = []
-        for (rec_id, bucket), pts in sorted(per_pose.items()):
+        for pts in per_pose:
             if ycell(pts[0]) != modal:
                 continue
             fdm = splat_fdm(meshes[m], pts, cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)

@@ -3,16 +3,16 @@
 A fixation of weight w adds w * exp(-d^2 / (2 sigma^2)) to every vertex
 within the truncation radius (cutoff_sigmas * sigma) of its position;
 distances are 3D Euclidean.  Per-view ground truth pools the fixations
-whose representative pose falls into the view's pose bucket, zeroes the
-result outside the visible set, and counts distinct contributing subjects
-as the view's weight A_w.
+of one pose bucket (those whose representative pose falls into it),
+zeroes the result outside the visible set, and counts distinct
+contributing subjects as the view's weight A_w.
 """
 from __future__ import annotations
 
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class FdmError(MeshgazeError):
 @dataclass
 class FixationDensityMap:
     values: np.ndarray
-    provenance: dict = field(default_factory=dict)
     flagged: bool = False   # True when the map carries no positive mass
 
     def __post_init__(self):
@@ -46,7 +45,7 @@ class ViewGroundTruth:
 
 
 def splat_fdm(mesh: Mesh, fixations, sigma: float,
-              cutoff_sigmas: float = 4.0, provenance=None) -> FixationDensityMap:
+              cutoff_sigmas: float = 4.0) -> FixationDensityMap:
     """Sum truncated Gaussian contributions of all fixations per vertex."""
     if not sigma > 0:
         raise FdmError("sigma must be positive")
@@ -61,7 +60,6 @@ def splat_fdm(mesh: Mesh, fixations, sigma: float,
     # an all-zero map (no fixations, or none within reach of any vertex)
     # is structurally valid but carries no signal; flag it for callers
     return FixationDensityMap(values=values,
-                              provenance=dict(provenance or {}),
                               flagged=not bool((values > 0.0).any()))
 
 
@@ -108,28 +106,20 @@ def pose_bucket(pose_p, pose_o_deg, grid_m: float = 0.25,
 
 def build_ground_truth(mesh: Mesh, tagged_fixations, pose_id: str,
                        vs: VisibleSet, sigma: float,
-                       cutoff_sigmas: float = 4.0,
-                       grid_m: float = 0.25,
-                       angle_bin_deg: float = 30.0) -> ViewGroundTruth:
-    """Ground truth for one pose bucket.
+                       cutoff_sigmas: float = 4.0) -> ViewGroundTruth:
+    """Ground truth for one pose bucket from its fixations.
 
-    tagged_fixations: iterable of (subject_id, FixationPoint).  Only
-    fixations whose representative pose buckets to pose_id contribute.
+    tagged_fixations: the bucket's (subject_id, FixationPoint) entries.
     """
-    chosen = []
-    subjects = set()
-    for subject_id, fp in tagged_fixations:
-        if pose_bucket(fp.pose_p, fp.pose_o, grid_m, angle_bin_deg) == pose_id:
-            chosen.append(fp)
-            subjects.add(subject_id)
-    if not chosen:
-        raise FdmError(f"no fixations fall into pose bucket {pose_id!r}")
-    fdm = splat_fdm(mesh, chosen, sigma, cutoff_sigmas,
-                    provenance={"pose_id": pose_id, "subject": "pooled"})
+    tagged_fixations = list(tagged_fixations)
+    if not tagged_fixations:
+        raise FdmError(f"no fixations in pose bucket {pose_id!r}")
+    fdm = splat_fdm(mesh, [fp for _, fp in tagged_fixations], sigma,
+                    cutoff_sigmas)
     values = np.where(vs.mask, fdm.values, 0.0)
-    gated = FixationDensityMap(values=values, provenance=fdm.provenance,
-                               flagged=not (values > 0).any())
-    return ViewGroundTruth(pose_id=pose_id, map=gated, a_w=len(subjects))
+    gated = FixationDensityMap(values=values, flagged=not (values > 0).any())
+    return ViewGroundTruth(pose_id=pose_id, map=gated,
+                           a_w=len({s for s, _ in tagged_fixations}))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ away.  Fixation runs shorter than the minimum duration are relabeled as
 saccades.  Runs are clustered by a greedy temporal scan, and each
 cluster's representative point is chosen by a damped random walk over the
 member points that folds in local sample density.
+
+A stream is three arrays: timestamps t (n,), intersection points (n, 3)
+and head-to-surface distances (n,), with NaN rows where the sight line
+missed the mesh.
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MeshgazeError
-from .gaze import IntersectionRecord, PoseSample
 from .mesh import _atomic_write
 
 FIXATION = "fixation"
@@ -32,22 +35,6 @@ class FixationError(MeshgazeError):
 
 
 @dataclass
-class LabeledSample:
-    __slots__ = ("sample", "record", "label")
-    sample: PoseSample
-    record: IntersectionRecord | None
-    label: str
-
-
-@dataclass
-class FixationCluster:
-    __slots__ = ("members", "rep_pose_p", "rep_pose_o")
-    members: list[LabeledSample]
-    rep_pose_p: np.ndarray
-    rep_pose_o: np.ndarray
-
-
-@dataclass
 class FixationPoint:
     __slots__ = ("position", "pose_p", "pose_o", "duration", "weight")
     position: np.ndarray
@@ -57,138 +44,91 @@ class FixationPoint:
     weight: int          # member count
 
 
-def nominal_dt(samples) -> float:
+def nominal_dt(t) -> float:
     """Median inter-sample gap; the one-sample share of a run's duration."""
-    ts = np.asarray([s.t for s in samples], dtype=np.float64)
-    if len(ts) < 2:
+    t = np.asarray(t, dtype=np.float64)
+    if len(t) < 2:
         return 1.0 / 120.0
-    return float(np.median(np.diff(ts)))
+    return float(np.median(np.diff(t)))
 
 
-def classify_ivt(traced, h: float, min_fixation_s: float = 0.1,
-                 dt: float | None = None) -> list[LabeledSample]:
-    """Label a traced stream [(PoseSample, record-or-None)] sample by sample.
+def _runs(mask):
+    """Start and end (exclusive) indices of the maximal True runs."""
+    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
-    The first valid sample after a miss (or at stream start) takes the
-    label of its successor's test; a lone sample between misses is a
-    saccade.  A run of n fixation samples spans (t_last - t_first) + dt
-    seconds, so that a 12-sample run at 120 Hz lasts exactly 100 ms.
+
+def classify_ivt(t, points, distances, h: float, min_fixation_s: float = 0.1,
+                 dt: float | None = None) -> np.ndarray:
+    """Label a stream, one of FIXATION, SACCADE or MISS per sample.
+
+    The first hit after a miss (or at stream start) takes the label of its
+    successor's test; a lone hit between misses is a saccade.  A run of n
+    fixation samples spans (t_last - t_first) + dt seconds, so that a
+    12-sample run at 120 Hz lasts exactly 100 ms.
     """
     if not h > 0:
         raise FixationError("h must be positive")
-    if len(traced) == 0:
+    t = np.asarray(t, dtype=np.float64)
+    if len(t) == 0:
         raise FixationError("empty stream")
-    ts = [s.t for s, _ in traced]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    if (t[1:] <= t[:-1]).any():
         raise FixationError("timestamps not strictly increasing")
     if dt is None:
-        dt = nominal_dt([s for s, _ in traced])
+        dt = nominal_dt(t)
+    points = np.asarray(points, dtype=np.float64)
+    distances = np.asarray(distances, dtype=np.float64)
+    hit = ~np.isnan(distances)
 
-    labels = [MISS if rec is None else None for _, rec in traced]
+    # a step from or to a miss is NaN and tests False
+    d = np.diff(points, axis=0)
+    disp = np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
+    fix = np.zeros(len(t) + 1, dtype=bool)    # one False past the end
+    fix[1:-1] = disp <= h * distances[1:]
+    first, _ = _runs(hit)
+    fix[first] = fix[first + 1]
+    fix = fix[:-1]
 
-    # segments of consecutive valid samples
-    segments = []
-    start = None
-    for i, (_, rec) in enumerate(traced):
-        if rec is None:
-            if start is not None:
-                segments.append((start, i))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        segments.append((start, len(traced)))
-
-    for s0, s1 in segments:
-        if s1 - s0 == 1:
-            labels[s0] = SACCADE
-            continue
-        for k in range(s0 + 1, s1):
-            rec_prev = traced[k - 1][1]
-            rec_k = traced[k][1]
-            disp = float(np.linalg.norm(rec_k.point - rec_prev.point))
-            labels[k] = FIXATION if disp <= h * rec_k.distance else SACCADE
-        labels[s0] = labels[s0 + 1]
-
-        # minimum-duration filter over maximal fixation runs
-        k = s0
-        while k < s1:
-            if labels[k] != FIXATION:
-                k += 1
-                continue
-            j = k
-            while j < s1 and labels[j] == FIXATION:
-                j += 1
-            duration = (traced[j - 1][0].t - traced[k][0].t) + dt
-            if duration < min_fixation_s:
-                for m in range(k, j):
-                    labels[m] = SACCADE
-            k = j
-
-    return [LabeledSample(sample=s, record=rec, label=lab)
-            for (s, rec), lab in zip(traced, labels)]
+    # minimum-duration filter over maximal fixation runs
+    s, e = _runs(fix)
+    fix[fix] = np.repeat(~((t[e - 1] - t[s]) + dt < min_fixation_s), e - s)
+    return np.where(hit, np.where(fix, FIXATION, SACCADE), MISS)
 
 
-def group_clusters(fixations, interval: float) -> list[FixationCluster]:
+def group_clusters(points, interval: float) -> np.ndarray:
     """Greedy temporal scan: a fixation joins the open cluster while it stays
-    within `interval` of the running centroid; clusters never interleave."""
-    clusters: list[list[LabeledSample]] = []
+    within `interval` of the running centroid; clusters never interleave.
+    Returns the index at which each cluster starts."""
+    starts = []
     centroid = None
-    current: list[LabeledSample] = []
-    for ls in fixations:
-        if ls.label != FIXATION:
-            raise FixationError("group_clusters expects fixation-labeled samples only")
-        pt = ls.record.point
-        if current and float(np.linalg.norm(pt - centroid)) <= interval:
-            current.append(ls)
-            n = len(current)
+    n = 0
+    for i, pt in enumerate(np.asarray(points, dtype=np.float64)):
+        if n and float(np.linalg.norm(pt - centroid)) <= interval:
+            n += 1
             centroid = centroid + (pt - centroid) / n
         else:
-            if current:
-                clusters.append(current)
-            current = [ls]
-            centroid = pt.astype(np.float64).copy()
-    if current:
-        clusters.append(current)
-
-    out = []
-    for members in clusters:
-        t0 = members[0].sample.t
-        t1 = members[-1].sample.t
-        mid = 0.5 * (t0 + t1)
-        rep = min(members, key=lambda m: (abs(m.sample.t - mid), m.sample.t))
-        out.append(FixationCluster(members=members,
-                                   rep_pose_p=rep.sample.p.copy(),
-                                   rep_pose_o=rep.sample.o_deg.copy()))
-    return out
+            starts.append(i)
+            n = 1
+            centroid = pt.copy()
+    return np.asarray(starts, dtype=np.int64)
 
 
-def cluster_center_random_walk(cluster: FixationCluster, sigma_rw: float,
-                               lam: float = 0.85, rho_radius: float = 0.015,
-                               tol: float = 1e-9, max_iter: int = 1000,
-                               dt: float = 1.0 / 120.0) -> FixationPoint:
-    """Pick the cluster's representative member by a damped random walk.
+def cluster_center_random_walk(points, sigma_rw: float, lam: float = 0.85,
+                               rho_radius: float = 0.015, tol: float = 1e-9,
+                               max_iter: int = 1000) -> int:
+    """Index of the cluster's representative point by a damped random walk.
 
     Transition weights w_ij = exp(-d_ij / sigma_rw) (w_ii = 0) are row
     normalized; the walk mixes with the local-density distribution rho at
-    rate (1 - lam).  The member with the largest stationary mass wins,
-    ties to the earliest sample.
+    rate (1 - lam).  The point with the largest stationary mass wins,
+    ties to the earliest.
     """
-    members = cluster.members
-    n = len(members)
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
     if n == 0:
         raise FixationError("empty cluster")
-    t0 = members[0].sample.t
-    t1 = members[-1].sample.t
-    duration = (t1 - t0) + dt
-
     if n == 1:
-        pos = members[0].record.point.copy()
-        return FixationPoint(position=pos, pose_p=cluster.rep_pose_p.copy(),
-                             pose_o=cluster.rep_pose_o.copy(),
-                             duration=duration, weight=1)
-
-    pts = np.stack([m.record.point for m in members])
+        return 0
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
     w = np.exp(-dist / sigma_rw)
@@ -205,12 +145,7 @@ def cluster_center_random_walk(cluster: FixationCluster, sigma_rw: float,
             pi = nxt
             break
         pi = nxt
-
-    center_idx = int(np.argmax(pi))  # argmax takes the first (earliest) max
-    return FixationPoint(position=pts[center_idx].copy(),
-                         pose_p=cluster.rep_pose_p.copy(),
-                         pose_o=cluster.rep_pose_o.copy(),
-                         duration=duration, weight=n)
+    return int(np.argmax(pi))  # argmax takes the first (earliest) max
 
 
 def saccade_amplitude(f_a: FixationPoint, f_b: FixationPoint) -> float:
@@ -228,32 +163,47 @@ def saccade_amplitude(f_a: FixationPoint, f_b: FixationPoint) -> float:
 
 
 def extract_fixations(traced, cfg) -> tuple[list[FixationPoint], dict]:
-    """Full per-recording pipeline: classify, cluster, pick centers.
+    """Full per-recording pipeline on a traced stream [(PoseSample,
+    record-or-None)]: classify, cluster, pick centers.
 
-    Returns (fixation points, stats) where stats counts samples by label.
+    Each fixation's pose is the member nearest the cluster's temporal
+    midpoint (ties to the earliest), its duration (t_last - t_first) + dt
+    and its weight the member count.  Returns (fixation points, stats)
+    where stats counts samples by label.
     """
-    dt = nominal_dt([s for s, _ in traced])
-    labeled = classify_ivt(traced, cfg.ivt_h, cfg.min_fixation_s, dt=dt)
+    t = np.array([s.t for s, _ in traced], dtype=np.float64)
+    miss = np.full(3, np.nan)
+    points = np.array([miss if r is None else r.point for _, r in traced],
+                      dtype=np.float64).reshape(-1, 3)
+    distances = np.array([np.nan if r is None else r.distance
+                          for _, r in traced], dtype=np.float64)
+    dt = nominal_dt(t)
+    labels = classify_ivt(t, points, distances, cfg.ivt_h,
+                          cfg.min_fixation_s, dt=dt)
     stats = {
-        "samples": len(labeled),
-        "fixation_samples": sum(1 for x in labeled if x.label == FIXATION),
-        "saccade_samples": sum(1 for x in labeled if x.label == SACCADE),
-        "miss_samples": sum(1 for x in labeled if x.label == MISS),
+        "samples": len(labels),
+        "fixation_samples": int((labels == FIXATION).sum()),
+        "saccade_samples": int((labels == SACCADE).sum()),
+        "miss_samples": int((labels == MISS).sum()),
     }
-    points: list[FixationPoint] = []
-    run: list[LabeledSample] = []
-    for ls in labeled + [LabeledSample(sample=None, record=None, label="_end")]:
-        if ls.label == FIXATION:
-            run.append(ls)
-            continue
-        if run:
-            for cluster in group_clusters(run, cfg.cluster_interval):
-                points.append(cluster_center_random_walk(
-                    cluster, cfg.rw_sigma, cfg.rw_lambda, cfg.rw_rho_radius,
-                    cfg.rw_tol, cfg.rw_max_iter, dt=dt))
-            run = []
-    stats["fixations"] = len(points)
-    return points, stats
+
+    out: list[FixationPoint] = []
+    for s, e in zip(*_runs(labels == FIXATION)):
+        starts = s + group_clusters(points[s:e], cfg.cluster_interval)
+        bounds = np.append(starts, e)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            mid = 0.5 * (t[a] + t[b - 1])
+            rep = traced[a + int(np.argmin(np.abs(t[a:b] - mid)))][0]
+            center = a + cluster_center_random_walk(
+                points[a:b], cfg.rw_sigma, cfg.rw_lambda, cfg.rw_rho_radius,
+                cfg.rw_tol, cfg.rw_max_iter)
+            out.append(FixationPoint(position=points[center].copy(),
+                                     pose_p=rep.p.copy(),
+                                     pose_o=rep.o_deg.copy(),
+                                     duration=float((t[b - 1] - t[a]) + dt),
+                                     weight=int(b - a)))
+    stats["fixations"] = len(out)
+    return out, stats
 
 
 # ---------------------------------------------------------------------------

@@ -270,3 +270,49 @@ def gaussian_average_oracle(values, positions, sigma):
         wts = np.exp(-d2 / (2.0 * sigma * sigma))
         out[i] = np.dot(wts, values[ids]) / wts.sum()
     return out
+
+
+# ---------------------------------------------------------------------------
+# I-VT oracle: the per-sample labeling loop that the run-length classifier
+# replaced, kept to pin its labels
+
+def ivt_oracle(t, points, distances, h, min_fixation_s, dt):
+    """Label a stream (NaN distance = miss) one sample at a time: segments
+    of consecutive hits, a norm per step, the segment's first sample copies
+    its successor, then a scan over each fixation run's duration."""
+    n = len(t)
+    hit = [not np.isnan(d) for d in distances]
+    labels = ["miss" if not h_k else None for h_k in hit]
+    segments = []
+    start = None
+    for i in range(n):
+        if not hit[i]:
+            if start is not None:
+                segments.append((start, i))
+                start = None
+        elif start is None:
+            start = i
+    if start is not None:
+        segments.append((start, n))
+
+    for s0, s1 in segments:
+        if s1 - s0 == 1:
+            labels[s0] = "saccade"
+            continue
+        for k in range(s0 + 1, s1):
+            disp = float(np.linalg.norm(points[k] - points[k - 1]))
+            labels[k] = "fixation" if disp <= h * distances[k] else "saccade"
+        labels[s0] = labels[s0 + 1]
+        k = s0
+        while k < s1:
+            if labels[k] != "fixation":
+                k += 1
+                continue
+            j = k
+            while j < s1 and labels[j] == "fixation":
+                j += 1
+            if (t[j - 1] - t[k]) + dt < min_fixation_s:
+                for m in range(k, j):
+                    labels[m] = "saccade"
+            k = j
+    return labels

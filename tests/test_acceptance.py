@@ -25,7 +25,6 @@ from meshgaze.evaluation import (ViewScore, bias_distance, metric_cc,
                                  metric_kl, metric_se,
                                  viewing_direction_dependence, weighted_eval)
 from meshgaze.fixation import FIXATION, SACCADE, classify_ivt, load_fixations
-from meshgaze.gaze import IntersectionRecord, PoseSample
 from meshgaze.mesh import save_ply
 from meshgaze.primitives import (bumpy_sphere, icosphere, plane_grid,
                                  spike_sphere, vertex_rings)
@@ -191,17 +190,14 @@ H = 0.0075
 DT = 1.0 / 120.0
 
 
-def make_traced(points, distances, miss):
-    traced = []
-    for k, (pt, dk) in enumerate(zip(points, distances)):
-        sample = PoseSample(t=k * DT, p=np.zeros(3), o_deg=np.zeros(3),
-                            s=np.zeros(2), index=k)
-        record = None if miss[k] else IntersectionRecord(
-            point=np.asarray(pt, dtype=np.float64), triangle=0,
-            bary=np.array([1.0, 0.0, 0.0]), distance=float(dk),
-            sample_index=k)
-        traced.append((sample, record))
-    return traced
+def make_stream(points, distances, miss):
+    """Stream arrays (t, points, distances), NaN rows where miss is set."""
+    t = np.arange(len(points)) * DT
+    pts = np.array(points, dtype=np.float64)
+    d = np.array(distances, dtype=np.float64)
+    pts[np.asarray(miss)] = np.nan
+    d[np.asarray(miss)] = np.nan
+    return t, pts, d
 
 
 def random_stream(rng):
@@ -219,39 +215,36 @@ def random_stream(rng):
         distances.append(d_k)
     miss = rng.random(n) < 0.1
     miss[0] = False
-    return make_traced(points, distances, miss)
+    return make_stream(points, distances, miss)
 
 
-def labels_of(traced, h, scale=1.0):
-    if scale != 1.0:
-        traced = [(s, None if r is None else IntersectionRecord(
-            point=r.point * scale, triangle=r.triangle, bary=r.bary,
-            distance=r.distance * scale, sample_index=r.sample_index))
-            for s, r in traced]
-    return [ls.label for ls in classify_ivt(traced, h, min_fixation_s=0.0)]
+def labels_of(stream, h, scale=1.0):
+    t, points, distances = stream
+    return classify_ivt(t, points * scale, distances * scale, h,
+                        min_fixation_s=0.0).tolist()
 
 
 def test_criterion_06_ivt_properties():
     with criterion(6, "velocity-threshold labeling properties"):
         rng = np.random.default_rng(606)
         for _ in range(1000):
-            traced = random_stream(rng)
-            base = labels_of(traced, H)
+            stream = random_stream(rng)
+            base = labels_of(stream, H)
             # scale-consistency: joint scaling of I and D changes nothing
             scale = float(rng.uniform(0.05, 40.0))
-            assert labels_of(traced, H, scale=scale) == base
+            assert labels_of(stream, H, scale=scale) == base
             # monotonicity in h: fixations only grow with the threshold
-            lo = labels_of(traced, 0.005)
-            hi = labels_of(traced, 0.010)
+            lo = labels_of(stream, 0.005)
+            hi = labels_of(stream, 0.010)
             assert all(b == FIXATION for a, b in zip(lo, hi) if a == FIXATION)
 
             # distance-adaptivity: the same displacement flips when D halves
             d = float(rng.uniform(0.5, 2.5))
             delta = float(rng.uniform(0.55, 0.95)) * H * d
             points = [np.zeros(3), delta * random_unit(rng)]
-            near = make_traced(points, [d, d], [False, False])
+            near = make_stream(points, [d, d], [False, False])
             assert labels_of(near, H)[1] == FIXATION
-            halved = make_traced(points, [d / 2.0, d / 2.0], [False, False])
+            halved = make_stream(points, [d / 2.0, d / 2.0], [False, False])
             assert labels_of(halved, H)[1] == SACCADE
 
 

@@ -21,12 +21,12 @@ from conftest import pick_visible_targets
 
 import meshgaze
 from meshgaze import __version__
-from meshgaze.cli import main
+from meshgaze.cli import _pose_groups, main
 from meshgaze.config import RunConfig
 from meshgaze.evaluation import (ViewScore, metric_cc, metric_kl, metric_se,
                                  weighted_eval)
-from meshgaze.fdm import load_map_csv, save_map_csv, splat_fdm
-from meshgaze.fixation import load_fixations
+from meshgaze.fdm import load_map_csv, pose_bucket, save_map_csv, splat_fdm
+from meshgaze.fixation import FixationPoint, load_fixations
 from meshgaze.gaze import PoseSample, load_recording, save_recording
 from meshgaze.mesh import bounding_box_diagonal, save_ply
 from meshgaze.primitives import bumpy_sphere, icosphere
@@ -312,6 +312,23 @@ def test_fdm_by_pose_layout(pipeline):
         assert entry["fixations"] >= 1
         assert len(entry["pose_p"]) == len(entry["pose_o"]) == 3
 
+
+
+def test_pose_groups_sort_keys_and_keep_row_order():
+    def at(x):
+        return FixationPoint(position=np.zeros(3),
+                             pose_p=np.array([x, 1.6, -1.5]),
+                             pose_o=np.zeros(3), duration=0.2, weight=1)
+    rows = [("s2", 0, at(5.0)), ("s2", 1, at(0.0)), ("s1", 0, at(0.01))]
+    far = pose_bucket((5.0, 1.6, -1.5), (0.0, 0.0, 0.0))
+    near = pose_bucket((0.0, 1.6, -1.5), (0.0, 0.0, 0.0))
+    assert near < far
+    groups = _pose_groups(rows, RunConfig())
+    assert list(groups) == [near, far]
+    assert [(r, fp.pose_p[0]) for r, fp in groups[near]] == [("s2", 0.0),
+                                                            ("s1", 0.01)]
+    per_rec = _pose_groups(rows, RunConfig(), per_recording=True)
+    assert list(per_rec) == [("s1", near), ("s2", near), ("s2", far)]
 
 # ---------------------------------------------------------------------------
 # evaluate

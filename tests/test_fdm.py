@@ -237,14 +237,13 @@ def test_ground_truth_pools_matching_subjects(plane):
         ("s1", fp(plane.vertices[840])),
         ("s2", fp(plane.vertices[840])),
         ("s2", fp(plane.vertices[850])),
-        ("s3", fp(plane.vertices[840], pose_p=(5.0, 1.6, -1.5))),  # other bucket
     ]
     gt = build_ground_truth(plane, tagged, key, _full_visibility(plane),
                             SIGMA)
     assert gt.a_w == 2
     assert gt.pose_id == key
-    # s3's fixation was excluded: the pooled map equals the 3-fixation sum
-    want = splat_fdm(plane, [t[1] for t in tagged[:3]], SIGMA)
+    # the pooled map equals the 3-fixation sum
+    want = splat_fdm(plane, [t[1] for t in tagged], SIGMA)
     np.testing.assert_allclose(gt.map.values, want.values, rtol=1e-12)
 
 
@@ -278,8 +277,8 @@ def test_ground_truth_invisible_fixations_flagged(plane):
 
 def test_ground_truth_empty_bucket_raises(plane):
     with pytest.raises(FdmError, match="bucket"):
-        build_ground_truth(plane, [("s1", fp(plane.vertices[840]))],
-                           "9_9_9_a0_e0", _full_visibility(plane), SIGMA)
+        build_ground_truth(plane, [], "9_9_9_a0_e0", _full_visibility(plane),
+                           SIGMA)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import ivt_oracle
 
 from meshgaze.fixation import (FIXATION, MISS, SACCADE, FixationError,
-                               FixationPoint, LabeledSample, classify_ivt,
+                               FixationPoint, classify_ivt,
                                cluster_center_random_walk, extract_fixations,
                                group_clusters, load_fixations, nominal_dt,
                                saccade_amplitude, save_fixations)
@@ -15,25 +16,32 @@ H = 0.0075
 
 
 def make_stream(points, distances, dt=1.0 / 120.0, miss_at=()):
-    """Build (PoseSample, IntersectionRecord|None) pairs from plain arrays."""
+    """Stream arrays (t, points, distances) with NaN rows at miss_at."""
+    t = np.arange(len(points)) * dt
+    pts = np.array(points, dtype=float).reshape(-1, 3)
+    d = np.array(distances, dtype=float)
+    pts[list(miss_at)] = np.nan
+    d[list(miss_at)] = np.nan
+    return t, pts, d
+
+
+def traced_of(t, points, distances):
+    """(PoseSample, IntersectionRecord|None) pairs; sample k has head
+    position (k, 0, 0) and orientation (0, k, 0)."""
     out = []
-    for k, (pt, d) in enumerate(zip(points, distances)):
-        sample = PoseSample(t=k * dt, p=np.array([float(k), 0.0, 0.0]),
-                            o_deg=np.zeros(3), s=np.zeros(2), index=k)
-        if k in miss_at:
-            out.append((sample, None))
-        else:
-            rec = IntersectionRecord(point=np.asarray(pt, dtype=float),
-                                     triangle=0,
-                                     bary=np.array([1.0, 0.0, 0.0]),
-                                     distance=float(d), sample_index=k)
-            out.append((sample, rec))
+    for k in range(len(t)):
+        sample = PoseSample(t=float(t[k]), p=np.array([float(k), 0.0, 0.0]),
+                            o_deg=np.array([0.0, float(k), 0.0]),
+                            s=np.zeros(2), index=k)
+        rec = None if np.isnan(distances[k]) else IntersectionRecord(
+            point=points[k].copy(), triangle=0, bary=np.array([1.0, 0.0, 0.0]),
+            distance=float(distances[k]), sample_index=k)
+        out.append((sample, rec))
     return out
 
 
-def labels_of(traced, h=H, min_fixation_s=0.0):
-    labeled = classify_ivt(traced, h, min_fixation_s=min_fixation_s)
-    return [ls.label for ls in labeled]
+def labels_of(stream, h=H, min_fixation_s=0.0):
+    return classify_ivt(*stream, h, min_fixation_s=min_fixation_s).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -41,35 +49,35 @@ def labels_of(traced, h=H, min_fixation_s=0.0):
 
 def test_stationary_gaze_all_fixation():
     pts = [(0.0, 0.0, 1.0)] * 20
-    traced = make_stream(pts, [1.0] * 20)
-    assert labels_of(traced, min_fixation_s=0.1) == [FIXATION] * 20
+    stream = make_stream(pts, [1.0] * 20)
+    assert labels_of(stream, min_fixation_s=0.1) == [FIXATION] * 20
 
 
 def test_threshold_comparison_hand_values():
     """displacement 0.003 at D=1 -> fixation; 0.010 -> saccade (h=0.0075)."""
     pts = [(0, 0, 0), (0.003, 0, 0), (0.013, 0, 0)]
-    traced = make_stream(pts, [1.0, 1.0, 1.0])
-    lab = labels_of(traced)
+    stream = make_stream(pts, [1.0, 1.0, 1.0])
+    lab = labels_of(stream)
     assert lab[1] == FIXATION and lab[2] == SACCADE
 
 
 def test_distance_doubling_raises_threshold():
     pts = [(0, 0, 0), (0.003, 0, 0), (0.013, 0, 0)]
-    traced = make_stream(pts, [2.0, 2.0, 2.0])
-    lab = labels_of(traced)
+    stream = make_stream(pts, [2.0, 2.0, 2.0])
+    lab = labels_of(stream)
     assert lab[1] == FIXATION and lab[2] == FIXATION  # threshold now 0.015
 
 
 def test_boundary_is_inclusive():
     pts = [(0, 0, 0), (H * 1.0, 0, 0)]
-    traced = make_stream(pts, [1.0, 1.0])
-    assert labels_of(traced)[1] == FIXATION
+    stream = make_stream(pts, [1.0, 1.0])
+    assert labels_of(stream)[1] == FIXATION
 
 
 def test_first_sample_takes_successor_label():
     pts = [(0, 0, 0), (0.5, 0, 0), (0.5, 0, 0)]
-    traced = make_stream(pts, [1.0] * 3)
-    lab = labels_of(traced)
+    stream = make_stream(pts, [1.0] * 3)
+    lab = labels_of(stream)
     assert lab == [SACCADE, SACCADE, FIXATION]
     pts = [(0, 0, 0), (0.0005, 0, 0), (0.001, 0, 0)]
     lab = labels_of(make_stream(pts, [1.0] * 3))
@@ -78,8 +86,8 @@ def test_first_sample_takes_successor_label():
 
 def test_miss_breaks_runs_and_is_labeled_miss():
     pts = [(0, 0, 0)] * 30
-    traced = make_stream(pts, [1.0] * 30, miss_at={10})
-    lab = labels_of(traced, min_fixation_s=0.1)
+    stream = make_stream(pts, [1.0] * 30, miss_at={10})
+    lab = labels_of(stream, min_fixation_s=0.1)
     assert lab[10] == MISS
     # 10 samples before the miss: (t9-t0)+dt = 10 samples * dt < 0.1 s -> saccade
     assert set(lab[:10]) == {SACCADE}
@@ -103,18 +111,20 @@ def test_min_duration_boundary_is_inclusive():
 def test_singleton_fixation_becomes_saccade():
     # isolated sample between two misses can never pair up
     pts = [(0, 0, 0)] * 5
-    traced = make_stream(pts, [1.0] * 5, miss_at={1, 3})
-    lab = labels_of(traced)
+    stream = make_stream(pts, [1.0] * 5, miss_at={1, 3})
+    lab = labels_of(stream)
     assert lab[2] == SACCADE
 
 
 def test_empty_and_nonmonotonic_rejected():
     with pytest.raises(FixationError):
-        classify_ivt([], H)
-    traced = make_stream([(0, 0, 0)] * 3, [1.0] * 3)
-    traced[2][0].t = traced[1][0].t
+        classify_ivt(np.empty(0), np.empty((0, 3)), np.empty(0), H)
+    t, pts, d = make_stream([(0, 0, 0)] * 3, [1.0] * 3)
     with pytest.raises(FixationError):
-        classify_ivt(traced, H)
+        classify_ivt(t, pts, d, 0.0)
+    t[2] = t[1]
+    with pytest.raises(FixationError):
+        classify_ivt(t, pts, d, H)
 
 
 def test_scale_consistency_randomized():
@@ -136,54 +146,98 @@ def test_monotonicity_in_h_randomized():
         n = rng.integers(5, 40)
         pts = np.cumsum(rng.normal(scale=0.004, size=(n, 3)), axis=0)
         dists = rng.uniform(0.5, 3.0, size=n)
-        traced = make_stream(pts, dists)
-        lo = labels_of(traced, h=0.005, min_fixation_s=0.1)
-        hi = labels_of(traced, h=0.01, min_fixation_s=0.1)
+        stream = make_stream(pts, dists)
+        lo = labels_of(stream, h=0.005, min_fixation_s=0.1)
+        hi = labels_of(stream, h=0.01, min_fixation_s=0.1)
         for a, b in zip(lo, hi):
             if a == FIXATION:
                 assert b == FIXATION
 
 
+def test_labels_match_per_sample_oracle():
+    """The run-length classifier equals the per-sample loop on 1,000 seeded
+    streams: misses, lone hits between misses, irregular dt, and runs whose
+    duration equals the minimum exactly."""
+    rng = np.random.default_rng(44)
+    lone = boundary = 0
+    for _ in range(1000):
+        n = int(rng.integers(1, 50))
+        grid = rng.random() < 0.5
+        if grid:    # gaps of 1-3 ticks of 1/128 s: every duration is exact
+            t = np.cumsum(rng.integers(1, 4, size=n)) / 128.0
+            dt = 1.0 / 128.0
+        else:
+            t = np.cumsum(rng.uniform(0.002, 0.02, size=n))
+            dt = None
+        d = rng.uniform(0.5, 3.0, size=n)
+        steps = rng.normal(size=(n, 3))
+        steps *= (rng.uniform(0.0, 2.0, size=n) * H * d
+                  / np.linalg.norm(steps, axis=1))[:, None]
+        pts = np.cumsum(steps, axis=0)
+        miss = rng.random(n) < rng.choice([0.0, 0.1, 0.3, 0.5])
+        pts[miss] = np.nan
+        d[miss] = np.nan
+        hit = np.concatenate(([False], ~miss, [False]))
+        lone += int((hit[1:-1] & ~hit[:-2] & ~hit[2:]).sum())
+        dt_oracle = dt if dt is not None else (
+            float(np.median(np.diff(t))) if n > 1 else 1.0 / 120.0)
+        runs = ivt_oracle(t, pts, d, H, 0.0, dt_oracle)
+        for h, min_s in ((H, 0.0), (H, 12.0 / 128.0), (0.005, 0.1)):
+            want = ivt_oracle(t, pts, d, h, min_s, dt_oracle)
+            assert classify_ivt(t, pts, d, h, min_s, dt).tolist() == want
+        k = 0
+        while k < n:
+            j = k
+            while j < n and runs[j] == FIXATION:
+                j += 1
+            boundary += j > k and (t[j - 1] - t[k]) + dt_oracle == 12.0 / 128.0
+            k = j + 1
+    assert lone > 0 and boundary > 0
+
+
 # ---------------------------------------------------------------------------
 # clustering
 
-def _fix_labeled(points):
-    traced = make_stream(points, [1.0] * len(points))
-    return [LabeledSample(sample=s, record=r, label=FIXATION)
-            for s, r in traced]
+def cluster_sizes(points, interval):
+    starts = group_clusters(np.asarray(points, dtype=float), interval)
+    return np.diff(np.append(starts, len(points))).tolist()
 
 
 def test_tight_points_one_cluster():
     pts = [(k * 1e-4, 0, 0) for k in range(10)]
-    clusters = group_clusters(_fix_labeled(pts), interval=0.03)
-    assert len(clusters) == 1 and len(clusters[0].members) == 10
+    assert cluster_sizes(pts, interval=0.03) == [10]
 
 
 def test_two_groups_two_clusters():
     pts = [(0, 0, 0)] * 5 + [(0.5, 0, 0)] * 5
-    clusters = group_clusters(_fix_labeled(pts), interval=0.03)
-    assert [len(c.members) for c in clusters] == [5, 5]
+    assert cluster_sizes(pts, interval=0.03) == [5, 5]
 
 
 def test_alternating_points_never_interleave():
     pts = [(0, 0, 0), (0.5, 0, 0)] * 4
-    clusters = group_clusters(_fix_labeled(pts), interval=0.03)
-    assert len(clusters) == 8
+    assert len(cluster_sizes(pts, interval=0.03)) == 8
 
 
 def test_running_centroid_admits_drift():
     # each step 0.02 from the current centroid; the centroid trails behind
     pts = [(0.0, 0, 0), (0.02, 0, 0), (0.03, 0, 0)]
-    clusters = group_clusters(_fix_labeled(pts), interval=0.03)
-    assert len(clusters) == 1
+    assert len(cluster_sizes(pts, interval=0.03)) == 1
 
 
-def test_representative_pose_is_temporal_midpoint_member():
-    pts = [(k * 1e-4, 0, 0) for k in range(5)]
-    cluster = group_clusters(_fix_labeled(pts), 0.03)[0]
+def test_representative_pose_is_temporal_midpoint_member(cfg):
+    cfg.min_fixation_s = 0.0
+    pts = [(k * 1e-4, 0, 1) for k in range(5)]
+    points, _ = extract_fixations(traced_of(*make_stream(pts, [1.0] * 5)), cfg)
     # five samples at dt spacing: the midpoint member is sample 2, whose
-    # head position make_stream set to (2, 0, 0)
-    np.testing.assert_array_equal(cluster.rep_pose_p, [2.0, 0.0, 0.0])
+    # head pose traced_of set to (2, 0, 0) and (0, 2, 0)
+    assert len(points) == 1
+    np.testing.assert_array_equal(points[0].pose_p, [2.0, 0.0, 0.0])
+    np.testing.assert_array_equal(points[0].pose_o, [0.0, 2.0, 0.0])
+    # four samples on a 1/128 s grid: the midpoint lies exactly halfway
+    # between samples 1 and 2, and the earlier one wins
+    stream = make_stream(pts[:4], [1.0] * 4, dt=1.0 / 128.0)
+    points, _ = extract_fixations(traced_of(*stream), cfg)
+    np.testing.assert_array_equal(points[0].pose_p, [1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,32 +263,36 @@ def rw_oracle(points, sigma, lam=0.85, rho_radius=0.015):
     return int(np.argmax(pi))
 
 
-def _cluster_from_points(points):
-    clusters = group_clusters(_fix_labeled(points), interval=10.0)
-    assert len(clusters) == 1
-    return clusters[0]
-
-
-def test_singleton_cluster_short_circuits():
-    cluster = _cluster_from_points([(0.1, 0.2, 0.3)])
-    fp = cluster_center_random_walk(cluster, sigma_rw=0.03)
-    np.testing.assert_allclose(fp.position, [0.1, 0.2, 0.3])
-    assert fp.weight == 1
+def test_singleton_cluster_short_circuits(cfg):
+    assert cluster_center_random_walk([(0.1, 0.2, 0.3)], sigma_rw=0.03) == 0
+    with pytest.raises(FixationError):
+        cluster_center_random_walk(np.empty((0, 3)), sigma_rw=0.03)
+    # through the pipeline: steps of 0.002 are fixations (h * D = 0.0075)
+    # but each lies outside a 0.001 cluster interval
+    cfg.min_fixation_s = 0.0
+    cfg.cluster_interval = 0.001
+    stream = make_stream([(0.002 * k, 0.2, 0.3) for k in range(4)], [1.0] * 4)
+    points, stats = extract_fixations(traced_of(*stream), cfg)
+    assert stats["fixations"] == len(points) == 4
+    for k, fp in enumerate(points):
+        np.testing.assert_array_equal(fp.position, stream[1][k])
+        np.testing.assert_array_equal(fp.pose_p, [float(k), 0.0, 0.0])
+        assert fp.weight == 1
+        assert fp.duration == pytest.approx(1 / 120.0, abs=1e-12)
 
 
 def test_collinear_symmetric_center_is_middle():
-    cluster = _cluster_from_points([(-0.01, 0, 0), (0, 0, 0), (0.01, 0, 0)])
-    fp = cluster_center_random_walk(cluster, sigma_rw=0.03)
-    np.testing.assert_allclose(fp.position, [0, 0, 0], atol=1e-15)
+    pts = np.array([(-0.01, 0, 0), (0, 0, 0), (0.01, 0, 0)])
+    idx = cluster_center_random_walk(pts, sigma_rw=0.03)
+    np.testing.assert_allclose(pts[idx], [0, 0, 0], atol=1e-15)
 
 
 def test_outlier_never_wins():
     rng = np.random.default_rng(11)
     pack = rng.normal(scale=0.002, size=(9, 3))
     pts = np.vstack([pack, [[0.2, 0.0, 0.0]]])
-    cluster = _cluster_from_points(pts)
-    fp = cluster_center_random_walk(cluster, sigma_rw=0.03)
-    assert np.linalg.norm(fp.position - [0.2, 0, 0]) > 0.1
+    idx = cluster_center_random_walk(pts, sigma_rw=0.03)
+    assert np.linalg.norm(pts[idx] - [0.2, 0, 0]) > 0.1
 
 
 def test_random_walk_matches_dense_oracle():
@@ -242,19 +300,17 @@ def test_random_walk_matches_dense_oracle():
     for trial in range(25):
         n = int(rng.integers(2, 12))
         pts = rng.normal(scale=0.01, size=(n, 3))
-        cluster = _cluster_from_points(pts)
-        fp = cluster_center_random_walk(cluster, sigma_rw=0.03)
-        want = rw_oracle(pts, 0.03)
-        np.testing.assert_allclose(fp.position, pts[want], atol=0,
-                                   err_msg=f"trial {trial}")
+        idx = cluster_center_random_walk(pts, sigma_rw=0.03)
+        assert idx == rw_oracle(pts, 0.03), f"trial {trial}"
 
 
-def test_center_duration_and_weight():
-    pts = [(k * 1e-4, 0, 0) for k in range(6)]
-    cluster = _cluster_from_points(pts)
-    fp = cluster_center_random_walk(cluster, sigma_rw=0.03, dt=1.0 / 120.0)
-    assert fp.weight == 6
-    assert fp.duration == pytest.approx(6 / 120.0, abs=1e-12)
+def test_center_duration_and_weight(cfg):
+    cfg.min_fixation_s = 0.0
+    pts = [(k * 1e-4, 0, 1) for k in range(6)]
+    points, _ = extract_fixations(traced_of(*make_stream(pts, [1.0] * 6)), cfg)
+    assert len(points) == 1
+    assert points[0].weight == 6
+    assert points[0].duration == pytest.approx(6 / 120.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +351,7 @@ def test_saccade_amplitude_coincident_head_rejected():
 
 def test_extract_fixations_counts(cfg):
     pts = [(0, 0, 1)] * 24 + [(0.5, 0, 1)] * 24
-    traced = make_stream(pts, [1.0] * 48, miss_at={5})
+    traced = traced_of(*make_stream(pts, [1.0] * 48, miss_at={5}))
     points, stats = extract_fixations(traced, cfg)
     assert stats["samples"] == 48
     assert stats["miss_samples"] == 1
@@ -322,7 +378,6 @@ def test_fixation_file_roundtrip(tmp_path):
 
 
 def test_nominal_dt_median():
-    samples = [PoseSample(t=t, p=np.zeros(3), o_deg=np.zeros(3),
-                          s=np.zeros(2), index=i)
-               for i, t in enumerate([0.0, 1 / 120, 2 / 120, 2 / 120 + 5.0])]
-    assert nominal_dt(samples) == pytest.approx(1 / 120, abs=1e-12)
+    t = [0.0, 1 / 120, 2 / 120, 2 / 120 + 5.0]
+    assert nominal_dt(t) == pytest.approx(1 / 120, abs=1e-12)
+    assert nominal_dt([0.0]) == 1 / 120
