@@ -11,8 +11,11 @@ The CLI runs numpy's BLAS on one thread.  With more, OpenBLAS keeps
 worker threads spinning for nothing in these short processes, and splits
 the uniqueness product by core count, which changes its rounding and so
 the saliency bytes.  The variable is set, not defaulted, so the caller's
-environment cannot change the output; OpenBLAS reads it when numpy loads,
-which ``import meshgaze`` does not do.
+environment cannot change the output.  OpenBLAS reads it only when numpy
+loads, which ``import meshgaze`` does not do; right after that the
+caller's value (or its absence) is put back, so a program that imports
+this module passes its own setting on to the processes it starts.  No
+verb loads a second BLAS (scipy) that would read the variable later.
 """
 from __future__ import annotations
 
@@ -22,9 +25,15 @@ import os
 import sys
 from collections import defaultdict
 
+_CALLER_BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402  (after the BLAS thread count is set)
+
+if _CALLER_BLAS_THREADS is None:
+    del os.environ["OPENBLAS_NUM_THREADS"]
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = _CALLER_BLAS_THREADS
 
 from . import __version__
 from .config import MeshgazeError, RunConfig, apply_overrides, load_config

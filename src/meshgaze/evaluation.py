@@ -11,6 +11,7 @@ movement preference.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,65 @@ def weighted_eval(scores, metric: str) -> float:
     return float(np.dot(a, vals) / a.sum())
 
 
+def _stirling_tail(z):
+    """ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2), asymptotic series
+    to z**-7.  The first term left out moves _stirling_tail(a + 1/2) -
+    _stirling_tail(a) by less than 4e-16 for a >= 20."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12 - w * (1.0 / 360 - w * (1.0 / 1260 - w / 1680))) / z
+
+
+def _beta_cf(a, b, x):
+    """Continued fraction of the incomplete beta, I_x(a, b) = x^a (1-x)^b
+    cf / (a B(a, b)), by the modified Lentz method (Numerical Recipes,
+    section 6.4).  It converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    cf = d
+    for m in range(1, 1000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            cf *= c * d
+        if abs(c * d - 1.0) <= 1e-16:
+            return cf
+    raise EvaluationError(f"t-test p-value did not converge (a={a}, b={b}, x={x})")
+
+
+def _t_two_sided_p(t, df):
+    """Two-sided Student-t tail P(|T| >= |t|) on df degrees of freedom.
+
+    That is I_x(a, 1/2) with a = df/2 and x = df / (df + t^2) (DiDonato &
+    Morris, ACM TOMS 18, 1992).  y = 1 - x is formed from t^2, so it keeps
+    its digits when small.  Below the switch point (a + 1) / (a + 5/2) the
+    continued fraction runs on I_x(a, 1/2), above it on I_y(1/2, a) =
+    1 - I_x(a, 1/2).  Both share the prefactor x^a y^(1/2) / B(a, 1/2),
+    built in logs; for large a, ln Gamma(a + 1/2) / Gamma(a) is a Stirling
+    difference, because two large lgamma values would cancel to about 1e-13.
+    """
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    if t2 == math.inf:
+        return 0.0
+    a = 0.5 * df
+    x, y = df / (df + t2), t2 / (df + t2)
+    if a < 20.0:
+        ln_ratio = math.log(math.gamma(a + 0.5) / math.gamma(a))
+    else:
+        ln_ratio = ((a - 0.5) * math.log1p(0.5 / a) + 0.5 * math.log(a + 0.5)
+                    - 0.5 + _stirling_tail(a + 0.5) - _stirling_tail(a))
+    front = math.exp(-a * math.log1p(t2 / df) + 0.5 * math.log(y) + ln_ratio
+                     - 0.5 * math.log(math.pi))
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_cf(a, 0.5, x) / a
+    return 1.0 - 2.0 * front * _beta_cf(0.5, a, y)
+
+
 def inter_observer_test(same_mesh, cross_mesh):
     """Welch two-sample t-test on similarity scores.
 
@@ -118,19 +178,18 @@ def inter_observer_test(same_mesh, cross_mesh):
         raise EvaluationError("each sample needs at least 2 values")
     na, nb = len(a), len(b)
     ma, mb = a.mean(), b.mean()
-    # scipy.stats.ttest_ind(equal_var=False)'s operation order, so t and p
-    # match it bit for bit without importing scipy.stats
+    # scipy.stats.ttest_ind(equal_var=False)'s operation order, so t is
+    # bit for bit scipy's and p agrees with scipy's to 1e-13
     va = np.mean((a - ma) ** 2) * (na / (na - 1))
     vb = np.mean((b - mb) ** 2) * (nb / (nb - 1))
     if va == 0.0 and vb == 0.0:
         if float(ma) == float(mb):
             return 0.0, 1.0
         raise EvaluationError("zero variance in both samples with unequal means")
-    from scipy.special import stdtr   # deferred: slow to import, used only here
     vna, vnb = va / na, vb / nb
     df = (vna + vnb) ** 2 / (vna ** 2 / (na - 1) + vnb ** 2 / (nb - 1))
     t = (ma - mb) / np.sqrt(vna + vnb)
-    return float(t), float(2 * stdtr(df, -abs(t)))
+    return float(t), _t_two_sided_p(float(t), float(df))
 
 
 def bias_distance(points, anchor) -> float:

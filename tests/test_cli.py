@@ -710,14 +710,15 @@ def test_fdm_rejects_malformed_fixation_file(pipeline, tmp_path, capsys,
 
 
 def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):
-    """Verbs that never use scipy must not pay for importing it.  A pooled
+    """The runtime is numpy-only: no verb loads any scipy module.  A pooled
     fdm run splats by a direct distance pass, saliency and the baseline
-    find neighbors with radius_pairs, and the Welch test needs only
-    scipy.special, so none of them loads scipy.spatial or scipy.stats."""
+    find neighbors with radius_pairs, and the Welch test computes its
+    p-value in-house, including inside a two-mesh analyze, whose
+    cross-mesh pairs make the test run."""
     from meshgaze.evaluation import inter_observer_test
 
-    loaded = ("print(sorted(m for m in ('scipy.stats', 'scipy.spatial')"
-              " if m in sys.modules))\n")
+    loaded = ("print(sorted(m for m in sys.modules"
+              " if m == 'scipy' or m.startswith('scipy.')))\n")
     a, b = [0.2, 0.5, 0.7, 0.4, 0.1], [0.3, 0.9, 0.8, 0.6]
     out = python(
         "import sys, meshgaze.cli\n" + loaded +
@@ -743,6 +744,42 @@ def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):
     assert len(os.listdir(tmp_path / "sal")) == 3
     assert (tmp_path / "base.csv").exists()
 
+    mesh_dir, fix_root = tmp_path / "meshes", tmp_path / "fixations"
+    mesh_dir.mkdir()
+    for name in ("ball", "ball2"):
+        shutil.copy(pipeline["mesh_path"], mesh_dir / f"{name}.ply")
+        shutil.copytree(pipeline["fix"], fix_root / name)
+    argv = ["analyze", "--mesh-dir", str(mesh_dir), "--fixations",
+            str(fix_root), "--out", str(tmp_path / "reports")]
+    out = python("import sys\nfrom meshgaze.cli import main\n"
+                 f"assert main({argv!r}) == 0\n" + loaded)
+    assert out == ["[]"]
+    inter = read_json(tmp_path / "reports" / "inter_observer.json")
+    assert inter["same_mesh_pairs"] == 2 and inter["cross_mesh_pairs"] == 4
+    assert "skipped" not in inter
+    assert np.isfinite(inter["t"]) and 0.0 <= inter["p"] <= 1.0
+
+
+def _require_openblas_thread_count():
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("threads are counted in /proc/self/task, which only Linux has")
+    blas = (getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+            .get("blas", {}).get("name", ""))
+    if "openblas" not in blas:
+        pytest.skip(f"numpy's BLAS is {blas or 'unknown'}, not OpenBLAS")
+
+
+def test_cli_import_restores_caller_blas_env():
+    """meshgaze.cli sets OPENBLAS_NUM_THREADS=1 only while numpy loads: the
+    host process's environment keeps the caller's value, or its absence,
+    for the processes it starts, and OpenBLAS still runs one thread."""
+    _require_openblas_thread_count()
+    code = ("import os, meshgaze.cli\n"
+            "print(repr(os.environ.get('OPENBLAS_NUM_THREADS')), "
+            "len(os.listdir('/proc/self/task')))\n")
+    assert python(code, OPENBLAS_NUM_THREADS=None) == ["None 1"]
+    assert python(code, OPENBLAS_NUM_THREADS="2") == ["'2' 1"]
+
 
 def test_package_import_leaves_numpy_unloaded():
     """`import meshgaze` resolves its names on first use: it loads no numpy
@@ -759,12 +796,7 @@ def test_package_import_leaves_numpy_unloaded():
 def test_cli_import_runs_one_blas_thread():
     """The CLI overrides a caller's OPENBLAS_NUM_THREADS: OpenBLAS starts no
     worker thread, so the process has one thread after the import."""
-    if not os.path.isdir("/proc/self/task"):
-        pytest.skip("threads are counted in /proc/self/task, which only Linux has")
-    blas = (getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
-            .get("blas", {}).get("name", ""))
-    if "openblas" not in blas:
-        pytest.skip(f"numpy's BLAS is {blas or 'unknown'}, not OpenBLAS")
+    _require_openblas_thread_count()
     count = "import os, {}\nprint(len(os.listdir('/proc/self/task')))\n"
     assert python(count.format("meshgaze.cli"), OPENBLAS_NUM_THREADS="2") == ["1"]
     if len(os.sched_getaffinity(0)) >= 2:       # the count can tell 1 from 2

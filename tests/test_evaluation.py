@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from meshgaze.evaluation import (LEFT, NONE, RIGHT, EvaluationError,
-                                 ViewScore, bias_distance,
+                                 ViewScore, _t_two_sided_p, bias_distance,
                                  initial_move_direction, inter_observer_test,
                                  metric_cc, metric_kl, metric_se,
                                  viewing_direction_dependence, weighted_eval)
@@ -140,7 +140,10 @@ def test_weighted_eval_errors():
 # Welch's t-test
 
 def welch_oracle(a, b):
-    """Statistic and two-sided p from first principles (mpmath beta)."""
+    """Statistic and two-sided p from first principles (mpmath beta).
+
+    x is formed in mpmath: a double x = nu / (nu + t^2) rounds away up to
+    1e-11 of p when t^2 / nu is small."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     na, nb = len(a), len(b)
@@ -148,8 +151,10 @@ def welch_oracle(a, b):
     se2 = va / na + vb / nb
     t = (a.mean() - b.mean()) / np.sqrt(se2)
     nu = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    x = nu / (nu + t * t)
-    p = float(mpmath.betainc(nu / 2.0, 0.5, 0, x, regularized=True))
+    with mpmath.workdps(40):
+        nu_m, t_m = mpmath.mpf(float(nu)), mpmath.mpf(float(t))
+        x = nu_m / (nu_m + t_m * t_m)
+        p = float(mpmath.betainc(nu_m / 2, 0.5, 0, x, regularized=True))
     return float(t), p
 
 
@@ -180,6 +185,50 @@ def test_welch_matches_scipy_ttest_ind():
         got = inter_observer_test(a, b)
         np.testing.assert_allclose(got, (ref.statistic, ref.pvalue),
                                    rtol=1e-13, err_msg=f"trial {trial}")
+
+
+def test_welch_large_samples_match_independent_oracle():
+    """50 to 3,000 values per side put a = df/2 well past the small-a
+    gamma ratio, onto the Stirling difference, and put |t| on both sides of
+    the continued fraction's switch point."""
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        na, nb = (int(n) for n in rng.integers(50, 3001, 2))
+        a = rng.normal(rng.uniform(-0.1, 0.1), rng.uniform(0.5, 2.0), size=na)
+        b = rng.normal(rng.uniform(-0.1, 0.1), rng.uniform(0.5, 2.0), size=nb)
+        t, p = inter_observer_test(a, b)
+        t_ref, p_ref = welch_oracle(a, b)
+        assert t == pytest.approx(t_ref, rel=1e-12), f"trial {trial}"
+        assert p == pytest.approx(p_ref, rel=1e-11), f"trial {trial}"
+
+
+def test_t_tail_extremes_match_mpmath():
+    """|t| from 1e-8 to 1e3 and df from 1 to 6,000, against mpmath's
+    regularized incomplete beta.  Tails below the smallest normal double
+    (2.2e-308) may round to 0."""
+    for df in (1.0, 1.5, 2.7, 7.0, 39.9, 40.1, 150.0, 777.7, 6000.0):
+        for mag in (1e-8, 1e-3, 0.1, 0.9, 1.7, 3.0, 8.0, 30.0, 100.0, 1e3):
+            with mpmath.workdps(40):
+                dfm, tm = mpmath.mpf(df), mpmath.mpf(mag)
+                ref = float(mpmath.betainc(dfm / 2, 0.5, 0, dfm / (dfm + tm * tm),
+                                           regularized=True))
+            for t in (mag, -mag):
+                p = _t_two_sided_p(t, df)
+                if ref < 2.2e-308:
+                    assert 0.0 <= p < 2.2e-308, (t, df, p, ref)
+                else:
+                    assert p == pytest.approx(ref, rel=1e-11), (t, df, p, ref)
+    assert _t_two_sided_p(-1e200, 3.0) == 0.0  # t * t overflows to inf
+
+
+def test_welch_zero_t_gives_exactly_one():
+    """Equal means with nonzero variance give t == 0, and then p is exactly
+    1.0, not 1 - rounding."""
+    t, p = inter_observer_test([0.25, 0.75], [0.5, 0.0, 1.0])
+    assert (t, p) == (0.0, 1.0)
+    for df in (1.0, 3.3, 39.0, 41.0, 5000.0):
+        assert _t_two_sided_p(0.0, df) == 1.0
+        assert _t_two_sided_p(-0.0, df) == 1.0
 
 
 def test_welch_identical_sequences():
