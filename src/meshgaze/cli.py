@@ -46,18 +46,15 @@ from .fdm import (FdmError, FixationDensityMap, build_ground_truth,
                   splat_fdm)
 from .fixation import (FixationError, extract_fixations, load_fixations,
                        saccade_amplitude, save_fixations)
-from .gaze import GazeError, load_recording, trace_samples
-from .mesh import Mesh, _atomic_write, load_mesh, read_vertex_csv
+from .gaze import GazeError, load_recording, save_recording, trace_samples
+from .io import read_text, read_vertex_csv, write_csv, write_json
+from .mesh import Mesh, load_mesh
 from .saliency import baseline_curvature_saliency, saliency_map
 from .synth import (ScenarioError, check_targets_reachable, generate_recording,
                     scenario_from_json)
 from .visibility import (CameraModel, ViewPose, VisibilityError,
                          camera_from_config, load_visibility, pose_hash,
                          save_visibility, visible_points)
-
-
-def _write_json(path, obj) -> None:
-    _atomic_write(os.fspath(path), json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_cfg(args) -> RunConfig:
@@ -105,7 +102,7 @@ def cmd_process(args) -> int:
         stats["warnings"] = warnings
         summary["recordings"][rec_id] = stats
         summary["total_fixations"] += stats["fixations"]
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    write_json(os.path.join(args.out, "summary.json"), summary)
     return 0
 
 
@@ -141,10 +138,10 @@ def cmd_fdm(args) -> int:
             _warn("no fixations: all-zero density map")
         save_map_csv(os.path.join(args.out, "fdm.csv"), fdm.values)
         save_map_ply(os.path.join(args.out, "fdm.ply"), mesh, fdm.values)
-        _write_json(os.path.join(args.out, "fdm.meta.json"),
-                    {"version": __version__, "sigma_fdm": cfg.sigma_fdm,
-                     "cutoff_sigmas": cfg.fdm_cutoff_sigmas,
-                     "fixations": len(points)})
+        write_json(os.path.join(args.out, "fdm.meta.json"),
+                   {"version": __version__, "sigma_fdm": cfg.sigma_fdm,
+                    "cutoff_sigmas": cfg.fdm_cutoff_sigmas,
+                    "fixations": len(points)})
         return 0
 
     # per-pose ground truth: bucket fixations, gate by per-bucket visibility
@@ -168,16 +165,18 @@ def cmd_fdm(args) -> int:
             "pose_p": [float(x) for x in rep.pose_p],
             "pose_o": [float(x) for x in rep.pose_o],
         }
-    _write_json(os.path.join(args.out, "weights.json"), weights)
-    _write_json(os.path.join(args.out, "gt_meta.json"), meta)
+    write_json(os.path.join(args.out, "weights.json"), weights)
+    write_json(os.path.join(args.out, "gt_meta.json"), meta)
     return 0
 
 
 def _parse_pose(text: str, cam: CameraModel) -> ViewPose:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 6:
+    try:
+        vals = [float(p) for p in text.replace(",", " ").split()]
+    except ValueError:
+        vals = []
+    if len(vals) != 6:
         raise VisibilityError(f"pose must have 6 numbers, got {text!r}")
-    vals = [float(p) for p in parts]
     return ViewPose(p=np.array(vals[:3]), o_deg=np.array(vals[3:]), camera=cam)
 
 
@@ -187,9 +186,9 @@ def cmd_saliency(args) -> int:
     cam = camera_from_config(cfg)
     poses = [_parse_pose(t, cam) for t in (args.pose or [])]
     if args.poses:
-        with open(args.poses, "r", encoding="utf-8") as fh:
-            poses += [_parse_pose(line, cam) for line in fh
-                      if line.strip() and not line.startswith("#")]
+        text = read_text(args.poses, "poses file", VisibilityError)
+        poses += [_parse_pose(line, cam) for line in text.split("\n")
+                  if line.strip() and not line.startswith("#")]
     if not poses:
         raise VisibilityError("no poses given (use --pose or --poses)")
     os.makedirs(args.out, exist_ok=True)
@@ -202,14 +201,13 @@ def cmd_saliency(args) -> int:
             _warn(f"pose {pid}: {smap.isolated} of {smap.visible} visible "
                   f"vertices have no neighbour within the FPFH radius "
                   f"{smap.fpfh_radius:.6g}")
-        rows = ["vertex_id,S,U,C"]
         # .tolist() yields Python floats; numpy scalars repr as np.float64(..)
-        for i, (s, u, c) in enumerate(zip(smap.s.tolist(), smap.u.tolist(),
-                                          smap.c.tolist())):
-            rows.append(f"{i},{s!r},{u!r},{c!r}")
-        _atomic_write(os.path.join(args.out, f"{pid}.csv"), "\n".join(rows) + "\n")
+        write_csv(os.path.join(args.out, f"{pid}.csv"), ["vertex_id", "S", "U", "C"],
+                  ((i, repr(s), repr(u), repr(c)) for i, (s, u, c) in
+                   enumerate(zip(smap.s.tolist(), smap.u.tolist(),
+                                 smap.c.tolist()))))
         save_map_ply(os.path.join(args.out, f"{pid}.ply"), mesh, smap.s)
-        _write_json(os.path.join(args.out, f"{pid}.meta.json"), {
+        write_json(os.path.join(args.out, f"{pid}.meta.json"), {
             "version": __version__, "pose_id": pid,
             "pose_p": [float(x) for x in pose.p],
             "pose_o": [float(x) for x in pose.o_deg],
@@ -230,9 +228,9 @@ def cmd_baseline(args) -> int:
     base, _ = os.path.splitext(args.out)
     save_map_csv(base + ".csv", values)
     save_map_ply(base + ".ply", mesh, values)
-    _write_json(base + ".meta.json",
-                {"version": __version__, "eps_frac": cfg.baseline_eps_frac,
-                 "guard": cfg.baseline_guard})
+    write_json(base + ".meta.json",
+               {"version": __version__, "eps_frac": cfg.baseline_eps_frac,
+                "guard": cfg.baseline_guard})
     return 0
 
 
@@ -243,11 +241,10 @@ def _read_prediction(path) -> np.ndarray:
 
 def _read_weights(path) -> dict:
     """Per-view visit weights A_w: a JSON object of integers >= 1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            weights = json.load(fh)
-        except ValueError as exc:
-            raise EvaluationError(f"weights file {path!r}: {exc}") from exc
+    try:
+        weights = json.loads(read_text(path, "weights file", EvaluationError))
+    except ValueError as exc:
+        raise EvaluationError(f"weights file {path!r}: {exc}") from exc
     if not isinstance(weights, dict):
         raise EvaluationError(f"weights file {path!r}: not a JSON object")
     for pid, w in weights.items():
@@ -299,36 +296,33 @@ def cmd_evaluate(args) -> int:
             "E_kl": weighted_eval(scores, "kl"),
         },
     }
-    _write_json(args.out, report)
-    csv_rows = ["pose_id,cc,se,kl,A_w"]
-    for pid in sorted(per_view):
-        v = per_view[pid]
-        csv_rows.append(f"{pid},{v['cc']!r},{v['se']!r},{v['kl']!r},{v['A_w']}")
+    write_json(args.out, report)
     agg = report["aggregate"]
-    csv_rows.append(f"aggregate,{agg['E_cc']!r},{agg['E_se']!r},{agg['E_kl']!r},"
-                    f"{sum(s.a_w for s in scores)}")
-    _atomic_write(os.path.splitext(args.out)[0] + ".csv",
-                  "\n".join(csv_rows) + "\n")
+    csv_rows = [(pid, repr(v["cc"]), repr(v["se"]), repr(v["kl"]), v["A_w"])
+                for pid, v in sorted(per_view.items())]
+    csv_rows.append(("aggregate", repr(agg["E_cc"]), repr(agg["E_se"]),
+                     repr(agg["E_kl"]), sum(s.a_w for s in scores)))
+    write_csv(os.path.splitext(args.out)[0] + ".csv",
+              ["pose_id", "cc", "se", "kl", "A_w"], csv_rows)
     return 0
 
 
 def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        scenario = scenario_from_json(fh.read())
+    scenario = scenario_from_json(
+        read_text(args.scenario, "scenario file", ScenarioError))
     mesh = _mesh_from_cfg(args.mesh, cfg)
     n_verts = len(mesh.vertices)
     for t in scenario.targets:
         if not 0 <= int(t) < n_verts:
             raise ScenarioError(f"target vertex {t} out of range")
     os.makedirs(args.out, exist_ok=True)
-    from .gaze import save_recording
     for subject in range(scenario.subjects):
         samples = generate_recording(scenario, mesh, cfg, subject)
         if subject == 0:
             check_targets_reachable(scenario, mesh, cfg, samples)
         save_recording(os.path.join(args.out, f"s{subject:02d}.csv"), samples)
-    _write_json(os.path.join(args.out, "targets.json"), {
+    write_json(os.path.join(args.out, "targets.json"), {
         "version": __version__,
         "mesh_id": scenario.mesh_id,
         "target_vertex_ids": [int(t) for t in scenario.targets],
@@ -406,7 +400,7 @@ def cmd_analyze(args) -> int:
             inter["skipped"] = str(exc)
     else:
         inter["skipped"] = "need >= 2 similarity pairs on each side"
-    _write_json(os.path.join(args.out, "inter_observer.json"), inter)
+    write_json(os.path.join(args.out, "inter_observer.json"), inter)
 
     # --- center / depth bias ------------------------------------------
     cam = camera_from_config(cfg)
@@ -438,7 +432,7 @@ def cmd_analyze(args) -> int:
         bias_report["mean_d_v_head"] = float(np.mean([r["d_v_head"] for r in bias_rows]))
     else:
         bias_report["skipped"] = "no pose bucket had >= 3 fixations"
-    _write_json(os.path.join(args.out, "bias.json"), bias_report)
+    write_json(os.path.join(args.out, "bias.json"), bias_report)
 
     # --- saccade amplitudes ---------------------------------------------
     amplitudes = []
@@ -460,11 +454,11 @@ def cmd_analyze(args) -> int:
                    std_deg=float(arr.std()), max_deg=float(arr.max()))
     else:
         sac["skipped"] = "no consecutive fixation pairs"
-    _write_json(os.path.join(args.out, "saccade.json"), sac)
+    write_json(os.path.join(args.out, "saccade.json"), sac)
 
     # --- viewing-direction dependence -----------------------------------
     vdd_report = {"version": __version__, "per_mesh": {}}
-    vdd_csv = ["mesh,correlation,abs_correlation"]
+    vdd_rows = []
     for m in shared:
         per_pose = [[fp for _, fp in entries] for entries in
                     _pose_groups(fixrows[m], cfg, per_recording=True).values()]
@@ -490,12 +484,12 @@ def cmd_analyze(args) -> int:
             vdd_report["per_mesh"][m] = {"correlation": corr,
                                          "abs_correlation": abs(corr),
                                          "maps": len(entries)}
-            vdd_csv.append(f"{m},{corr!r},{abs(corr)!r}")
+            vdd_rows.append((m, repr(corr), repr(abs(corr))))
         except EvaluationError as exc:
             vdd_report["per_mesh"][m] = {"skipped": str(exc), "maps": len(entries)}
-    _write_json(os.path.join(args.out, "direction_dependence.json"), vdd_report)
-    _atomic_write(os.path.join(args.out, "direction_dependence.csv"),
-                  "\n".join(vdd_csv) + "\n")
+    write_json(os.path.join(args.out, "direction_dependence.json"), vdd_report)
+    write_csv(os.path.join(args.out, "direction_dependence.csv"),
+              ["mesh", "correlation", "abs_correlation"], vdd_rows)
 
     # --- initial lateral preference --------------------------------------
     left_report = {"version": __version__}
@@ -516,7 +510,7 @@ def cmd_analyze(args) -> int:
             left_report["left_fraction"] = counts["Left"] / decided
     else:
         left_report["skipped"] = "no --recordings directory given"
-    _write_json(os.path.join(args.out, "left_preference.json"), left_report)
+    write_json(os.path.join(args.out, "left_preference.json"), left_report)
     return 0
 
 

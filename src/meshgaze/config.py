@@ -11,6 +11,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import get_type_hints
 
+from .io import read_text
+
 
 class MeshgazeError(Exception):
     """Base of every error meshgaze raises for bad input files or settings."""
@@ -166,18 +168,12 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path, "config file", ConfigError))
 
 
 def serialize_config(cfg: RunConfig) -> str:
     lines = [f"{name}={_format_value(getattr(cfg, name))}" for name in _FIELD_NAMES]
     return "\n".join(lines) + "\n"
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(cfg))
 
 
 def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:

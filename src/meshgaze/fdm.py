@@ -9,16 +9,14 @@ contributing subjects as the view's weight A_w.
 """
 from __future__ import annotations
 
-import csv
-import io
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import MeshgazeError
 from .gaze import head_orientation
-from .mesh import Mesh, _atomic_write, read_vertex_csv, save_ply
+from .io import read_vertex_csv, write_csv
+from .mesh import Mesh, save_ply
 from .visibility import VisibleSet
 
 
@@ -137,12 +135,8 @@ def values_to_colors(values) -> np.ndarray:
 
 
 def save_map_csv(path, values) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["vertex_id", "value"])
-    for i, v in enumerate(np.asarray(values, dtype=np.float64)):
-        w.writerow([i, repr(float(v))])
-    _atomic_write(os.fspath(path), buf.getvalue())
+    values = np.asarray(values, dtype=np.float64).tolist()
+    write_csv(path, ["vertex_id", "value"], ((i, repr(v)) for i, v in enumerate(values)))
 
 
 def load_map_csv(path) -> np.ndarray:

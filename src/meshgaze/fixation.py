@@ -15,15 +15,12 @@ missed the mesh.
 """
 from __future__ import annotations
 
-import csv
-import io
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import MeshgazeError
-from .mesh import _atomic_write
+from .io import read_csv, write_csv
 
 FIXATION = "fixation"
 SACCADE = "saccade"
@@ -214,27 +211,18 @@ FIXATION_HEADER = ["recording_id", "cluster_id", "x", "y", "z",
 
 
 def save_fixations(path, recording_id: str, points) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(FIXATION_HEADER)
-    for i, fp in enumerate(points):
-        w.writerow([recording_id, i] +
-                   [repr(float(v)) for v in fp.position] +
-                   [repr(float(v)) for v in fp.pose_p] +
-                   [repr(float(v)) for v in fp.pose_o] +
-                   [repr(float(fp.duration)), fp.weight])
-    _atomic_write(os.fspath(path), buf.getvalue())
+    write_csv(path, FIXATION_HEADER,
+              ([recording_id, i] + [repr(float(v)) for v in (
+                  *fp.position, *fp.pose_p, *fp.pose_o, fp.duration)] + [fp.weight]
+               for i, fp in enumerate(points)))
 
 
 def load_fixations(path) -> list[tuple[str, int, FixationPoint]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv(path, "fixation file", FixationError)
     if not rows or rows[0] != FIXATION_HEADER:
         raise FixationError(f"fixation file {path!r}: bad or missing header")
     out = []
     for i, row in enumerate(rows[1:]):
-        if not row:
-            continue
         if len(row) != len(FIXATION_HEADER):
             raise FixationError(f"fixation file {path!r}: malformed row")
         rec_id = row[0]

@@ -10,15 +10,13 @@ and is intersected with the mesh.
 """
 from __future__ import annotations
 
-import csv
-import io
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import MeshgazeError
-from .mesh import Mesh, _atomic_write
+from .io import read_csv, write_csv
+from .mesh import Mesh
 
 
 class GazeError(MeshgazeError):
@@ -168,18 +166,12 @@ RECORDING_HEADER = ["t", "px", "py", "pz", "ox", "oy", "oz", "sx", "sy"]
 
 def load_recording(path, screen_half_extent: float = 0.15) -> list[PoseSample]:
     """Read one recording CSV; validates ordering and eye-offset bounds."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise GazeError(f"cannot read recording {path!r}: {exc}") from exc
+    rows = read_csv(path, "recording", GazeError)
     if not rows or [c.strip() for c in rows[0]] != RECORDING_HEADER:
         raise GazeError(f"recording {path!r}: bad or missing header")
     samples: list[PoseSample] = []
     prev_t = None
     for i, row in enumerate(rows[1:]):
-        if not row:
-            continue
         if len(row) != 9:
             raise GazeError(f"recording {path!r}: row {i} has {len(row)} fields")
         try:
@@ -206,12 +198,6 @@ def load_recording(path, screen_half_extent: float = 0.15) -> list[PoseSample]:
 
 
 def save_recording(path, samples) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(RECORDING_HEADER)
-    for s in samples:
-        w.writerow([repr(float(s.t))] +
-                   [repr(float(x)) for x in s.p] +
-                   [repr(float(x)) for x in s.o_deg] +
-                   [repr(float(x)) for x in s.s])
-    _atomic_write(os.fspath(path), buf.getvalue())
+    write_csv(path, RECORDING_HEADER,
+              ([repr(float(x)) for x in (s.t, *s.p, *s.o_deg, *s.s)]
+               for s in samples))

@@ -7,15 +7,14 @@ exported per-vertex CSV rows stay aligned with the source.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
-import tempfile
 
 import numpy as np
 
 from .bvh import TriangleBVH
 from .config import MeshgazeError
+from .io import read_text, write_text
 
 
 class MeshError(MeshgazeError):
@@ -29,13 +28,16 @@ class Mesh:
 
     def __init__(self, vertices, triangles):
         vertices = np.asarray(vertices, dtype=np.float64)
-        triangles = np.asarray(triangles, dtype=np.int64)
+        try:
+            triangles = np.asarray(triangles, dtype=np.int64)
+        except OverflowError:                    # an index beyond int64
+            raise MeshError("triangle index out of range") from None
+        if vertices.size < 1 or triangles.size < 1:
+            raise MeshError("mesh must have at least one vertex and one triangle")
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshError("vertices must be (n, 3)")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangles must be (m, 3)")
-        if len(vertices) < 1 or len(triangles) < 1:
-            raise MeshError("mesh must have at least one vertex and one triangle")
         if triangles.min() < 0 or triangles.max() >= len(vertices):
             raise MeshError("triangle index out of range")
         if not np.all(np.isfinite(vertices)):
@@ -165,34 +167,18 @@ def radius_pairs(points, r: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # file I/O
 
-def load_mesh(path, fmt: str | None = None, scale: float = 1.0,
-              translate=(0.0, 0.0, 0.0)) -> Mesh:
+def load_mesh(path, scale: float = 1.0, translate=(0.0, 0.0, 0.0)) -> Mesh:
     """Load an OBJ or ascii-PLY mesh, applying the configured rigid placement.
 
-    fmt is inferred from the extension when omitted.  Vertex order is
+    The extension (.obj or .ply) selects the format.  Vertex order is
     preserved; polygonal faces are fan-triangulated.
     """
     path = os.fspath(path)
-    if fmt is None:
-        ext = os.path.splitext(path)[1].lower()
-        if ext == ".obj":
-            fmt = "obj"
-        elif ext == ".ply":
-            fmt = "ply"
-        else:
-            raise MeshError(f"cannot infer mesh format from {path!r}")
-    fmt = fmt.lower()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise MeshError(f"cannot read mesh file {path!r}: {exc}") from exc
-    if fmt == "obj":
-        mesh = _parse_obj(text)
-    elif fmt in ("ply", "ply-ascii"):
-        mesh = _parse_ply(text)
-    else:
-        raise MeshError(f"unsupported mesh format {fmt!r}")
+    parse = {".obj": _parse_obj, ".ply": _parse_ply}.get(
+        os.path.splitext(path)[1].lower())
+    if parse is None:
+        raise MeshError(f"cannot infer mesh format from {path!r}")
+    mesh = parse(read_text(path, "mesh file", MeshError))
     if scale != 1.0 or any(t != 0.0 for t in translate):
         mesh = mesh.transformed(scale, translate)
     return mesh
@@ -233,21 +219,14 @@ def _parse_obj(text: str) -> Mesh:
                 raise MeshError(f"line {lineno}: face needs >= 3 indices")
             faces.extend(_fan(idx))
         # all other line types (vn, vt, usemtl, ...) are ignored
-    if not vertices:
-        raise MeshError("OBJ file has no vertices")
-    if not faces:
-        raise MeshError("OBJ file has no faces")
-    tri = np.asarray(faces, dtype=np.int64)
-    if tri.max() >= len(vertices):
-        raise MeshError("face references out-of-range vertex index")
-    return Mesh(np.asarray(vertices), tri)
+    return Mesh(vertices, faces)
 
 
 def _parse_ply(text: str) -> Mesh:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
         raise MeshError("not a PLY file")
-    n_vertex = n_face = None
+    counts = {}
     vertex_props: list[str] = []
     in_vertex_element = False
     body_start = None
@@ -256,28 +235,28 @@ def _parse_ply(text: str) -> Mesh:
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "format":
-            ascii_fmt = len(parts) >= 2 and parts[1] == "ascii"
-        elif parts[0] == "comment":
-            continue
-        elif parts[0] == "element":
-            if parts[1] == "vertex":
-                n_vertex = int(parts[2])
-                in_vertex_element = True
-            else:
-                if parts[1] == "face":
-                    n_face = int(parts[2])
-                in_vertex_element = False
-        elif parts[0] == "property":
-            if in_vertex_element and parts[1] != "list":
-                vertex_props.append(parts[-1])
-        elif parts[0] == "end_header":
-            body_start = i + 1
-            break
+        try:
+            if parts[0] == "format":
+                ascii_fmt = len(parts) >= 2 and parts[1] == "ascii"
+            elif parts[0] == "element":
+                in_vertex_element = parts[1] == "vertex"
+                if parts[1] in ("vertex", "face"):
+                    counts[parts[1]] = int(parts[2])
+            elif parts[0] == "property":
+                if in_vertex_element and parts[1] != "list":
+                    vertex_props.append(parts[-1])
+            elif parts[0] == "end_header":
+                body_start = i + 1
+                break
+        except (IndexError, ValueError):
+            raise MeshError(f"PLY header line {i + 1}: malformed {line.strip()!r}") from None
     if not ascii_fmt:
         raise MeshError("only ascii PLY is supported")
-    if body_start is None or n_vertex is None or n_face is None:
+    if body_start is None or len(counts) < 2:
         raise MeshError("incomplete PLY header")
+    n_vertex, n_face = counts["vertex"], counts["face"]
+    if min(n_vertex, n_face) < 0:
+        raise MeshError("PLY element count is negative")
     try:
         ix, iy, iz = (vertex_props.index(k) for k in ("x", "y", "z"))
     except ValueError as exc:
@@ -290,71 +269,24 @@ def _parse_ply(text: str) -> Mesh:
         parts = body[k].split()
         if len(parts) < len(vertex_props):
             raise MeshError(f"PLY vertex row {k} too short")
-        vertices[k] = (float(parts[ix]), float(parts[iy]), float(parts[iz]))
+        try:
+            vertices[k] = (float(parts[ix]), float(parts[iy]), float(parts[iz]))
+        except ValueError:
+            raise MeshError(f"PLY vertex row {k}: non-numeric coordinate in {body[k]!r}") from None
     faces = []
-    for k in range(n_face):
-        parts = body[n_vertex + k].split()
-        cnt = int(parts[0])
+    for k, line in enumerate(body[n_vertex:n_vertex + n_face]):
+        parts = line.split()
+        try:
+            cnt = int(parts[0])
+            idx = [int(p) for p in parts[1:1 + cnt]]
+        except ValueError:
+            raise MeshError(f"PLY face row {k}: non-integer field in {line!r}") from None
         if len(parts) < 1 + cnt:
             raise MeshError(f"PLY face row {k} too short")
-        idx = [int(p) for p in parts[1:1 + cnt]]
         if cnt < 3:
             raise MeshError(f"PLY face row {k} has fewer than 3 indices")
         faces.extend(_fan(idx))
-    tri = np.asarray(faces, dtype=np.int64)
-    if tri.min() < 0 or tri.max() >= n_vertex:
-        raise MeshError("PLY face references out-of-range vertex index")
-    return Mesh(vertices, tri)
-
-
-def _atomic_write(path, text: str) -> None:
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def read_vertex_csv(path, header, what: str, error) -> np.ndarray:
-    """Column 1 of a per-vertex CSV as floats indexed by vertex id.
-
-    The first row must start with `header`.  Every other non-blank row is
-    `vertex_id,value[,...]`: the ids of n rows must be 0..n-1, each exactly
-    once, and every value a finite number.  Anything else raises `error`.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise error(f"{what} {path!r}: {exc}") from exc
-    if not rows or rows[0][:len(header)] != list(header):
-        raise error(f"{what} {path!r}: bad header")
-    n = len(rows) - 1
-    values = np.zeros(n)
-    seen = np.zeros(n, dtype=bool)
-    for k, row in enumerate(rows[1:], start=1):
-        try:
-            vid, value = int(row[0]), float(row[1])
-        except (IndexError, ValueError):
-            raise error(f"{what} {path!r}: row {k}: expected vertex_id,value, "
-                        f"got {row!r}") from None
-        if not 0 <= vid < n:
-            raise error(f"{what} {path!r}: row {k}: vertex id {vid} outside "
-                        f"0..{n - 1} (ids missing or out of range)")
-        if seen[vid]:
-            raise error(f"{what} {path!r}: row {k}: duplicate vertex id {vid}")
-        if not math.isfinite(value):
-            raise error(f"{what} {path!r}: row {k}: non-finite value {row[1]!r}")
-        seen[vid] = True
-        values[vid] = value
-    return values
+    return Mesh(vertices, faces)
 
 
 def save_ply(mesh: Mesh, path, colors=None) -> None:
@@ -382,4 +314,4 @@ def save_ply(mesh: Mesh, path, colors=None) -> None:
         out.append(row)
     for t in mesh.triangles:
         out.append(f"3 {t[0]} {t[1]} {t[2]}")
-    _atomic_write(path, "\n".join(out) + "\n")
+    write_text(path, "\n".join(out) + "\n")

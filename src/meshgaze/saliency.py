@@ -106,16 +106,6 @@ def compute_fpfh(positions, normals, r: float):
     return out, flags
 
 
-def dissimilarity(f_i, f_j, eps_b: float = 1e-12) -> float:
-    """Bhattacharyya distance between two normalized descriptors, clamped."""
-    bc = float(np.sqrt(np.asarray(f_i) * np.asarray(f_j)).sum())
-    return -float(np.log(max(bc, eps_b)))
-
-
-def dissimilarity_max(eps_b: float = 1e-12) -> float:
-    return -float(np.log(eps_b))
-
-
 def uniqueness(positions, descriptors, exact_limit: int = 5000,
                sample_size: int = 5000, seed: int = 0,
                eps_b: float = 1e-12):

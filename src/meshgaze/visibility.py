@@ -9,17 +9,15 @@ a fraction of the mesh's bounding-box diagonal.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import MeshgazeError
 from .gaze import rotation_matrix
-from .mesh import Mesh, _atomic_write, bounding_box_diagonal, read_vertex_csv
+from .io import read_vertex_csv, write_csv
+from .mesh import Mesh, bounding_box_diagonal
 
 
 class VisibilityError(MeshgazeError):
@@ -53,6 +51,8 @@ class ViewPose:
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
         self.o_deg = np.asarray(self.o_deg, dtype=np.float64)
+        if not (np.isfinite(self.p).all() and np.isfinite(self.o_deg).all()):
+            raise VisibilityError(f"non-finite pose {self.p} {self.o_deg}")
 
 
 @dataclass
@@ -122,12 +122,8 @@ def visible_points(mesh: Mesh, pose: ViewPose,
 # visibility files
 
 def save_visibility(path, vs: VisibleSet) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["vertex_id", "visible"])
-    for i, bit in enumerate(vs.mask):
-        w.writerow([i, int(bit)])
-    _atomic_write(os.fspath(path), buf.getvalue())
+    write_csv(path, ["vertex_id", "visible"],
+              ((i, int(bit)) for i, bit in enumerate(vs.mask)))
 
 
 def load_visibility(path) -> np.ndarray:

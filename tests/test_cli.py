@@ -676,6 +676,18 @@ def test_evaluate_rejects_malformed_map_csv(tmp_path, capsys, where, body):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_evaluate_quotes_a_pose_id_with_a_comma(tmp_path):
+    """report.csv quotes fields the csv module's way; an id with a comma used
+    to split its row into six fields."""
+    for d in ("gt", "preds"):
+        (tmp_path / d).mkdir()
+        save_map_csv(tmp_path / d / "a,b.csv", [0.5, 0.25, 0.75, 0.1])
+    assert run("evaluate", "--ground-truth", tmp_path / "gt", "--predictions",
+               tmp_path / "preds", "--out", tmp_path / "r.json") == 0
+    row = (tmp_path / "r.csv").read_text().splitlines()[1]
+    assert row.startswith('"a,b",1.0,') and row.count(",") == 5
+
+
 @pytest.mark.parametrize("body", ['{"m1": 3', '{"m1": "two"}', '{"m1": 2.7}'],
                          ids=["truncated", "non-numeric", "non-integer"])
 def test_evaluate_rejects_malformed_weights(tmp_path, capsys, body):
@@ -707,6 +719,144 @@ def test_fdm_rejects_malformed_fixation_file(pipeline, tmp_path, capsys,
                "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+TETRA_PLY = """\
+ply
+format ascii 1.0
+element vertex 4
+property float64 x
+property float64 y
+property float64 z
+element face 4
+property list uchar int vertex_indices
+end_header
+0 0 0
+1 0 0
+0 1 0
+0 0 1
+3 0 2 1
+3 0 1 3
+3 0 3 2
+3 1 2 3
+"""
+
+
+def assert_one_error_line(capsys):
+    """stderr holds exactly one line, an `error:` one; returns it."""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("1 0 0\n", "1 zero 0\n", "zero"),
+    ("element vertex 4", "element vertex x3", "x3"),
+    ("element vertex 4", "element vertex -1", "negative"),
+    ("3 0 1 3", "3 0 one 3", "one"),
+    ("3 0 1 3", "3 0 1 99999999999999999999", "out of range"),
+    ("element face 4\n", "element face 4\nelement\n", "line 8"),
+    ("property float64 z\n", "property float64 z\nproperty\n", "line 7"),
+], ids=["vertex-field", "vertex-count", "negative-count", "face-index",
+        "face-index-beyond-int64", "bare-element", "bare-property"])
+def test_malformed_ply_is_an_error(tmp_path, capsys, old, new, named):
+    """Mesh text that fails to parse ends in one `error:` line that names the
+    line or the field, never in a traceback."""
+    path = tmp_path / "m.ply"
+    path.write_text(TETRA_PLY.replace(old, new, 1))
+    assert run("baseline", "--mesh", path, "--out", tmp_path / "b") == 1
+    assert named in assert_one_error_line(capsys)
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_obj_face_index_beyond_int64_is_an_error(tmp_path, capsys):
+    path = tmp_path / "m.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n")
+    assert run("baseline", "--mesh", path, "--out", tmp_path / "b") == 1
+    assert "out of range" in assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("pose, named", [
+    ("0,1.6,x,0,0,0", "0,1.6,x,0,0,0"),
+    ("0,1.6,nan,0,0,0", "non-finite"),
+    ("0,1.6,-1.5,0,inf,0", "non-finite"),
+], ids=["non-numeric", "nan", "inf"])
+def test_saliency_rejects_unusable_pose(pipeline, tmp_path, capsys, pose,
+                                        named):
+    """A pose that is not six finite numbers is an error; a NaN pose used to
+    exit 0 with an all-zero map."""
+    out = tmp_path / "sal"
+    assert run("saliency", "--mesh", pipeline["mesh_path"], "--pose", pose,
+               "--out", out) == 1
+    assert named in assert_one_error_line(capsys)
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("case", [
+    "mesh-ply", "mesh-obj", "recording", "fixation", "map", "visibility",
+    "prediction", "weights", "config", "scenario", "poses"])
+def test_non_utf8_input_is_an_error(pipeline, tmp_path, capsys, case):
+    """Every reader turns a file with one byte that is not UTF-8 (0xff after
+    its first line) into one `error:` line and exit 1."""
+    def bad(name, data):
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        head, sep, rest = data.partition(b"\n")
+        path.write_bytes(head + sep + b"\xff" + rest)
+
+    mesh, out = pipeline["mesh_path"], tmp_path / "out"
+    for d in ("gt", "preds"):
+        (tmp_path / d).mkdir()
+        save_map_csv(tmp_path / d / "m1.csv", [0.5, 0.25, 0.75, 0.1])
+    evaluate = ("evaluate", "--ground-truth", tmp_path / "gt",
+                "--predictions", tmp_path / "preds", "--out", out / "r.json")
+    a_map = (tmp_path / "gt" / "m1.csv").read_bytes()
+    first = {d: sorted(p for p in pipeline[d].iterdir() if p.suffix == ".csv")[0]
+             for d in ("rec", "fix")}
+    name, data, argv = {
+        "mesh-ply": ("m.ply", mesh.read_bytes(),
+                     ("baseline", "--mesh", tmp_path / "m.ply", "--out", out)),
+        "mesh-obj": ("m.obj", b"# tri\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+                     ("baseline", "--mesh", tmp_path / "m.obj", "--out", out)),
+        "recording": ("rec/s00.csv", first["rec"].read_bytes(),
+                      ("process", "--mesh", mesh, "--recordings",
+                       tmp_path / "rec", "--out", out)),
+        "fixation": ("fix/s00.csv", first["fix"].read_bytes(),
+                     ("fdm", "--mesh", mesh, "--fixations", tmp_path / "fix",
+                      "--out", out)),
+        "map": ("gt/m1.csv", a_map, evaluate),
+        "visibility": ("gt/m1.vis.csv",
+                       b"vertex_id,visible\n0,1\n1,1\n2,0\n3,1\n", evaluate),
+        "prediction": ("preds/m1.csv", a_map, evaluate),
+        "weights": ("gt/weights.json", b'{\n"m1": 2}\n', evaluate),
+        "config": ("run.cfg", b"# settings\nseed=1\n",
+                   ("baseline", "--mesh", mesh, "--out", out,
+                    "--config", tmp_path / "run.cfg")),
+        "scenario": ("sc.json", pipeline["scenario"].read_bytes(),
+                     ("synth", "--scenario", tmp_path / "sc.json",
+                      "--mesh", mesh, "--out", out)),
+        "poses": ("poses.txt", b"# one per line\n0 1.6 -1.5 0 0 0\n",
+                  ("saliency", "--mesh", mesh, "--poses",
+                   tmp_path / "poses.txt", "--out", out)),
+    }[case]
+    bad(name, data)
+    assert run(*argv) == 1
+    assert "can't decode byte 0xff" in assert_one_error_line(capsys)
+
+
+def test_tracer_finds_every_target():
+    """perfbench's tracer wraps each target by module and name; a reader,
+    writer or kernel that moved or was renamed would leave its per-layer
+    metric null."""
+    perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
+    out = python("import sys, meshgaze.cli\n"
+                 f"sys.path.insert(0, {perfbench!r})\n"
+                 "import tracing\n"
+                 "tracer = tracing.Tracer()\n"
+                 "tracing.install(tracer)\n"
+                 "print(tracer.unmeasured)\n")
+    assert out == ["[]"]
 
 
 def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):

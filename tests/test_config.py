@@ -11,7 +11,8 @@ import pytest
 import meshgaze
 from meshgaze.config import (ConfigError, MeshgazeError, RunConfig,
                              apply_overrides, load_config, parse_config,
-                             save_config, serialize_config)
+                             serialize_config)
+from meshgaze.io import write_text
 
 
 def test_defaults_validate():
@@ -97,7 +98,7 @@ def test_apply_overrides_missing_equals():
 def test_file_roundtrip(tmp_path):
     cfg = RunConfig(rw_lambda=0.9, fpfh_radius_frac=0.05)
     path = tmp_path / "run.cfg"
-    save_config(cfg, path)
+    write_text(path, serialize_config(cfg))
     assert load_config(path) == cfg
     # atomic write leaves no temp droppings
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]

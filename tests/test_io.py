@@ -1,0 +1,94 @@
+"""The file layer and the loaders built on it.
+
+Property: whatever bytes a file holds, each loader returns a value or raises
+a MeshgazeError, which the CLI prints as one `error:` line.  Any other
+exception would reach the user as a traceback.
+"""
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meshgaze.config import MeshgazeError, load_config
+from meshgaze.fdm import load_map_csv
+from meshgaze.fixation import load_fixations
+from meshgaze.gaze import load_recording
+from meshgaze.io import read_csv, write_csv
+from meshgaze.mesh import load_mesh
+from meshgaze.visibility import load_visibility
+
+# file name -> (loader, a valid file the mutations start from)
+LOADERS = {
+    "m.ply": (load_mesh, b"ply\nformat ascii 1.0\ncomment c\nelement vertex 4\n"
+              b"property float64 x\nproperty float64 y\nproperty float64 z\n"
+              b"element face 2\nproperty list uchar int vertex_indices\n"
+              b"end_header\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 2 1\n4 0 1 3 2\n"),
+    "m.obj": (load_mesh, b"# quad\nv 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
+              b"vn 0 0 1\nf 1/1/1 2/2/1 3/3/1 4/4/1\nf 1 2 3\n"),
+    "rec.csv": (load_recording, b"t,px,py,pz,ox,oy,oz,sx,sy\n"
+                b"0.0,0.0,1.6,-1.5,0.0,0.0,0.0,0.01,-0.02\n"
+                b"0.5,0.1,1.6,-1.5,5.0,-10.0,0.0,0.0,0.0\n"),
+    "fix.csv": (load_fixations,
+                b"recording_id,cluster_id,x,y,z,px,py,pz,ox,oy,oz,duration,weight\n"
+                b"s00,0,0.0,1.5,-0.3,0.0,1.6,-1.5,0.0,0.0,0.0,0.5,3\n"
+                b"\"s,01\",1,0.1,1.5,-0.3,0.0,1.6,-1.5,0.0,9.0,0.0,0.25,2\n"),
+    "map.csv": (load_map_csv, b"vertex_id,value\n0,0.5\n1,0.25\n\n2,1e-3\n"),
+    "vis.csv": (load_visibility, b"vertex_id,visible\n0,1\n1,0\n2,1\n"),
+    "run.cfg": (load_config, b"# run\nivt_h = 0.02\nseed=3\nse_variant=minmax\n"
+                b"bias_squared_distance=true\nrw_max_iter=10\n"),
+}
+
+TOKENS = [b"", b" ", b"\n", b"\r", b",", b'"', b"#", b"/", b"-", b"x", b"0",
+          b"-1", b"3", b"nan", b"inf", b"1e999", b"99999999999999999999",
+          b"\xff", b"\xc3", b"\x00", b"\xe2\x80\xa8", b"element", b"property",
+          b"end_header", b"=", b"true"]
+
+
+@st.composite
+def mangled(draw, seed: bytes) -> bytes:
+    """seed with up to five spans replaced by tokens or arbitrary UTF-8."""
+    data = bytearray(seed)
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 12)))
+        data[i:j] = draw(st.one_of(st.sampled_from(TOKENS),
+                                   st.text(max_size=6).map(str.encode)))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("io")
+
+
+def test_seed_files_load(scratch):
+    for name, (loader, seed) in LOADERS.items():
+        (scratch / name).write_bytes(seed)
+        loader(scratch / name)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_loader_returns_or_raises_meshgaze_error(scratch, name, data):
+    loader, seed = LOADERS[name]
+    raw = data.draw(st.one_of(mangled(seed), st.binary(max_size=64)))
+    path = scratch / name
+    path.write_bytes(raw)
+    try:
+        loader(path)
+    except MeshgazeError:
+        pass
+
+
+def test_csv_fields_are_quoted_the_csv_way(tmp_path):
+    """write_csv quotes a field with a comma or a quote; read_csv keeps the
+    first row even when blank and drops every later blank row."""
+    rows = [("a,b", "0.5", 3), ('say "hi"', "-1e-300", 0)]
+    write_csv(tmp_path / "t.csv", ["id", "value", "n"], rows)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b'id,value,n\n"a,b",0.5,3\n"say ""hi""",-1e-300,0\n')
+    (tmp_path / "u.csv").write_text("\nid\n\nx\n")
+    assert read_csv(tmp_path / "u.csv", "test file", ValueError) == [
+        [], ["id"], ["x"]]

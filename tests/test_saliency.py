@@ -13,9 +13,8 @@ from meshgaze.mesh import Mesh, bounding_box_diagonal
 from meshgaze.primitives import bumpy_sphere, plane_grid, vertex_rings
 from meshgaze.saliency import (DESCRIPTOR_SIZE, SaliencyError,
                                _gaussian_averages, baseline_curvature_saliency,
-                               bias_weight, compute_fpfh, dissimilarity,
-                               dissimilarity_max, mean_curvature, saliency_map,
-                               uniqueness)
+                               bias_weight, compute_fpfh, mean_curvature,
+                               saliency_map, uniqueness)
 from meshgaze.visibility import ViewPose, VisibleSet, pose_hash, visible_points
 
 
@@ -77,20 +76,33 @@ def test_fpfh_and_uniqueness_bytes_match_oracles(case):
         assert np.array_equal(u, want_u)
 
 
+def pair_dissimilarity(a, b, eps_b=1e-12):
+    """The Bhattacharyya distance of a and b as uniqueness sees it, per point,
+    read back from two coincident points: U = 1 - exp(-(Dis(a, a) +
+    Dis(a, b)) / 2), and Dis(a, a) is 0 for a normalized descriptor."""
+    u, _ = uniqueness(np.zeros((2, 3)), np.stack([a, b]), eps_b=eps_b)
+    return -2.0 * np.log1p(-u)
+
+
 def test_dissimilarity_hand_values():
     f = np.zeros(DESCRIPTOR_SIZE)
     f[:2] = 0.5
     g = np.zeros(DESCRIPTOR_SIZE)
     g[0] = 1.0
     # overlap sqrt(0.5 * 1) -> -log(sqrt(0.5)) = log(2) / 2
-    assert dissimilarity(f, g) == pytest.approx(0.5 * np.log(2.0), abs=1e-12)
-    assert dissimilarity(f, g) == dissimilarity(g, f)
+    d = pair_dissimilarity(f, g)
+    assert d[0] == pytest.approx(0.5 * np.log(2.0), abs=1e-12)
+    assert d[0] == d[1]
     h = np.zeros(DESCRIPTOR_SIZE)
     h[1] = 1.0
-    assert dissimilarity(g, h) == pytest.approx(-np.log(1e-12), abs=1e-9)
-    assert dissimilarity(g, h) == pytest.approx(dissimilarity_max(), abs=1e-12)
+    # no overlap: the coefficient is clamped at eps_b, Dis = -log(eps_b)
+    for eps_b in (1e-12, 1e-6):
+        d = pair_dissimilarity(g, h, eps_b)
+        assert d == pytest.approx(-np.log(eps_b), abs=1e-9)
+        u, _ = uniqueness(np.zeros((2, 3)), np.stack([g, h]), eps_b=eps_b)
+        assert u == pytest.approx(-np.expm1(0.5 * np.log(eps_b)), abs=1e-12)
     u = np.full(DESCRIPTOR_SIZE, 1.0 / DESCRIPTOR_SIZE)
-    assert abs(dissimilarity(u, u)) < 1e-12
+    assert np.abs(pair_dissimilarity(u, u)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
