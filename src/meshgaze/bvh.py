@@ -105,6 +105,74 @@ def intersect_brute(vertices, triangles, origin, direction, tmin: float = 0.0):
     return _best_hit(t, bary, valid, np.arange(len(triangles)))
 
 
+def _reduce_ranges(ufunc, values, starts, ends):
+    """ufunc.reduce over each non-empty row range [start, end) of values:
+    reduceat over the interleaved cuts, with a pad row that keeps
+    end == len(values) a valid index."""
+    padded = np.vstack([values, np.zeros((1, values.shape[1]))])
+    return ufunc.reduceat(padded, np.stack([starts, ends], axis=1).ravel())[::2]
+
+
+def _median_split(centroids, leaf_size: int):
+    """Median-split tree over triangle centroids, built one depth at a time.
+
+    A node over the range [start, end) of `order` splits at its middle
+    after a stable sort of its range by centroid along the axis of widest
+    centroid spread (the first such axis), unless it holds at most
+    leaf_size triangles or all its centroids coincide.  Nodes are numbered
+    in depth-first preorder (node, left subtree, right subtree).  Returns
+    order and the node arrays left, right (-1 at a leaf), start and end.
+    """
+    m = len(centroids)
+    order = np.arange(m, dtype=np.int64)
+    starts, ends = np.zeros(1, dtype=np.int64), np.full(1, m, dtype=np.int64)
+    levels = []                 # per depth: (starts, ends, split mask)
+    while len(starts):
+        cen = centroids[order]
+        spread = (_reduce_ranges(np.maximum, cen, starts, ends)
+                  - _reduce_ranges(np.minimum, cen, starts, ends))
+        axis = np.argmax(spread, axis=1)
+        split = ((ends - starts > leaf_size)
+                 & (spread[np.arange(len(axis)), axis] > 0.0))
+        levels.append((starts, ends, split))
+        s, e, ax = starts[split], ends[split], axis[split]
+        # every split range sorted in place: a stable sort by (node, key)
+        size = e - s
+        node = np.repeat(np.arange(len(s)), size)
+        pos = np.arange(int(size.sum())) + np.repeat(s - np.cumsum(size) + size, size)
+        key = centroids[order[pos], ax[node]]
+        order[pos] = order[pos][np.lexsort((key, node))]
+        mid = s + size // 2
+        starts = np.stack([s, mid], axis=1).ravel()
+        ends = np.stack([mid, e], axis=1).ravel()
+
+    # subtree node counts bottom-up, then preorder ids top-down: a left
+    # child follows its parent, a right child follows the left subtree
+    sizes = [np.ones(len(lv[0]), dtype=np.int64) for lv in levels]
+    for d in range(len(levels) - 2, -1, -1):
+        below = sizes[d + 1].reshape(-1, 2)
+        sizes[d][levels[d][2]] += below.sum(axis=1)
+    ids = [np.zeros(1, dtype=np.int64)]
+    for d in range(1, len(levels)):
+        parent = ids[d - 1][levels[d - 1][2]]
+        left = parent + 1
+        ids.append(np.stack([left, left + sizes[d][0::2]], axis=1).ravel())
+
+    n = int(sizes[0][0])
+    node_left = np.full(n, -1, dtype=np.int64)
+    node_right = np.full(n, -1, dtype=np.int64)
+    node_start = np.empty(n, dtype=np.int64)
+    node_end = np.empty(n, dtype=np.int64)
+    for d, (starts, ends, split) in enumerate(levels):
+        node_start[ids[d]] = starts
+        node_end[ids[d]] = ends
+        if d + 1 < len(levels):
+            children = ids[d + 1].reshape(-1, 2)
+            node_left[ids[d][split]] = children[:, 0]
+            node_right[ids[d][split]] = children[:, 1]
+    return order, node_left, node_right, node_start, node_end
+
+
 class TriangleBVH:
     """Axis-aligned median-split hierarchy stored as flat arrays."""
 
@@ -115,63 +183,27 @@ class TriangleBVH:
     def __init__(self, vertices, triangles, leaf_size: int = 8):
         self.vertices = np.asarray(vertices, dtype=np.float64)
         self.triangles = np.asarray(triangles, dtype=np.int64)
-        m = len(self.triangles)
         tv = self.vertices[self.triangles]          # (m, 3, 3)
         tri_lo = tv.min(axis=1)
         tri_hi = tv.max(axis=1)
         centroids = tv.mean(axis=1)
 
-        order = np.arange(m, dtype=np.int64)
-        node_left, node_right = [], []
-        node_start, node_end, node_count = [], [], []
-
-        # iterative build over [start, end) ranges of `order`
-        stack = [(0, m, -1, False)]
-        while stack:
-            start, end, parent, is_right = stack.pop()
-            idx = order[start:end]
-            me = len(node_start)
-            node_left.append(-1)
-            node_right.append(-1)
-            node_start.append(start)
-            node_end.append(end)
-            node_count.append(0)
-            if parent >= 0:
-                if is_right:
-                    node_right[parent] = me
-                else:
-                    node_left[parent] = me
-            count = end - start
-            cen = centroids[idx]
-            spread = cen.max(axis=0) - cen.min(axis=0)
-            axis = int(np.argmax(spread))
-            if count <= leaf_size or spread[axis] <= 0.0:
-                node_count[me] = count
-                continue
-            local = np.argsort(cen[:, axis], kind="stable")
-            order[start:end] = idx[local]
-            mid = start + count // 2
-            stack.append((mid, end, me, True))
-            stack.append((start, mid, me, False))
-
+        order, node_left, node_right, node_start, node_end = _median_split(
+            centroids, leaf_size)
         self.order = order
-        # node boxes in one pass: reduceat over the interleaved [start, end)
-        # ranges (a pad row keeps end == m a valid index)
-        cuts = np.stack([node_start, node_end], axis=1).ravel()
-        pad_row = np.zeros((1, 3))
-        self.node_lo = np.minimum.reduceat(
-            np.vstack([tri_lo[order], pad_row]), cuts)[::2]
-        self.node_hi = np.maximum.reduceat(
-            np.vstack([tri_hi[order], pad_row]), cuts)[::2]
+        self.node_lo = _reduce_ranges(np.minimum, tri_lo[order], node_start,
+                                      node_end)
+        self.node_hi = _reduce_ranges(np.maximum, tri_hi[order], node_start,
+                                      node_end)
         # padded so slab rounding never prunes a triangle whose hit lies on
         # a box face, as for a ray through a shared vertex
         pad = 1e-9 * (1.0 + float(np.abs(self.vertices).max()))
         self.node_lo -= pad
         self.node_hi += pad
-        self.node_left = np.asarray(node_left, dtype=np.int64)
-        self.node_right = np.asarray(node_right, dtype=np.int64)
-        self.node_start = np.asarray(node_start, dtype=np.int64)
-        self.node_count = np.asarray(node_count, dtype=np.int64)
+        self.node_left = node_left
+        self.node_right = node_right
+        self.node_start = node_start
+        self.node_count = np.where(node_left < 0, node_end - node_start, 0)
         ordered = self.triangles[order]
         self._v0 = self.vertices[ordered[:, 0]]
         self._v1 = self.vertices[ordered[:, 1]]

@@ -45,13 +45,13 @@ from .fdm import (FdmError, FixationDensityMap, build_ground_truth,
                   load_map_csv, plcc, pose_bucket, save_map_csv, save_map_ply,
                   splat_fdm)
 from .fixation import (FixationError, extract_fixations, load_fixations,
-                       saccade_amplitude, save_fixations)
+                       median, saccade_amplitude, save_fixations)
 from .gaze import GazeError, load_recording, save_recording, trace_samples
 from .io import read_text, read_vertex_csv, write_csv, write_json
 from .mesh import Mesh, load_mesh
 from .saliency import baseline_curvature_saliency, saliency_map
 from .synth import (ScenarioError, check_targets_reachable, generate_recording,
-                    scenario_from_json)
+                    load_scenario)
 from .visibility import (CameraModel, ViewPose, VisibilityError,
                          camera_from_config, load_visibility, pose_hash,
                          save_visibility, visible_points)
@@ -309,8 +309,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
-    scenario = scenario_from_json(
-        read_text(args.scenario, "scenario file", ScenarioError))
+    scenario = load_scenario(args.scenario)
     mesh = _mesh_from_cfg(args.mesh, cfg)
     n_verts = len(mesh.vertices)
     for t in scenario.targets:
@@ -450,7 +449,7 @@ def cmd_analyze(args) -> int:
     sac = {"version": __version__, "count": len(amplitudes)}
     if amplitudes:
         arr = np.asarray(amplitudes)
-        sac.update(mean_deg=float(arr.mean()), median_deg=float(np.median(arr)),
+        sac.update(mean_deg=float(arr.mean()), median_deg=median(arr),
                    std_deg=float(arr.std()), max_deg=float(arr.max()))
     else:
         sac["skipped"] = "no consecutive fixation pairs"

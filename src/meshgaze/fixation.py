@@ -41,12 +41,25 @@ class FixationPoint:
     weight: int          # member count
 
 
+def median(values) -> float:
+    """np.median of a non-empty array, bit for bit, without np.median's
+    first-call import of numpy.ma: the same partition, then the np.mean of
+    the middle element or the two middle ones; NaN if any value is NaN."""
+    a = np.asarray(values, dtype=np.float64).ravel()
+    n = len(a)
+    kth = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(a, kth + [-1])
+    if np.isnan(part[-1]):
+        return float("nan")
+    return float(np.mean(part[kth[0]:kth[-1] + 1]))
+
+
 def nominal_dt(t) -> float:
     """Median inter-sample gap; the one-sample share of a run's duration."""
     t = np.asarray(t, dtype=np.float64)
     if len(t) < 2:
         return 1.0 / 120.0
-    return float(np.median(np.diff(t)))
+    return median(np.diff(t))
 
 
 def _runs(mask):

@@ -43,104 +43,182 @@ class IntersectionRecord:
     sample_index: int
 
 
+_REST = np.array([0.0, 0.0, 1.0])
+_DEGENERATE = "degenerate screen frame: facing parallel to Y axis"
+
+
+def rowdot(a, b) -> np.ndarray:
+    """Dot product of each row pair of two (n, 3) arrays.
+
+    Each row is one BLAS ddot, the sum that np.dot and a 1-D
+    np.linalg.norm form, so the stacked chain keeps the per-pose
+    functions' bytes; a sum over axis=1 rounds differently.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _rows(x, width: int = 3) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).reshape(-1, width)
+
+
+# R_x, R_y and R_z as indices into one pose's entries
+# (cos ox, cos oy, cos oz, sin ox, sin oy, sin oz, -sin ox, -sin oy, -sin oz, 0, 1)
+_ROTATION_ENTRIES = np.array([[[10, 9, 9], [9, 0, 6], [9, 3, 0]],
+                              [[1, 9, 4], [9, 10, 9], [7, 9, 1]],
+                              [[2, 8, 9], [5, 2, 9], [9, 9, 10]]])
+
+
 def rotation_matrix(o_deg) -> np.ndarray:
-    """Head rotation R_z(oz) . R_x(ox) . R_y(oy), angles in degrees."""
-    ox, oy, oz = np.radians(np.asarray(o_deg, dtype=np.float64))
-    cx, sx = np.cos(ox), np.sin(ox)
-    cy, sy = np.cos(oy), np.sin(oy)
-    cz, sz = np.cos(oz), np.sin(oz)
-    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-    return rz @ rx @ ry
+    """Head rotation R_z(oz) . R_x(ox) . R_y(oy), angles in degrees.
+
+    One pose (3,) gives a (3, 3) matrix, n poses (n, 3) a (n, 3, 3) stack.
+    """
+    o = np.radians(np.asarray(o_deg, dtype=np.float64))
+    c, s = np.cos(o), np.sin(o)
+    entries = np.concatenate([c, s, -s, np.zeros_like(c[..., :1]),
+                              np.ones_like(c[..., :1])], axis=-1)
+    m = entries[..., _ROTATION_ENTRIES]
+    return m[..., 2, :, :] @ m[..., 0, :, :] @ m[..., 1, :, :]
+
+
+def head_orientations(o_deg) -> np.ndarray:
+    """Unit facing vectors (n, 3) of n poses' Euler angles (n, 3): each
+    rotated rest direction (0, 0, 1).  A row with a non-finite angle is NaN."""
+    o = _rows(o_deg)
+    finite = np.isfinite(o).all(axis=1)
+    d = rotation_matrix(np.where(finite[:, None], o, 0.0)) @ _REST
+    d /= np.sqrt(rowdot(d, d))[:, None]
+    d[~finite] = np.nan
+    return d
 
 
 def head_orientation(o_deg) -> np.ndarray:
-    """Unit facing vector: the rotated rest direction (0, 0, 1)."""
+    """Unit facing vector of one pose; raises on a non-finite angle."""
     if not np.all(np.isfinite(np.asarray(o_deg, dtype=np.float64))):
         raise GazeError("non-finite Euler angles")
-    d = rotation_matrix(o_deg) @ np.array([0.0, 0.0, 1.0])
-    return d / np.linalg.norm(d)
+    return head_orientations(o_deg)[0]
 
 
 def screen_point(p, o_vec, d_screen: float) -> np.ndarray:
-    """B = P + d_screen * facing direction."""
+    """B = P + d_screen * facing direction, for one pose or rows of poses."""
     if not d_screen > 0:
         raise GazeError("d_screen must be positive")
     return np.asarray(p, dtype=np.float64) + d_screen * np.asarray(o_vec, dtype=np.float64)
 
 
-def screen_frame(o_vec):
-    """Orthonormal in-screen axes (e_sx, e_sy) for facing vector o_vec.
+def screen_frames(o_vec):
+    """In-screen axes (e_sx, e_sy), each (n, 3), of n facing vectors, and
+    the mask of rows whose frame degenerates (facing parallel to Y); those
+    rows are NaN.
 
     alpha is the angle between o_vec and +Y, beta the angle of the XoZ
-    projection of o_vec against +X; raises when the projection degenerates
-    (facing straight up or down).
+    projection of o_vec against +X.
     """
-    o = np.asarray(o_vec, dtype=np.float64)
-    cos_a = o[1]
-    sin_a = float(np.hypot(o[0], o[2]))
-    if sin_a < 1e-9:
-        raise GazeError("degenerate screen frame: facing parallel to Y axis")
-    cos_b = o[0] / sin_a
-    sin_b = o[2] / sin_a
-    e_sx = np.array([sin_b, 0.0, -cos_b])
-    e_sy = np.array([cos_a * cos_b, -sin_a, cos_a * sin_b])
-    return e_sx, e_sy
+    o = _rows(o_vec)
+    cos_a = o[:, 1]
+    sin_a = np.hypot(o[:, 0], o[:, 2])
+    degenerate = sin_a < 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_b = o[:, 0] / sin_a
+        sin_b = o[:, 2] / sin_a
+    e_sx = np.stack([sin_b, np.zeros_like(sin_b), -cos_b], axis=1)
+    e_sy = np.stack([cos_a * cos_b, -sin_a, cos_a * sin_b], axis=1)
+    e_sx[degenerate] = e_sy[degenerate] = np.nan
+    return e_sx, e_sy, degenerate
+
+
+def screen_frame(o_vec):
+    """Orthonormal in-screen axes (e_sx, e_sy) for one facing vector; raises
+    when the XoZ projection degenerates (facing straight up or down)."""
+    e_sx, e_sy, degenerate = screen_frames(o_vec)
+    if degenerate[0]:
+        raise GazeError(_DEGENERATE)
+    return e_sx[0], e_sy[0]
+
+
+def gaze_points(b, o_vec, s):
+    """Screen intersections B (n, 3) shifted by eye offsets s (n, 2) inside
+    the screen planes of facing vectors o_vec (n, 3), and the mask of
+    degenerate frames (NaN rows)."""
+    e_sx, e_sy, degenerate = screen_frames(o_vec)
+    s = _rows(s, 2)
+    return _rows(b) + s[:, :1] * e_sx + s[:, 1:] * e_sy, degenerate
 
 
 def gaze_point(b, o_vec, s) -> np.ndarray:
     """Shift the screen intersection B by the eye offset inside the screen plane."""
-    s = np.asarray(s, dtype=np.float64)
-    e_sx, e_sy = screen_frame(o_vec)
-    return np.asarray(b, dtype=np.float64) + s[0] * e_sx + s[1] * e_sy
+    y, degenerate = gaze_points(b, o_vec, s)
+    if degenerate[0]:
+        raise GazeError(_DEGENERATE)
+    return y[0]
+
+
+def _unit_rows(d):
+    """Rows of d divided by their norms, and the norms."""
+    norm = np.sqrt(rowdot(d, d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return d / norm[:, None], norm
 
 
 def actual_sightline(p, y) -> np.ndarray:
     """Unit direction of the sight-line from head position P through gaze point Y."""
-    d = np.asarray(y, dtype=np.float64) - np.asarray(p, dtype=np.float64)
-    n = float(np.linalg.norm(d))
-    if n <= 1e-9:
+    d, norm = _unit_rows(_rows(y) - _rows(p))
+    if norm[0] <= 1e-9:
         raise GazeError("gaze point coincides with head position")
-    return d / n
+    return d[0]
 
 
 def sightlines(p, o_deg, s, d_screen: float):
-    """(origins, directions) of n poses' actual sight-lines, one row each.
+    """(origins, directions) of n poses' actual sight-lines, one row each,
+    computed for the whole stack at once.
 
-    A pose whose sight-line raises GazeError (head facing straight up or
-    down, say) gets a NaN direction row.
+    A pose whose sight-line the per-pose chain rejects (a non-finite angle,
+    head facing straight up or down, gaze point at the head) gets a NaN
+    direction row.
     """
-    p = np.asarray(p, dtype=np.float64).reshape(-1, 3)
-    directions = np.full_like(p, np.nan)
-    for k, (o_k, s_k) in enumerate(zip(o_deg, s)):
-        try:
-            o = head_orientation(o_k)
-            y = gaze_point(screen_point(p[k], o, d_screen), o, s_k)
-            directions[k] = actual_sightline(p[k], y)
-        except GazeError:
-            pass
+    p = _rows(p)
+    if not d_screen > 0:
+        return p, np.full_like(p, np.nan)
+    o = head_orientations(o_deg)
+    y, degenerate = gaze_points(screen_point(p, o, d_screen), o, s)
+    directions, norm = _unit_rows(y - p)
+    directions[degenerate | (norm <= 1e-9)] = np.nan
     return p, directions
+
+
+def cast_hits(mesh: Mesh, origins, directions):
+    """Nearest mesh hit of each ray as arrays, all cast in one batched BVH
+    traversal: points (n, 3), distances (n,) from the origin, triangles
+    (n,) and bary (n, 3).  A miss or a NaN direction gives NaN rows and
+    triangle -1."""
+    origins, directions = _rows(origins), _rows(directions)
+    n = len(origins)
+    tri = np.full(n, -1, dtype=np.int64)
+    bary = np.full((n, 3), np.nan)
+    cast = np.flatnonzero(np.isfinite(directions).all(axis=1))
+    _, tri[cast], bary[cast] = mesh.bvh.intersect_many(
+        origins[cast], directions[cast], 0.0)
+    hit = tri >= 0
+    tv = mesh.vertices[mesh.triangles[tri[hit]]]
+    w = bary[hit]
+    points = np.full((n, 3), np.nan)
+    points[hit] = w[:, :1] * tv[:, 0] + w[:, 1:2] * tv[:, 1] + w[:, 2:] * tv[:, 2]
+    gap = points[hit] - origins[hit]
+    distances = np.full(n, np.nan)
+    distances[hit] = np.sqrt(rowdot(gap, gap))
+    return points, distances, tri, bary
 
 
 def cast_sightlines(mesh: Mesh, origins, directions, sample_indices=None):
     """Nearest mesh intersection of each ray (None on a miss or a NaN
-    direction), all cast in one batched BVH traversal."""
+    direction), as records viewing the arrays of cast_hits."""
+    points, distances, tri, bary = cast_hits(mesh, origins, directions)
     if sample_indices is None:
-        sample_indices = [-1] * len(origins)
-    records = [None] * len(origins)
-    cast = np.nonzero(np.isfinite(directions).all(axis=1))[0]
-    _, tri, bary = mesh.bvh.intersect_many(origins[cast], directions[cast], 0.0)
-    for k, tri_k, bary_k in zip(cast, tri, bary):
-        if tri_k < 0:
-            continue
-        tv = mesh.vertices[mesh.triangles[tri_k]]
-        point = bary_k[0] * tv[0] + bary_k[1] * tv[1] + bary_k[2] * tv[2]
-        records[k] = IntersectionRecord(
-            point=point, triangle=int(tri_k), bary=bary_k,
-            distance=float(np.linalg.norm(point - origins[k])),
-            sample_index=sample_indices[k])
-    return records
+        sample_indices = [-1] * len(tri)
+    return [None if t < 0 else IntersectionRecord(
+                point=x, triangle=t, bary=w, distance=d, sample_index=i)
+            for x, d, t, w, i in zip(points, distances.tolist(), tri.tolist(),
+                                     bary, sample_indices)]
 
 
 def trace_samples(samples, mesh: Mesh, d_screen: float):
@@ -165,39 +243,56 @@ RECORDING_HEADER = ["t", "px", "py", "pz", "ox", "oy", "oz", "sx", "sy"]
 
 
 def load_recording(path, screen_half_extent: float = 0.15) -> list[PoseSample]:
-    """Read one recording CSV; validates ordering and eye-offset bounds."""
+    """Read one recording CSV; validates ordering and eye-offset bounds.
+
+    Each row is checked for its field count, then that every field parses,
+    is finite, that t increases and that the eye offset fits the screen;
+    the first failing row's first failing check is the error.  The rows
+    are parsed into one (n, 9) array and the samples view its rows.
+    """
     rows = read_csv(path, "recording", GazeError)
     if not rows or [c.strip() for c in rows[0]] != RECORDING_HEADER:
         raise GazeError(f"recording {path!r}: bad or missing header")
-    samples: list[PoseSample] = []
-    prev_t = None
+    parsed, stop = [], None
     for i, row in enumerate(rows[1:]):
         if len(row) != 9:
-            raise GazeError(f"recording {path!r}: row {i} has {len(row)} fields")
+            stop = GazeError(f"recording {path!r}: row {i} has {len(row)} fields")
+            break
         try:
-            vals = [float(x) for x in row]
+            parsed.append([float(x) for x in row])
         except ValueError as exc:
-            raise GazeError(f"recording {path!r}: row {i}: {exc}") from exc
-        if not all(np.isfinite(vals)):
+            stop = GazeError(f"recording {path!r}: row {i}: {exc}")
+            break
+    vals = np.array(parsed, dtype=np.float64).reshape(-1, 9)
+    t, s = vals[:, 0], vals[:, 7:9]
+    nonfinite = ~np.isfinite(vals).all(axis=1)
+    backwards = np.r_[False, t[1:] <= t[:-1]]
+    wide = (np.abs(s) > screen_half_extent).any(axis=1)
+    bad = nonfinite | backwards | wide
+    if bad.any():
+        i = int(np.argmax(bad))
+        if nonfinite[i]:
             raise GazeError(f"recording {path!r}: row {i}: non-finite value")
-        t = vals[0]
-        if prev_t is not None and t <= prev_t:
-            raise GazeError(f"recording {path!r}: timestamps not strictly increasing at row {i}")
-        prev_t = t
-        sx, sy = vals[7], vals[8]
-        if abs(sx) > screen_half_extent or abs(sy) > screen_half_extent:
+        if backwards[i]:
             raise GazeError(
-                f"recording {path!r}: row {i}: eye offset exceeds screen half-extent "
-                f"{screen_half_extent}")
-        samples.append(PoseSample(
-            t=t, p=np.array(vals[1:4]), o_deg=np.array(vals[4:7]),
-            s=np.array(vals[7:9]), index=len(samples)))
-    if not samples:
+                f"recording {path!r}: timestamps not strictly increasing at row {i}")
+        raise GazeError(
+            f"recording {path!r}: row {i}: eye offset exceeds screen half-extent "
+            f"{screen_half_extent}")
+    if stop is not None:
+        raise stop
+    if not len(vals):
         raise GazeError(f"recording {path!r}: no samples")
-    return samples
+    return [PoseSample(t=t_i, p=p, o_deg=o, s=s_i, index=i)
+            for i, (t_i, p, o, s_i) in enumerate(zip(
+                t.tolist(), vals[:, 1:4], vals[:, 4:7], s))]
 
 
 def save_recording(path, samples) -> None:
-    write_csv(path, RECORDING_HEADER,
-              ([repr(float(x)) for x in (s.t, *s.p, *s.o_deg, *s.s)]
-               for s in samples))
+    """Write samples as a recording CSV, every value as repr of its float."""
+    samples = list(samples)
+    table = np.column_stack([
+        np.array([x.t for x in samples], dtype=np.float64),
+        _rows([x.p for x in samples]), _rows([x.o_deg for x in samples]),
+        _rows([x.s for x in samples], 2)])
+    write_csv(path, RECORDING_HEADER, table.tolist())

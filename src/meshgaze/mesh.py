@@ -305,13 +305,11 @@ def save_ply(mesh: Mesh, path, colors=None) -> None:
         out += ["property uchar red", "property uchar green", "property uchar blue"]
     out += [f"element face {m}", "property list uchar int vertex_indices",
             "end_header"]
-    for i in range(n):
-        x, y, z = mesh.vertices[i]
-        row = f"{x:.17g} {y:.17g} {z:.17g}"
-        if colors is not None:
-            r, g, b = colors[i]
-            row += f" {int(r)} {int(g)} {int(b)}"
-        out.append(row)
-    for t in mesh.triangles:
-        out.append(f"3 {t[0]} {t[1]} {t[2]}")
+    # .tolist() first: Python numbers format about twice as fast as numpy scalars
+    rows = [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices.tolist()]
+    if colors is not None:
+        rows = [f"{row} {int(r)} {int(g)} {int(b)}"
+                for row, (r, g, b) in zip(rows, colors.tolist())]
+    out += rows
+    out += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()]
     write_text(path, "\n".join(out) + "\n")

@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MeshgazeError
-from .gaze import (PoseSample, cast_sightlines, head_orientation,
-                   screen_frame, screen_point, sightlines)
+from .gaze import (PoseSample, cast_hits, head_orientation, head_orientations,
+                   rowdot, screen_frame, screen_frames, screen_point,
+                   sightlines)
+from .io import read_text
 from .mesh import Mesh
 
 
@@ -42,21 +44,67 @@ class SyntheticScenario:
     subjects: int = 1
     seed: int = 0
 
+    def check_types(self) -> None:
+        """ScenarioError unless every field has its declared type: mesh_id a
+        string, targets a list of integer vertex ids, subjects and seed
+        integers, and every other field a finite number (a JSON true or
+        false is not a number here)."""
+        if not isinstance(self.mesh_id, str):
+            raise ScenarioError(f"mesh_id must be a string, got {self.mesh_id!r}")
+        if not (isinstance(self.targets, list)
+                and all(_is_int(t) for t in self.targets)):
+            raise ScenarioError(
+                f"targets must be a list of integer vertex ids, got {self.targets!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not _is_finite_real(value):
+                raise ScenarioError(
+                    f"{name} must be a finite number, got {value!r}")
+
     def validate(self, scene_center) -> None:
+        self.check_types()
         if not self.targets:
             raise ScenarioError("scenario needs at least one target vertex")
         if self.radius <= 0 or self.duration_s <= 0 or self.rate_hz <= 0:
             raise ScenarioError("radius, duration, and rate must be positive")
+        n = self.duration_s * self.rate_hz
+        if not (math.isfinite(n) and round(n) >= 1):
+            raise ScenarioError(
+                "duration_s * rate_hz must give a finite count of at least one sample")
         if self.dwell_s <= 0:
             raise ScenarioError("dwell must be positive")
         if self.noise_deg < 0 or self.noise_tau_s <= 0:
             raise ScenarioError("noise parameters out of range")
         if self.subjects < 1:
             raise ScenarioError("subjects must be >= 1")
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
         dy = self.height - scene_center[1]
         if self.radius <= abs(dy):
             raise ScenarioError(
                 "orbit radius must exceed the height offset from scene center")
+
+
+_INT_FIELDS = ("subjects", "seed")
+_REAL_FIELDS = ("radius", "height", "start_angle_deg", "span_deg", "noise_deg",
+                "noise_tau_s", "duration_s", "rate_hz", "dwell_s")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:               # an integer beyond float range
+        return False
 
 
 def scenario_to_json(sc: SyntheticScenario) -> str:
@@ -71,10 +119,14 @@ def scenario_to_json(sc: SyntheticScenario) -> str:
 
 
 def scenario_from_json(text: str) -> SyntheticScenario:
+    """Parse a scenario; raises ScenarioError on malformed JSON, unknown or
+    missing fields, or a field of the wrong type."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed scenario JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario JSON must be an object")
     known = {f: raw[f] for f in (
         "mesh_id", "targets", "radius", "height", "start_angle_deg",
         "span_deg", "noise_deg", "noise_tau_s", "duration_s", "rate_hz",
@@ -84,40 +136,75 @@ def scenario_from_json(text: str) -> SyntheticScenario:
         raise ScenarioError(f"unknown scenario fields: {sorted(extra)}")
     if "mesh_id" not in known or "targets" not in known:
         raise ScenarioError("scenario requires mesh_id and targets")
-    return SyntheticScenario(**known)
+    scenario = SyntheticScenario(**known)
+    scenario.check_types()
+    return scenario
+
+
+def load_scenario(path) -> SyntheticScenario:
+    return scenario_from_json(read_text(path, "scenario file", ScenarioError))
+
+
+def euler_facings(directions) -> np.ndarray:
+    """Euler angles (n, 3), degrees, zero roll, whose facing vectors are the
+    rows of `directions` (n, 3).
+
+    Inverse of the head-orientation mapping on the cos(yaw) >= 0 branch:
+    yaw = atan2(d_x, hypot(d_y, d_z)), pitch = atan2(-d_y, d_z), in
+    `math` per row (numpy's vector atan2 and hypot round differently).
+    Total over unit directions; facing exactly +-X leaves pitch
+    unconstrained and atan2(0, 0) = 0 picks the zero-pitch representative.
+    """
+    d = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+    norm = np.sqrt(rowdot(d, d))
+    if (norm < 1e-12).any():
+        raise ScenarioError("facing direction must be nonzero")
+    d = d / norm[:, None]
+    return np.array([(math.degrees(math.atan2(-y, z)),
+                      math.degrees(math.atan2(x, math.hypot(y, z))), 0.0)
+                     for x, y, z in d.tolist()]).reshape(-1, 3)
 
 
 def euler_facing(direction) -> np.ndarray:
-    """Euler angles (degrees, zero roll) whose facing vector is `direction`.
+    """Euler angles (degrees, zero roll) whose facing vector is `direction`."""
+    return euler_facings(direction)[0]
 
-    Inverse of the head-orientation mapping on the cos(yaw) >= 0 branch:
-    yaw = atan2(d_x, hypot(d_y, d_z)), pitch = atan2(-d_y, d_z).  Total
-    over unit directions; facing exactly +-X leaves pitch unconstrained
-    and atan2(0, 0) = 0 picks the zero-pitch representative.
-    """
-    d = np.asarray(direction, dtype=np.float64)
-    norm = float(np.linalg.norm(d))
-    if norm < 1e-12:
-        raise ScenarioError("facing direction must be nonzero")
-    d = d / norm
-    oy = math.degrees(math.atan2(d[0], math.hypot(d[1], d[2])))
-    ox = math.degrees(math.atan2(-d[1], d[2]))
-    return np.array([ox, oy, 0.0])
+
+def inverse_gaze_offsets(p, o_vec, target, d_screen: float):
+    """Eye offsets (n, 2) whose actual sight-lines from p (n, 3), facing
+    o_vec (n, 3), pass through target (n, 3); also each row's distance
+    along the facing to its target (a row at or below 0 has its target
+    behind the screen plane) and the mask of degenerate screen frames."""
+    p = np.asarray(p, dtype=np.float64).reshape(-1, 3)
+    o = np.asarray(o_vec, dtype=np.float64).reshape(-1, 3)
+    rel_t = np.asarray(target, dtype=np.float64).reshape(-1, 3) - p
+    along = rowdot(rel_t, o)
+    b = screen_point(p, o, d_screen)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_star = p + (d_screen / along)[:, None] * rel_t
+    e_sx, e_sy, degenerate = screen_frames(o)
+    rel = y_star - b
+    return (np.stack([rowdot(rel, e_sx), rowdot(rel, e_sy)], axis=1),
+            along, degenerate)
 
 
 def inverse_gaze_offset(p, o_vec, target, d_screen: float) -> np.ndarray:
     """Eye offset (sx, sy) whose actual sight-line from p passes through target."""
-    p = np.asarray(p, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    o = np.asarray(o_vec, dtype=np.float64)
-    along = float(np.dot(target - p, o))
-    if along <= 0:
+    s, along, degenerate = inverse_gaze_offsets(p, o_vec, target, d_screen)
+    if along[0] <= 0:
         raise ScenarioError("target behind the screen plane")
-    b = screen_point(p, o, d_screen)
-    y_star = p + (d_screen / along) * (target - p)
-    e_sx, e_sy = screen_frame(o)
-    rel = y_star - b
-    return np.array([float(np.dot(rel, e_sx)), float(np.dot(rel, e_sy))])
+    if degenerate[0]:
+        screen_frame(o_vec)             # raises the degenerate-frame error
+    return s[0]
+
+
+def _raise_unaimable(failed, p, o_deg, target, d_screen) -> None:
+    """Raise the per-pose error of the first row flagged in `failed`, if
+    the per-pose chain (facing, then eye offset) raises one there."""
+    if failed.any():
+        k = int(np.argmax(failed))
+        inverse_gaze_offset(p[k], head_orientation(o_deg[k]), target[k],
+                            d_screen)
 
 
 def _ar1_noise(rng, n: int, std: float, phi: float) -> np.ndarray:
@@ -147,8 +234,7 @@ def generate_recording(scenario: SyntheticScenario, mesh: Mesh, cfg,
     start = math.radians(scenario.start_angle_deg + 7.0 * subject)
     span = math.radians(scenario.span_deg)
 
-    targets = [np.asarray(mesh.vertices[int(t)], dtype=np.float64)
-               for t in scenario.targets]
+    targets = mesh.vertices[[int(t) for t in scenario.targets]]
     per_dwell = max(1, int(round(scenario.dwell_s * scenario.rate_hz)))
 
     rng = np.random.default_rng(scenario.seed * 100003 + subject)
@@ -157,23 +243,28 @@ def generate_recording(scenario: SyntheticScenario, mesh: Mesh, cfg,
     noise_x = _ar1_noise(rng, n, s_std, phi)
     noise_y = _ar1_noise(rng, n, s_std, phi)
 
-    samples: list[PoseSample] = []
-    for k in range(n):
-        frac = k / (n - 1) if n > 1 else 0.0
-        theta = start + span * frac
-        p = center + np.array([r_h * math.cos(theta), dy, r_h * math.sin(theta)])
-        face = (center - p) / np.linalg.norm(center - p)
-        o_deg = euler_facing(face)
-        o_vec = head_orientation(o_deg)
-        target = targets[(k // per_dwell) % len(targets)]
-        s = inverse_gaze_offset(p, o_vec, target, cfg.d_screen)
-        s = s + np.array([noise_x[k], noise_y[k]])
-        if np.abs(s).max() > cfg.screen_half_extent:
-            raise ScenarioError(
-                f"sample {k}: eye offset {s} exceeds the screen half-extent; "
-                "bring targets nearer the view center or widen the screen")
-        samples.append(PoseSample(t=k * dt, p=p, o_deg=o_deg, s=s, index=k))
-    return samples
+    idx = np.arange(n)
+    theta = (start + span * (idx / (n - 1) if n > 1 else np.zeros(n))).tolist()
+    ring = np.array([(r_h * math.cos(x), dy, r_h * math.sin(x)) for x in theta])
+    p = center + ring.reshape(-1, 3)
+    face = center - p
+    o_deg = euler_facings(face / np.sqrt(rowdot(face, face))[:, None])
+    target = targets[idx // per_dwell % len(targets)]
+    s, along, degenerate = inverse_gaze_offsets(p, head_orientations(o_deg),
+                                                target, cfg.d_screen)
+    s = s + np.stack([noise_x, noise_y], axis=1)
+    wide = np.abs(s).max(axis=1) > cfg.screen_half_extent
+    # the lowest failing sample raises, with the per-sample loop's message
+    _raise_unaimable((along <= 0) | degenerate | wide, p, o_deg, target,
+                     cfg.d_screen)
+    if wide.any():
+        k = int(np.argmax(wide))
+        raise ScenarioError(
+            f"sample {k}: eye offset {s[k]} exceeds the screen half-extent; "
+            "bring targets nearer the view center or widen the screen")
+    return [PoseSample(t=t_k, p=p_k, o_deg=o_k, s=s_k, index=i)
+            for i, (t_k, p_k, o_k, s_k) in enumerate(zip(
+                (idx * dt).tolist(), p, o_deg, s))]
 
 
 def check_targets_reachable(scenario: SyntheticScenario, mesh: Mesh, cfg,
@@ -188,28 +279,30 @@ def check_targets_reachable(scenario: SyntheticScenario, mesh: Mesh, cfg,
         tol = 2.0 * cfg.cluster_interval
     per_dwell = max(1, int(round(scenario.dwell_s * scenario.rate_hz)))
     targets = mesh.vertices[np.asarray(scenario.targets, dtype=np.int64)]
+    samples = list(samples)
+    p = np.asarray([x.p for x in samples], dtype=np.float64).reshape(-1, 3)
+    o_deg = np.asarray([x.o_deg for x in samples],
+                       dtype=np.float64).reshape(-1, 3)
     aimed = np.arange(len(samples)) // per_dwell % len(targets)
-    reached = [False] * len(targets)
+    reached = np.zeros(len(targets), dtype=bool)
 
     def cast(ks):
-        offsets = [inverse_gaze_offset(samples[k].p,
-                                       head_orientation(samples[k].o_deg),
-                                       targets[aimed[k]], cfg.d_screen)
-                   for k in ks]
-        origins, directions = sightlines(
-            [samples[k].p for k in ks], [samples[k].o_deg for k in ks],
-            offsets, cfg.d_screen)
-        for k, rec in zip(ks, cast_sightlines(mesh, origins, directions)):
-            target = targets[aimed[k]]
-            if rec is not None and float(np.linalg.norm(rec.point - target)) <= tol:
-                reached[aimed[k]] = True
+        aim = targets[aimed[ks]]
+        o_vec = head_orientations(o_deg[ks])
+        s, along, degenerate = inverse_gaze_offsets(p[ks], o_vec, aim,
+                                                    cfg.d_screen)
+        _raise_unaimable(np.isnan(o_vec[:, 0]) | (along <= 0) | degenerate,
+                         p[ks], o_deg[ks], aim, cfg.d_screen)
+        points = cast_hits(mesh, *sightlines(p[ks], o_deg[ks], s,
+                                             cfg.d_screen))[0]
+        miss = points - aim
+        reached[aimed[ks][np.sqrt(rowdot(miss, miss)) <= tol]] = True
 
     # each target's first sample usually reaches it; a second batch casts
     # every sample of the targets the first one left unreached
     first = np.unique(aimed, return_index=True)[1]
     cast(first)
-    cast([k for k in range(len(samples))
-          if not reached[aimed[k]] and k not in first])
+    cast(np.setdiff1d(np.flatnonzero(~reached[aimed]), first))
     missing = [int(scenario.targets[i]) for i, ok in enumerate(reached) if not ok]
     if missing:
         raise ScenarioError(

@@ -7,6 +7,7 @@ PASS/FAIL line per criterion, including criteria that never ran.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -14,9 +15,10 @@ import pytest
 
 from meshgaze import primitives
 from meshgaze.config import RunConfig
-from meshgaze.gaze import rotation_matrix
+from meshgaze.gaze import RECORDING_HEADER, GazeError, rotation_matrix
+from meshgaze.io import read_csv
 from meshgaze.mesh import bounding_box_diagonal
-from meshgaze.synth import euler_facing
+from meshgaze.synth import ScenarioError, euler_facing
 from meshgaze.visibility import CameraModel, ViewPose
 
 N_CRITERIA = 11
@@ -316,3 +318,220 @@ def ivt_oracle(t, points, distances, h, min_fixation_s, dt):
                     labels[m] = "saccade"
             k = j
     return labels
+
+
+# ---------------------------------------------------------------------------
+# recording oracles: the per-sample pose chain, hit-record loop, recording
+# reader and synthesis loop that the whole-recording array passes replaced,
+# kept (with their own per-pose formulas) to pin their bytes and errors
+
+def rotation_oracle(o_deg):
+    ox, oy, oz = np.radians(np.asarray(o_deg, dtype=np.float64))
+    cx, sx = np.cos(ox), np.sin(ox)
+    cy, sy = np.cos(oy), np.sin(oy)
+    cz, sz = np.cos(oz), np.sin(oz)
+    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    return rz @ rx @ ry
+
+
+def facing_oracle(o_deg):
+    if not np.all(np.isfinite(np.asarray(o_deg, dtype=np.float64))):
+        raise GazeError("non-finite Euler angles")
+    d = rotation_oracle(o_deg) @ np.array([0.0, 0.0, 1.0])
+    return d / np.linalg.norm(d)
+
+
+def screen_frame_oracle(o):
+    o = np.asarray(o, dtype=np.float64)
+    cos_a = o[1]
+    sin_a = float(np.hypot(o[0], o[2]))
+    if sin_a < 1e-9:
+        raise GazeError("degenerate screen frame: facing parallel to Y axis")
+    cos_b = o[0] / sin_a
+    sin_b = o[2] / sin_a
+    return (np.array([sin_b, 0.0, -cos_b]),
+            np.array([cos_a * cos_b, -sin_a, cos_a * sin_b]))
+
+
+def sightline_oracle(p, o_deg, s, d_screen):
+    """One pose's actual sight-line direction; raises where the chain does."""
+    p = np.asarray(p, dtype=np.float64)
+    o = facing_oracle(o_deg)
+    if not d_screen > 0:
+        raise GazeError("d_screen must be positive")
+    b = p + d_screen * o
+    e_sx, e_sy = screen_frame_oracle(o)
+    s = np.asarray(s, dtype=np.float64)
+    d = (b + s[0] * e_sx + s[1] * e_sy) - p
+    n = float(np.linalg.norm(d))
+    if n <= 1e-9:
+        raise GazeError("gaze point coincides with head position")
+    return d / n
+
+
+def euler_facing_oracle(direction):
+    d = np.asarray(direction, dtype=np.float64)
+    norm = float(np.linalg.norm(d))
+    if norm < 1e-12:
+        raise ScenarioError("facing direction must be nonzero")
+    d = d / norm
+    oy = math.degrees(math.atan2(d[0], math.hypot(d[1], d[2])))
+    ox = math.degrees(math.atan2(-d[1], d[2]))
+    return np.array([ox, oy, 0.0])
+
+
+def inverse_offset_oracle(p, o_vec, target, d_screen):
+    p = np.asarray(p, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    o = np.asarray(o_vec, dtype=np.float64)
+    along = float(np.dot(target - p, o))
+    if along <= 0:
+        raise ScenarioError("target behind the screen plane")
+    if not d_screen > 0:
+        raise GazeError("d_screen must be positive")
+    b = p + d_screen * o
+    y_star = p + (d_screen / along) * (target - p)
+    e_sx, e_sy = screen_frame_oracle(o)
+    rel = y_star - b
+    return np.array([float(np.dot(rel, e_sx)), float(np.dot(rel, e_sy))])
+
+
+def hit_records_oracle(mesh, origins, directions):
+    """[(point, triangle, bary, distance) or None] per ray, one record at a
+    time from intersect_many's nearest hits."""
+    out = [None] * len(origins)
+    cast = np.nonzero(np.isfinite(directions).all(axis=1))[0]
+    _, tri, bary = mesh.bvh.intersect_many(origins[cast], directions[cast], 0.0)
+    for k, tri_k, bary_k in zip(cast, tri, bary):
+        if tri_k < 0:
+            continue
+        tv = mesh.vertices[mesh.triangles[tri_k]]
+        point = bary_k[0] * tv[0] + bary_k[1] * tv[1] + bary_k[2] * tv[2]
+        out[k] = (point, int(tri_k), bary_k,
+                  float(np.linalg.norm(point - origins[k])))
+    return out
+
+
+def ar1_oracle(rng, n, std, phi):
+    if std == 0.0:
+        return np.zeros(n)
+    xi_std = std * math.sqrt(1.0 - phi * phi)
+    out = np.empty(n)
+    out[0] = rng.normal(0.0, std)
+    steps = rng.normal(0.0, xi_std, size=n - 1) if n > 1 else ()
+    for k in range(1, n):
+        out[k] = phi * out[k - 1] + steps[k - 1]
+    return out
+
+
+def generate_recording_oracle(scenario, mesh, cfg, subject=0):
+    """[(t, p, o_deg, s)] of one subject, one sample at a time."""
+    center = np.asarray(cfg.scene_center(), dtype=np.float64)
+    scenario.validate(center)
+    n = int(round(scenario.duration_s * scenario.rate_hz))
+    dt = 1.0 / scenario.rate_hz
+    dy = scenario.height - center[1]
+    r_h = math.sqrt(scenario.radius ** 2 - dy ** 2)
+    start = math.radians(scenario.start_angle_deg + 7.0 * subject)
+    span = math.radians(scenario.span_deg)
+    targets = [np.asarray(mesh.vertices[int(t)], dtype=np.float64)
+               for t in scenario.targets]
+    per_dwell = max(1, int(round(scenario.dwell_s * scenario.rate_hz)))
+    rng = np.random.default_rng(scenario.seed * 100003 + subject)
+    phi = math.exp(-dt / scenario.noise_tau_s)
+    s_std = cfg.d_screen * math.tan(math.radians(scenario.noise_deg))
+    noise_x = ar1_oracle(rng, n, s_std, phi)
+    noise_y = ar1_oracle(rng, n, s_std, phi)
+    samples = []
+    for k in range(n):
+        frac = k / (n - 1) if n > 1 else 0.0
+        theta = start + span * frac
+        p = center + np.array([r_h * math.cos(theta), dy, r_h * math.sin(theta)])
+        face = (center - p) / np.linalg.norm(center - p)
+        o_deg = euler_facing_oracle(face)
+        o_vec = facing_oracle(o_deg)
+        target = targets[(k // per_dwell) % len(targets)]
+        s = inverse_offset_oracle(p, o_vec, target, cfg.d_screen)
+        s = s + np.array([noise_x[k], noise_y[k]])
+        if np.abs(s).max() > cfg.screen_half_extent:
+            raise ScenarioError(
+                f"sample {k}: eye offset {s} exceeds the screen half-extent; "
+                "bring targets nearer the view center or widen the screen")
+        samples.append((k * dt, p, o_deg, s))
+    return samples
+
+
+def load_recording_oracle(path, screen_half_extent=0.15):
+    """[(t, p, o_deg, s)] of a recording CSV, checked one row at a time."""
+    rows = read_csv(path, "recording", GazeError)
+    if not rows or [c.strip() for c in rows[0]] != RECORDING_HEADER:
+        raise GazeError(f"recording {path!r}: bad or missing header")
+    samples = []
+    prev_t = None
+    for i, row in enumerate(rows[1:]):
+        if len(row) != 9:
+            raise GazeError(f"recording {path!r}: row {i} has {len(row)} fields")
+        try:
+            vals = [float(x) for x in row]
+        except ValueError as exc:
+            raise GazeError(f"recording {path!r}: row {i}: {exc}") from exc
+        if not all(np.isfinite(vals)):
+            raise GazeError(f"recording {path!r}: row {i}: non-finite value")
+        t = vals[0]
+        if prev_t is not None and t <= prev_t:
+            raise GazeError(f"recording {path!r}: timestamps not strictly increasing at row {i}")
+        prev_t = t
+        sx, sy = vals[7], vals[8]
+        if abs(sx) > screen_half_extent or abs(sy) > screen_half_extent:
+            raise GazeError(
+                f"recording {path!r}: row {i}: eye offset exceeds screen half-extent "
+                f"{screen_half_extent}")
+        samples.append((t, np.array(vals[1:4]), np.array(vals[4:7]),
+                        np.array(vals[7:9])))
+    if not samples:
+        raise GazeError(f"recording {path!r}: no samples")
+    return samples
+
+
+# ---------------------------------------------------------------------------
+# BVH oracle: the node-at-a-time tree construction that the level-by-level
+# one replaced, kept to pin its arrays
+
+def bvh_tree_oracle(vertices, triangles, leaf_size=8):
+    """(order, node_left, node_right, node_start, node_count), one node at a
+    time from an explicit stack."""
+    tv = np.asarray(vertices, dtype=np.float64)[np.asarray(triangles)]
+    centroids = tv.mean(axis=1)
+    m = len(centroids)
+    order = np.arange(m, dtype=np.int64)
+    node_left, node_right, node_start, node_count = [], [], [], []
+    stack = [(0, m, -1, False)]
+    while stack:
+        start, end, parent, is_right = stack.pop()
+        idx = order[start:end]
+        me = len(node_start)
+        node_left.append(-1)
+        node_right.append(-1)
+        node_start.append(start)
+        node_count.append(0)
+        if parent >= 0:
+            if is_right:
+                node_right[parent] = me
+            else:
+                node_left[parent] = me
+        count = end - start
+        cen = centroids[idx]
+        spread = cen.max(axis=0) - cen.min(axis=0)
+        axis = int(np.argmax(spread))
+        if count <= leaf_size or spread[axis] <= 0.0:
+            node_count[me] = count
+            continue
+        local = np.argsort(cen[:, axis], kind="stable")
+        order[start:end] = idx[local]
+        mid = start + count // 2
+        stack.append((mid, end, me, True))
+        stack.append((start, mid, me, False))
+    return (order, np.asarray(node_left), np.asarray(node_right),
+            np.asarray(node_start), np.asarray(node_count))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import bvh_tree_oracle
 
 from meshgaze import bvh as bvh_module
 from meshgaze import primitives
@@ -312,3 +313,53 @@ def test_intersect_many_chunking_is_invisible(monkeypatch):
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
     assert (want[1] >= 0).sum() > 100 and (want[1] < 0).any()
+
+
+# ---------------------------------------------------------------------------
+# the level-by-level build against the node-at-a-time one
+
+def _tree(bvh):
+    return (bvh.order, bvh.node_left, bvh.node_right, bvh.node_start,
+            bvh.node_count)
+
+
+def assert_same_tree(vertices, triangles, leaf_size=8):
+    got = _tree(TriangleBVH(vertices, triangles, leaf_size))
+    want = bvh_tree_oracle(vertices, triangles, leaf_size)
+    for name, g, w in zip(("order", "left", "right", "start", "count"),
+                          got, want):
+        assert np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: primitives.bumpy_sphere(4),
+    lambda: primitives.plane_grid(50, 50),
+    lambda: primitives.icosphere(3),
+    lambda: primitives.icosphere(6),
+    lambda: primitives.bumpy_sphere(6, seed=3),
+], ids=["bumpy4", "grid50", "ico3", "ico6", "bumpy6-seed3"])
+def test_level_build_matches_node_oracle(make):
+    """Every node array equals the node-at-a-time construction's: the same
+    stable splits, the same depth-first preorder ids."""
+    mesh = make()
+    assert_same_tree(mesh.vertices, mesh.triangles)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_level_build_matches_node_oracle_with_duplicate_centroids(data):
+    """Coarse integer coordinates make many centroids coincide, and
+    repeated triangles and degenerate ones coincide exactly: the ties that
+    the stable sorts and the no-spread leaves must settle the same way."""
+    nv = data.draw(st.integers(3, 30))
+    coords = data.draw(st.lists(st.integers(-2, 2), min_size=3 * nv,
+                                max_size=3 * nv))
+    vertices = np.array(coords, dtype=np.float64).reshape(nv, 3)
+    m = data.draw(st.integers(1, 120))
+    idx = data.draw(st.lists(st.integers(0, nv - 1), min_size=3 * m,
+                             max_size=3 * m))
+    triangles = np.array(idx, dtype=np.int64).reshape(m, 3)
+    copies = data.draw(st.integers(1, 4))
+    triangles = np.concatenate([triangles] * copies)
+    leaf_size = data.draw(st.sampled_from([1, 2, 3, 8]))
+    assert_same_tree(vertices, triangles, leaf_size)

@@ -136,6 +136,46 @@ def test_synth_rejects_malformed_scenario(pipeline, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"duration_s": "ten"}, "duration_s must be a finite number"),
+    ({"subjects": 1e9}, "subjects must be an integer"),
+    ({"subjects": 2.0}, "subjects must be an integer"),
+    ({"seed": "x"}, "seed must be an integer"),
+    ({"rate_hz": float("nan")}, "rate_hz must be a finite number"),
+    ({"targets": [28.5]}, "targets must be a list of integer vertex ids"),
+    ({"targets": [True]}, "targets must be a list of integer vertex ids"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"duration_s": 1e10, "rate_hz": 1e300}, "at least one sample"),
+], ids=["duration-string", "subjects-1e9", "subjects-float", "seed-string",
+        "rate-nan", "target-fraction", "target-true", "seed-negative",
+        "sample-count-overflow"])
+def test_synth_rejects_mistyped_scenario_field(pipeline, tmp_path, capsys,
+                                               fields, named):
+    """A scenario field of the wrong type or out of range ends in one
+    `error:` line naming it; each used to end in a traceback, or, for a
+    fractional or boolean target, to exit 0 on a truncated vertex id."""
+    raw = {"mesh_id": "ball", "targets": [int(t) for t in pipeline["targets"]],
+           "duration_s": 1.0, "subjects": 1}
+    raw.update(fields)
+    if "targets" in fields:
+        raw["targets"] += [int(t) for t in pipeline["targets"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run("synth", "--scenario", bad, "--mesh", pipeline["mesh_path"],
+               "--out", tmp_path / "out") == 1
+    assert named in assert_one_error_line(capsys)
+    assert not (tmp_path / "out" / "targets.json").exists()
+
+
+def test_synth_rejects_scenario_that_is_not_an_object(pipeline, tmp_path,
+                                                      capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("5")
+    assert run("synth", "--scenario", bad, "--mesh", pipeline["mesh_path"],
+               "--out", tmp_path / "out") == 1
+    assert "must be an object" in assert_one_error_line(capsys)
+
+
 # ---------------------------------------------------------------------------
 # process
 
@@ -908,6 +948,33 @@ def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):
     assert inter["same_mesh_pairs"] == 2 and inter["cross_mesh_pairs"] == 4
     assert "skipped" not in inter
     assert np.isfinite(inter["t"]) and 0.0 <= inter["p"] <= 1.0
+
+
+def test_process_and_analyze_leave_numpy_ma_unloaded(pipeline, tmp_path):
+    """The median of `process` (the nominal sample gap) and of `analyze`
+    (saccade amplitudes) is computed in-house: np.median would import
+    numpy.ma on first use, about 20 ms of every such process."""
+    loaded = "print('numpy.ma' in sys.modules)\n"
+    argv = ["process", "--mesh", str(pipeline["mesh_path"]), "--recordings",
+            str(pipeline["rec"]), "--out", str(tmp_path / "fix")]
+    out = python("import sys\nfrom meshgaze.cli import main\n"
+                 f"assert main({argv!r}) == 0\n" + loaded)
+    assert out == ["False"]
+    for name in ("s00.csv", "s01.csv", "summary.json"):
+        assert (tmp_path / "fix" / name).read_bytes() == \
+            (pipeline["fix"] / name).read_bytes()
+
+    mesh_dir, fix_root = tmp_path / "meshes", tmp_path / "fixations"
+    mesh_dir.mkdir()
+    shutil.copy(pipeline["mesh_path"], mesh_dir / "ball.ply")
+    shutil.copytree(pipeline["fix"], fix_root / "ball")
+    argv = ["analyze", "--mesh-dir", str(mesh_dir), "--fixations",
+            str(fix_root), "--out", str(tmp_path / "reports")]
+    out = python("import sys\nfrom meshgaze.cli import main\n"
+                 f"assert main({argv!r}) == 0\n" + loaded)
+    assert out == ["False"]
+    saccade = read_json(tmp_path / "reports" / "saccade.json")
+    assert saccade["count"] > 0 and "median_deg" in saccade
 
 
 def _require_openblas_thread_count():

@@ -8,8 +8,8 @@ from conftest import ivt_oracle
 from meshgaze.fixation import (FIXATION, MISS, SACCADE, FixationError,
                                FixationPoint, classify_ivt,
                                cluster_center_random_walk, extract_fixations,
-                               group_clusters, load_fixations, nominal_dt,
-                               saccade_amplitude, save_fixations)
+                               group_clusters, load_fixations, median,
+                               nominal_dt, saccade_amplitude, save_fixations)
 from meshgaze.gaze import IntersectionRecord, PoseSample
 
 H = 0.0075
@@ -381,3 +381,22 @@ def test_nominal_dt_median():
     t = [0.0, 1 / 120, 2 / 120, 2 / 120 + 5.0]
     assert nominal_dt(t) == pytest.approx(1 / 120, abs=1e-12)
     assert nominal_dt([0.0]) == 1 / 120
+
+
+def test_median_matches_numpy_median():
+    """np.median's value bit for bit (odd and even lengths, ties, signed
+    zeros, NaN), computed without np.median."""
+    rng = np.random.default_rng(3)
+    for n in range(1, 80):
+        for kind in range(4):
+            a = [rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                 rng.integers(-2, 3, size=n) * 0.5,
+                 np.diff(np.cumsum(rng.uniform(0.008, 0.009, size=n + 1)))][kind]
+            if kind == 2:
+                a[rng.random(n) < 0.3] = -0.0
+            if n > 2 and kind == 1 and n % 5 == 0:
+                a[rng.integers(n)] = np.nan
+            want = np.median(a)
+            got = median(a)
+            assert np.array_equal([got], [want], equal_nan=True), (n, kind)
+            assert np.signbit(got) == np.signbit(want)

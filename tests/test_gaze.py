@@ -3,12 +3,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import (facing_oracle, hit_records_oracle, load_recording_oracle,
+                      rotation_oracle, screen_frame_oracle, sightline_oracle)
 
 from meshgaze.bvh import intersect_brute
-from meshgaze.gaze import (GazeError, PoseSample, actual_sightline,
-                           gaze_point, head_orientation, load_recording,
-                           rotation_matrix, save_recording, screen_frame,
-                           screen_point, sightlines, trace_samples)
+from meshgaze.gaze import (RECORDING_HEADER, GazeError, PoseSample,
+                           actual_sightline, cast_hits, cast_sightlines,
+                           gaze_point, head_orientation, head_orientations,
+                           load_recording, rotation_matrix, save_recording,
+                           screen_frame, screen_frames, screen_point,
+                           sightlines, trace_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +273,196 @@ def test_recording_rejects_bad_files(tmp_path):
     p.write_text("t,px,py,pz,ox,oy,oz,sx,sy\n0,0,0,0,0,0,0,9,0\n")
     with pytest.raises(GazeError):
         load_recording(p)                    # eye offset beyond screen
+
+
+# ---------------------------------------------------------------------------
+# whole-recording passes against the per-pose and per-record oracles
+
+def _outcome(fn, *args):
+    """fn's value, or the (type, message) of the error it raises."""
+    try:
+        return fn(*args)
+    except (GazeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _odd_poses(n, seed):
+    """n random poses with degenerate, non-finite and NaN rows mixed in."""
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(n, 3))
+    o = rng.uniform(-360.0, 360.0, size=(n, 3))
+    s = rng.uniform(-0.15, 0.15, size=(n, 2))
+    o[::23] = [90.0, 0.0, 0.0]                       # facing straight down
+    o[5::29] = [-90.0, 0.0, 17.0]                    # facing straight up
+    o[7::31, 1] = np.nan
+    o[11::37, 2] = np.inf
+    p[13::41, 0] = np.nan
+    s[17::43, 1] = np.nan
+    return p, o, s
+
+
+def test_stacked_pose_chain_matches_per_pose_oracle():
+    """Rotation, facing, screen frame and sight-line, computed for the
+    whole stack at once, equal the per-pose chain bit for bit, with NaN
+    rows (and the degenerate mask) exactly where the chain raises."""
+    p, o, s = _odd_poses(3000, 21)
+    finite = np.isfinite(o).all(axis=1)
+    rot = rotation_matrix(o[finite])
+    assert np.array_equal(rot, [rotation_oracle(x) for x in o[finite]])
+
+    facing = head_orientations(o)
+    e_sx, e_sy, degenerate = screen_frames(facing)
+    _, dirs = sightlines(p, o, s, 0.05)
+    raised = {"facing": 0, "frame": 0, "sightline": 0}
+    for k in range(len(o)):
+        want = _outcome(facing_oracle, o[k])
+        if isinstance(want, tuple):
+            raised["facing"] += 1
+            assert np.isnan(facing[k]).all()
+            assert _outcome(head_orientation, o[k]) == want
+            assert np.isnan(dirs[k]).all()
+            continue
+        assert np.array_equal(facing[k], want)
+        assert np.array_equal(head_orientation(o[k]), want)
+        frame = _outcome(screen_frame_oracle, want)
+        if isinstance(frame[0], type):
+            raised["frame"] += 1
+            assert degenerate[k] and np.isnan(e_sx[k]).all()
+            assert _outcome(screen_frame, want) == frame
+        else:
+            assert not degenerate[k]
+            assert np.array_equal(e_sx[k], frame[0])
+            assert np.array_equal(e_sy[k], frame[1])
+        line = _outcome(sightline_oracle, p[k], o[k], s[k], 0.05)
+        if isinstance(line, tuple):
+            raised["sightline"] += 1
+            assert np.isnan(dirs[k]).all()
+        else:
+            assert np.array_equal(dirs[k], line, equal_nan=True)
+    assert all(raised.values()), raised
+    assert np.isnan(dirs).any(axis=1).sum() < len(o) // 2
+
+
+def test_sightline_at_the_head_is_nan_like_the_chain():
+    """A gaze point within 1e-9 of the head: the chain raises, the stack
+    gives a NaN row; the other rows are untouched."""
+    p = np.zeros((3, 3))
+    o = np.array([[0.0, 0.0, 0.0], [10.0, 20.0, 0.0], [0.0, 0.0, 0.0]])
+    s = np.array([[0.0, 0.0], [0.0, 0.0], [1e-3, 0.0]])
+    _, dirs = sightlines(p, o, s, 1e-12)
+    for k in range(3):
+        want = _outcome(sightline_oracle, p[k], o[k], s[k], 1e-12)
+        if isinstance(want, tuple):
+            assert want == (GazeError, "gaze point coincides with head position")
+            assert np.isnan(dirs[k]).all()
+            near = p[k] + 1e-12 * head_orientation(o[k])
+            assert _outcome(actual_sightline, p[k], near) == want
+        else:
+            assert np.array_equal(dirs[k], want)
+    assert np.isnan(dirs[:2]).all() and np.isfinite(dirs[2]).all()
+
+
+def test_cast_hits_match_per_record_oracle(sphere3):
+    """Points, distances, triangles and bary of every ray equal the
+    one-record-at-a-time loop's, with NaN and -1 on misses and NaN rays."""
+    rng = np.random.default_rng(8)
+    n = 400
+    origins = np.array([0.0, 1.5, -2.0]) + 0.3 * rng.normal(size=(n, 3))
+    directions = rng.normal(size=(n, 3)) + [0.0, 0.0, 2.0]
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    directions[::9] = np.nan
+    directions[4::15] *= -1.0                        # facing away: misses
+    points, distances, tri, bary = cast_hits(sphere3, origins, directions)
+    records = cast_sightlines(sphere3, origins, directions, list(range(n)))
+    want = hit_records_oracle(sphere3, origins, directions)
+    for k, (w, rec) in enumerate(zip(want, records)):
+        if w is None:
+            assert rec is None and tri[k] == -1
+            assert np.isnan(points[k]).all() and np.isnan(distances[k])
+            continue
+        point, triangle, b, dist = w
+        assert np.array_equal(points[k], point) and np.array_equal(rec.point, point)
+        assert distances[k] == dist == rec.distance
+        assert tri[k] == triangle == rec.triangle
+        assert np.array_equal(bary[k], b) and np.array_equal(rec.bary, b)
+        assert rec.sample_index == k
+    hits = sum(w is not None for w in want)
+    assert 0 < hits < n - n // 9
+
+
+def _recording_text(rng, n, mutations):
+    """A valid recording of n rows with `mutations` random row defects."""
+    t = np.cumsum(rng.uniform(0.001, 0.02, size=n))
+    vals = np.column_stack([t, rng.normal(size=(n, 3)),
+                            rng.uniform(-90, 90, size=(n, 3)),
+                            rng.uniform(-0.15, 0.15, size=(n, 2))])
+    rows = [[repr(float(x)) for x in row] for row in vals]
+    for _ in range(mutations):
+        i = int(rng.integers(n))
+        j = int(rng.integers(9))
+        kind = rng.integers(9)
+        if kind == 0:
+            rows[i] = rows[i][:-1]                   # a field short
+        elif kind == 1:
+            rows[i] = rows[i] + ["0"]                # a field over
+        elif kind == 2:
+            rows[i][j] = ["x", "", "1,5", "0x10"][int(rng.integers(4))]
+        elif kind == 3:
+            rows[i][j] = ["nan", "inf", "-Infinity", "1e999"][int(rng.integers(4))]
+        elif kind == 4 and i > 0:
+            rows[i][0] = rows[i - 1][0]              # t repeats
+        elif kind == 5 and i > 0:
+            rows[i][0] = repr(float(rows[i - 1][0]) - 1.0)
+        elif kind == 6:
+            rows[i][7 + j % 2] = ["0.16", "-0.5", "0.15000000000000002", "0.15",
+                                  "-0.15"][int(rng.integers(5))]
+        elif kind == 7:
+            rows[i][j] = " " + rows[i][j] + " "       # float() strips spaces
+        else:
+            rows[i][j] = "1_0" if j < 7 else "0.1_0"
+    lines = [",".join(RECORDING_HEADER)] + [",".join(r) for r in rows]
+    if rng.random() < 0.2:
+        lines.insert(int(rng.integers(1, n + 1)), "")   # a blank row
+    return "\n".join(lines) + "\n"
+
+
+def test_load_recording_matches_row_oracle(tmp_path):
+    """Whole-file parsing and checks give the row-at-a-time reader's samples,
+    or its first error message, on clean and malformed recordings."""
+    rng = np.random.default_rng(33)
+    path = tmp_path / "rec.csv"
+    outcomes = {"ok": 0, "error": 0}
+    messages = set()
+    for trial in range(400):
+        n = int(rng.integers(1, 40))
+        path.write_text(_recording_text(rng, n, int(rng.integers(0, 4))))
+        want = _outcome(load_recording_oracle, path)
+        got = _outcome(load_recording, path)
+        if isinstance(want, tuple):
+            outcomes["error"] += 1
+            messages.add(want[1].split(":")[-1].strip()[:20])
+            assert got == want, trial
+            continue
+        outcomes["ok"] += 1
+        assert len(got) == len(want)
+        for i, (x, (t, p, o, s)) in enumerate(zip(got, want)):
+            assert x.t == t and x.index == i
+            assert np.array_equal(x.p, p) and np.array_equal(x.o_deg, o)
+            assert np.array_equal(x.s, s)
+    assert min(outcomes.values()) > 50, outcomes
+    assert len(messages) >= 5, messages
+
+
+def test_save_recording_writes_repr_of_each_value(tmp_path):
+    """The array writer's bytes: repr of each value as a Python float."""
+    rng = np.random.default_rng(5)
+    samples = [PoseSample(t=k, p=rng.normal(size=3), o_deg=np.array([-0.0, 1e-300, 90]),
+                          s=rng.uniform(-0.1, 0.1, size=2), index=k)
+               for k in range(30)]
+    save_recording(tmp_path / "r.csv", samples)
+    want = ",".join(RECORDING_HEADER) + "\n" + "".join(
+        ",".join(repr(float(x)) for x in (s.t, *s.p, *s.o_deg, *s.s)) + "\n"
+        for s in samples)
+    assert (tmp_path / "r.csv").read_text() == want
+    save_recording(tmp_path / "e.csv", [])
+    assert (tmp_path / "e.csv").read_text() == ",".join(RECORDING_HEADER) + "\n"

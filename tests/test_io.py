@@ -6,6 +6,8 @@ exception would reach the user as a traceback.
 """
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,13 @@ from meshgaze.fixation import load_fixations
 from meshgaze.gaze import load_recording
 from meshgaze.io import read_csv, write_csv
 from meshgaze.mesh import load_mesh
+from meshgaze.synth import load_scenario
 from meshgaze.visibility import load_visibility
+
+
+def load_checked_scenario(path):
+    """A scenario file, type-checked and then validated as synth does."""
+    load_scenario(path).validate((0.0, 1.5, 0.0))
 
 # file name -> (loader, a valid file the mutations start from)
 LOADERS = {
@@ -35,6 +43,10 @@ LOADERS = {
                 b"\"s,01\",1,0.1,1.5,-0.3,0.0,1.6,-1.5,0.0,9.0,0.0,0.25,2\n"),
     "map.csv": (load_map_csv, b"vertex_id,value\n0,0.5\n1,0.25\n\n2,1e-3\n"),
     "vis.csv": (load_visibility, b"vertex_id,visible\n0,1\n1,0\n2,1\n"),
+    "scen.json": (load_checked_scenario,
+                  b'{"mesh_id": "m", "targets": [3, 17], "radius": 1.5, '
+                  b'"height": 1.6, "duration_s": 2.0, "rate_hz": 120.0, '
+                  b'"noise_deg": 0.5, "subjects": 2, "seed": 4}'),
     "run.cfg": (load_config, b"# run\nivt_h = 0.02\nseed=3\nse_variant=minmax\n"
                 b"bias_squared_distance=true\nrw_max_iter=10\n"),
 }
@@ -42,7 +54,8 @@ LOADERS = {
 TOKENS = [b"", b" ", b"\n", b"\r", b",", b'"', b"#", b"/", b"-", b"x", b"0",
           b"-1", b"3", b"nan", b"inf", b"1e999", b"99999999999999999999",
           b"\xff", b"\xc3", b"\x00", b"\xe2\x80\xa8", b"element", b"property",
-          b"end_header", b"=", b"true"]
+          b"end_header", b"=", b"true", b"1e9", b"2.0", b"NaN", b"-Infinity",
+          b"null", b"[]", b'"x"', b"28.5", b"1e300"]
 
 
 @st.composite
@@ -78,6 +91,32 @@ def test_loader_returns_or_raises_meshgaze_error(scratch, name, data):
     path.write_bytes(raw)
     try:
         loader(path)
+    except MeshgazeError:
+        pass
+
+
+SCENARIO_FIELDS = ["mesh_id", "targets", "radius", "height", "start_angle_deg",
+                   "span_deg", "noise_deg", "noise_tau_s", "duration_s",
+                   "rate_hz", "dwell_s", "subjects", "seed"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fields=st.dictionaries(st.sampled_from(SCENARIO_FIELDS), JSON_VALUES,
+                              max_size=4))
+def test_scenario_loader_on_any_field_values(scratch, fields):
+    """Any JSON value in any scenario field, NaN and infinities included:
+    loading and validating returns or raises a MeshgazeError."""
+    raw = {"mesh_id": "m", "targets": [3, 17]}
+    raw.update(fields)
+    path = scratch / "fields.json"
+    path.write_text(json.dumps(raw))
+    try:
+        load_checked_scenario(path)
     except MeshgazeError:
         pass
 

@@ -6,13 +6,19 @@ import json
 
 import numpy as np
 import pytest
-from conftest import pick_visible_targets
+from conftest import (euler_facing_oracle, facing_oracle,
+                      generate_recording_oracle, inverse_offset_oracle,
+                      pick_visible_targets)
 
-from meshgaze.gaze import (actual_sightline, cast_sightlines, gaze_point,
-                           head_orientation, screen_point)
+from meshgaze.gaze import (GazeError, PoseSample, actual_sightline,
+                           cast_sightlines, gaze_point, head_orientation,
+                           screen_point)
+from meshgaze.mesh import Mesh
+from meshgaze.primitives import bumpy_sphere
 from meshgaze.synth import (ScenarioError, SyntheticScenario,
                             check_targets_reachable, euler_facing,
-                            generate_recording, inverse_gaze_offset,
+                            euler_facings, generate_recording,
+                            inverse_gaze_offset, inverse_gaze_offsets,
                             scenario_from_json, scenario_to_json)
 
 D_SCREEN = 0.05
@@ -211,3 +217,147 @@ def test_check_targets_reachable(sphere3, cfg):
     samples_bad = generate_recording(sc_bad, sphere3, cfg, subject=0)
     with pytest.raises(ScenarioError, match="never visible"):
         check_targets_reachable(sc_bad, sphere3, cfg, samples_bad)
+
+
+# ---------------------------------------------------------------------------
+# whole-recording synthesis against the per-sample loop
+
+def _outcome(fn, *args, **kw):
+    """fn's value, or the (type, message) of the error it raises."""
+    try:
+        return fn(*args, **kw)
+    except (ScenarioError, GazeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_euler_facings_match_per_direction_oracle():
+    rng = np.random.default_rng(6)
+    d = rng.normal(size=(2000, 3))
+    d[::50] = [[1.0, 0.0, 0.0]]
+    d[1::50] = [[0.0, 0.0, -3.0]]
+    got = euler_facings(d)
+    for k in range(len(d)):
+        want = euler_facing_oracle(d[k])
+        assert np.array_equal(got[k], want) and np.array_equal(euler_facing(d[k]), want)
+    with pytest.raises(ScenarioError, match="nonzero"):
+        euler_facings(np.vstack([d[:3], np.zeros(3)]))
+
+
+def test_inverse_gaze_offsets_match_per_pose_oracle():
+    """Offsets equal the per-pose inversion bit for bit; rows where it
+    raises are flagged, behind (along <= 0) before a degenerate frame."""
+    rng = np.random.default_rng(9)
+    n = 2000
+    p = rng.normal(size=(n, 3))
+    o_vec = np.array([facing_oracle(o) for o in rng.uniform(-80, 80, size=(n, 3))])
+    target = p + rng.normal(size=(n, 3)) + 0.5 * o_vec
+    o_vec[::40] = [0.0, 1.0, 0.0]                    # degenerate frame
+    o_vec[3::80] = [0.0, -1.0, 0.0]
+    target[::120] = p[::120] - o_vec[::120]          # behind and degenerate
+    p[7::90] = np.nan
+    s, along, degenerate = inverse_gaze_offsets(p, o_vec, target, D_SCREEN)
+    seen = set()
+    for k in range(n):
+        want = _outcome(inverse_offset_oracle, p[k], o_vec[k], target[k], D_SCREEN)
+        got = _outcome(inverse_gaze_offset, p[k], o_vec[k], target[k], D_SCREEN)
+        if isinstance(want, tuple):
+            seen.add(want[1])
+            assert got == want
+            assert (along[k] <= 0) or degenerate[k]
+            assert (along[k] <= 0) == (want[0] is ScenarioError)
+        else:
+            seen.add("nan" if np.isnan(want).any() else "ok")
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(s[k], want, equal_nan=True)
+            assert not along[k] <= 0 and not degenerate[k]
+    assert len(seen) == 4, seen
+
+
+def _golden_inputs():
+    mesh = bumpy_sphere(3, amplitude=0.04, seed=3)
+    return mesh, SyntheticScenario(
+        mesh_id="bumpy", targets=pick_visible_targets(mesh, (0.0, 1.6, -1.5), 3),
+        duration_s=3.0, noise_deg=0.5, subjects=2, seed=7)
+
+
+def _assert_same_recording(got, want):
+    assert len(got) == len(want)
+    for k, (x, (t, p, o, s)) in enumerate(zip(got, want)):
+        assert x.index == k and x.t == t
+        assert np.array_equal(x.p, p) and np.array_equal(x.o_deg, o)
+        assert np.array_equal(x.s, s)
+
+
+def test_generate_recording_matches_per_sample_oracle(sphere3, cfg):
+    """Every sample field of the stacked synthesis equals the per-sample
+    loop's, on the golden scenario and on several others."""
+    mesh, golden = _golden_inputs()
+    for subject in range(golden.subjects):
+        _assert_same_recording(generate_recording(golden, mesh, cfg, subject),
+                               generate_recording_oracle(golden, mesh, cfg, subject))
+    targets = pick_visible_targets(sphere3, (0.0, 1.6, -1.5), 3)
+    for kw in (dict(noise_deg=0.0),
+               dict(noise_deg=0.3, subjects=3),
+               dict(duration_s=1.0 / 120.0),             # one sample
+               dict(noise_deg=1.0, rate_hz=90.0, span_deg=60.0,
+                    start_angle_deg=240.0, dwell_s=0.3, height=1.3, seed=12),
+               dict(span_deg=0.0, dwell_s=5.0)):
+        sc = make_scenario(targets, **kw)
+        for subject in range(sc.subjects):
+            want = generate_recording_oracle(sc, sphere3, cfg, subject)
+            assert want
+            _assert_same_recording(generate_recording(sc, sphere3, cfg, subject), want)
+
+
+def test_generate_recording_first_error_matches_oracle(sphere3, cfg):
+    """The lowest failing sample raises, with the per-sample loop's message:
+    a target behind the screen plane, an offset beyond the screen, or an
+    invalid scenario, whichever comes first."""
+    n = len(sphere3.vertices)
+    far = np.array([[0.0, 1.6, -6.0], [0.1, 1.6, -6.0], [0.0, 1.7, -6.0]])
+    mesh = Mesh(np.vstack([sphere3.vertices, far]),
+                np.vstack([sphere3.triangles, [[n, n + 1, n + 2]]]))
+    good = pick_visible_targets(sphere3, (0.0, 1.6, -1.5), 2)
+    side = int(np.argmax(sphere3.vertices[:, 0]))
+    tight = dataclasses.replace(cfg, screen_half_extent=0.004)
+    noisy = make_scenario(good, noise_deg=0.5)
+    free = np.array([x.s for x in generate_recording(
+        make_scenario(good), mesh, cfg)])
+    edge = dataclasses.replace(cfg, screen_half_extent=float(np.abs(free).max()) + 2e-4)
+    cases = [
+        (make_scenario([n]), cfg),                       # behind at sample 0
+        (make_scenario([good[0], n]), cfg),              # behind after a dwell
+        (make_scenario([side, n]), tight),               # wide before behind
+        (make_scenario([n, side]), tight),               # behind before wide
+        (make_scenario([good[0], n, side]), tight),
+        (make_scenario([side], start_angle_deg=270.0, span_deg=1.0), tight),
+        (noisy, edge),                                   # noise, mid-recording
+        (make_scenario([good[0]], radius=0.05, height=3.0), cfg),
+    ]
+    messages = []
+    for sc, c in cases:
+        want = _outcome(generate_recording_oracle, sc, mesh, c)
+        assert isinstance(want, tuple) and isinstance(want[0], type), sc
+        assert _outcome(generate_recording, sc, mesh, c) == want
+        messages.append(want[1])
+    assert sum("behind" in m for m in messages) == 3
+    assert sum("sample 0:" in m for m in messages) == 3
+    assert any(m.startswith("sample ") and not m.startswith("sample 0:")
+               for m in messages), messages
+
+
+def test_check_targets_reachable_raises_the_per_sample_error(sphere3, cfg):
+    """A sample the reach check cannot aim raises the per-pose chain's
+    error, as the per-sample loop did."""
+    good = pick_visible_targets(sphere3, (0.0, 1.6, -1.5), 2)
+    sc = make_scenario(good)
+    samples = generate_recording(sc, sphere3, cfg)
+    broken = [PoseSample(t=x.t, p=x.p, o_deg=x.o_deg.copy(), s=x.s, index=x.index)
+              for x in samples]
+    broken[0].o_deg[1] = np.nan
+    with pytest.raises(GazeError, match="non-finite Euler angles"):
+        check_targets_reachable(sc, sphere3, cfg, broken)
+    behind = [PoseSample(t=x.t, p=x.p, o_deg=x.o_deg + [0.0, 180.0, 0.0], s=x.s,
+                         index=x.index) for x in samples]
+    with pytest.raises(ScenarioError, match="behind the screen plane"):
+        check_targets_reachable(sc, sphere3, cfg, behind)
