@@ -180,15 +180,20 @@ def _parse_pose(text: str, cam: CameraModel) -> ViewPose:
     return ViewPose(p=np.array(vals[:3]), o_deg=np.array(vals[3:]), camera=cam)
 
 
+def _read_poses(path, cam: CameraModel) -> list[ViewPose]:
+    """A --poses file: one pose per line; blank and '#' lines are skipped."""
+    text = read_text(path, "poses file", VisibilityError)
+    return [_parse_pose(line, cam) for line in text.split("\n")
+            if line.strip() and not line.startswith("#")]
+
+
 def cmd_saliency(args) -> int:
     cfg = _load_cfg(args)
     mesh = _mesh_from_cfg(args.mesh, cfg)
     cam = camera_from_config(cfg)
     poses = [_parse_pose(t, cam) for t in (args.pose or [])]
     if args.poses:
-        text = read_text(args.poses, "poses file", VisibilityError)
-        poses += [_parse_pose(line, cam) for line in text.split("\n")
-                  if line.strip() and not line.startswith("#")]
+        poses += _read_poses(args.poses, cam)
     if not poses:
         raise VisibilityError("no poses given (use --pose or --poses)")
     os.makedirs(args.out, exist_ok=True)

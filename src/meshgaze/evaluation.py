@@ -227,19 +227,17 @@ def viewing_direction_dependence(entries, max_angle_deg: float = 90.0,
                 pair_angle[(i, j)] = ang
     if len(pair_angle) < 2:
         raise EvaluationError("not enough pose pairs within the angle limit")
-    pair_sim = {k: plcc(maps[k[0]], maps[k[1]]) for k in pair_angle}
+    pair_i, pair_j = (np.array(ids) for ids in zip(*pair_angle))
+    sims = np.array([plcc(maps[i], maps[j]) for i, j in pair_angle])
+    angles = np.array(list(pair_angle.values()))
 
     def corr_of(subset):
-        xs, ys = [], []
-        members = set(subset)
-        for (i, j), ang in pair_angle.items():
-            if i in members and j in members:
-                xs.append(pair_sim[(i, j)])
-                ys.append(ang)
+        member = np.zeros(n, dtype=bool)
+        member[subset] = True
+        both = member[pair_i] & member[pair_j]       # pairs in pair_angle order
+        xs, ys = sims[both], angles[both]
         if len(xs) < 2:
             return None
-        xs = np.asarray(xs)
-        ys = np.asarray(ys)
         # Constancy checked on the raw values: mean-subtraction can leave a
         # uniform ~1-ulp residue on a constant vector, which a norm == 0 test
         # would mistake for real variance.

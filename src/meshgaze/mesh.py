@@ -119,17 +119,29 @@ _PAIR_CHUNK = 1 << 20        # candidate pairs tested at once
 def radius_pairs(points, r: float) -> np.ndarray:
     """Every directed pair (i, j), i != j, with (dx*dx + dy*dy) + dz*dz <= r*r
     for (dx, dy, dz) = p_j - p_i, as a (2, m) int64 array whose rows are i
-    and j, sorted by (i, j) as query_ball_point sorts them.  Points are
-    binned in cells a little wider than r (wider still where an axis would
-    need more than _MAX_CELLS), so each pair spans cells at most one apart on
-    every axis, rounding of the cell coordinates included.
+    and j, sorted by (i, j) as query_ball_point sorts them: the blocks of
+    radius_pair_blocks, concatenated."""
+    return np.concatenate([ij for _, _, ij in radius_pair_blocks(points, r)],
+                          axis=1)
+
+
+def radius_pair_blocks(points, r: float):
+    """The pairs of radius_pairs, one block of sources at a time.
+
+    Yields (lo, hi, ij): ij holds every pair whose i is in [lo, hi), sorted
+    by (i, j); the blocks cover [0, n) in order, so at most about
+    _PAIR_CHUNK candidate pairs are held at once.  Points are binned in
+    cells a little wider than r (wider still where an axis would need more
+    than _MAX_CELLS), so each pair spans cells at most one apart on every
+    axis, rounding of the cell coordinates included.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     r, n = float(r), len(points)
     if not (r > 0 and math.isfinite(r)):
         raise MeshError("radius must be positive and finite")
     if n < 2:
-        return np.zeros((2, 0), dtype=np.int64)
+        yield 0, n, np.zeros((2, 0), dtype=np.int64)
+        return
     lo = points.min(axis=0)
     width = np.maximum(r * (1.0 + 1e-6), (points.max(axis=0) - lo) / _MAX_CELLS)
     cell = np.floor((points - lo) / width).astype(np.int64)
@@ -140,7 +152,6 @@ def radius_pairs(points, r: float) -> np.ndarray:
     coords = points.T.copy()
     # the 3 x 3 columns of cells around a cell; each is one key range in z
     cols = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
-    out = []
     for s in range(0, n, _SOURCE_BLOCK):
         c = cell[s:s + _SOURCE_BLOCK]
         xy = c[:, None, :2] + cols
@@ -153,15 +164,15 @@ def radius_pairs(points, r: float) -> np.ndarray:
         step = max(1, _PAIR_CHUNK // int(count.sum(axis=1).max()))
         for a in range(0, len(c), step):
             f, k = first[a:a + step].ravel(), count[a:a + step].ravel()
-            i = np.repeat(np.arange(s + a, s + a + len(k) // 9).repeat(9), k)
+            hi = s + a + len(k) // 9
+            i = np.repeat(np.arange(s + a, hi).repeat(9), k)
             j = order[np.arange(k.sum()) + np.repeat(f - np.cumsum(k) + k, k)]
             d2 = np.zeros(len(i))
             for x in coords:
                 d2 += (x[j] - x[i]) ** 2
             keep = (d2 <= r * r) & (i != j)
             i, j = i[keep], j[keep]
-            out.append(np.stack((i, j))[:, np.argsort(i * n + j)])
-    return np.concatenate(out, axis=1)
+            yield s + a, hi, np.stack((i, j))[:, np.argsort(i * n + j)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MeshgazeError
-from .mesh import Mesh, bounding_box_diagonal, radius_pairs
+from .mesh import (Mesh, bounding_box_diagonal, radius_pair_blocks,
+                   radius_pairs)
 from .visibility import ViewPose, VisibleSet, visible_points
 
 N_BINS = 11
 N_FEATURES = 3
 DESCRIPTOR_SIZE = N_BINS * N_FEATURES  # 33
+_PRODUCT_CELLS = 2.0e7        # cells of one descriptor product in uniqueness
+_BLOCK_CELLS = 1 << 16        # cells per elementwise pass over the product
 
 
 class SaliencyError(MeshgazeError):
@@ -134,23 +137,33 @@ def uniqueness(positions, descriptors, exact_limit: int = 5000,
     sqrt_cols = sqrt_all[cols]
     pos_cols = positions[cols]
 
+    # One BLAS product per chunk of rows, always cut at the same rows: the
+    # product's last bits depend on the operand shapes.  The elementwise
+    # passes run on cache-sized row blocks of it, in place.
     acc = np.zeros(n)
-    chunk = max(1, int(2.0e7 // len(cols)))
+    chunk = min(n, max(1, int(_PRODUCT_CELLS // len(cols))))
+    rows = min(chunk, max(1, _BLOCK_CELLS // len(cols)))
+    buf = np.empty((chunk, len(cols)))
+    d, t = np.empty((rows, len(cols))), np.empty((rows, len(cols)))
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
-        dis = sqrt_all[s:e] @ sqrt_cols.T                    # (chunk, |cols|)
-        np.log(np.maximum(dis, eps_b, out=dis), out=dis)
-        np.maximum(np.negative(dis, out=dis), 0.0, out=dis)  # -log(1 + noise) < 0
-        # |x_i - x_j| summed as np.linalg.norm sums it: (dx2 + dy2) + dz2
-        d, t = np.zeros_like(dis), np.empty_like(dis)
-        for axis in range(3):
-            np.subtract.outer(positions[s:e, axis], pos_cols[:, axis], out=t)
-            t *= t
-            d += t
-        np.sqrt(d, out=d)
-        d += 1.0
-        dis /= d
-        acc[s:e] = dis.mean(axis=1)
+        np.matmul(sqrt_all[s:e], sqrt_cols.T, out=buf[:e - s])  # (chunk, |cols|)
+        for a in range(s, e, rows):
+            b = min(e, a + rows)
+            dis, db, tb = buf[a - s:b - s], d[:b - a], t[:b - a]
+            np.log(np.maximum(dis, eps_b, out=dis), out=dis)
+            np.maximum(np.negative(dis, out=dis), 0.0, out=dis)  # -log(1 + noise) < 0
+            # |x_i - x_j| summed as np.linalg.norm sums it: (dx2 + dy2) + dz2
+            np.subtract.outer(positions[a:b, 0], pos_cols[:, 0], out=db)
+            db *= db
+            for axis in (1, 2):
+                np.subtract.outer(positions[a:b, axis], pos_cols[:, axis], out=tb)
+                tb *= tb
+                db += tb
+            np.sqrt(db, out=db)
+            db += 1.0
+            dis /= db
+            acc[a:b] = dis.mean(axis=1)
     return 1.0 - np.exp(-acc), subsampled
 
 
@@ -286,18 +299,28 @@ def mean_curvature(mesh: Mesh):
     return kappa, flags
 
 
-def _gaussian_averages(values, positions, sigmas):
+def _gaussian_averages(values, positions, sigmas) -> np.ndarray:
     """Gaussian-weighted neighborhood average, cutoff at 2 sigma, for each
-    sigma in turn.  Each vertex sums itself first, then its radius pairs in
-    (i, j) order; the pairs are found once, at the widest cutoff."""
-    i, j = (np.concatenate([np.arange(len(values)), ids])
-            for ids in radius_pairs(positions, 2.0 * max(sigmas, default=1.0)))
-    d2 = np.sum((positions[j] - positions[i]) ** 2, axis=1)
-    for sigma in sigmas:
-        keep = d2 <= (2.0 * sigma) * (2.0 * sigma)
-        wts = np.exp(-d2[keep] / (2.0 * sigma * sigma))
-        yield (np.bincount(i[keep], wts * values[j[keep]], minlength=len(values))
-               / np.bincount(i[keep], wts, minlength=len(values)))
+    sigma in turn, as a (len(sigmas), n) array.  Each vertex sums itself
+    first, then its radius pairs in (i, j) order.  The pairs are found once,
+    at the widest cutoff, and taken one block of sources at a time; in a
+    block each sigma filters the pairs the next wider sigma kept, and writes
+    only its block's slice of the output."""
+    out = np.empty((len(sigmas), len(values)))
+    widest_first = sorted(range(len(sigmas)), key=lambda k: -sigmas[k])
+    for lo, hi, pairs in radius_pair_blocks(positions,
+                                            2.0 * max(sigmas, default=1.0)):
+        i, j = (np.concatenate([np.arange(lo, hi), ids]) for ids in pairs)
+        d2 = np.sum((positions[j] - positions[i]) ** 2, axis=1)
+        i -= lo
+        for k in widest_first:
+            sigma = sigmas[k]
+            keep = d2 <= (2.0 * sigma) * (2.0 * sigma)
+            i, j, d2 = i[keep], j[keep], d2[keep]
+            wts = np.exp(-d2 / (2.0 * sigma * sigma))
+            out[k, lo:hi] = (np.bincount(i, wts * values[j], minlength=hi - lo)
+                             / np.bincount(i, wts, minlength=hi - lo))
+    return out
 
 
 def _local_maxima_mean(values, tris) -> float:
@@ -339,7 +362,7 @@ def baseline_curvature_saliency(mesh: Mesh, scales=None,
     averages = _gaussian_averages(kappa, mesh.vertices,
                                   [f * sigma for sigma in scales for f in (1.0, 2.0)])
     combined = np.zeros(len(mesh.vertices))
-    for fine, coarse in zip(averages, averages):      # sigma, then 2 sigma
+    for fine, coarse in zip(averages[0::2], averages[1::2]):  # sigma, 2 sigma
         smap = np.abs(fine - coarse)
         m = float(smap.max())
         mbar = _local_maxima_mean(smap, mesh.triangles)

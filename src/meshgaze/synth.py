@@ -28,6 +28,9 @@ class ScenarioError(MeshgazeError):
     pass
 
 
+MAX_SAMPLES = 10 ** 7     # samples per recording: about 23 h at 120 Hz
+
+
 @dataclass
 class SyntheticScenario:
     mesh_id: str
@@ -75,6 +78,10 @@ class SyntheticScenario:
         if not (math.isfinite(n) and round(n) >= 1):
             raise ScenarioError(
                 "duration_s * rate_hz must give a finite count of at least one sample")
+        if round(n) > MAX_SAMPLES:
+            raise ScenarioError(
+                f"duration_s * rate_hz gives {n:.4g} samples per recording; "
+                f"at most {MAX_SAMPLES} are allowed")
         if self.dwell_s <= 0:
             raise ScenarioError("dwell must be positive")
         if self.noise_deg < 0 or self.noise_tau_s <= 0:
@@ -220,6 +227,12 @@ def _ar1_noise(rng, n: int, std: float, phi: float) -> np.ndarray:
     return out
 
 
+def _dwell_samples(scenario: SyntheticScenario, n: int) -> int:
+    """Samples spent on each target; a dwell longer than the recording's n
+    samples aims at the first target throughout, as a dwell of n does."""
+    return max(1, int(round(min(scenario.dwell_s * scenario.rate_hz, n))))
+
+
 def generate_recording(scenario: SyntheticScenario, mesh: Mesh, cfg,
                        subject: int = 0) -> list[PoseSample]:
     """One subject's recording; deterministic in (scenario, cfg, subject)."""
@@ -235,7 +248,7 @@ def generate_recording(scenario: SyntheticScenario, mesh: Mesh, cfg,
     span = math.radians(scenario.span_deg)
 
     targets = mesh.vertices[[int(t) for t in scenario.targets]]
-    per_dwell = max(1, int(round(scenario.dwell_s * scenario.rate_hz)))
+    per_dwell = _dwell_samples(scenario, n)
 
     rng = np.random.default_rng(scenario.seed * 100003 + subject)
     phi = math.exp(-dt / scenario.noise_tau_s)
@@ -277,9 +290,9 @@ def check_targets_reachable(scenario: SyntheticScenario, mesh: Mesh, cfg,
     """
     if tol is None:
         tol = 2.0 * cfg.cluster_interval
-    per_dwell = max(1, int(round(scenario.dwell_s * scenario.rate_hz)))
     targets = mesh.vertices[np.asarray(scenario.targets, dtype=np.int64)]
     samples = list(samples)
+    per_dwell = _dwell_samples(scenario, len(samples))
     p = np.asarray([x.p for x in samples], dtype=np.float64).reshape(-1, 3)
     o_deg = np.asarray([x.o_deg for x in samples],
                        dtype=np.float64).reshape(-1, 3)

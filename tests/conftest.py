@@ -8,11 +8,15 @@ PASS/FAIL line per criterion, including criteria that never ran.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import meshgaze
 from meshgaze import primitives
 from meshgaze.config import RunConfig
 from meshgaze.gaze import RECORDING_HEADER, GazeError, rotation_matrix
@@ -48,6 +52,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         else:
             label, verdict = "not run", "MISSING"
         tr.write_line(f"criterion {num:2d} [{verdict}] {label}")
+
+
+def peak_rss_mb(code: str) -> float:
+    """Peak resident set size, in MB, of `code` run in a fresh interpreter
+    that imports meshgaze from this checkout, with one BLAS thread.
+
+    The peak is the interpreter's VmHWM, not its ru_maxrss: Linux carries
+    the spawning process's peak into ru_maxrss across fork and exec, so
+    under a pytest process that has grown to 600 MB every child would read
+    600 MB."""
+    probe = ("\nfor line in open('/proc/self/status'):\n"
+             "    if line.startswith('VmHWM:'):\n"
+             "        print(line.split()[1])\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(meshgaze.__file__)))
+    out = subprocess.run([sys.executable, "-c", code + probe], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    return int(out.split()[-1]) / 1024.0                  # VmHWM is in kB
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +257,9 @@ def fpfh_oracle(positions, normals, r):
 
 
 def uniqueness_oracle(positions, descriptors, exact_limit=5000,
-                      sample_size=5000, seed=0, eps_b=1e-12):
-    """Chunked uniqueness with a (chunk, cols, 3) difference temporary."""
+                      sample_size=5000, seed=0, eps_b=1e-12, rows=None):
+    """Chunked uniqueness with a (chunk, cols, 3) difference temporary, or,
+    given rows, a (rows, cols, 3) one per slice of each chunk's product."""
     positions = np.asarray(positions, dtype=np.float64)
     descriptors = np.asarray(descriptors, dtype=np.float64)
     n = len(positions)
@@ -253,10 +277,13 @@ def uniqueness_oracle(positions, descriptors, exact_limit=5000,
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
         bc = sqrt_all[s:e] @ sqrt_cols.T
-        dis = -np.log(np.maximum(bc, eps_b))
-        np.maximum(dis, 0.0, out=dis)
-        d = np.linalg.norm(positions[s:e, None, :] - pos_cols[None, :, :], axis=2)
-        acc[s:e] = (dis / (1.0 + d)).mean(axis=1)
+        for a in range(s, e, rows or chunk):
+            b = min(e, a + (rows or chunk))
+            dis = -np.log(np.maximum(bc[a - s:b - s], eps_b))
+            np.maximum(dis, 0.0, out=dis)
+            d = np.linalg.norm(positions[a:b, None, :] - pos_cols[None, :, :],
+                               axis=2)
+            acc[a:b] = (dis / (1.0 + d)).mean(axis=1)
     return 1.0 - np.exp(-acc), subsampled
 
 
@@ -272,6 +299,20 @@ def gaussian_average_oracle(values, positions, sigma):
         wts = np.exp(-d2 / (2.0 * sigma * sigma))
         out[i] = np.dot(wts, values[ids]) / wts.sum()
     return out
+
+
+def pair_list_averages_oracle(values, positions, sigmas):
+    """The curvature baseline's Gaussian averages over the whole radius-pair
+    list at once, one sigma after another, each filtered from all pairs."""
+    from meshgaze.mesh import radius_pairs
+    i, j = (np.concatenate([np.arange(len(values)), ids])
+            for ids in radius_pairs(positions, 2.0 * max(sigmas, default=1.0)))
+    d2 = np.sum((positions[j] - positions[i]) ** 2, axis=1)
+    for sigma in sigmas:
+        keep = d2 <= (2.0 * sigma) * (2.0 * sigma)
+        wts = np.exp(-d2[keep] / (2.0 * sigma * sigma))
+        yield (np.bincount(i[keep], wts * values[j[keep]], minlength=len(values))
+               / np.bincount(i[keep], wts, minlength=len(values)))
 
 
 # ---------------------------------------------------------------------------
@@ -535,3 +576,59 @@ def bvh_tree_oracle(vertices, triangles, leaf_size=8):
         stack.append((start, mid, me, False))
     return (order, np.asarray(node_left), np.asarray(node_right),
             np.asarray(node_start), np.asarray(node_count))
+
+
+# ---------------------------------------------------------------------------
+# viewing-direction dependence oracle: the per-subset loop over the pair
+# dictionary that the masked pair arrays replaced, kept to pin its bytes
+
+def vdd_oracle(entries, max_angle_deg=90.0, repetitions=100, seed=0,
+               subset_frac=0.8):
+    from meshgaze.evaluation import EvaluationError
+    from meshgaze.fdm import plcc
+    from meshgaze.gaze import head_orientation
+    entries = list(entries)
+    if len(entries) < 10:
+        raise EvaluationError("need at least 10 pose-tagged maps")
+    dirs = [head_orientation(o) for o, _ in entries]
+    maps = [np.asarray(v, dtype=np.float64) for _, v in entries]
+    n = len(entries)
+    pair_angle = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            cosang = float(np.clip(np.dot(dirs[i], dirs[j]), -1.0, 1.0))
+            ang = float(np.degrees(np.arccos(cosang)))
+            if ang <= max_angle_deg:
+                pair_angle[(i, j)] = ang
+    if len(pair_angle) < 2:
+        raise EvaluationError("not enough pose pairs within the angle limit")
+    pair_sim = {k: plcc(maps[k[0]], maps[k[1]]) for k in pair_angle}
+
+    def corr_of(subset):
+        xs, ys = [], []
+        members = set(subset)
+        for (i, j), ang in pair_angle.items():
+            if i in members and j in members:
+                xs.append(pair_sim[(i, j)])
+                ys.append(ang)
+        if len(xs) < 2:
+            return None
+        xs = np.asarray(xs)
+        ys = np.asarray(ys)
+        if xs.max() == xs.min() or ys.max() == ys.min():
+            raise EvaluationError("zero variance in similarity-angle pairs")
+        dx = xs - xs.mean()
+        dy = ys - ys.mean()
+        return float(np.dot(dx, dy) / (np.linalg.norm(dx) * np.linalg.norm(dy)))
+
+    rng = np.random.default_rng(seed)
+    size = max(3, int(np.ceil(subset_frac * n)))
+    acc = []
+    for _ in range(repetitions):
+        subset = rng.choice(n, size=size, replace=False)
+        c = corr_of(subset)
+        if c is not None:
+            acc.append(c)
+    if not acc:
+        raise EvaluationError("no resampled subset produced enough pairs")
+    return float(np.mean(acc))

@@ -146,9 +146,11 @@ def test_synth_rejects_malformed_scenario(pipeline, tmp_path, capsys):
     ({"targets": [True]}, "targets must be a list of integer vertex ids"),
     ({"seed": -1}, "seed must be >= 0"),
     ({"duration_s": 1e10, "rate_hz": 1e300}, "at least one sample"),
+    ({"duration_s": 1e300}, "at most 10000000 are allowed"),
+    ({"duration_s": 1e7}, "gives 1.2e+09 samples per recording"),
 ], ids=["duration-string", "subjects-1e9", "subjects-float", "seed-string",
         "rate-nan", "target-fraction", "target-true", "seed-negative",
-        "sample-count-overflow"])
+        "sample-count-overflow", "duration-1e300", "duration-1e7"])
 def test_synth_rejects_mistyped_scenario_field(pipeline, tmp_path, capsys,
                                                fields, named):
     """A scenario field of the wrong type or out of range ends in one
@@ -165,6 +167,22 @@ def test_synth_rejects_mistyped_scenario_field(pipeline, tmp_path, capsys,
                "--out", tmp_path / "out") == 1
     assert named in assert_one_error_line(capsys)
     assert not (tmp_path / "out" / "targets.json").exists()
+
+
+def test_synth_dwell_longer_than_the_recording(pipeline, tmp_path):
+    """A dwell past the recording's end aims at the first target throughout;
+    a dwell of 1e300 s used to end in an OverflowError traceback."""
+    outs = []
+    for dwell in (1e300, 1.0):
+        raw = {"mesh_id": "ball", "targets": [int(pipeline["targets"][0])],
+               "duration_s": 1.0, "subjects": 1, "dwell_s": dwell}
+        scenario = tmp_path / f"dwell{dwell:g}.json"
+        scenario.write_text(json.dumps(raw))
+        out = tmp_path / f"out{dwell:g}"
+        assert run("synth", "--scenario", scenario, "--mesh",
+                   pipeline["mesh_path"], "--out", out) == 0
+        outs.append((out / "s00.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_synth_rejects_scenario_that_is_not_an_object(pipeline, tmp_path,

@@ -4,6 +4,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 import pytest
+from conftest import vdd_oracle
 
 from meshgaze.evaluation import (LEFT, NONE, RIGHT, EvaluationError,
                                  ViewScore, _t_two_sided_p, bias_distance,
@@ -323,6 +324,33 @@ def test_vdd_identical_maps_zero_variance():
 def test_vdd_angle_limit_filters_pairs():
     with pytest.raises(EvaluationError):
         viewing_direction_dependence(_blend_entries(), max_angle_deg=0.5)
+
+
+def _vdd_outcome(fn, entries, **kw):
+    try:
+        return fn(entries, **kw)
+    except EvaluationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_vdd_matches_pair_loop_oracle(case):
+    """Masked pair arrays give the loop's xs and ys in the loop's order, so
+    the same float or the same error, bit for bit."""
+    rng = np.random.default_rng(700 + case)
+    n = (10, 14, 25, 40, 12, 60)[case]
+    angles = rng.uniform(-60.0, 60.0, size=(n, 2))
+    maps = rng.random((n, 30))
+    if case == 4:
+        maps[:] = maps[0]                       # zero similarity variance
+    entries = [((a[0], a[1], 0.0), m) for a, m in zip(angles, maps)]
+    for kw in ({}, {"max_angle_deg": 20.0, "seed": 5},
+               {"max_angle_deg": 8.0, "subset_frac": 0.3, "repetitions": 40},
+               {"subset_frac": 0.1, "seed": 2}, {"max_angle_deg": 0.01},
+               {"max_angle_deg": 12.0, "subset_frac": 0.05, "repetitions": 5}):
+        got = _vdd_outcome(viewing_direction_dependence, entries, **kw)
+        want = _vdd_outcome(vdd_oracle, entries, **kw)
+        assert type(got) is type(want) and got == want
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from meshgaze import mesh as mesh_module
 from meshgaze import primitives
 from meshgaze.mesh import (Mesh, MeshError, bounding_box_diagonal, load_mesh,
-                           radius_pairs, save_ply)
+                           radius_pair_blocks, radius_pairs, save_ply)
 
 TRI_OBJ = """\
 # minimal
@@ -212,6 +212,27 @@ def test_radius_pairs_chunked_like_whole(monkeypatch):
     got = radius_pairs(pts, 0.2)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_radius_pair_blocks_cover_the_sources_in_order(monkeypatch):
+    """Each block holds exactly the pairs of its sources [lo, hi), and the
+    blocks tile [0, n) in order."""
+    pts = primitives.bumpy_sphere(3).vertices
+    want = radius_pairs(pts, 0.2)
+    for source_block, chunk in ((1 << 14, 1 << 20), (37, 500), (5, 1)):
+        monkeypatch.setattr(mesh_module, "_SOURCE_BLOCK", source_block)
+        monkeypatch.setattr(mesh_module, "_PAIR_CHUNK", chunk)
+        blocks = list(radius_pair_blocks(pts, 0.2))
+        bounds = [b for lo, hi, _ in blocks for b in (lo, hi)]
+        assert bounds[0] == 0 and bounds[-1] == len(pts)
+        assert bounds[1:-1:2] == bounds[2:-1:2]          # each starts at the last end
+        for lo, hi, (i, j) in blocks:
+            span = (want[0] >= lo) & (want[0] < hi)
+            np.testing.assert_array_equal(i, want[0][span])
+            np.testing.assert_array_equal(j, want[1][span])
+    for n in (0, 1):
+        ((lo, hi, ij),) = radius_pair_blocks(np.zeros((n, 3)), 1.0)
+        assert (lo, hi, ij.shape) == (0, n, (2, 0))
 
 
 def _neighbors(pts, i, r):

@@ -6,12 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import (facing_pose, fpfh_oracle, gaussian_average_oracle,
-                      uniqueness_oracle)
+                      pair_list_averages_oracle, peak_rss_mb, uniqueness_oracle)
 
 from meshgaze.config import RunConfig
+from meshgaze import mesh as mesh_module
 from meshgaze.mesh import Mesh, bounding_box_diagonal
 from meshgaze.primitives import bumpy_sphere, plane_grid, vertex_rings
-from meshgaze.saliency import (DESCRIPTOR_SIZE, SaliencyError,
+from meshgaze.saliency import (_BLOCK_CELLS, _PRODUCT_CELLS, DESCRIPTOR_SIZE,
+                               SaliencyError,
                                _gaussian_averages, baseline_curvature_saliency,
                                bias_weight, compute_fpfh, mean_curvature,
                                saliency_map, uniqueness)
@@ -74,6 +76,29 @@ def test_fpfh_and_uniqueness_bytes_match_oracles(case):
         want_u, want_sub = uniqueness_oracle(pos, desc, **kw)
         assert subsampled == want_sub == bool(kw)
         assert np.array_equal(u, want_u)
+
+
+@pytest.mark.parametrize("n, kw", [
+    (4600, {}),
+    (9000, {"exact_limit": 5000, "sample_size": 2300, "seed": 7}),
+], ids=["exact", "subsampled"])
+def test_uniqueness_across_product_chunks_matches_oracle(n, kw):
+    """Two BLAS product chunks, each cut into row blocks whose last one is
+    short: the same bytes as the oracle, which takes each chunk's product in
+    one piece."""
+    cols = kw.get("sample_size", n)
+    chunk = int(_PRODUCT_CELLS // cols)
+    assert chunk < n < 2 * chunk and chunk % (_BLOCK_CELLS // cols)
+    rng = np.random.default_rng(n)
+    pos = rng.normal(size=(n, 3))
+    pos[::97] = pos[0]                                   # coincident points
+    desc = rng.random((n, DESCRIPTOR_SIZE)) ** 4
+    desc[::5] = desc[1]                                  # identical descriptors
+    desc /= desc.sum(axis=1, keepdims=True)
+    u, subsampled = uniqueness(pos, desc, **kw)
+    want_u, want_sub = uniqueness_oracle(pos, desc, rows=256, **kw)
+    assert subsampled == want_sub == bool(kw)
+    assert np.array_equal(u, want_u)
 
 
 def pair_dissimilarity(a, b, eps_b=1e-12):
@@ -328,6 +353,25 @@ def test_gaussian_averages_match_per_vertex_oracle(which, bumpy, spike_pack):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(kappa).max()
 
 
+@pytest.mark.parametrize("chunk", [1 << 20, 20000, 1])
+def test_gaussian_averages_in_blocks_match_whole_pair_list(chunk, bumpy,
+                                                           spike_pack,
+                                                           monkeypatch):
+    """Pair blocks, sigmas in any order, each filtered from the next wider
+    one's survivors: every vertex sums the same terms in the same order as
+    over the whole pair list, so the bytes are the same."""
+    monkeypatch.setattr(mesh_module, "_PAIR_CHUNK", chunk)
+    for mesh in (bumpy, spike_pack[0], bumpy_sphere(3, amplitude=0.04, seed=3)):
+        kappa, _ = mean_curvature(mesh)
+        eps = 0.003 * bounding_box_diagonal(mesh)
+        sigmas = [f * m * eps for m in (2, 3, 4, 5, 6) for f in (1.0, 2.0)]
+        sigmas += [7.0 * eps, 2.0 * eps, 12.0 * eps]
+        got = _gaussian_averages(kappa, mesh.vertices, sigmas)
+        want = list(pair_list_averages_oracle(kappa, mesh.vertices, sigmas))
+        assert got.shape == (len(sigmas), len(kappa))
+        assert np.array_equal(got, want)
+
+
 def test_gaussian_averages_include_the_cutoff():
     """A neighbor exactly 2 sigma away is inside the average."""
     pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
@@ -345,3 +389,31 @@ def test_baseline_scale_invariance(spike_pack):
     a = baseline_curvature_saliency(mesh)
     b = baseline_curvature_saliency(doubled)
     np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# memory envelopes: peak RSS of a fresh interpreter running one kernel
+# (about 43 MB of it is the interpreter, numpy and the inputs)
+
+def test_uniqueness_memory_envelope():
+    """15,311 rows against 5,000 sampled columns: one 2e7-cell product (160
+    MB) and block-sized temporaries.  Three product-sized temporaries took
+    656 MB."""
+    peak = peak_rss_mb(
+        "import numpy as np\n"
+        "from meshgaze.saliency import uniqueness\n"
+        "rng = np.random.default_rng(0)\n"
+        "desc = rng.random((15311, 33))\n"
+        "desc /= desc.sum(axis=1, keepdims=True)\n"
+        "uniqueness(rng.normal(size=(15311, 3)), desc)\n")
+    assert peak < 215.0
+
+
+def test_baseline_memory_envelope():
+    """The curvature baseline on the 10,242 vertices of bumpy_sphere(5):
+    radius pairs a block at a time.  All 1.8M pairs at once took 151 MB."""
+    peak = peak_rss_mb(
+        "from meshgaze.primitives import bumpy_sphere\n"
+        "from meshgaze.saliency import baseline_curvature_saliency\n"
+        "baseline_curvature_saliency(bumpy_sphere(5, seed=3))\n")
+    assert peak < 110.0
