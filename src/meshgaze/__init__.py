@@ -20,8 +20,8 @@ _EXPORTS = {
     "config": ("MeshgazeError", "ConfigError", "RunConfig", "load_config",
                "parse_config"),
     "mesh": ("Mesh", "MeshError", "load_mesh", "save_ply"),
-    "gaze": ("GazeError", "PoseSample", "head_orientation", "load_recording",
-             "screen_frame", "screen_point", "trace_samples"),
+    "gaze": ("GazeError", "PoseSample", "head_orientations", "load_recording",
+             "screen_frames", "screen_point", "trace_samples"),
     "fixation": ("FixationError", "FixationPoint", "classify_ivt",
                  "extract_fixations", "load_fixations", "save_fixations"),
     "visibility": ("CameraModel", "ViewPose", "VisibilityError", "pose_hash",

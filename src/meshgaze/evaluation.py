@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import MeshgazeError
 from .fdm import FdmError, plcc
-from .gaze import head_orientation, rotation_matrix
+from .gaze import head_orientations, rotation_matrix
 
 
 class EvaluationError(MeshgazeError):
@@ -41,6 +41,9 @@ def _on_domain(g, r, domain):
         raise EvaluationError("maps are not aligned")
     if domain is not None:
         domain = np.asarray(domain)
+        if len(domain) != len(g):
+            raise EvaluationError(
+                f"visibility mask has {len(domain)} vertices, the maps {len(g)}")
         g = g[domain]
         r = r[domain]
     if len(g) == 0:
@@ -214,7 +217,7 @@ def viewing_direction_dependence(entries, max_angle_deg: float = 90.0,
     entries = list(entries)
     if len(entries) < 10:
         raise EvaluationError("need at least 10 pose-tagged maps")
-    dirs = [head_orientation(o) for o, _ in entries]
+    dirs = head_orientations([o for o, _ in entries])
     maps = [np.asarray(v, dtype=np.float64) for _, v in entries]
 
     n = len(entries)
@@ -274,7 +277,7 @@ def initial_move_direction(samples, gate_m: float = 0.15) -> str:
     """
     if len(samples) < 2:
         raise EvaluationError("need at least 2 samples")
-    o0 = head_orientation(samples[0].o_deg)
+    o0 = head_orientations(samples[0].o_deg)[0]
     # Ry(+90) applied exactly: (x, y, z) -> (z, y, -x).  Going through
     # rotation_matrix would leave a cos(pi/2) ~ 6e-17 residue that turns
     # an exactly-forward walk into a spurious lateral verdict.

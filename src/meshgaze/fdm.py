@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MeshgazeError
-from .gaze import head_orientation
+from .gaze import head_orientations
 from .io import read_vertex_csv, write_csv
 from .mesh import Mesh, save_ply
 from .visibility import VisibleSet
@@ -92,7 +92,7 @@ def pose_bucket(pose_p, pose_o_deg, grid_m: float = 0.25,
     ground-truth pooling and visit counting.
     """
     p = np.asarray(pose_p, dtype=np.float64)
-    o = head_orientation(pose_o_deg)
+    o = head_orientations(pose_o_deg)[0]
     gx, gy, gz = (int(np.floor(c / grid_m)) for c in p)
     az = np.degrees(np.arctan2(o[2], o[0])) % 360.0
     el = np.degrees(np.arcsin(np.clip(o[1], -1.0, 1.0)))

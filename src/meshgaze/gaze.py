@@ -44,15 +44,14 @@ class IntersectionRecord:
 
 
 _REST = np.array([0.0, 0.0, 1.0])
-_DEGENERATE = "degenerate screen frame: facing parallel to Y axis"
 
 
 def rowdot(a, b) -> np.ndarray:
     """Dot product of each row pair of two (n, 3) arrays.
 
     Each row is one BLAS ddot, the sum that np.dot and a 1-D
-    np.linalg.norm form, so the stacked chain keeps the per-pose
-    functions' bytes; a sum over axis=1 rounds differently.
+    np.linalg.norm form, so the stacked chain keeps the bytes of a
+    one-pose-at-a-time chain; a sum over axis=1 rounds differently.
     """
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
@@ -92,13 +91,6 @@ def head_orientations(o_deg) -> np.ndarray:
     return d
 
 
-def head_orientation(o_deg) -> np.ndarray:
-    """Unit facing vector of one pose; raises on a non-finite angle."""
-    if not np.all(np.isfinite(np.asarray(o_deg, dtype=np.float64))):
-        raise GazeError("non-finite Euler angles")
-    return head_orientations(o_deg)[0]
-
-
 def screen_point(p, o_vec, d_screen: float) -> np.ndarray:
     """B = P + d_screen * facing direction, for one pose or rows of poses."""
     if not d_screen > 0:
@@ -127,15 +119,6 @@ def screen_frames(o_vec):
     return e_sx, e_sy, degenerate
 
 
-def screen_frame(o_vec):
-    """Orthonormal in-screen axes (e_sx, e_sy) for one facing vector; raises
-    when the XoZ projection degenerates (facing straight up or down)."""
-    e_sx, e_sy, degenerate = screen_frames(o_vec)
-    if degenerate[0]:
-        raise GazeError(_DEGENERATE)
-    return e_sx[0], e_sy[0]
-
-
 def gaze_points(b, o_vec, s):
     """Screen intersections B (n, 3) shifted by eye offsets s (n, 2) inside
     the screen planes of facing vectors o_vec (n, 3), and the mask of
@@ -145,14 +128,6 @@ def gaze_points(b, o_vec, s):
     return _rows(b) + s[:, :1] * e_sx + s[:, 1:] * e_sy, degenerate
 
 
-def gaze_point(b, o_vec, s) -> np.ndarray:
-    """Shift the screen intersection B by the eye offset inside the screen plane."""
-    y, degenerate = gaze_points(b, o_vec, s)
-    if degenerate[0]:
-        raise GazeError(_DEGENERATE)
-    return y[0]
-
-
 def _unit_rows(d):
     """Rows of d divided by their norms, and the norms."""
     norm = np.sqrt(rowdot(d, d))
@@ -160,21 +135,12 @@ def _unit_rows(d):
         return d / norm[:, None], norm
 
 
-def actual_sightline(p, y) -> np.ndarray:
-    """Unit direction of the sight-line from head position P through gaze point Y."""
-    d, norm = _unit_rows(_rows(y) - _rows(p))
-    if norm[0] <= 1e-9:
-        raise GazeError("gaze point coincides with head position")
-    return d[0]
-
-
 def sightlines(p, o_deg, s, d_screen: float):
     """(origins, directions) of n poses' actual sight-lines, one row each,
     computed for the whole stack at once.
 
-    A pose whose sight-line the per-pose chain rejects (a non-finite angle,
-    head facing straight up or down, gaze point at the head) gets a NaN
-    direction row.
+    A pose without a sight-line (a non-finite angle, head facing straight
+    up or down, gaze point at the head) gets a NaN direction row.
     """
     p = _rows(p)
     if not d_screen > 0:
@@ -209,20 +175,9 @@ def cast_hits(mesh: Mesh, origins, directions):
     return points, distances, tri, bary
 
 
-def cast_sightlines(mesh: Mesh, origins, directions, sample_indices=None):
-    """Nearest mesh intersection of each ray (None on a miss or a NaN
-    direction), as records viewing the arrays of cast_hits."""
-    points, distances, tri, bary = cast_hits(mesh, origins, directions)
-    if sample_indices is None:
-        sample_indices = [-1] * len(tri)
-    return [None if t < 0 else IntersectionRecord(
-                point=x, triangle=t, bary=w, distance=d, sample_index=i)
-            for x, d, t, w, i in zip(points, distances.tolist(), tri.tolist(),
-                                     bary, sample_indices)]
-
-
 def trace_samples(samples, mesh: Mesh, d_screen: float):
-    """[(sample, record-or-None)] for a whole recording, cast in one batch.
+    """[(sample, record-or-None)] for a whole recording, cast in one batch;
+    each record views one row of cast_hits' arrays.
 
     A sample whose screen frame degenerates (head facing straight up or
     down) is treated as a miss rather than aborting the recording.
@@ -231,9 +186,11 @@ def trace_samples(samples, mesh: Mesh, d_screen: float):
     origins, directions = sightlines([x.p for x in samples],
                                      [x.o_deg for x in samples],
                                      [x.s for x in samples], d_screen)
-    records = cast_sightlines(mesh, origins, directions,
-                              [x.index for x in samples])
-    return list(zip(samples, records))
+    points, distances, tri, bary = cast_hits(mesh, origins, directions)
+    return [(x, None if t < 0 else IntersectionRecord(
+                point=y, triangle=t, bary=w, distance=d, sample_index=x.index))
+            for x, y, d, t, w in zip(samples, points, distances.tolist(),
+                                     tri.tolist(), bary)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from .config import MeshgazeError
 from .mesh import (Mesh, bounding_box_diagonal, radius_pair_blocks,
                    radius_pairs)
-from .visibility import ViewPose, VisibleSet, visible_points
+from .visibility import ViewPose, VisibleSet, pose_hash, visible_points
 
 N_BINS = 11
 N_FEATURES = 3
@@ -196,8 +196,6 @@ class SaliencyMap:
 
 def saliency_map(mesh: Mesh, pose: ViewPose, cfg, vs: VisibleSet | None = None) -> SaliencyMap:
     """Full per-pose pipeline: visibility, FPFH, uniqueness, bias, product."""
-    from .visibility import pose_hash
-
     n = len(mesh.vertices)
     if vs is None:
         vs = visible_points(mesh, pose, cfg.depth_tol_frac)

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MeshgazeError
-from .gaze import (PoseSample, cast_hits, head_orientation, head_orientations,
-                   rowdot, screen_frame, screen_frames, screen_point,
-                   sightlines)
+from .gaze import (GazeError, PoseSample, cast_hits, head_orientations, rowdot,
+                   screen_frames, screen_point, sightlines)
 from .io import read_text
 from .mesh import Mesh
 
@@ -29,6 +28,7 @@ class ScenarioError(MeshgazeError):
 
 
 MAX_SAMPLES = 10 ** 7     # samples per recording: about 23 h at 120 Hz
+_DEGENERATE = "degenerate screen frame: facing parallel to Y axis"
 
 
 @dataclass
@@ -195,23 +195,20 @@ def inverse_gaze_offsets(p, o_vec, target, d_screen: float):
             along, degenerate)
 
 
-def inverse_gaze_offset(p, o_vec, target, d_screen: float) -> np.ndarray:
-    """Eye offset (sx, sy) whose actual sight-line from p passes through target."""
-    s, along, degenerate = inverse_gaze_offsets(p, o_vec, target, d_screen)
-    if along[0] <= 0:
-        raise ScenarioError("target behind the screen plane")
-    if degenerate[0]:
-        screen_frame(o_vec)             # raises the degenerate-frame error
-    return s[0]
-
-
-def _raise_unaimable(failed, p, o_deg, target, d_screen) -> None:
-    """Raise the per-pose error of the first row flagged in `failed`, if
-    the per-pose chain (facing, then eye offset) raises one there."""
+def _raise_unaimable(o_vec, along, degenerate) -> None:
+    """Raise the aiming error of the first row that has one, checked in the
+    chain's order: a non-finite facing, then a target behind the screen
+    plane, then a degenerate screen frame."""
+    facing = np.isnan(o_vec[:, 0])
+    behind = along <= 0
+    failed = facing | behind | degenerate
     if failed.any():
         k = int(np.argmax(failed))
-        inverse_gaze_offset(p[k], head_orientation(o_deg[k]), target[k],
-                            d_screen)
+        if facing[k]:
+            raise GazeError("non-finite Euler angles")
+        if behind[k]:
+            raise ScenarioError("target behind the screen plane")
+        raise GazeError(_DEGENERATE)
 
 
 def _ar1_noise(rng, n: int, std: float, phi: float) -> np.ndarray:
@@ -263,15 +260,15 @@ def generate_recording(scenario: SyntheticScenario, mesh: Mesh, cfg,
     face = center - p
     o_deg = euler_facings(face / np.sqrt(rowdot(face, face))[:, None])
     target = targets[idx // per_dwell % len(targets)]
-    s, along, degenerate = inverse_gaze_offsets(p, head_orientations(o_deg),
-                                                target, cfg.d_screen)
+    o_vec = head_orientations(o_deg)
+    s, along, degenerate = inverse_gaze_offsets(p, o_vec, target, cfg.d_screen)
     s = s + np.stack([noise_x, noise_y], axis=1)
     wide = np.abs(s).max(axis=1) > cfg.screen_half_extent
-    # the lowest failing sample raises, with the per-sample loop's message
-    _raise_unaimable((along <= 0) | degenerate | wide, p, o_deg, target,
-                     cfg.d_screen)
-    if wide.any():
-        k = int(np.argmax(wide))
+    # the lowest failing sample raises, with the per-sample loop's message:
+    # the first unaimable one, unless an offset beyond the screen comes first
+    k = int(np.argmax(wide)) if wide.any() else n - 1
+    _raise_unaimable(o_vec[:k + 1], along[:k + 1], degenerate[:k + 1])
+    if wide[k]:
         raise ScenarioError(
             f"sample {k}: eye offset {s[k]} exceeds the screen half-extent; "
             "bring targets nearer the view center or widen the screen")
@@ -304,8 +301,7 @@ def check_targets_reachable(scenario: SyntheticScenario, mesh: Mesh, cfg,
         o_vec = head_orientations(o_deg[ks])
         s, along, degenerate = inverse_gaze_offsets(p[ks], o_vec, aim,
                                                     cfg.d_screen)
-        _raise_unaimable(np.isnan(o_vec[:, 0]) | (along <= 0) | degenerate,
-                         p[ks], o_deg[ks], aim, cfg.d_screen)
+        _raise_unaimable(o_vec, along, degenerate)
         points = cast_hits(mesh, *sightlines(p[ks], o_deg[ks], s,
                                              cfg.d_screen))[0]
         miss = points - aim

@@ -586,11 +586,10 @@ def vdd_oracle(entries, max_angle_deg=90.0, repetitions=100, seed=0,
                subset_frac=0.8):
     from meshgaze.evaluation import EvaluationError
     from meshgaze.fdm import plcc
-    from meshgaze.gaze import head_orientation
     entries = list(entries)
     if len(entries) < 10:
         raise EvaluationError("need at least 10 pose-tagged maps")
-    dirs = [head_orientation(o) for o, _ in entries]
+    dirs = [facing_oracle(o) for o, _ in entries]
     maps = [np.asarray(v, dtype=np.float64) for _, v in entries]
     n = len(entries)
     pair_angle = {}

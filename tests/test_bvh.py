@@ -15,7 +15,7 @@ from conftest import bvh_tree_oracle
 from meshgaze import bvh as bvh_module
 from meshgaze import primitives
 from meshgaze.bvh import TriangleBVH, intersect_brute, intersect_triangles
-from meshgaze.gaze import cast_sightlines
+from meshgaze.gaze import cast_hits
 
 RNG = np.random.default_rng(20240817)
 
@@ -155,15 +155,15 @@ def test_intersect_triangles_degenerate():
 
 def test_barycentric_reconstruction(sphere2):
     origin = np.array([0.0, 1.5, -3.0])
-    rec, = cast_sightlines(sphere2, origin[None], np.array([[0.0, 0.0, 1.0]]))
-    assert rec is not None
-    a, b, c = sphere2.triangles[rec.triangle]
-    recon = (rec.bary[0] * sphere2.vertices[a] + rec.bary[1] * sphere2.vertices[b]
-             + rec.bary[2] * sphere2.vertices[c])
-    np.testing.assert_allclose(recon, rec.point, atol=1e-12)
-    assert rec.bary.min() >= 0 and rec.bary.sum() == pytest.approx(1.0, abs=1e-9)
-    assert rec.distance == pytest.approx(np.linalg.norm(rec.point - origin),
-                                         abs=1e-9)
+    (point,), (distance,), (tri,), (bary,) = cast_hits(
+        sphere2, origin[None], np.array([[0.0, 0.0, 1.0]]))
+    assert tri >= 0
+    a, b, c = sphere2.triangles[tri]
+    recon = (bary[0] * sphere2.vertices[a] + bary[1] * sphere2.vertices[b]
+             + bary[2] * sphere2.vertices[c])
+    np.testing.assert_allclose(recon, point, atol=1e-12)
+    assert bary.min() >= 0 and bary.sum() == pytest.approx(1.0, abs=1e-9)
+    assert distance == pytest.approx(np.linalg.norm(point - origin), abs=1e-9)
 
 
 def test_occluded_variants(sphere3):

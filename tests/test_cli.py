@@ -717,9 +717,11 @@ def test_version_flag(capsys):
     ("gt/m1.csv", "vertex_id,value\n0,0.5\n0,0.25\n2,0.75\n3,0.1\n"),
     ("gt/m1.vis.csv", "vertex_id,visible\n0,1\n1,1\n1,0\n3,1\n"),
     ("gt/m1.vis.csv", "vertex_id,visible\n0,1\n1,yes\n2,0\n3,1\n"),
+    ("gt/m1.vis.csv", "vertex_id,visible\n0,1\n1,1\n2,0\n"),
+    ("gt/m1.vis.csv", "vertex_id,visible\n0,1\n1,1\n2,0\n3,1\n4,1\n"),
 ], ids=["pred-duplicate-id", "pred-id-out-of-range", "pred-non-numeric",
         "pred-non-finite", "gt-duplicate-id", "vis-duplicate-id",
-        "vis-non-numeric"])
+        "vis-non-numeric", "vis-short", "vis-long"])
 def test_evaluate_rejects_malformed_map_csv(tmp_path, capsys, where, body):
     """A bad per-vertex file is an error, never a traceback or a silently
     wrong score (a duplicated id used to displace another row to 0)."""
@@ -1026,6 +1028,19 @@ def test_package_import_leaves_numpy_unloaded():
                  "print('numpy' in sys.modules, Mesh.__module__)\n",
                  OPENBLAS_NUM_THREADS=None)
     assert out == ["False False", "True meshgaze.mesh"]
+
+
+def test_every_exported_name_resolves():
+    """Each name in meshgaze.__all__ resolves in a fresh interpreter to the
+    object of that name in the submodule the lazy export table gives, and
+    no name is listed under two submodules."""
+    assert len(meshgaze._SOURCE) == sum(map(len, meshgaze._EXPORTS.values()))
+    out = python("import sys, meshgaze\n"
+                 "missing = [n for n in meshgaze.__all__ if not hasattr(meshgaze, n)]\n"
+                 "wrong = [n for n in meshgaze.__all__[1:] if getattr(meshgaze, n)\n"
+                 "         is not vars(sys.modules['meshgaze.' + meshgaze._SOURCE[n]])[n]]\n"
+                 "print(len(meshgaze.__all__), missing, wrong)\n")
+    assert out == [f"{len(meshgaze.__all__)} [] []"]
 
 
 def test_cli_import_runs_one_blas_thread():

@@ -7,12 +7,11 @@ from conftest import (facing_oracle, hit_records_oracle, load_recording_oracle,
                       rotation_oracle, screen_frame_oracle, sightline_oracle)
 
 from meshgaze.bvh import intersect_brute
-from meshgaze.gaze import (RECORDING_HEADER, GazeError, PoseSample,
-                           actual_sightline, cast_hits, cast_sightlines,
-                           gaze_point, head_orientation, head_orientations,
-                           load_recording, rotation_matrix, save_recording,
-                           screen_frame, screen_frames, screen_point,
-                           sightlines, trace_samples)
+from meshgaze.gaze import (RECORDING_HEADER, GazeError, PoseSample, cast_hits,
+                           gaze_points, head_orientations, load_recording,
+                           rotation_matrix, save_recording, screen_frames,
+                           screen_point, sightlines, trace_samples)
+from meshgaze.synth import euler_facing
 
 
 # ---------------------------------------------------------------------------
@@ -41,17 +40,17 @@ def _rot_oracle(o_deg):
 
 
 def test_identity_orientation():
-    np.testing.assert_allclose(head_orientation([0.0, 0, 0]), [0, 0, 1],
+    np.testing.assert_allclose(head_orientations([0.0, 0, 0]), [[0, 0, 1]],
                                atol=1e-15)
 
 
 def test_yaw_90_points_along_x():
-    np.testing.assert_allclose(head_orientation([0.0, 90.0, 0.0]), [1, 0, 0],
+    np.testing.assert_allclose(head_orientations([0.0, 90.0, 0.0]), [[1, 0, 0]],
                                atol=1e-12)
 
 
 def test_pitch_90_points_down():
-    np.testing.assert_allclose(head_orientation([90.0, 0.0, 0.0]), [0, -1, 0],
+    np.testing.assert_allclose(head_orientations([90.0, 0.0, 0.0]), [[0, -1, 0]],
                                atol=1e-12)
 
 
@@ -60,7 +59,7 @@ def test_orientation_matches_matrix_oracle():
     for _ in range(200):
         o = rng.uniform(-180, 180, size=3)
         want = _rot_oracle(o) @ np.array([0.0, 0.0, 1.0])
-        np.testing.assert_allclose(head_orientation(o), want, atol=1e-12)
+        np.testing.assert_allclose(head_orientations(o)[0], want, atol=1e-12)
         np.testing.assert_allclose(rotation_matrix(o), _rot_oracle(o),
                                    atol=1e-12)
 
@@ -68,7 +67,7 @@ def test_orientation_matches_matrix_oracle():
 def test_orientation_unit_length():
     rng = np.random.default_rng(8)
     for _ in range(100):
-        v = head_orientation(rng.uniform(-360, 360, size=3))
+        v = head_orientations(rng.uniform(-360, 360, size=3))[0]
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
@@ -92,30 +91,34 @@ def test_gaze_point_forward_substitution():
     """Forward gaze: alpha=90deg, beta=90deg — direct substitution."""
     o_vec = np.array([0.0, 0.0, 1.0])
     b = np.array([0.0, 1.5, 0.05])
-    y = gaze_point(b, o_vec, np.array([0.01, 0.02]))
-    np.testing.assert_allclose(y, [0.01, 1.48, 0.05], atol=1e-12)
+    y, degenerate = gaze_points(b, o_vec, np.array([0.01, 0.02]))
+    np.testing.assert_allclose(y, [[0.01, 1.48, 0.05]], atol=1e-12)
+    assert not degenerate.any()
 
 
 def test_gaze_point_zero_offset_is_b():
     rng = np.random.default_rng(3)
     for _ in range(50):
         o = rng.uniform(-80, 80, size=3)
-        o_vec = head_orientation(o)
-        b = rng.normal(size=3)
-        np.testing.assert_allclose(gaze_point(b, o_vec, np.zeros(2)), b,
+        o_vec = head_orientations(o)
+        b = rng.normal(size=(1, 3))
+        np.testing.assert_allclose(gaze_points(b, o_vec, np.zeros(2))[0], b,
                                    atol=1e-12)
 
 
 def test_gaze_point_degenerate_beta():
-    with pytest.raises(GazeError):
-        gaze_point(np.zeros(3), np.array([0.0, 1.0, 0.0]), np.array([0.01, 0]))
+    """Facing along Y leaves no screen frame: a NaN row, flagged degenerate."""
+    y, degenerate = gaze_points(np.zeros((2, 3)), [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                                [[0.01, 0.0], [0.01, 0.0]])
+    assert degenerate.tolist() == [True, False]
+    assert np.isnan(y[0]).all() and np.isfinite(y[1]).all()
 
 
 def test_screen_frame_orthonormal_and_perpendicular_to_gaze():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        o_vec = head_orientation(rng.uniform(-80, 80, size=3))
-        e_sx, e_sy = screen_frame(o_vec)
+        o_vec = head_orientations(rng.uniform(-80, 80, size=3))[0]
+        (e_sx,), (e_sy,), _ = screen_frames(o_vec)
         assert abs(np.linalg.norm(e_sx) - 1) < 1e-9
         assert abs(np.linalg.norm(e_sy) - 1) < 1e-9
         assert abs(np.dot(e_sx, e_sy)) < 1e-9
@@ -126,30 +129,30 @@ def test_screen_frame_orthonormal_and_perpendicular_to_gaze():
 def test_gaze_point_lipschitz_in_offset():
     """|Y(S+d) - Y(S)| <= sqrt(2)|d| for the orthonormal frame."""
     rng = np.random.default_rng(5)
-    o_vec = head_orientation([10.0, 40.0, 0.0])
+    o_vec = head_orientations([10.0, 40.0, 0.0])
     b = np.array([0.0, 1.5, 0.05])
     for _ in range(50):
         s = rng.uniform(-0.1, 0.1, size=2)
         d = rng.uniform(-0.01, 0.01, size=2)
-        lhs = np.linalg.norm(gaze_point(b, o_vec, s + d) - gaze_point(b, o_vec, s))
+        lhs = np.linalg.norm(gaze_points(b, o_vec, s + d)[0]
+                             - gaze_points(b, o_vec, s)[0])
         assert lhs <= np.sqrt(2) * np.linalg.norm(d) + 1e-12
 
 
 def test_actual_sightline():
-    d = actual_sightline(np.zeros(3), np.array([3.0, 0, 4.0]))
-    np.testing.assert_allclose(d, [0.6, 0, 0.8], atol=1e-12)
-    with pytest.raises(GazeError):
-        actual_sightline(np.ones(3), np.ones(3))
+    """The sight-line runs from the head through the gaze point; a gaze
+    point at the head gives a NaN row."""
+    o = euler_facing([3.0, 0.0, 4.0])
+    np.testing.assert_allclose(sightlines(np.zeros(3), o, np.zeros(2), 5.0)[1],
+                               [[0.6, 0, 0.8]], atol=1e-12)
+    assert np.isnan(sightlines(np.ones(3), o, np.zeros(2), 1e-12)[1]).all()
 
 
 def test_doubling_d_screen_keeps_direction_when_centered():
     p = np.array([0.3, 1.7, -1.2])
-    o_vec = head_orientation([5.0, 25.0, 0.0])
-    dirs = []
-    for d_screen in (0.05, 0.10):
-        b = screen_point(p, o_vec, d_screen)
-        y = gaze_point(b, o_vec, np.zeros(2))
-        dirs.append(actual_sightline(p, y))
+    o_deg = [5.0, 25.0, 0.0]
+    dirs = [sightlines(p, o_deg, np.zeros(2), d_screen)[1]
+            for d_screen in (0.05, 0.10)]
     np.testing.assert_allclose(dirs[0], dirs[1], atol=1e-12)
 
 
@@ -185,8 +188,7 @@ def test_trace_degenerate_orientation_is_miss(sphere3):
 def _chain(p, o_deg, s, d_screen):
     """The per-sample sight-line direction, or None where the chain raises."""
     try:
-        o = head_orientation(o_deg)
-        return actual_sightline(p, gaze_point(screen_point(p, o, d_screen), o, s))
+        return sightline_oracle(p, o_deg, s, d_screen)
     except GazeError:
         return None
 
@@ -319,16 +321,13 @@ def test_stacked_pose_chain_matches_per_pose_oracle():
         if isinstance(want, tuple):
             raised["facing"] += 1
             assert np.isnan(facing[k]).all()
-            assert _outcome(head_orientation, o[k]) == want
             assert np.isnan(dirs[k]).all()
             continue
         assert np.array_equal(facing[k], want)
-        assert np.array_equal(head_orientation(o[k]), want)
         frame = _outcome(screen_frame_oracle, want)
         if isinstance(frame[0], type):
             raised["frame"] += 1
             assert degenerate[k] and np.isnan(e_sx[k]).all()
-            assert _outcome(screen_frame, want) == frame
         else:
             assert not degenerate[k]
             assert np.array_equal(e_sx[k], frame[0])
@@ -355,8 +354,6 @@ def test_sightline_at_the_head_is_nan_like_the_chain():
         if isinstance(want, tuple):
             assert want == (GazeError, "gaze point coincides with head position")
             assert np.isnan(dirs[k]).all()
-            near = p[k] + 1e-12 * head_orientation(o[k])
-            assert _outcome(actual_sightline, p[k], near) == want
         else:
             assert np.array_equal(dirs[k], want)
     assert np.isnan(dirs[:2]).all() and np.isfinite(dirs[2]).all()
@@ -373,19 +370,18 @@ def test_cast_hits_match_per_record_oracle(sphere3):
     directions[::9] = np.nan
     directions[4::15] *= -1.0                        # facing away: misses
     points, distances, tri, bary = cast_hits(sphere3, origins, directions)
-    records = cast_sightlines(sphere3, origins, directions, list(range(n)))
     want = hit_records_oracle(sphere3, origins, directions)
-    for k, (w, rec) in enumerate(zip(want, records)):
+    for k, w in enumerate(want):
         if w is None:
-            assert rec is None and tri[k] == -1
+            assert tri[k] == -1
             assert np.isnan(points[k]).all() and np.isnan(distances[k])
+            assert np.isnan(bary[k]).all()
             continue
         point, triangle, b, dist = w
-        assert np.array_equal(points[k], point) and np.array_equal(rec.point, point)
-        assert distances[k] == dist == rec.distance
-        assert tri[k] == triangle == rec.triangle
-        assert np.array_equal(bary[k], b) and np.array_equal(rec.bary, b)
-        assert rec.sample_index == k
+        assert np.array_equal(points[k], point)
+        assert distances[k] == dist
+        assert tri[k] == triangle
+        assert np.array_equal(bary[k], b)
     hits = sum(w is not None for w in want)
     assert 0 < hits < n - n // 9
 

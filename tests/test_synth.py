@@ -10,16 +10,15 @@ from conftest import (euler_facing_oracle, facing_oracle,
                       generate_recording_oracle, inverse_offset_oracle,
                       pick_visible_targets)
 
-from meshgaze.gaze import (GazeError, PoseSample, actual_sightline,
-                           cast_sightlines, gaze_point, head_orientation,
-                           screen_point)
+from meshgaze.gaze import (GazeError, PoseSample, cast_hits, head_orientations,
+                           rowdot, sightlines)
 from meshgaze.mesh import Mesh
 from meshgaze.primitives import bumpy_sphere
-from meshgaze.synth import (ScenarioError, SyntheticScenario,
+from meshgaze.synth import (ScenarioError, SyntheticScenario, _raise_unaimable,
                             check_targets_reachable, euler_facing,
                             euler_facings, generate_recording,
-                            inverse_gaze_offset, inverse_gaze_offsets,
-                            scenario_from_json, scenario_to_json)
+                            inverse_gaze_offsets, scenario_from_json,
+                            scenario_to_json)
 
 D_SCREEN = 0.05
 
@@ -80,7 +79,7 @@ def test_euler_facing_round_trip():
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
         o = euler_facing(d)
-        np.testing.assert_allclose(head_orientation(o), d, atol=1e-12)
+        np.testing.assert_allclose(head_orientations(o)[0], d, atol=1e-12)
         assert o[2] == 0.0
 
 
@@ -95,40 +94,46 @@ def test_euler_facing_axis_cases():
     # magnitude and the direction it reproduces rather than the sign.
     behind = euler_facing((0, 0, -1))
     assert abs(behind[0]) == pytest.approx(180.0, abs=1e-12)
-    np.testing.assert_allclose(head_orientation(behind), [0, 0, -1], atol=1e-12)
+    np.testing.assert_allclose(head_orientations(behind), [[0, 0, -1]], atol=1e-12)
     with pytest.raises(ScenarioError):
         euler_facing((0.0, 0.0, 0.0))
 
 
 def test_inverse_gaze_offset_round_trip():
     rng = np.random.default_rng(42)
-    for _ in range(100):
-        p = rng.normal(size=3)
-        target = p + rng.normal(size=3)
-        o_vec = head_orientation(rng.uniform(-60, 60, size=3))
-        if np.dot(target - p, o_vec) < 0.1:
-            continue
-        s = inverse_gaze_offset(p, o_vec, target, D_SCREEN)
-        b = screen_point(p, o_vec, D_SCREEN)
-        y = gaze_point(b, o_vec, s)
-        d = actual_sightline(p, y)
-        # the sight-line passes through the target
-        along = np.dot(target - p, d)
-        closest = p + along * d
-        np.testing.assert_allclose(closest, target, atol=1e-6)
+    p = rng.normal(size=(100, 3))
+    target = p + rng.normal(size=(100, 3))
+    o_deg = rng.uniform(-60, 60, size=(100, 3))
+    s, along, degenerate = inverse_gaze_offsets(p, head_orientations(o_deg),
+                                                target, D_SCREEN)
+    ahead = along >= 0.1
+    assert ahead.sum() > 20 and not degenerate.any()
+    _, d = sightlines(p[ahead], o_deg[ahead], s[ahead], D_SCREEN)
+    # the sight-line passes through the target
+    closest = p[ahead] + rowdot(target[ahead] - p[ahead], d)[:, None] * d
+    np.testing.assert_allclose(closest, target[ahead], atol=1e-6)
 
 
 def test_inverse_gaze_offset_straight_ahead_is_zero():
     p = np.array([0.0, 1.6, -1.5])
     o_vec = np.array([0.0, 0.0, 1.0])
-    s = inverse_gaze_offset(p, o_vec, p + np.array([0.0, 0.0, 2.0]), D_SCREEN)
-    np.testing.assert_allclose(s, [0.0, 0.0], atol=1e-15)
+    s, _, _ = inverse_gaze_offsets(p, o_vec, p + np.array([0.0, 0.0, 2.0]),
+                                   D_SCREEN)
+    np.testing.assert_allclose(s, [[0.0, 0.0]], atol=1e-15)
 
 
-def test_inverse_gaze_offset_target_behind():
-    with pytest.raises(ScenarioError):
-        inverse_gaze_offset(np.zeros(3), np.array([0.0, 0.0, 1.0]),
-                            np.array([0.0, 0.0, -1.0]), D_SCREEN)
+def test_inverse_gaze_offset_target_behind(sphere3, cfg):
+    """A target behind the screen plane has along <= 0, and a recording
+    aimed at one raises."""
+    _, along, _ = inverse_gaze_offsets(np.zeros(3), np.array([0.0, 0.0, 1.0]),
+                                       np.array([0.0, 0.0, -1.0]), D_SCREEN)
+    assert along[0] < 0
+    n = len(sphere3.vertices)
+    far = np.array([[0.0, 1.6, -6.0], [0.1, 1.6, -6.0], [0.0, 1.7, -6.0]])
+    mesh = Mesh(np.vstack([sphere3.vertices, far]),
+                np.vstack([sphere3.triangles, [[n, n + 1, n + 2]]]))
+    with pytest.raises(ScenarioError, match="^target behind the screen plane$"):
+        generate_recording(make_scenario([n]), mesh, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +171,7 @@ def test_recording_orbit_geometry(sphere3, cfg):
         assert s.p[1] == pytest.approx(1.6, abs=1e-12)
         assert np.linalg.norm(s.p - center) == pytest.approx(1.5, abs=1e-9)
         # head always faces the scene center
-        o_vec = head_orientation(s.o_deg)
+        o_vec = head_orientations(s.o_deg)[0]
         want = (center - s.p) / np.linalg.norm(center - s.p)
         np.testing.assert_allclose(o_vec, want, atol=1e-12)
 
@@ -176,19 +181,18 @@ def test_noise_free_recording_hits_targets(sphere3, cfg):
     sc = make_scenario(targets, noise_deg=0.0)
     samples = generate_recording(sc, sphere3, cfg, subject=0)
     per_dwell = int(round(sc.dwell_s * sc.rate_hz))
+    ks = range(0, len(samples), 17)
+    points = cast_hits(sphere3, *sightlines(
+        [samples[k].p for k in ks], [samples[k].o_deg for k in ks],
+        [samples[k].s for k in ks], cfg.d_screen))[0]
     hits = 0
     checked = 0
-    for k in range(0, len(samples), 17):
-        s = samples[k]
-        o_vec = head_orientation(s.o_deg)
-        b = screen_point(s.p, o_vec, cfg.d_screen)
-        d = actual_sightline(s.p, gaze_point(b, o_vec, s.s))
-        rec, = cast_sightlines(sphere3, s.p[None], d[None])
-        if rec is None:
+    for k, point in zip(ks, points):
+        if np.isnan(point).any():
             continue
         checked += 1
         want = sphere3.vertices[targets[(k // per_dwell) % len(targets)]]
-        if np.linalg.norm(rec.point - want) <= 2.0 * cfg.cluster_interval:
+        if np.linalg.norm(point - want) <= 2.0 * cfg.cluster_interval:
             hits += 1
     assert checked >= 10
     assert hits / checked >= 0.95
@@ -245,7 +249,8 @@ def test_euler_facings_match_per_direction_oracle():
 
 def test_inverse_gaze_offsets_match_per_pose_oracle():
     """Offsets equal the per-pose inversion bit for bit; rows where it
-    raises are flagged, behind (along <= 0) before a degenerate frame."""
+    raises are flagged, behind (along <= 0) before a degenerate frame, and
+    _raise_unaimable raises its error for that row alone."""
     rng = np.random.default_rng(9)
     n = 2000
     p = rng.normal(size=(n, 3))
@@ -259,7 +264,8 @@ def test_inverse_gaze_offsets_match_per_pose_oracle():
     seen = set()
     for k in range(n):
         want = _outcome(inverse_offset_oracle, p[k], o_vec[k], target[k], D_SCREEN)
-        got = _outcome(inverse_gaze_offset, p[k], o_vec[k], target[k], D_SCREEN)
+        got = _outcome(_raise_unaimable, o_vec[k:k + 1], along[k:k + 1],
+                       degenerate[k:k + 1])
         if isinstance(want, tuple):
             seen.add(want[1])
             assert got == want
@@ -267,7 +273,7 @@ def test_inverse_gaze_offsets_match_per_pose_oracle():
             assert (along[k] <= 0) == (want[0] is ScenarioError)
         else:
             seen.add("nan" if np.isnan(want).any() else "ok")
-            assert np.array_equal(got, want, equal_nan=True)
+            assert got is None
             assert np.array_equal(s[k], want, equal_nan=True)
             assert not along[k] <= 0 and not degenerate[k]
     assert len(seen) == 4, seen
@@ -361,3 +367,9 @@ def test_check_targets_reachable_raises_the_per_sample_error(sphere3, cfg):
                          index=x.index) for x in samples]
     with pytest.raises(ScenarioError, match="behind the screen plane"):
         check_targets_reachable(sc, sphere3, cfg, behind)
+    # facing straight up or down, toward the first target's side of the head
+    pitch = 90.0 if sphere3.vertices[good[0], 1] < samples[0].p[1] else -90.0
+    vertical = [PoseSample(t=x.t, p=x.p, o_deg=np.array([pitch, 0.0, 0.0]),
+                           s=x.s, index=x.index) for x in samples]
+    with pytest.raises(GazeError, match="degenerate screen frame"):
+        check_targets_reachable(sc, sphere3, cfg, vertical)
