@@ -22,7 +22,7 @@ _EXPORTS = {
     "mesh": ("Mesh", "MeshError", "load_mesh", "save_ply"),
     "gaze": ("GazeError", "PoseSample", "head_orientations", "load_recording",
              "screen_frames", "screen_point", "trace_samples"),
-    "fixation": ("FixationError", "FixationPoint", "classify_ivt",
+    "fixation": ("FixationError", "Fixations", "classify_ivt",
                  "extract_fixations", "load_fixations", "save_fixations"),
     "visibility": ("CameraModel", "ViewPose", "VisibilityError", "pose_hash",
                    "visible_points"),

@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from collections import defaultdict
 
 _CALLER_BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -37,15 +36,14 @@ else:
 
 from . import __version__
 from .config import MeshgazeError, RunConfig, apply_overrides, load_config
-from .evaluation import (EvaluationError, ViewScore, bias_distance,
-                         initial_move_direction, inter_observer_test,
-                         metric_cc, metric_kl, metric_se,
-                         viewing_direction_dependence, weighted_eval)
-from .fdm import (FdmError, FixationDensityMap, build_ground_truth,
-                  load_map_csv, plcc, pose_bucket, save_map_csv, save_map_ply,
-                  splat_fdm)
-from .fixation import (FixationError, extract_fixations, load_fixations,
-                       median, saccade_amplitude, save_fixations)
+from .evaluation import (EvaluationError, ViewScore, bias_study,
+                         direction_dependence_study, inter_observer_study,
+                         left_preference_study, metric_cc, metric_kl,
+                         metric_se, saccade_study, weighted_eval)
+from .fdm import (FdmError, bucket_views, build_ground_truth, load_map_csv,
+                  save_map_csv, save_map_ply, splat_fdm)
+from .fixation import (Fixations, extract_fixations, load_fixations,
+                       save_fixations)
 from .gaze import GazeError, load_recording, save_recording, trace_samples
 from .io import read_text, read_vertex_csv, write_csv, write_json
 from .mesh import Mesh, load_mesh
@@ -53,8 +51,7 @@ from .saliency import baseline_curvature_saliency, saliency_map
 from .synth import (ScenarioError, check_targets_reachable, generate_recording,
                     load_scenario)
 from .visibility import (CameraModel, ViewPose, VisibilityError,
-                         camera_from_config, load_visibility, pose_hash,
-                         save_visibility, visible_points)
+                         camera_from_config, load_visibility, save_visibility)
 
 
 def _load_cfg(args) -> RunConfig:
@@ -90,15 +87,15 @@ def cmd_process(args) -> int:
         samples = load_recording(os.path.join(args.recordings, name),
                                  cfg.screen_half_extent)
         traced = trace_samples(samples, mesh, cfg.d_screen)
-        points, stats = extract_fixations(traced, cfg)
+        fixations, stats = extract_fixations(traced, cfg, rec_id)
         warnings = []
         if stats["miss_samples"] == stats["samples"]:
             warnings.append("all sight-lines missed the mesh")
-        if not points:
+        if not len(fixations):
             warnings.append("no fixations detected")
         for w in warnings:
             _warn(f"{rec_id}: {w}")
-        save_fixations(os.path.join(args.out, f"{rec_id}.csv"), rec_id, points)
+        save_fixations(os.path.join(args.out, f"{rec_id}.csv"), fixations)
         stats["warnings"] = warnings
         summary["recordings"][rec_id] = stats
         summary["total_fixations"] += stats["fixations"]
@@ -106,34 +103,20 @@ def cmd_process(args) -> int:
     return 0
 
 
-def _load_fixation_dir(path):
-    """All fixation rows in a directory: [(recording_id, cluster_id, point)]."""
-    rows = []
-    for name in sorted(os.listdir(path)):
-        if name.endswith(".csv"):
-            rows.extend(load_fixations(os.path.join(path, name)))
-    return rows
-
-
-def _pose_groups(rows, cfg, per_recording=False) -> dict:
-    """Fixation rows grouped by pose bucket, or by (recording id, bucket),
-    in sorted key order: key -> [(recording_id, point)]."""
-    groups = defaultdict(list)
-    for rec_id, _, fp in rows:
-        key = pose_bucket(fp.pose_p, fp.pose_o, cfg.pose_grid_m,
-                          cfg.pose_angle_bin_deg)
-        groups[(rec_id, key) if per_recording else key].append((rec_id, fp))
-    return dict(sorted(groups.items()))
+def _load_fixation_dir(path) -> Fixations:
+    """The fixations of every CSV in a directory, files in name order."""
+    return Fixations.concat(load_fixations(os.path.join(path, name))
+                            for name in sorted(os.listdir(path))
+                            if name.endswith(".csv"))
 
 
 def cmd_fdm(args) -> int:
     cfg = _load_cfg(args)
     mesh = _mesh_from_cfg(args.mesh, cfg)
-    rows = _load_fixation_dir(args.fixations)
+    fixations = _load_fixation_dir(args.fixations)
     os.makedirs(args.out, exist_ok=True)
     if not args.by_pose:
-        points = [fp for _, _, fp in rows]
-        fdm = splat_fdm(mesh, points, cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)
+        fdm = splat_fdm(mesh, fixations, cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)
         if fdm.flagged:
             _warn("no fixations: all-zero density map")
         save_map_csv(os.path.join(args.out, "fdm.csv"), fdm.values)
@@ -141,29 +124,24 @@ def cmd_fdm(args) -> int:
         write_json(os.path.join(args.out, "fdm.meta.json"),
                    {"version": __version__, "sigma_fdm": cfg.sigma_fdm,
                     "cutoff_sigmas": cfg.fdm_cutoff_sigmas,
-                    "fixations": len(points)})
+                    "fixations": len(fixations)})
         return 0
 
     # per-pose ground truth: bucket fixations, gate by per-bucket visibility
-    cam = camera_from_config(cfg)
     weights = {}
     meta = {"version": __version__, "sigma_fdm": cfg.sigma_fdm,
             "buckets": {}}
-    for bucket, entries in _pose_groups(rows, cfg).items():
-        rep = entries[0][1]
-        pose = ViewPose(p=rep.pose_p, o_deg=rep.pose_o, camera=cam)
-        vs = visible_points(mesh, pose, cfg.depth_tol_frac)
-        gt = build_ground_truth(mesh, entries, bucket, vs, cfg.sigma_fdm,
-                                cfg.fdm_cutoff_sigmas)
+    for bucket, rows, pose, vs in bucket_views(mesh, fixations, cfg):
+        gt = build_ground_truth(mesh, fixations[rows], bucket, vs,
+                                cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)
         if gt.map.flagged:
             _warn(f"bucket {bucket}: density is zero on the visible set")
         save_map_csv(os.path.join(args.out, f"{bucket}.csv"), gt.map.values)
         save_visibility(os.path.join(args.out, f"{bucket}.vis.csv"), vs)
         weights[bucket] = gt.a_w
         meta["buckets"][bucket] = {
-            "a_w": gt.a_w, "fixations": len(entries),
-            "pose_p": [float(x) for x in rep.pose_p],
-            "pose_o": [float(x) for x in rep.pose_o],
+            "a_w": gt.a_w, "fixations": len(rows),
+            "pose_p": pose.p.tolist(), "pose_o": pose.o_deg.tolist(),
         }
     write_json(os.path.join(args.out, "weights.json"), weights)
     write_json(os.path.join(args.out, "gt_meta.json"), meta)
@@ -338,15 +316,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _per_subject_maps(mesh, rows, cfg):
-    """subject (= recording id) -> pooled FixationDensityMap on this mesh."""
-    by_subject = defaultdict(list)
-    for rec_id, _, fp in rows:
-        by_subject[rec_id].append(fp)
-    return {s: splat_fdm(mesh, pts, cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)
-            for s, pts in sorted(by_subject.items())}
-
-
 def cmd_analyze(args) -> int:
     cfg = _load_cfg(args)
     mesh_files = {}
@@ -363,158 +332,39 @@ def cmd_analyze(args) -> int:
             "analyze needs per-mesh fixation subdirectories matching mesh files")
     os.makedirs(args.out, exist_ok=True)
 
+    def write(name, report):
+        write_json(os.path.join(args.out, name),
+                   {"version": __version__, **report})
+
     meshes = {m: _mesh_from_cfg(mesh_files[m], cfg) for m in shared}
-    fixrows = {m: _load_fixation_dir(fix_dirs[m]) for m in shared}
-    subj_maps = {m: _per_subject_maps(meshes[m], fixrows[m], cfg)
-                 for m in shared}
-
-    # --- inter-observer agreement -------------------------------------
-    same, cross = [], []
-    for m in shared:
-        maps = list(subj_maps[m].values())
-        for i in range(len(maps)):
-            for j in range(i + 1, len(maps)):
-                try:
-                    same.append(plcc(maps[i], maps[j]))
-                except FdmError:
-                    pass
-    for mi in range(len(shared)):
-        for mj in range(mi + 1, len(shared)):
-            a_maps = list(subj_maps[shared[mi]].values())
-            b_maps = list(subj_maps[shared[mj]].values())
-            for a in a_maps:
-                for b in b_maps:
-                    # different meshes: compare on the shared vertex-count prefix
-                    k = min(len(a.values), len(b.values))
-                    try:
-                        cross.append(plcc(a.values[:k], b.values[:k]))
-                    except FdmError:
-                        pass
-    inter = {"version": __version__, "same_mesh_pairs": len(same),
-             "cross_mesh_pairs": len(cross),
-             "note": ("cross-mesh similarity uses index pairing over the "
-                      "shared vertex-count prefix and serves as a noise "
-                      "baseline")}
-    if len(same) >= 2 and len(cross) >= 2:
-        try:
-            t, p = inter_observer_test(same, cross)
-            inter.update(t=t, p=p, mean_same=float(np.mean(same)),
-                         mean_cross=float(np.mean(cross)))
-        except EvaluationError as exc:
-            inter["skipped"] = str(exc)
-    else:
-        inter["skipped"] = "need >= 2 similarity pairs on each side"
-    write_json(os.path.join(args.out, "inter_observer.json"), inter)
-
-    # --- center / depth bias ------------------------------------------
-    cam = camera_from_config(cfg)
-    bias_rows = []
-    for m in shared:
-        for bucket, entries in _pose_groups(fixrows[m], cfg).items():
-            pts = [fp for _, fp in entries]
-            if len(pts) < 3:
-                continue
-            rep = pts[0]
-            pose = ViewPose(p=rep.pose_p, o_deg=rep.pose_o, camera=cam)
-            vs = visible_points(meshes[m], pose, cfg.depth_tol_frac)
-            if vs.empty:
-                continue
-            fpos = np.stack([fp.position for fp in pts])
-            vpos = meshes[m].vertices[vs.ids]
-            bias_rows.append({
-                "mesh": m, "bucket": bucket, "fixations": len(pts),
-                "d_f_center": bias_distance(fpos, vs.center),
-                "d_v_center": bias_distance(vpos, vs.center),
-                "d_f_head": bias_distance(fpos, rep.pose_p),
-                "d_v_head": bias_distance(vpos, rep.pose_p),
-            })
-    bias_report = {"version": __version__, "rows": bias_rows}
-    if bias_rows:
-        bias_report["mean_d_f_center"] = float(np.mean([r["d_f_center"] for r in bias_rows]))
-        bias_report["mean_d_v_center"] = float(np.mean([r["d_v_center"] for r in bias_rows]))
-        bias_report["mean_d_f_head"] = float(np.mean([r["d_f_head"] for r in bias_rows]))
-        bias_report["mean_d_v_head"] = float(np.mean([r["d_v_head"] for r in bias_rows]))
-    else:
-        bias_report["skipped"] = "no pose bucket had >= 3 fixations"
-    write_json(os.path.join(args.out, "bias.json"), bias_report)
-
-    # --- saccade amplitudes ---------------------------------------------
-    amplitudes = []
-    for m in shared:
-        by_rec = defaultdict(list)
-        for rec_id, cluster_id, fp in fixrows[m]:
-            by_rec[rec_id].append((cluster_id, fp))
-        for rec_id, pairs in sorted(by_rec.items()):
-            pairs.sort(key=lambda x: x[0])
-            for (_, fa), (_, fb) in zip(pairs, pairs[1:]):
-                try:
-                    amplitudes.append(saccade_amplitude(fa, fb))
-                except FixationError:
-                    pass
-    sac = {"version": __version__, "count": len(amplitudes)}
-    if amplitudes:
-        arr = np.asarray(amplitudes)
-        sac.update(mean_deg=float(arr.mean()), median_deg=median(arr),
-                   std_deg=float(arr.std()), max_deg=float(arr.max()))
-    else:
-        sac["skipped"] = "no consecutive fixation pairs"
-    write_json(os.path.join(args.out, "saccade.json"), sac)
-
-    # --- viewing-direction dependence -----------------------------------
-    vdd_report = {"version": __version__, "per_mesh": {}}
-    vdd_rows = []
-    for m in shared:
-        per_pose = [[fp for _, fp in entries] for entries in
-                    _pose_groups(fixrows[m], cfg, per_recording=True).values()]
-        # height filter: keep the modal height grid cell
-        def ycell(fp):
-            return int(np.floor(fp.pose_p[1] / cfg.pose_grid_m))
-        cells = defaultdict(int)
-        for pts in per_pose:
-            cells[ycell(pts[0])] += 1
-        if not cells:
-            vdd_report["per_mesh"][m] = {"skipped": "no fixations"}
-            continue
-        modal = max(sorted(cells), key=lambda c: cells[c])
-        entries = []
-        for pts in per_pose:
-            if ycell(pts[0]) != modal:
-                continue
-            fdm = splat_fdm(meshes[m], pts, cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)
-            entries.append((pts[0].pose_o, fdm.values))
-        try:
-            corr = viewing_direction_dependence(
-                entries, cfg.vdd_max_angle_deg, cfg.vdd_repetitions, cfg.seed)
-            vdd_report["per_mesh"][m] = {"correlation": corr,
-                                         "abs_correlation": abs(corr),
-                                         "maps": len(entries)}
-            vdd_rows.append((m, repr(corr), repr(abs(corr))))
-        except EvaluationError as exc:
-            vdd_report["per_mesh"][m] = {"skipped": str(exc), "maps": len(entries)}
-    write_json(os.path.join(args.out, "direction_dependence.json"), vdd_report)
+    fixations = {m: _load_fixation_dir(fix_dirs[m]) for m in shared}
+    write("inter_observer.json", inter_observer_study(meshes, fixations, cfg))
+    write("bias.json", bias_study(meshes, fixations, cfg))
+    write("saccade.json", saccade_study(fixations))
+    vdd = direction_dependence_study(meshes, fixations, cfg)
+    write("direction_dependence.json", vdd)
     write_csv(os.path.join(args.out, "direction_dependence.csv"),
-              ["mesh", "correlation", "abs_correlation"], vdd_rows)
+              ["mesh", "correlation", "abs_correlation"],
+              [(m, repr(r["correlation"]), repr(r["abs_correlation"]))
+               for m, r in vdd["per_mesh"].items() if "correlation" in r])
 
-    # --- initial lateral preference --------------------------------------
-    left_report = {"version": __version__}
-    if args.recordings:
-        counts = {"Left": 0, "Right": 0, "None": 0}
-        for name in sorted(os.listdir(args.recordings)):
-            if not name.endswith(".csv"):
-                continue
+    if not args.recordings:
+        write("left_preference.json",
+              {"skipped": "no --recordings directory given"})
+        return 0
+    recordings, problems = {}, {}
+    for name in sorted(os.listdir(args.recordings)):
+        if name.endswith(".csv"):
             try:
-                samples = load_recording(os.path.join(args.recordings, name),
-                                         cfg.screen_half_extent)
-                counts[initial_move_direction(samples, cfg.move_gate_m)] += 1
-            except (GazeError, EvaluationError) as exc:
-                _warn(f"left-preference: {name}: {exc}")
-        decided = counts["Left"] + counts["Right"]
-        left_report.update(counts=counts)
-        if decided:
-            left_report["left_fraction"] = counts["Left"] / decided
-    else:
-        left_report["skipped"] = "no --recordings directory given"
-    write_json(os.path.join(args.out, "left_preference.json"), left_report)
+                recordings[name] = load_recording(
+                    os.path.join(args.recordings, name), cfg.screen_half_extent)
+            except GazeError as exc:
+                problems[name] = exc
+    report, undecided = left_preference_study(recordings, cfg)
+    problems.update(undecided)
+    for name in sorted(problems):
+        _warn(f"left-preference: {name}: {problems[name]}")
+    write("left_preference.json", report)
     return 0
 
 

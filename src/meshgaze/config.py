@@ -18,6 +18,11 @@ class MeshgazeError(Exception):
     """Base of every error meshgaze raises for bad input files or settings."""
 
 
+# largest coordinate magnitude (meters) of a mesh, recording, fixation or
+# pose: far beyond any scene, and squared distances stay finite
+MAX_COORD = 1e9
+
+
 class ConfigError(MeshgazeError):
     """Malformed config file, unknown key, or out-of-range value."""
 
@@ -149,6 +154,15 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _set_key(cfg: RunConfig, pair: str, where: str = "") -> None:
+    """Set one ``key=value`` pair on cfg; where prefixes an unknown key."""
+    key, _, raw = pair.partition("=")
+    key = key.strip()
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"{where}unknown config key {key!r}")
+    setattr(cfg, key, _parse_value(key, raw))
+
+
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse flat key=value text into a RunConfig; unknown keys are errors."""
     cfg = dataclasses.replace(base) if base is not None else RunConfig()
@@ -158,11 +172,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw))
+        _set_key(cfg, stripped, f"line {lineno}: ")
     cfg.validate()
     return cfg
 
@@ -182,10 +192,6 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(out, key, _parse_value(key, raw))
+        _set_key(out, item)
     out.validate()
     return out

@@ -12,13 +12,16 @@ movement preference.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
 from .config import MeshgazeError
-from .fdm import FdmError, plcc
-from .gaze import head_orientations, rotation_matrix
+from .fdm import FdmError, bucket_views, plcc, pose_groups, splat_fdm
+from .fixation import median, saccade_amplitudes
+from .gaze import head_orientations
 
 
 class EvaluationError(MeshgazeError):
@@ -293,3 +296,125 @@ def initial_move_direction(samples, gate_m: float = 0.15) -> str:
                 return LEFT
             return NONE
     return NONE
+
+
+# ---------------------------------------------------------------------------
+# studies: each takes {mesh name: Mesh} and {mesh name: Fixations} with the
+# same keys, and returns its report
+
+def _similarities(pairs) -> list:
+    """plcc of each map pair over their shared vertex-count prefix (maps of
+    different meshes pair up by vertex index); zero-variance pairs are
+    left out."""
+    out = []
+    for a, b in pairs:
+        k = min(len(a.values), len(b.values))
+        try:
+            out.append(plcc(a.values[:k], b.values[:k]))
+        except FdmError:
+            pass
+    return out
+
+
+def inter_observer_study(meshes, fixations, cfg) -> dict:
+    """Welch's t-test of the similarity of per-subject maps on one mesh
+    against pairs across meshes."""
+    maps = {m: [splat_fdm(meshes[m], fix[fix.recording == r], cfg.sigma_fdm,
+                          cfg.fdm_cutoff_sigmas) for r in sorted(set(fix.recording))]
+            for m, fix in sorted(fixations.items())}
+    same = _similarities(pair for m in maps for pair in combinations(maps[m], 2))
+    cross = _similarities(pair for a, b in combinations(maps, 2)
+                          for pair in product(maps[a], maps[b]))
+    report = {"same_mesh_pairs": len(same), "cross_mesh_pairs": len(cross),
+              "note": ("cross-mesh similarity uses index pairing over the "
+                       "shared vertex-count prefix and serves as a noise "
+                       "baseline")}
+    if len(same) < 2 or len(cross) < 2:
+        return {**report, "skipped": "need >= 2 similarity pairs on each side"}
+    try:
+        t, p = inter_observer_test(same, cross)
+    except EvaluationError as exc:
+        return {**report, "skipped": str(exc)}
+    return {**report, "t": t, "p": p, "mean_same": float(np.mean(same)),
+            "mean_cross": float(np.mean(cross))}
+
+
+def bias_study(meshes, fixations, cfg) -> dict:
+    """Center and depth bias distances of each pose bucket with at least 3
+    fixations and a non-empty visible set."""
+    rows = []
+    for m, fix in sorted(fixations.items()):
+        for bucket, ids, pose, vs in bucket_views(meshes[m], fix, cfg,
+                                                   min_fixations=3):
+            if not vs.empty:
+                fpos, vpos = fix.position[ids], meshes[m].vertices[vs.ids]
+                rows.append({"mesh": m, "bucket": bucket, "fixations": len(ids),
+                             "d_f_center": bias_distance(fpos, vs.center),
+                             "d_v_center": bias_distance(vpos, vs.center),
+                             "d_f_head": bias_distance(fpos, pose.p),
+                             "d_v_head": bias_distance(vpos, pose.p)})
+    if not rows:
+        return {"rows": rows, "skipped": "no pose bucket had >= 3 fixations"}
+    return {"rows": rows, **{f"mean_{key}": float(np.mean([r[key] for r in rows]))
+                             for key in ("d_f_center", "d_v_center",
+                                         "d_f_head", "d_v_head")}}
+
+
+def saccade_study(fixations) -> dict:
+    """Amplitudes between each recording's consecutive fixations in cluster
+    order; pairs seen from a coinciding head position are left out."""
+    amplitudes = [np.empty(0)]
+    for _, fix in sorted(fixations.items()):
+        order = np.lexsort((fix.cluster, fix.recording))
+        same = fix.recording[order[1:]] == fix.recording[order[:-1]]
+        amp = saccade_amplitudes(fix, order[:-1][same], order[1:][same])
+        amplitudes.append(amp[~np.isnan(amp)])
+    arr = np.concatenate(amplitudes)
+    if not len(arr):
+        return {"count": 0, "skipped": "no consecutive fixation pairs"}
+    return {"count": len(arr), "mean_deg": float(arr.mean()),
+            "median_deg": median(arr), "std_deg": float(arr.std()),
+            "max_deg": float(arr.max())}
+
+
+def direction_dependence_study(meshes, fixations, cfg) -> dict:
+    """Viewing-direction dependence per mesh over the per-recording pose
+    bucket maps whose head height lies in the modal height grid cell."""
+    per_mesh = {}
+    for m, fix in sorted(fixations.items()):
+        groups = list(pose_groups(fix, cfg, per_recording=True).values())
+        firsts = np.array([rows[0] for rows in groups], dtype=np.int64)
+        cells = np.floor(fix.pose_p[firsts, 1] / cfg.pose_grid_m).tolist()
+        counts = Counter(cells)
+        if not counts:
+            per_mesh[m] = {"skipped": "no fixations"}
+            continue
+        modal = max(sorted(counts), key=counts.__getitem__)
+        entries = [(fix.pose_o[rows[0]],
+                    splat_fdm(meshes[m], fix[rows], cfg.sigma_fdm,
+                              cfg.fdm_cutoff_sigmas).values)
+                   for rows, cell in zip(groups, cells) if cell == modal]
+        try:
+            corr = viewing_direction_dependence(
+                entries, cfg.vdd_max_angle_deg, cfg.vdd_repetitions, cfg.seed)
+            per_mesh[m] = {"correlation": corr, "abs_correlation": abs(corr),
+                           "maps": len(entries)}
+        except EvaluationError as exc:
+            per_mesh[m] = {"skipped": str(exc), "maps": len(entries)}
+    return {"per_mesh": per_mesh}
+
+
+def left_preference_study(recordings, cfg) -> tuple[dict, dict]:
+    """Counts of the first lateral move of each recording ({name: samples})
+    and the share of decided ones going left; also {name: error} of the
+    recordings too short to decide."""
+    counts, problems = {LEFT: 0, RIGHT: 0, NONE: 0}, {}
+    for name, samples in recordings.items():
+        try:
+            counts[initial_move_direction(samples, cfg.move_gate_m)] += 1
+        except EvaluationError as exc:
+            problems[name] = exc
+    decided = counts[LEFT] + counts[RIGHT]
+    if not decided:
+        return {"counts": counts}, problems
+    return {"counts": counts, "left_fraction": counts[LEFT] / decided}, problems

@@ -9,6 +9,7 @@ contributing subjects as the view's weight A_w.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,8 @@ from .config import MeshgazeError
 from .gaze import head_orientations
 from .io import read_vertex_csv, write_csv
 from .mesh import Mesh, save_ply
-from .visibility import VisibleSet
+from .visibility import (ViewPose, VisibleSet, camera_from_config,
+                         visible_points)
 
 
 class FdmError(MeshgazeError):
@@ -42,19 +44,25 @@ class ViewGroundTruth:
     a_w: int
 
 
+# fixation-vertex pairs per splat block: 3 MB of coordinate differences
+_SPLAT_BLOCK = 2 ** 17
+
+
 def splat_fdm(mesh: Mesh, fixations, sigma: float,
               cutoff_sigmas: float = 4.0) -> FixationDensityMap:
-    """Sum truncated Gaussian contributions of all fixations per vertex."""
+    """Sum truncated Gaussian contributions of all fixations (a Fixations
+    table) per vertex, each vertex's in table order."""
     if not sigma > 0:
         raise FdmError("sigma must be positive")
     values = np.zeros(len(mesh.vertices))
-    fixations = list(fixations)
     radius = cutoff_sigmas * sigma
-    for fp in fixations:
-        d2 = np.sum((mesh.vertices - fp.position) ** 2, axis=1)
-        ids = np.nonzero(d2 <= radius * radius)[0]
-        if len(ids):
-            values[ids] += fp.weight * np.exp(-d2[ids] / (2.0 * sigma * sigma))
+    step = max(1, _SPLAT_BLOCK // max(len(values), 1))
+    for lo in range(0, len(fixations), step):
+        position = fixations.position[lo:lo + step, None, :]
+        d2 = np.sum((mesh.vertices - position) ** 2, axis=2)
+        f, v = np.nonzero(d2 <= radius * radius)
+        np.add.at(values, v, fixations.weight[lo + f]
+                  * np.exp(-d2[f, v] / (2.0 * sigma * sigma)))
     # an all-zero map (no fixations, or none within reach of any vertex)
     # is structurally valid but carries no signal; flag it for callers
     return FixationDensityMap(values=values,
@@ -83,41 +91,65 @@ def plcc(map_a, map_b, domain=None) -> float:
     return float(np.clip(np.dot(da, db) / np.sqrt(sa * sb), -1.0, 1.0))
 
 
-def pose_bucket(pose_p, pose_o_deg, grid_m: float = 0.25,
-                angle_bin_deg: float = 30.0) -> str:
-    """Quantize a 6DoF pose into an equivalence-class key.
+def pose_buckets(pose_p, pose_o_deg, grid_m: float = 0.25,
+                 angle_bin_deg: float = 30.0) -> list[str]:
+    """Quantize n 6DoF poses, rows of (n, 3) positions and Euler angles,
+    into equivalence-class keys, one per pose.
 
     Position snaps to a cubic grid; the facing vector to azimuth and
     elevation bins.  Poses sharing a key are "the same 6DoF data" for
     ground-truth pooling and visit counting.
     """
-    p = np.asarray(pose_p, dtype=np.float64)
-    o = head_orientations(pose_o_deg)[0]
-    gx, gy, gz = (int(np.floor(c / grid_m)) for c in p)
-    az = np.degrees(np.arctan2(o[2], o[0])) % 360.0
-    el = np.degrees(np.arcsin(np.clip(o[1], -1.0, 1.0)))
-    ia = int(np.floor(az / angle_bin_deg)) % max(int(np.ceil(360.0 / angle_bin_deg)), 1)
-    ie = min(int(np.floor((el + 90.0) / angle_bin_deg)),
-             int(np.ceil(180.0 / angle_bin_deg)) - 1)
-    return f"{gx}_{gy}_{gz}_a{ia}_e{ie}"
+    p = np.asarray(pose_p, dtype=np.float64).reshape(-1, 3)
+    o = head_orientations(pose_o_deg)
+    az = np.degrees(np.arctan2(o[:, 2], o[:, 0])) % 360.0
+    el = np.degrees(np.arcsin(np.clip(o[:, 1], -1.0, 1.0)))
+    n_az = max(int(np.ceil(360.0 / angle_bin_deg)), 1)
+    top = int(np.ceil(180.0 / angle_bin_deg)) - 1
+    bins = np.column_stack([np.floor(p / grid_m), np.floor(az / angle_bin_deg),
+                            np.floor((el + 90.0) / angle_bin_deg)])
+    return [f"{int(x)}_{int(y)}_{int(z)}_a{int(a) % n_az}_e{min(int(e), top)}"
+            for x, y, z, a, e in bins.tolist()]
 
 
-def build_ground_truth(mesh: Mesh, tagged_fixations, pose_id: str,
+def pose_groups(fixations, cfg, per_recording: bool = False) -> dict:
+    """Row indices of a Fixations table by pose bucket, or by (recording
+    id, bucket), in sorted key order; each keeps the table's row order."""
+    keys = pose_buckets(fixations.pose_p, fixations.pose_o, cfg.pose_grid_m,
+                        cfg.pose_angle_bin_deg)
+    if per_recording:
+        keys = list(zip(fixations.recording.tolist(), keys))
+    groups = defaultdict(list)
+    for i, key in enumerate(keys):
+        groups[key].append(i)
+    return {key: np.array(groups[key]) for key in sorted(groups)}
+
+
+def bucket_views(mesh: Mesh, fixations, cfg, min_fixations: int = 1):
+    """(bucket, row indices, pose, VisibleSet) for each pose bucket of at
+    least min_fixations rows, in key order.  The bucket's first row gives
+    its representative pose; a smaller bucket casts no rays."""
+    cam = camera_from_config(cfg)
+    for bucket, rows in pose_groups(fixations, cfg).items():
+        if len(rows) >= min_fixations:
+            pose = ViewPose(p=fixations.pose_p[rows[0]],
+                            o_deg=fixations.pose_o[rows[0]], camera=cam)
+            yield bucket, rows, pose, visible_points(mesh, pose,
+                                                     cfg.depth_tol_frac)
+
+
+def build_ground_truth(mesh: Mesh, fixations, pose_id: str,
                        vs: VisibleSet, sigma: float,
                        cutoff_sigmas: float = 4.0) -> ViewGroundTruth:
-    """Ground truth for one pose bucket from its fixations.
-
-    tagged_fixations: the bucket's (subject_id, FixationPoint) entries.
-    """
-    tagged_fixations = list(tagged_fixations)
-    if not tagged_fixations:
+    """Ground truth for one pose bucket from its Fixations table; A_w is
+    the count of distinct recordings among them."""
+    if not len(fixations):
         raise FdmError(f"no fixations in pose bucket {pose_id!r}")
-    fdm = splat_fdm(mesh, [fp for _, fp in tagged_fixations], sigma,
-                    cutoff_sigmas)
+    fdm = splat_fdm(mesh, fixations, sigma, cutoff_sigmas)
     values = np.where(vs.mask, fdm.values, 0.0)
     gated = FixationDensityMap(values=values, flagged=not (values > 0).any())
     return ViewGroundTruth(pose_id=pose_id, map=gated,
-                           a_w=len({s for s, _ in tagged_fixations}))
+                           a_w=len(set(fixations.recording.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ missed the mesh.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import MeshgazeError
+from .config import MAX_COORD, MeshgazeError
+from .gaze import rowdot
 from .io import read_csv, write_csv
 
 FIXATION = "fixation"
@@ -32,13 +33,41 @@ class FixationError(MeshgazeError):
 
 
 @dataclass
-class FixationPoint:
-    __slots__ = ("position", "pose_p", "pose_o", "duration", "weight")
+class Fixations:
+    """Fixations as one table: recording ids (n,) as str objects, cluster
+    (n,) the index within the recording, position (n, 3) the fixated point,
+    pose_p and pose_o (n, 3) the representative head position and Euler
+    degrees, duration (n,) seconds and weight (n,) the member count.
+    Indexing by an index array or a mask gives the table of those rows."""
+    recording: np.ndarray
+    cluster: np.ndarray
     position: np.ndarray
     pose_p: np.ndarray
-    pose_o: np.ndarray   # Euler degrees
-    duration: float      # seconds
-    weight: int          # member count
+    pose_o: np.ndarray
+    duration: np.ndarray
+    weight: np.ndarray
+
+    def __post_init__(self):
+        self.recording = np.asarray(self.recording, dtype=object).reshape(-1)
+        self.cluster = np.asarray(self.cluster, dtype=np.int64).reshape(-1)
+        for name in ("position", "pose_p", "pose_o"):
+            setattr(self, name, np.asarray(getattr(self, name),
+                                           dtype=np.float64).reshape(-1, 3))
+        self.duration = np.asarray(self.duration, dtype=np.float64).reshape(-1)
+        self.weight = np.asarray(self.weight, dtype=np.int64).reshape(-1)
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+    def __getitem__(self, rows) -> Fixations:
+        return Fixations(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @staticmethod
+    def concat(tables) -> Fixations:
+        """The rows of every table in turn; no tables give an empty one."""
+        tables = list(tables) or [Fixations([], [], [], [], [], [], [])]
+        return Fixations(*(np.concatenate([getattr(t, f.name) for t in tables])
+                           for f in fields(Fixations)))
 
 
 def median(values) -> float:
@@ -158,28 +187,30 @@ def cluster_center_random_walk(points, sigma_rw: float, lam: float = 0.85,
     return int(np.argmax(pi))  # argmax takes the first (earliest) max
 
 
-def saccade_amplitude(f_a: FixationPoint, f_b: FixationPoint) -> float:
-    """Angular distance in degrees between consecutive fixations, seen from
-    the head position of the later one."""
-    p = f_b.pose_p
-    va = f_a.position - p
-    vb = f_b.position - p
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na <= 1e-12 or nb <= 1e-12:
-        raise FixationError("fixation coincides with head position")
-    cosang = float(np.dot(va, vb) / (na * nb))
-    return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+def saccade_amplitudes(fixations: Fixations, first, second) -> np.ndarray:
+    """Angular distance in degrees from fixation first[k] to second[k],
+    seen from the head position of second[k]; NaN where either fixation
+    lies within 1e-12 of that head position."""
+    p = fixations.pose_p[second]
+    va = fixations.position[first] - p
+    vb = fixations.position[second] - p
+    na = np.sqrt(rowdot(va, va))
+    nb = np.sqrt(rowdot(vb, vb))
+    ok = (na > 1e-12) & (nb > 1e-12)
+    out = np.full(len(p), np.nan)
+    cosang = rowdot(va[ok], vb[ok]) / (na[ok] * nb[ok])
+    out[ok] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return out
 
 
-def extract_fixations(traced, cfg) -> tuple[list[FixationPoint], dict]:
+def extract_fixations(traced, cfg, recording: str = "") -> tuple[Fixations, dict]:
     """Full per-recording pipeline on a traced stream [(PoseSample,
     record-or-None)]: classify, cluster, pick centers.
 
     Each fixation's pose is the member nearest the cluster's temporal
     midpoint (ties to the earliest), its duration (t_last - t_first) + dt
-    and its weight the member count.  Returns (fixation points, stats)
-    where stats counts samples by label.
+    and its weight the member count.  Returns the recording's fixations,
+    clusters numbered from 0, and stats counting samples by label.
     """
     t = np.array([s.t for s, _ in traced], dtype=np.float64)
     miss = np.full(3, np.nan)
@@ -197,23 +228,23 @@ def extract_fixations(traced, cfg) -> tuple[list[FixationPoint], dict]:
         "miss_samples": int((labels == MISS).sum()),
     }
 
-    out: list[FixationPoint] = []
+    bounds, centers, reps = [], [], []
     for s, e in zip(*_runs(labels == FIXATION)):
         starts = s + group_clusters(points[s:e], cfg.cluster_interval)
-        bounds = np.append(starts, e)
-        for a, b in zip(bounds[:-1], bounds[1:]):
+        for a, b in zip(starts, np.append(starts[1:], e)):
             mid = 0.5 * (t[a] + t[b - 1])
-            rep = traced[a + int(np.argmin(np.abs(t[a:b] - mid)))][0]
-            center = a + cluster_center_random_walk(
+            reps.append(traced[a + int(np.argmin(np.abs(t[a:b] - mid)))][0])
+            centers.append(a + cluster_center_random_walk(
                 points[a:b], cfg.rw_sigma, cfg.rw_lambda, cfg.rw_rho_radius,
-                cfg.rw_tol, cfg.rw_max_iter)
-            out.append(FixationPoint(position=points[center].copy(),
-                                     pose_p=rep.p.copy(),
-                                     pose_o=rep.o_deg.copy(),
-                                     duration=float((t[b - 1] - t[a]) + dt),
-                                     weight=int(b - a)))
-    stats["fixations"] = len(out)
-    return out, stats
+                cfg.rw_tol, cfg.rw_max_iter))
+            bounds.append((a, b))
+    a, b = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
+    n = len(a)
+    stats["fixations"] = n
+    return Fixations(recording=[recording] * n, cluster=np.arange(n),
+                     position=points[centers],
+                     pose_p=[x.p for x in reps], pose_o=[x.o_deg for x in reps],
+                     duration=(t[b - 1] - t[a]) + dt, weight=b - a), stats
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +254,56 @@ FIXATION_HEADER = ["recording_id", "cluster_id", "x", "y", "z",
                    "px", "py", "pz", "ox", "oy", "oz", "duration", "weight"]
 
 
-def save_fixations(path, recording_id: str, points) -> None:
+def save_fixations(path, fixations: Fixations) -> None:
+    """One row per fixation, every float as the repr of its value."""
+    f = fixations
+    values = np.column_stack([f.position, f.pose_p, f.pose_o, f.duration])
     write_csv(path, FIXATION_HEADER,
-              ([recording_id, i] + [repr(float(v)) for v in (
-                  *fp.position, *fp.pose_p, *fp.pose_o, fp.duration)] + [fp.weight]
-               for i, fp in enumerate(points)))
+              ([r, c, *map(repr, v), w] for r, c, v, w in zip(
+                  f.recording.tolist(), f.cluster.tolist(), values.tolist(),
+                  f.weight.tolist())))
 
 
-def load_fixations(path) -> list[tuple[str, int, FixationPoint]]:
+def load_fixations(path) -> Fixations:
+    """One fixation CSV as a table.  Rows are checked for their field count,
+    that the fields parse (integers within 64 bits), are finite, that no
+    point or head coordinate passes MAX_COORD and that the weight is >= 1;
+    the first failing row's first failing check is the error."""
     rows = read_csv(path, "fixation file", FixationError)
     if not rows or rows[0] != FIXATION_HEADER:
         raise FixationError(f"fixation file {path!r}: bad or missing header")
-    out = []
+    ids, ints, parsed, stop = [], [], [], None
     for i, row in enumerate(rows[1:]):
         if len(row) != len(FIXATION_HEADER):
-            raise FixationError(f"fixation file {path!r}: malformed row")
-        rec_id = row[0]
+            stop = FixationError(f"fixation file {path!r}: malformed row")
+            break
         try:
-            cluster_id = int(row[1])
+            cluster = int(row[1])
             vals = [float(x) for x in row[2:12]]
             weight = int(row[12])
+            if max(abs(cluster), abs(weight)) >= 2 ** 63:
+                raise ValueError("cluster_id or weight beyond 64 bits")
         except ValueError as exc:
-            raise FixationError(f"fixation file {path!r}: row {i}: {exc}") from exc
-        if not np.isfinite(vals).all():
+            stop = FixationError(f"fixation file {path!r}: row {i}: {exc}")
+            break
+        ids.append(row[0])
+        ints.append((cluster, weight))
+        parsed.append(vals)
+    vals = np.array(parsed, dtype=np.float64).reshape(-1, 10)
+    cluster, weight = np.array(ints, dtype=np.int64).reshape(-1, 2).T
+    nonfinite = ~np.isfinite(vals).all(axis=1)
+    far = (np.abs(vals[:, :6]) > MAX_COORD).any(axis=1)
+    bad = nonfinite | far | (weight < 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if nonfinite[i]:
             raise FixationError(f"fixation file {path!r}: row {i}: non-finite value")
-        if weight < 1:
-            raise FixationError(f"fixation file {path!r}: row {i}: weight must be >= 1")
-        fp = FixationPoint(position=np.array(vals[0:3]),
-                           pose_p=np.array(vals[3:6]),
-                           pose_o=np.array(vals[6:9]),
-                           duration=vals[9], weight=weight)
-        out.append((rec_id, cluster_id, fp))
-    return out
+        if far[i]:
+            raise FixationError(f"fixation file {path!r}: row {i}: coordinate "
+                                f"beyond +-{MAX_COORD:g}")
+        raise FixationError(f"fixation file {path!r}: row {i}: weight must be >= 1")
+    if stop is not None:
+        raise stop
+    return Fixations(recording=ids, cluster=cluster, position=vals[:, 0:3],
+                     pose_p=vals[:, 3:6], pose_o=vals[:, 6:9],
+                     duration=vals[:, 9], weight=weight)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MeshgazeError
+from .config import MAX_COORD, MeshgazeError
 from .io import read_csv, write_csv
 from .mesh import Mesh
 
@@ -203,7 +203,8 @@ def load_recording(path, screen_half_extent: float = 0.15) -> list[PoseSample]:
     """Read one recording CSV; validates ordering and eye-offset bounds.
 
     Each row is checked for its field count, then that every field parses,
-    is finite, that t increases and that the eye offset fits the screen;
+    is finite, that no head coordinate exceeds MAX_COORD in magnitude,
+    that t increases and that the eye offset fits the screen;
     the first failing row's first failing check is the error.  The rows
     are parsed into one (n, 9) array and the samples view its rows.
     """
@@ -223,13 +224,17 @@ def load_recording(path, screen_half_extent: float = 0.15) -> list[PoseSample]:
     vals = np.array(parsed, dtype=np.float64).reshape(-1, 9)
     t, s = vals[:, 0], vals[:, 7:9]
     nonfinite = ~np.isfinite(vals).all(axis=1)
+    far = (np.abs(vals[:, 1:4]) > MAX_COORD).any(axis=1)
     backwards = np.r_[False, t[1:] <= t[:-1]]
     wide = (np.abs(s) > screen_half_extent).any(axis=1)
-    bad = nonfinite | backwards | wide
+    bad = nonfinite | far | backwards | wide
     if bad.any():
         i = int(np.argmax(bad))
         if nonfinite[i]:
             raise GazeError(f"recording {path!r}: row {i}: non-finite value")
+        if far[i]:
+            raise GazeError(f"recording {path!r}: row {i}: coordinate beyond "
+                            f"+-{MAX_COORD:g}")
         if backwards[i]:
             raise GazeError(
                 f"recording {path!r}: timestamps not strictly increasing at row {i}")

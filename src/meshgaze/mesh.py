@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .bvh import TriangleBVH
-from .config import MeshgazeError
+from .config import MAX_COORD, MeshgazeError
 from .io import read_text, write_text
 
 
@@ -42,6 +42,8 @@ class Mesh:
             raise MeshError("triangle index out of range")
         if not np.all(np.isfinite(vertices)):
             raise MeshError("non-finite vertex coordinate")
+        if (np.abs(vertices) > MAX_COORD).any():
+            raise MeshError(f"vertex coordinate beyond +-{MAX_COORD:g}")
         self.vertices = vertices
         self.triangles = triangles
         self._normals = None

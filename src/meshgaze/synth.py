@@ -27,7 +27,7 @@ class ScenarioError(MeshgazeError):
     pass
 
 
-MAX_SAMPLES = 10 ** 7     # samples per recording: about 23 h at 120 Hz
+MAX_SAMPLES = 10 ** 7     # samples of one scenario: about 23 h at 120 Hz
 _DEGENERATE = "degenerate screen frame: facing parallel to Y axis"
 
 
@@ -82,6 +82,11 @@ class SyntheticScenario:
             raise ScenarioError(
                 f"duration_s * rate_hz gives {n:.4g} samples per recording; "
                 f"at most {MAX_SAMPLES} are allowed")
+        if self.subjects * round(n) > MAX_SAMPLES:
+            raise ScenarioError(
+                f"{self.subjects} subjects of {round(n)} samples each give "
+                f"{self.subjects * round(n)} samples; at most {MAX_SAMPLES} "
+                "are allowed")
         if self.dwell_s <= 0:
             raise ScenarioError("dwell must be positive")
         if self.noise_deg < 0 or self.noise_tau_s <= 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MeshgazeError
+from .config import MAX_COORD, MeshgazeError
 from .gaze import rotation_matrix
 from .io import read_vertex_csv, write_csv
 from .mesh import Mesh, bounding_box_diagonal
@@ -53,6 +53,9 @@ class ViewPose:
         self.o_deg = np.asarray(self.o_deg, dtype=np.float64)
         if not (np.isfinite(self.p).all() and np.isfinite(self.o_deg).all()):
             raise VisibilityError(f"non-finite pose {self.p} {self.o_deg}")
+        if (np.abs(self.p) > MAX_COORD).any():
+            raise VisibilityError(
+                f"pose position {self.p} has a coordinate beyond +-{MAX_COORD:g}")
 
 
 @dataclass

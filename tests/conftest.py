@@ -18,7 +18,7 @@ import pytest
 
 import meshgaze
 from meshgaze import primitives
-from meshgaze.config import RunConfig
+from meshgaze.config import MAX_COORD, RunConfig
 from meshgaze.gaze import RECORDING_HEADER, GazeError, rotation_matrix
 from meshgaze.io import read_csv
 from meshgaze.mesh import bounding_box_diagonal
@@ -520,6 +520,9 @@ def load_recording_oracle(path, screen_half_extent=0.15):
             raise GazeError(f"recording {path!r}: row {i}: {exc}") from exc
         if not all(np.isfinite(vals)):
             raise GazeError(f"recording {path!r}: row {i}: non-finite value")
+        if max(abs(v) for v in vals[1:4]) > MAX_COORD:
+            raise GazeError(f"recording {path!r}: row {i}: coordinate beyond "
+                            f"+-{MAX_COORD:g}")
         t = vals[0]
         if prev_t is not None and t <= prev_t:
             raise GazeError(f"recording {path!r}: timestamps not strictly increasing at row {i}")
@@ -631,3 +634,79 @@ def vdd_oracle(entries, max_angle_deg=90.0, repetitions=100, seed=0,
     if not acc:
         raise EvaluationError("no resampled subset produced enough pairs")
     return float(np.mean(acc))
+
+
+# ---------------------------------------------------------------------------
+# fixation-row oracles: the one-fixation-at-a-time forms that the Fixations
+# table replaced, kept to pin its values, bytes and error messages
+
+def load_fixations_oracle(path):
+    """[(recording_id, cluster_id, [x .. oz, duration], weight)] of a
+    fixation CSV, checked one row at a time, with the 64-bit and MAX_COORD
+    bounds checked where the table loader checks them."""
+    from meshgaze.fixation import FIXATION_HEADER, FixationError
+    rows = read_csv(path, "fixation file", FixationError)
+    if not rows or rows[0] != FIXATION_HEADER:
+        raise FixationError(f"fixation file {path!r}: bad or missing header")
+    out = []
+    for i, row in enumerate(rows[1:]):
+        if len(row) != len(FIXATION_HEADER):
+            raise FixationError(f"fixation file {path!r}: malformed row")
+        try:
+            cluster_id = int(row[1])
+            vals = [float(x) for x in row[2:12]]
+            weight = int(row[12])
+        except ValueError as exc:
+            raise FixationError(f"fixation file {path!r}: row {i}: {exc}") from exc
+        if abs(cluster_id) >= 2 ** 63 or abs(weight) >= 2 ** 63:
+            raise FixationError(f"fixation file {path!r}: row {i}: "
+                                "cluster_id or weight beyond 64 bits")
+        if not np.isfinite(vals).all():
+            raise FixationError(f"fixation file {path!r}: row {i}: non-finite value")
+        if max(abs(v) for v in vals[:6]) > MAX_COORD:
+            raise FixationError(f"fixation file {path!r}: row {i}: coordinate "
+                                f"beyond +-{MAX_COORD:g}")
+        if weight < 1:
+            raise FixationError(f"fixation file {path!r}: row {i}: weight must be >= 1")
+        out.append((row[0], cluster_id, vals, weight))
+    return out
+
+
+def splat_oracle(mesh, positions, weights, sigma, cutoff_sigmas=4.0):
+    """Per-vertex values of the per-fixation splat loop."""
+    values = np.zeros(len(mesh.vertices))
+    radius = cutoff_sigmas * sigma
+    for position, weight in zip(np.asarray(positions), np.asarray(weights).tolist()):
+        d2 = np.sum((mesh.vertices - position) ** 2, axis=1)
+        ids = np.nonzero(d2 <= radius * radius)[0]
+        if len(ids):
+            values[ids] += weight * np.exp(-d2[ids] / (2.0 * sigma * sigma))
+    return values
+
+
+def saccade_amplitude_oracle(position_a, position_b, head_b):
+    """Degrees between two fixations seen from the later one's head
+    position; FixationError where either coincides with that position."""
+    from meshgaze.fixation import FixationError
+    va = np.asarray(position_a, dtype=np.float64) - head_b
+    vb = np.asarray(position_b, dtype=np.float64) - head_b
+    na = float(np.linalg.norm(va))
+    nb = float(np.linalg.norm(vb))
+    if na <= 1e-12 or nb <= 1e-12:
+        raise FixationError("fixation coincides with head position")
+    cosang = float(np.dot(va, vb) / (na * nb))
+    return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+
+
+def pose_bucket_oracle(pose_p, pose_o_deg, grid_m=0.25, angle_bin_deg=30.0):
+    """The bucket key of one pose, computed alone."""
+    from meshgaze.gaze import head_orientations
+    p = np.asarray(pose_p, dtype=np.float64)
+    o = head_orientations(pose_o_deg)[0]
+    gx, gy, gz = (int(np.floor(c / grid_m)) for c in p)
+    az = np.degrees(np.arctan2(o[2], o[0])) % 360.0
+    el = np.degrees(np.arcsin(np.clip(o[1], -1.0, 1.0)))
+    ia = int(np.floor(az / angle_bin_deg)) % max(int(np.ceil(360.0 / angle_bin_deg)), 1)
+    ie = min(int(np.floor((el + 90.0) / angle_bin_deg)),
+             int(np.ceil(180.0 / angle_bin_deg)) - 1)
+    return f"{gx}_{gy}_{gz}_a{ia}_e{ie}"

@@ -277,8 +277,8 @@ def test_criterion_07_end_to_end_recovery(sphere3, tmp_path):
             rows = load_fixations(fix / "s00.csv")
             assert len(rows) >= len(targets)
             hits = sum(
-                np.linalg.norm(target_pos - fp.position, axis=1).min() <= tol
-                for _, _, fp in rows)
+                np.linalg.norm(target_pos - position, axis=1).min() <= tol
+                for position in rows.position)
             assert hits / len(rows) >= bar
         assert time.perf_counter() - t0 < 60.0
 

@@ -21,14 +21,18 @@ from conftest import pick_visible_targets
 
 import meshgaze
 from meshgaze import __version__
-from meshgaze.cli import _pose_groups, main
+from meshgaze.cli import main
 from meshgaze.config import RunConfig
-from meshgaze.evaluation import (ViewScore, metric_cc, metric_kl, metric_se,
-                                 weighted_eval)
-from meshgaze.fdm import load_map_csv, pose_bucket, save_map_csv, splat_fdm
-from meshgaze.fixation import FixationPoint, load_fixations
+from meshgaze.evaluation import (ViewScore, bias_study,
+                                 direction_dependence_study,
+                                 inter_observer_study, left_preference_study,
+                                 metric_cc, metric_kl, metric_se,
+                                 saccade_study, weighted_eval)
+from meshgaze.fdm import (load_map_csv, pose_buckets, pose_groups, save_map_csv,
+                          splat_fdm)
+from meshgaze.fixation import Fixations, load_fixations
 from meshgaze.gaze import PoseSample, load_recording, save_recording
-from meshgaze.mesh import bounding_box_diagonal, save_ply
+from meshgaze.mesh import bounding_box_diagonal, load_mesh, save_ply
 from meshgaze.primitives import bumpy_sphere, icosphere
 from meshgaze.saliency import baseline_curvature_saliency, saliency_map
 from meshgaze.synth import SyntheticScenario, scenario_to_json
@@ -148,9 +152,11 @@ def test_synth_rejects_malformed_scenario(pipeline, tmp_path, capsys):
     ({"duration_s": 1e10, "rate_hz": 1e300}, "at least one sample"),
     ({"duration_s": 1e300}, "at most 10000000 are allowed"),
     ({"duration_s": 1e7}, "gives 1.2e+09 samples per recording"),
+    ({"subjects": 10 ** 12}, "1000000000000 subjects of 120 samples each"),
 ], ids=["duration-string", "subjects-1e9", "subjects-float", "seed-string",
         "rate-nan", "target-fraction", "target-true", "seed-negative",
-        "sample-count-overflow", "duration-1e300", "duration-1e7"])
+        "sample-count-overflow", "duration-1e300", "duration-1e7",
+        "subjects-1e12"])
 def test_synth_rejects_mistyped_scenario_field(pipeline, tmp_path, capsys,
                                                fields, named):
     """A scenario field of the wrong type or out of range ends in one
@@ -215,13 +221,12 @@ def test_process_summary(pipeline):
 
 def test_process_fixation_files(pipeline):
     rows = load_fixations(pipeline["fix"] / "s00.csv")
-    assert rows
-    for rec_id, cluster_id, point in rows:
-        assert rec_id == "s00"
-        assert cluster_id >= 0
-        assert np.isfinite(point.position).all()
-        assert point.duration > 0.0
-        assert point.weight >= 1.0
+    assert len(rows)
+    assert (rows.recording == "s00").all()
+    assert rows.cluster.tolist() == list(range(len(rows)))
+    assert np.isfinite(rows.position).all()
+    assert (rows.duration > 0.0).all()
+    assert (rows.weight >= 1).all()
 
 
 def test_process_rerun_is_byte_identical(pipeline):
@@ -250,7 +255,21 @@ def test_process_warns_when_everything_misses(pipeline, tmp_path, capsys):
     stats = summary["recordings"]["away"]
     assert stats["miss_samples"] == 20
     assert stats["fixations"] == 0
-    assert load_fixations(out / "away.csv") == []
+    assert len(load_fixations(out / "away.csv")) == 0
+
+
+def test_process_rejects_a_head_position_beyond_the_bound(pipeline, tmp_path,
+                                                         capsys):
+    """A recorded head coordinate of 1e300 is an error; it used to exit 0
+    with overflow warnings from the ray cast and every sample a miss."""
+    rec = tmp_path / "rec"
+    rec.mkdir()
+    (rec / "s00.csv").write_text("t,px,py,pz,ox,oy,oz,sx,sy\n"
+                                 "0.0,0.0,1.6,-1.5,0.0,0.0,0.0,0.0,0.0\n"
+                                 "0.1,1e300,1.6,-1.5,0.0,0.0,0.0,0.0,0.0\n")
+    assert run("process", "--mesh", pipeline["mesh_path"], "--recordings", rec,
+               "--out", tmp_path / "fix") == 1
+    assert "row 1: coordinate beyond +-1e+09" in assert_one_error_line(capsys)
 
 
 def test_process_empty_recordings_dir_fails(pipeline, tmp_path, capsys):
@@ -275,10 +294,9 @@ def test_fdm_pooled_matches_library(pipeline):
     assert len(values) == len(pipeline["mesh"].vertices)
     assert (values > 0.0).any()
 
-    points = []
-    for name in sorted(os.listdir(pipeline["fix"])):
-        if name.endswith(".csv"):
-            points += [fp for _, _, fp in load_fixations(pipeline["fix"] / name)]
+    points = Fixations.concat(load_fixations(pipeline["fix"] / name)
+                              for name in sorted(os.listdir(pipeline["fix"]))
+                              if name.endswith(".csv"))
     cfg = RunConfig()
     expect = splat_fdm(pipeline["mesh"], points, cfg.sigma_fdm,
                        cfg.fdm_cutoff_sigmas)
@@ -373,20 +391,18 @@ def test_fdm_by_pose_layout(pipeline):
 
 
 def test_pose_groups_sort_keys_and_keep_row_order():
-    def at(x):
-        return FixationPoint(position=np.zeros(3),
-                             pose_p=np.array([x, 1.6, -1.5]),
-                             pose_o=np.zeros(3), duration=0.2, weight=1)
-    rows = [("s2", 0, at(5.0)), ("s2", 1, at(0.0)), ("s1", 0, at(0.01))]
-    far = pose_bucket((5.0, 1.6, -1.5), (0.0, 0.0, 0.0))
-    near = pose_bucket((0.0, 1.6, -1.5), (0.0, 0.0, 0.0))
+    rows = Fixations(recording=["s2", "s2", "s1"], cluster=[0, 1, 0],
+                     position=np.zeros((3, 3)),
+                     pose_p=[(5.0, 1.6, -1.5), (0.0, 1.6, -1.5), (0.01, 1.6, -1.5)],
+                     pose_o=np.zeros((3, 3)), duration=[0.2] * 3, weight=[1] * 3)
+    far, near = pose_buckets([(5.0, 1.6, -1.5), (0.0, 1.6, -1.5)], np.zeros((2, 3)))
     assert near < far
-    groups = _pose_groups(rows, RunConfig())
+    groups = pose_groups(rows, RunConfig())
     assert list(groups) == [near, far]
-    assert [(r, fp.pose_p[0]) for r, fp in groups[near]] == [("s2", 0.0),
-                                                            ("s1", 0.01)]
-    per_rec = _pose_groups(rows, RunConfig(), per_recording=True)
+    assert groups[near].tolist() == [1, 2] and groups[far].tolist() == [0]
+    per_rec = pose_groups(rows, RunConfig(), per_recording=True)
     assert list(per_rec) == [("s1", near), ("s2", near), ("s2", far)]
+    assert [g.tolist() for g in per_rec.values()] == [[2], [1], [0]]
 
 # ---------------------------------------------------------------------------
 # evaluate
@@ -673,6 +689,39 @@ def test_analyze_reports(pipeline, tmp_path):
         assert 0.0 <= left["left_fraction"] <= 1.0
 
 
+def test_study_functions_return_the_analyze_reports(pipeline, tmp_path):
+    """Each report analyze writes is its study function's dict plus the
+    package version; two copies of the mesh give cross-mesh pairs."""
+    mesh_dir, fix_root = tmp_path / "meshes", tmp_path / "fixations"
+    mesh_dir.mkdir()
+    for name in ("a", "b"):
+        shutil.copy(pipeline["mesh_path"], mesh_dir / f"{name}.ply")
+        shutil.copytree(pipeline["fix"], fix_root / name)
+    out = tmp_path / "reports"
+    assert run("analyze", "--mesh-dir", mesh_dir, "--fixations", fix_root,
+               "--recordings", pipeline["rec"], "--out", out) == 0
+    cfg = RunConfig()
+    meshes = {m: load_mesh(mesh_dir / f"{m}.ply") for m in ("a", "b")}
+    fixations = {m: Fixations.concat(load_fixations(p) for p in
+                                     sorted((fix_root / m).glob("*.csv")))
+                 for m in meshes}
+    recordings = {p.name: load_recording(p)
+                  for p in sorted(pipeline["rec"].glob("*.csv"))}
+    want = {
+        "inter_observer.json": inter_observer_study(meshes, fixations, cfg),
+        "bias.json": bias_study(meshes, fixations, cfg),
+        "saccade.json": saccade_study(fixations),
+        "direction_dependence.json": direction_dependence_study(
+            meshes, fixations, cfg),
+        "left_preference.json": left_preference_study(recordings, cfg)[0],
+    }
+    assert "t" in want["inter_observer.json"]
+    for name, report in want.items():
+        got = read_json(out / name)
+        assert got.pop("version") == __version__
+        assert got == json.loads(json.dumps(report)), name
+
+
 def test_analyze_without_recordings_skips_preference(pipeline, tmp_path):
     mesh_dir = tmp_path / "meshes"
     fix_root = tmp_path / "fixations"
@@ -781,6 +830,25 @@ def test_fdm_rejects_malformed_fixation_file(pipeline, tmp_path, capsys,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("by_pose", [False, True], ids=["pooled", "by-pose"])
+@pytest.mark.parametrize("field", [2, 6], ids=["point", "head"])
+def test_fdm_rejects_a_coordinate_beyond_the_bound(pipeline, tmp_path, capsys,
+                                                   field, by_pose):
+    """A fixation coordinate of 1e300, whose square overflows, is an error;
+    it used to exit 0 with an overflow warning and an all-zero map."""
+    row = "s00,0,0.0,1.5,-0.3,0.0,1.6,-1.5,0.0,0.0,0.0,0.5,3".split(",")
+    row[field] = "1e300"
+    fix = tmp_path / "fix"
+    fix.mkdir()
+    (fix / "s00.csv").write_text(
+        "recording_id,cluster_id,x,y,z,px,py,pz,ox,oy,oz,duration,weight\n"
+        + ",".join(row) + "\n")
+    argv = ["fdm", "--mesh", pipeline["mesh_path"], "--fixations", fix,
+            "--out", tmp_path / "out"] + ["--by-pose"] * by_pose
+    assert run(*argv) == 1
+    assert "row 0: coordinate beyond +-1e+09" in assert_one_error_line(capsys)
+
+
 TETRA_PLY = """\
 ply
 format ascii 1.0
@@ -837,15 +905,31 @@ def test_obj_face_index_beyond_int64_is_an_error(tmp_path, capsys):
     assert "out of range" in assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("scale", ["1.0", "1e300"], ids=["in-file", "scaled"])
+def test_mesh_coordinate_beyond_the_bound_is_an_error(pipeline, tmp_path,
+                                                      capsys, scale):
+    """A vertex coordinate past MAX_COORD, in the file or after mesh_scale,
+    is an error; at 1e300 fdm used to exit 0 with an overflow warning and
+    an all-zero map."""
+    path = tmp_path / "m.ply"
+    far = "1e300" if scale == "1.0" else "1"
+    path.write_text(TETRA_PLY.replace("1 0 0\n", f"{far} 0 0\n", 1))
+    assert run("fdm", "--mesh", path, "--fixations", pipeline["fix"],
+               "--out", tmp_path / "out", "--set", f"mesh_scale={scale}") == 1
+    assert "vertex coordinate beyond +-1e+09" in assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("pose, named", [
     ("0,1.6,x,0,0,0", "0,1.6,x,0,0,0"),
     ("0,1.6,nan,0,0,0", "non-finite"),
     ("0,1.6,-1.5,0,inf,0", "non-finite"),
-], ids=["non-numeric", "nan", "inf"])
+    ("1e300,0,0,0,0,0", "beyond +-1e+09"),
+], ids=["non-numeric", "nan", "inf", "far"])
 def test_saliency_rejects_unusable_pose(pipeline, tmp_path, capsys, pose,
                                         named):
-    """A pose that is not six finite numbers is an error; a NaN pose used to
-    exit 0 with an all-zero map."""
+    """A pose that is not six finite numbers, or lies farther out than
+    MAX_COORD, is an error; a NaN pose used to exit 0 with an all-zero map,
+    and a pose at 1e300 with an overflow warning and an all-zero map."""
     out = tmp_path / "sal"
     assert run("saliency", "--mesh", pipeline["mesh_path"], "--pose", pose,
                "--out", out) == 1

@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import ivt_oracle
+from conftest import ivt_oracle, saccade_amplitude_oracle
 
 from meshgaze.fixation import (FIXATION, MISS, SACCADE, FixationError,
-                               FixationPoint, classify_ivt,
+                               Fixations, classify_ivt,
                                cluster_center_random_walk, extract_fixations,
                                group_clusters, load_fixations, median,
-                               nominal_dt, saccade_amplitude, save_fixations)
+                               nominal_dt, saccade_amplitudes, save_fixations)
 from meshgaze.gaze import IntersectionRecord, PoseSample
 
 H = 0.0075
@@ -231,13 +231,13 @@ def test_representative_pose_is_temporal_midpoint_member(cfg):
     # five samples at dt spacing: the midpoint member is sample 2, whose
     # head pose traced_of set to (2, 0, 0) and (0, 2, 0)
     assert len(points) == 1
-    np.testing.assert_array_equal(points[0].pose_p, [2.0, 0.0, 0.0])
-    np.testing.assert_array_equal(points[0].pose_o, [0.0, 2.0, 0.0])
+    np.testing.assert_array_equal(points.pose_p[0], [2.0, 0.0, 0.0])
+    np.testing.assert_array_equal(points.pose_o[0], [0.0, 2.0, 0.0])
     # four samples on a 1/128 s grid: the midpoint lies exactly halfway
     # between samples 1 and 2, and the earlier one wins
     stream = make_stream(pts[:4], [1.0] * 4, dt=1.0 / 128.0)
     points, _ = extract_fixations(traced_of(*stream), cfg)
-    np.testing.assert_array_equal(points[0].pose_p, [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(points.pose_p[0], [1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +274,10 @@ def test_singleton_cluster_short_circuits(cfg):
     stream = make_stream([(0.002 * k, 0.2, 0.3) for k in range(4)], [1.0] * 4)
     points, stats = extract_fixations(traced_of(*stream), cfg)
     assert stats["fixations"] == len(points) == 4
-    for k, fp in enumerate(points):
-        np.testing.assert_array_equal(fp.position, stream[1][k])
-        np.testing.assert_array_equal(fp.pose_p, [float(k), 0.0, 0.0])
-        assert fp.weight == 1
-        assert fp.duration == pytest.approx(1 / 120.0, abs=1e-12)
+    np.testing.assert_array_equal(points.position, stream[1])
+    np.testing.assert_array_equal(points.pose_p[:, 0], np.arange(4.0))
+    assert (points.weight == 1).all() and points.cluster.tolist() == [0, 1, 2, 3]
+    np.testing.assert_allclose(points.duration, 1 / 120.0, atol=1e-12)
 
 
 def test_collinear_symmetric_center_is_middle():
@@ -309,41 +308,70 @@ def test_center_duration_and_weight(cfg):
     pts = [(k * 1e-4, 0, 1) for k in range(6)]
     points, _ = extract_fixations(traced_of(*make_stream(pts, [1.0] * 6)), cfg)
     assert len(points) == 1
-    assert points[0].weight == 6
-    assert points[0].duration == pytest.approx(6 / 120.0, abs=1e-12)
+    assert points.weight[0] == 6
+    assert points.duration[0] == pytest.approx(6 / 120.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # saccade amplitude
 
-def _fp(pos, pose_p=(0, 0, 0)):
-    return FixationPoint(position=np.asarray(pos, dtype=float),
-                         pose_p=np.asarray(pose_p, dtype=float),
-                         pose_o=np.zeros(3), duration=0.2, weight=1)
+def _table(positions, heads=None, recording="rec"):
+    """A Fixations table of the given points, clusters numbered in order."""
+    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
+    n = len(pos)
+    heads = np.zeros((n, 3)) if heads is None else heads
+    return Fixations(recording=[recording] * n, cluster=np.arange(n),
+                     position=pos, pose_p=heads, pose_o=np.zeros((n, 3)),
+                     duration=np.full(n, 0.2), weight=np.ones(n))
+
+
+def _amplitude(pos_a, pos_b, head_a=(0, 0, 0), head_b=(0, 0, 0)):
+    """saccade_amplitudes of the one pair a -> b."""
+    return saccade_amplitudes(_table([pos_a, pos_b], [head_a, head_b]),
+                              [0], [1])[0]
 
 
 def test_saccade_amplitude_right_angle():
-    a = _fp((1, 0, 0))
-    b = _fp((0, 1, 0))
-    assert saccade_amplitude(a, b) == pytest.approx(90.0, abs=1e-9)
+    assert _amplitude((1, 0, 0), (0, 1, 0)) == pytest.approx(90.0, abs=1e-9)
 
 
 def test_saccade_amplitude_extremes():
-    assert saccade_amplitude(_fp((1, 0, 0)), _fp((1, 0, 0))) == pytest.approx(0.0, abs=1e-6)
-    assert saccade_amplitude(_fp((1, 0, 0)), _fp((-1, 0, 0))) == pytest.approx(180.0, abs=1e-9)
+    assert _amplitude((1, 0, 0), (1, 0, 0)) == pytest.approx(0.0, abs=1e-6)
+    assert _amplitude((1, 0, 0), (-1, 0, 0)) == pytest.approx(180.0, abs=1e-9)
 
 
 def test_saccade_amplitude_measured_from_second_head_position():
     # were the first pose used instead, both points would sit in nearly the
     # same direction from (9,9,9) and the angle would be tiny
-    a = _fp((1, 0, 0), pose_p=(9, 9, 9))
-    b = _fp((0, 2, 0), pose_p=(0, 0, 0))
-    assert saccade_amplitude(a, b) == pytest.approx(90.0, abs=1e-9)
+    got = _amplitude((1, 0, 0), (0, 2, 0), head_a=(9, 9, 9), head_b=(0, 0, 0))
+    assert got == pytest.approx(90.0, abs=1e-9)
 
 
 def test_saccade_amplitude_coincident_head_rejected():
-    with pytest.raises(FixationError):
-        saccade_amplitude(_fp((0, 0, 0)), _fp((1, 0, 0)))
+    assert np.isnan(_amplitude((0, 0, 0), (1, 0, 0)))
+    assert np.isnan(_amplitude((1, 0, 0), (0, 0, 0)))
+
+
+def test_saccade_amplitudes_match_per_pair_oracle():
+    """Each pair's value is the one-pair computation's, bit for bit; a
+    pair the one-pair form rejects is NaN."""
+    rng = np.random.default_rng(44)
+    pos = rng.normal(size=(400, 3))
+    heads = rng.normal(size=(400, 3))
+    pos[::17] = heads[::17]                      # fixation at the head
+    pos[5::23] = heads[5::23] + 1e-13
+    pos[9::31] = pos[8::31]                      # zero amplitude
+    table = _table(pos, heads)
+    first = rng.integers(0, 400, 600)
+    second = rng.integers(0, 400, 600)
+    got = saccade_amplitudes(table, first, second)
+    for k, (a, b) in enumerate(zip(first, second)):
+        try:
+            want = saccade_amplitude_oracle(pos[a], pos[b], heads[b])
+        except FixationError:
+            want = np.nan
+        assert np.array_equal([got[k]], [want], equal_nan=True), k
+    assert np.isnan(got).sum() > 20
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +387,38 @@ def test_extract_fixations_counts(cfg):
     assert stats["saccade_samples"] == 6
     assert stats["fixation_samples"] == 41
     assert stats["fixations"] == len(points) == 2
-    np.testing.assert_allclose(points[0].position, [0, 0, 1])
-    np.testing.assert_allclose(points[1].position, [0.5, 0, 1])
-    assert points[0].weight == 18 and points[1].weight == 23
+    np.testing.assert_allclose(points.position, [[0, 0, 1], [0.5, 0, 1]])
+    assert points.weight.tolist() == [18, 23]
 
 
 def test_fixation_file_roundtrip(tmp_path):
-    pts = [_fp((0.1, 0.2, 0.3), pose_p=(0, 1.6, -1.5)),
-           _fp((0.4, 0.5, 0.6), pose_p=(0.1, 1.6, -1.4))]
+    pts = _table([(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)],
+                 [(0, 1.6, -1.5), (0.1, 1.6, -1.4)], recording="rec7")
     path = tmp_path / "fix.csv"
-    save_fixations(path, "rec7", pts)
+    save_fixations(path, pts)
     rows = load_fixations(path)
-    assert [(r[0], r[1]) for r in rows] == [("rec7", 0), ("rec7", 1)]
-    np.testing.assert_array_equal(rows[0][2].position, pts[0].position)
-    np.testing.assert_array_equal(rows[1][2].pose_p, pts[1].pose_p)
-    assert rows[0][2].duration == pts[0].duration
-    assert rows[0][2].weight == pts[0].weight
+    assert rows.recording.tolist() == ["rec7", "rec7"]
+    assert rows.cluster.tolist() == [0, 1]
+    for column in ("position", "pose_p", "pose_o", "duration", "weight"):
+        np.testing.assert_array_equal(getattr(rows, column),
+                                      getattr(pts, column))
+    assert path.read_text().splitlines()[1] == (
+        "rec7,0,0.1,0.2,0.3,0.0,1.6,-1.5,0.0,0.0,0.0,0.2,1")
+
+
+def test_fixations_index_and_concat():
+    """Indexing by an index array or a mask takes those rows; concat
+    stacks tables in turn, and no tables give an empty one."""
+    a = _table([(0, 0, 1), (0, 0, 2), (0, 0, 3)], recording="a")
+    b = _table([(1, 0, 0)], recording="b")
+    both = Fixations.concat([a, b])
+    assert len(both) == 4 and both.recording.tolist() == ["a", "a", "a", "b"]
+    picked = both[np.array([3, 0])]
+    assert picked.recording.tolist() == ["b", "a"]
+    np.testing.assert_array_equal(picked.position, [[1, 0, 0], [0, 0, 1]])
+    assert len(both[both.recording == "a"]) == 3
+    empty = Fixations.concat([])
+    assert len(empty) == 0 and empty.position.shape == (0, 3)
 
 
 def test_nominal_dt_median():

@@ -404,7 +404,8 @@ def _recording_text(rng, n, mutations):
         elif kind == 2:
             rows[i][j] = ["x", "", "1,5", "0x10"][int(rng.integers(4))]
         elif kind == 3:
-            rows[i][j] = ["nan", "inf", "-Infinity", "1e999"][int(rng.integers(4))]
+            rows[i][j] = ["nan", "inf", "-Infinity", "1e999", "1e300",
+                          "-2e9"][int(rng.integers(6))]
         elif kind == 4 and i > 0:
             rows[i][0] = rows[i - 1][0]              # t repeats
         elif kind == 5 and i > 0:

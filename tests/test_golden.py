@@ -14,6 +14,8 @@ say why and give the largest absolute difference.
 Both pipelines run in one fresh interpreter that loads meshgaze.cli before
 numpy, as the meshgaze command does, so the hashes are those of a CLI
 process: numpy's BLAS on one thread whatever the caller's environment.
+RuntimeWarnings are errors there, so a silent overflow or division by zero
+on the seeded pipeline fails the run.
 They run twice, with OPENBLAS_NUM_THREADS unset and set to 2, and must give
 the same hashes.  The saliency map's hashes (pred/*.csv and pred/*.ply)
 moved when the CLI fixed the thread count at one; with two OpenBLAS
@@ -162,7 +164,7 @@ def runs(tmp_path_factory):
         env.pop("OPENBLAS_NUM_THREADS", None)
         if setting != "unset":
             env["OPENBLAS_NUM_THREADS"] = setting
-        subprocess.run([sys.executable, "-c",
+        subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
                         SCRIPT.format(tests=TESTS, root=str(root))],
                        env=env, check=True, timeout=300)
         recorded = {k: v for k, v in _hashes(root).items()

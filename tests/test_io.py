@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from conftest import load_fixations_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,6 +105,46 @@ def test_loader_returns_or_raises_meshgaze_error(scratch, name, data):
         loader(path)
     except MeshgazeError:
         pass
+
+
+@st.composite
+def fixation_rows(draw) -> bytes:
+    """A fixation file whose rows are the seed's rows with up to three
+    fields each replaced by a token, so that the value checks are reached."""
+    header, *rows = LOADERS["fix.csv"][1].decode().splitlines()
+    lines = [header]
+    for _ in range(draw(st.integers(1, 4))):
+        fields = rows[draw(st.integers(0, len(rows) - 1))].split(",")
+        for _ in range(draw(st.integers(0, 3))):
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.one_of(
+                st.sampled_from(TOKENS).map(lambda b: b.decode("utf-8", "replace")),
+                st.sampled_from(["0", "-0.0", "1e10", "-1e9", "1000000000.0001",
+                                 "9223372036854775808", "-9223372036854775807"])))
+        lines.append(",".join(fields))
+    return "\n".join(lines).encode() + b"\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=st.one_of(mangled(LOADERS["fix.csv"][1]), fixation_rows()))
+def test_fixation_table_loader_matches_row_oracle(scratch, raw):
+    """On a mangled fixation file the table loader returns the row-at-a-time
+    loader's values, or raises its first error message."""
+    path = scratch / "oracle.csv"
+    path.write_bytes(raw)
+    try:
+        want = load_fixations_oracle(path)
+    except MeshgazeError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_fixations(path)
+        assert str(got.value) == str(exc)
+        return
+    got = load_fixations(path)
+    assert got.recording.tolist() == [r[0] for r in want]
+    assert got.cluster.tolist() == [r[1] for r in want]
+    assert got.weight.tolist() == [r[3] for r in want]
+    values = np.column_stack([got.position, got.pose_p, got.pose_o,
+                              got.duration])
+    assert values.tolist() == [r[2] for r in want]
 
 
 SCENARIO_FIELDS = ["mesh_id", "targets", "radius", "height", "start_angle_deg",

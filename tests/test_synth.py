@@ -14,7 +14,8 @@ from meshgaze.gaze import (GazeError, PoseSample, cast_hits, head_orientations,
                            rowdot, sightlines)
 from meshgaze.mesh import Mesh
 from meshgaze.primitives import bumpy_sphere
-from meshgaze.synth import (ScenarioError, SyntheticScenario, _raise_unaimable,
+from meshgaze.synth import (MAX_SAMPLES, ScenarioError, SyntheticScenario,
+                            _raise_unaimable,
                             check_targets_reachable, euler_facing,
                             euler_facings, generate_recording,
                             inverse_gaze_offsets, scenario_from_json,
@@ -68,6 +69,20 @@ def test_scenario_validation(cfg):
     with pytest.raises(ScenarioError):
         make_scenario([1], radius=0.05, height=3.0).validate(center)
     make_scenario([1]).validate(center)   # defaults are fine
+
+
+def test_scenario_caps_samples_over_all_subjects(cfg):
+    """subjects x samples per recording may not pass MAX_SAMPLES; without
+    the cap synth wrote recordings for 10^12 subjects without end."""
+    center = cfg.scene_center()
+    per_recording = 240                     # 2 s at 120 Hz
+    make_scenario([1], subjects=MAX_SAMPLES // per_recording).validate(center)
+    for subjects in (MAX_SAMPLES // per_recording + 1, 10 ** 12):
+        with pytest.raises(ScenarioError,
+                           match=f"^{subjects} subjects of 240 samples each "
+                                 f"give {subjects * 240} samples; at most "
+                                 f"{MAX_SAMPLES} are allowed$"):
+            make_scenario([1], subjects=subjects).validate(center)
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,9 @@ def workspace(tmp_path_factory):
         "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist())
         + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.triangles.tolist()))
     (root / "run.cfg").write_text("# run\nseed = 3\nse_variant = minmax\n")
-    # no "subjects" field for the mangling to turn into a huge count, which
-    # synth would accept and spend hours writing
     (root / "scenario.json").write_text(scenario_to_json(SyntheticScenario(
         mesh_id="ball", targets=pick_visible_targets(mesh, (0.0, 1.6, -1.5), 2),
-        duration_s=0.5, rate_hz=20.0, dwell_s=0.25)).replace(
-        '  "subjects": 1,\n', ""))
+        duration_s=0.5, rate_hz=20.0, dwell_s=0.25)))
     code, err = run(root, "synth")
     assert code == 0, err
     (root / "out" / "s00.csv").rename(root / "rec" / "s00.csv")
