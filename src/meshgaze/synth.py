@@ -316,7 +316,9 @@ def check_targets_reachable(scenario: SyntheticScenario, mesh: Mesh, cfg,
     # every sample of the targets the first one left unreached
     first = np.unique(aimed, return_index=True)[1]
     cast(first)
-    cast(np.setdiff1d(np.flatnonzero(~reached[aimed]), first))
+    rest = ~reached[aimed]
+    rest[first] = False
+    cast(np.flatnonzero(rest))
     missing = [int(scenario.targets[i]) for i, ok in enumerate(reached) if not ok]
     if missing:
         raise ScenarioError(

@@ -15,10 +15,9 @@ import time
 
 import numpy as np
 import pytest
-from conftest import (convex_oracle, criterion, facing_pose,
+from conftest import (convex_oracle, criterion, facing_pose, intersect_brute,
                       occlusion_oracle, pick_visible_targets)
 
-from meshgaze.bvh import intersect_brute
 from meshgaze.cli import main as cli_main
 from meshgaze.config import RunConfig
 from meshgaze.evaluation import (ViewScore, bias_distance, metric_cc,
@@ -100,24 +99,20 @@ def test_criterion_02_visibility_oracle():
 
 
 # ---------------------------------------------------------------------------
-# 3. uniqueness against the brute-force double loop
+# 3. uniqueness against the brute-force pairwise reference
 
 def brute_uniqueness(positions, descriptors, eps_b=1e-12):
-    """O(n^2) reference: textbook Bhattacharyya distance per pair, no
+    """O(n^2) reference, one row of pairs at a time: the textbook
+    Bhattacharyya distance per pair and the distance summed over axes, no
     factorization shared with the production matmul path."""
     n = len(positions)
-    dis = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            bc = float(np.sqrt(descriptors[i] * descriptors[j]).sum())
-            dis[i, j] = dis[j, i] = max(-np.log(max(bc, eps_b)), 0.0)
     out = np.zeros(n)
     for i in range(n):
-        total = 0.0
-        for j in range(n):
-            gap = float(np.linalg.norm(positions[i] - positions[j]))
-            total += dis[i, j] / (1.0 + gap)
-        out[i] = 1.0 - np.exp(-total / n)
+        bc = np.sqrt(descriptors[i] * descriptors).sum(axis=1)
+        dis = np.maximum(-np.log(np.maximum(bc, eps_b)), 0.0)
+        dis[i] = 0.0
+        gap = np.sqrt(((positions[i] - positions) ** 2).sum(axis=1))
+        out[i] = 1.0 - np.exp(-(dis / (1.0 + gap)).sum() / n)
     return out
 
 

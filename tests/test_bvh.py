@@ -6,15 +6,17 @@ watertight kernel, so agreement is meaningful.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import bvh_tree_oracle
+from conftest import intersect_brute, intersect_triangles, sah_tree_oracle
 
 from meshgaze import bvh as bvh_module
 from meshgaze import primitives
-from meshgaze.bvh import TriangleBVH, intersect_brute, intersect_triangles
+from meshgaze.bvh import TriangleBVH
 from meshgaze.gaze import cast_hits
 
 RNG = np.random.default_rng(20240817)
@@ -315,8 +317,26 @@ def test_intersect_many_chunking_is_invisible(monkeypatch):
     assert (want[1] >= 0).sum() > 100 and (want[1] < 0).any()
 
 
+def test_intersect_many_leaf_blocks_bound_memory():
+    """The leaf kernel tests (ray, triangle) pairs in blocks of _PAIR_CHUNK,
+    so 3,000 rays into bumpy_sphere(4) allocate at most 8 MB (7.1 MB traced
+    with 4,096-pair blocks; 12.4 MB with 32,768-pair blocks on this tree,
+    18.4 MB with those blocks on a median-split one)."""
+    mesh = primitives.bumpy_sphere(4)
+    tree = TriangleBVH(mesh.vertices, mesh.triangles)
+    origins, dirs = random_rays(3000, np.array([0.0, 1.5, 0.0]), seed=8)
+    tracemalloc.start()
+    try:
+        _, tri, _ = tree.intersect_many(origins, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tri >= 0).sum() > 2000
+    assert peak < 8e6
+
+
 # ---------------------------------------------------------------------------
-# the level-by-level build against the node-at-a-time one
+# the level-by-level SAH build against the node-at-a-time recursive one
 
 def _tree(bvh):
     return (bvh.order, bvh.node_left, bvh.node_right, bvh.node_start,
@@ -325,7 +345,7 @@ def _tree(bvh):
 
 def assert_same_tree(vertices, triangles, leaf_size=8):
     got = _tree(TriangleBVH(vertices, triangles, leaf_size))
-    want = bvh_tree_oracle(vertices, triangles, leaf_size)
+    want = sah_tree_oracle(vertices, triangles, leaf_size)
     for name, g, w in zip(("order", "left", "right", "start", "count"),
                           got, want):
         assert np.array_equal(g, w), name
@@ -339,8 +359,8 @@ def assert_same_tree(vertices, triangles, leaf_size=8):
     lambda: primitives.bumpy_sphere(6, seed=3),
 ], ids=["bumpy4", "grid50", "ico3", "ico6", "bumpy6-seed3"])
 def test_level_build_matches_node_oracle(make):
-    """Every node array equals the node-at-a-time construction's: the same
-    stable splits, the same depth-first preorder ids."""
+    """Every node array equals the recursive SAH construction's: the same
+    cuts, the same stable partitions, the same depth-first preorder ids."""
     mesh = make()
     assert_same_tree(mesh.vertices, mesh.triangles)
 
@@ -350,7 +370,8 @@ def test_level_build_matches_node_oracle(make):
 def test_level_build_matches_node_oracle_with_duplicate_centroids(data):
     """Coarse integer coordinates make many centroids coincide, and
     repeated triangles and degenerate ones coincide exactly: the ties that
-    the stable sorts and the no-spread leaves must settle the same way."""
+    the cut choice, the stable partitions and the no-spread leaves must
+    settle the same way."""
     nv = data.draw(st.integers(3, 30))
     coords = data.draw(st.lists(st.integers(-2, 2), min_size=3 * nv,
                                 max_size=3 * nv))

@@ -1081,6 +1081,21 @@ def test_process_and_analyze_leave_numpy_ma_unloaded(pipeline, tmp_path):
     assert saccade["count"] > 0 and "median_deg" in saccade
 
 
+def test_synth_leaves_numpy_ma_unloaded(pipeline, tmp_path):
+    """`synth`'s reach check picks the samples left to cast with a mask:
+    np.setdiff1d would import numpy.ma through np.unique, about 11 ms of
+    every synth process."""
+    argv = ["synth", "--scenario", str(pipeline["scenario"]), "--mesh",
+            str(pipeline["mesh_path"]), "--out", str(tmp_path / "rec")]
+    out = python("import sys\nfrom meshgaze.cli import main\n"
+                 f"assert main({argv!r}) == 0\n"
+                 "print('numpy.ma' in sys.modules)\n")
+    assert out == ["False"]
+    for name in ("s00.csv", "s01.csv", "targets.json"):
+        assert (tmp_path / "rec" / name).read_bytes() == \
+            (pipeline["rec"] / name).read_bytes()
+
+
 def _require_openblas_thread_count():
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("threads are counted in /proc/self/task, which only Linux has")

@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import (facing_oracle, hit_records_oracle, load_recording_oracle,
-                      rotation_oracle, screen_frame_oracle, sightline_oracle)
+from conftest import (facing_oracle, hit_records_oracle, intersect_brute,
+                      load_recording_oracle, rotation_oracle,
+                      screen_frame_oracle, sightline_oracle)
 
-from meshgaze.bvh import intersect_brute
 from meshgaze.gaze import (RECORDING_HEADER, GazeError, PoseSample, cast_hits,
                            gaze_points, head_orientations, load_recording,
                            rotation_matrix, save_recording, screen_frames,

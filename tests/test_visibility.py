@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import (convex_oracle, facing_pose, occlusion_oracle,
-                      view_candidates)
+from conftest import (convex_oracle, facing_pose, intersect_brute,
+                      occlusion_oracle, view_candidates)
 
-from meshgaze.bvh import intersect_brute
 from meshgaze.mesh import Mesh, bounding_box_diagonal
 from meshgaze.primitives import bumpy_sphere, icosphere
 from meshgaze.visibility import (CameraModel, ViewPose, VisibilityError,
