@@ -1,12 +1,10 @@
-"""Ray-triangle intersection: watertight kernel plus a binned-SAH BVH.
+"""Ray-triangle intersection: watertight kernel plus a median-split BVH.
 
 The per-triangle test is the axis-permutation + shear formulation with
 edge functions U, V, W evaluated in double precision, which is
 orientation-independent (hits count from both sides) and watertight along
-shared edges.  The BVH is built top-down by the binned surface area
-heuristic (MacDonald & Booth 1990; Wald 2007), one depth at a time.  It
-prunes a node only when its entry distance is strictly beyond the current
-best hit, so whatever its shape it returns the exact same
+shared edges.  The BVH prunes a node only when its entry distance is
+strictly beyond the current best hit, so it returns the exact same
 lexicographic-minimum (t, triangle id) as an exhaustive scan.
 """
 from __future__ import annotations
@@ -16,7 +14,6 @@ import numpy as np
 _TINY = 1e-300
 _RAY_CHUNK = 4096          # rays traversed together
 _PAIR_CHUNK = 1 << 12      # (ray, triangle) pairs per leaf kernel call
-_BINS = 16                 # SAH candidate slabs per node and axis
 
 
 def _ray_frames(d):
@@ -82,142 +79,36 @@ def _reduce_ranges(ufunc, values, starts, ends):
     return ufunc.reduceat(padded, np.stack([starts, ends], axis=1).ravel())[::2]
 
 
-def _half_area(box):
-    """Half the surface area of boxes given as (lo, -hi) columns (6, n)."""
-    ex, ey, ez = -(box[3:] + box[:3])
-    return ex * ey + ey * ez + ez * ex
+def _median_split(centroids, leaf_size: int):
+    """Median-split tree over triangle centroids, built one depth at a time.
 
-
-def _cheapest_cuts(key, box, size):
-    """Each node's cheapest cut along one axis.
-
-    key (e,) holds each triangle's cell as node * _BINS + slab, box (6, e)
-    its box as a (lo, -hi) column and size (k,) each node's triangle
-    count.  A cut lies after each of a node's non-empty cells but the last,
-    and costs A_L n_L + A_R n_R, with A the half surface area of each
-    side's box.  Returns per node the slab after which its cheapest cut
-    lies (the lowest among equals), its cost (inf for a node with one
-    cell), the triangles left of it, and the node's box.
-    """
-    k = len(size)
-    slot = np.bincount(key, minlength=k * _BINS)
-    cells = slot.nonzero()[0]                   # (node, slab) order
-    count = slot.take(cells)
-    width = np.bincount(cells // _BINS, minlength=k)
-    heads = width.cumsum() - width
-    rank = np.arange(len(cells)) - np.repeat(heads, width)
-    # the cells laid out rank by rank, the nodes in the same order in every
-    # rank, widest first: each scan step below is then one slice against
-    # the one before.  runs[r] is the number of nodes with a cell of rank r,
-    # and offset[r] the slot of the first such cell
-    place = np.empty(k, dtype=np.int64)
-    place[np.argsort((_BINS - width).astype(np.uint8), kind="stable")] = (
-        np.arange(k))
-    runs = k - np.bincount(width, minlength=_BINS + 1).cumsum()
-    offset = np.concatenate(([0], runs.cumsum()))
-    where = offset.take(rank) + np.repeat(place, width)
-    slot[cells] = where
-    side = np.full((6, len(cells)), np.inf)
-    at = slot.take(key)
-    for j in range(6):
-        np.minimum.at(side[j], at, box[j])
-    # each node's prefix boxes, then its suffix boxes, both in place
-    steps = [(offset[r - 1], offset[r], runs[r])
-             for r in range(1, int(width.max()))]
-    prefix = side.copy()
-    for lo, hi, n in steps:
-        np.minimum(prefix[:, lo:lo + n], prefix[:, hi:hi + n],
-                   out=prefix[:, hi:hi + n])
-    for lo, hi, n in steps[::-1]:
-        np.minimum(side[:, lo:lo + n], side[:, hi:hi + n],
-                   out=side[:, lo:lo + n])
-    # a cut after each cell but its node's last: the cell in slot s of rank
-    # r has the one in slot s + runs[r] on its right
-    n_left = count.cumsum()
-    n_left -= np.repeat((n_left - count).take(heads), width)
-    cut = (rank < np.repeat(width - 1, width)).nonzero()[0]
-    s, n_l = where.take(cut), n_left.take(cut)
-    cost = np.full(len(cells), np.inf)
-    cost[cut] = (_half_area(prefix).take(s) * n_l
-                 + _half_area(side).take(s + runs.take(rank.take(cut)))
-                 * (np.repeat(size, width).take(cut) - n_l))
-    # each node's first cheapest cut
-    low = np.minimum.reduceat(cost, heads)
-    best = np.minimum.reduceat(np.where(cost == np.repeat(low, width),
-                                        np.arange(len(cells)), len(cells)),
-                               heads)
-    return (cells.take(best) % _BINS, low, n_left.take(best),
-            prefix.take(offset.take(width - 1) + place, axis=1))
-
-
-def _binned_sah(centroids, boxes, leaf_size: int):
-    """Binned surface-area-heuristic tree, built one depth at a time.
-
-    boxes (m, 6) holds each triangle's box as a (lo, -hi) row, so that one
-    minimum merges both corners.  A node over the range [start, end)
-    of `order` bins its triangles into _BINS equal slabs of its centroid
-    bounds along each axis, and a cut between two slabs costs
-    1 + (A_L n_L + A_R n_R) / A, with A the half surface area of a box and
-    n a triangle count.  The cheapest cut (ties to the lower axis, then the
-    lower slab) is taken, by a stable partition of the range, when the
-    node holds more than leaf_size triangles or when it is cheaper than
-    the leaf's cost n.  A node whose centroids all coincide stays a leaf.
-    Nodes are numbered in depth-first preorder (node, left subtree, right
-    subtree).  Returns order and the node arrays left, right (-1 at a
-    leaf), start and end.
+    A node over the range [start, end) of `order` splits at its middle
+    after a stable sort of its range by centroid along the axis of widest
+    centroid spread (the first such axis), unless it holds at most
+    leaf_size triangles or all its centroids coincide.  Nodes are numbered
+    in depth-first preorder (node, left subtree, right subtree).  Returns
+    order and the node arrays left, right (-1 at a leaf), start and end.
     """
     m = len(centroids)
     order = np.arange(m, dtype=np.int64)
-    if not m:                                   # one empty leaf
-        none = np.zeros(1, dtype=np.int64)
-        return order, none - 1, none - 1, none, none
     starts, ends = np.zeros(1, dtype=np.int64), np.full(1, m, dtype=np.int64)
     levels = []                 # per depth: (starts, ends, split mask)
     while len(starts):
-        # the depth's ranges gathered into one array, node by node
-        k, size = len(starts), ends - starts
-        first = size.cumsum() - size
-        tri = order.take(np.arange(size.sum())
-                         + np.repeat(starts - first, size))
-        cen = centroids.take(tri, axis=0)
-        box = boxes.take(tri, axis=0).T
-        # each triangle's slab of its node's centroid bounds, per axis
-        cmin = np.minimum.reduceat(cen, first)
-        ext = np.maximum.reduceat(cen, first) - cmin
-        with np.errstate(divide="ignore"):
-            scale = np.where(ext > 0.0, _BINS / ext, 0.0)
-        bins = ((cen - np.repeat(cmin, size, axis=0))
-                * np.repeat(scale, size, axis=0)).astype(np.int64)
-        bins = np.minimum(bins, _BINS - 1)
-        # each node's cheapest cut over the three axes, the lower on ties
-        cost = np.full(k, np.inf)
-        axis, slab, n_left = (np.zeros(k, dtype=np.int64) for _ in range(3))
-        node = np.repeat(np.arange(k) * _BINS, size)
-        for a in range(3):
-            got = _cheapest_cuts(node + bins[:, a], box, size)
-            better = got[1] < cost
-            axis[better] = a
-            slab[better], cost[better], n_left[better] = (
-                g[better] for g in got[:3])
-        # 1 + cost / area < size, multiplied out: a flat node box has no area
-        area = _half_area(got[3])
-        split = (size > leaf_size) | (cost < (size - 1) * area)
-        split &= cost < np.inf
+        cen = centroids[order]
+        spread = (_reduce_ranges(np.maximum, cen, starts, ends)
+                  - _reduce_ranges(np.minimum, cen, starts, ends))
+        axis = np.argmax(spread, axis=1)
+        split = ((ends - starts > leaf_size)
+                 & (spread[np.arange(len(axis)), axis] > 0.0))
         levels.append((starts, ends, split))
-        # a stable partition of every split range: left side, then right
-        s, e, size = starts[split], ends[split], size[split]
-        go = np.repeat(split, ends - starts)
-        tri = tri.compress(go)
-        pick = np.arange(len(tri)) * 3 + np.repeat(axis[split], size)
-        is_left = bins.compress(go, axis=0).ravel().take(pick) <= np.repeat(
-            slab[split], size)
-        head = np.repeat(size.cumsum() - size, size)
-        lefts = is_left.cumsum() - is_left      # left triangles before each
-        lefts -= lefts.take(head)
-        rights = np.arange(len(tri)) - head - lefts
-        mid = s + n_left[split]
-        order[np.repeat(s, size) + np.where(
-            is_left, lefts, np.repeat(mid - s, size) + rights)] = tri
+        s, e, ax = starts[split], ends[split], axis[split]
+        # every split range sorted in place: a stable sort by (node, key)
+        size = e - s
+        node = np.repeat(np.arange(len(s)), size)
+        pos = np.arange(int(size.sum())) + np.repeat(s - np.cumsum(size) + size, size)
+        key = centroids[order[pos], ax[node]]
+        order[pos] = order[pos][np.lexsort((key, node))]
+        mid = s + size // 2
         starts = np.stack([s, mid], axis=1).ravel()
         ends = np.stack([mid, e], axis=1).ravel()
 
@@ -249,7 +140,7 @@ def _binned_sah(centroids, boxes, leaf_size: int):
 
 
 class TriangleBVH:
-    """Axis-aligned binned-SAH hierarchy stored as flat arrays."""
+    """Axis-aligned median-split hierarchy stored as flat arrays."""
 
     __slots__ = ("vertices", "triangles", "order", "node_lo", "node_hi",
                  "node_left", "node_right", "node_start", "node_count",
@@ -263,8 +154,8 @@ class TriangleBVH:
         tri_hi = tv.max(axis=1)
         centroids = tv.mean(axis=1)
 
-        order, node_left, node_right, node_start, node_end = _binned_sah(
-            centroids, np.hstack([tri_lo, -tri_hi]), leaf_size)
+        order, node_left, node_right, node_start, node_end = _median_split(
+            centroids, leaf_size)
         self.order = order
         self.node_lo = _reduce_ranges(np.minimum, tri_lo[order], node_start,
                                       node_end)

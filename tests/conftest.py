@@ -570,65 +570,43 @@ def intersect_brute(vertices, triangles, origin, direction, tmin: float = 0.0):
 
 
 # ---------------------------------------------------------------------------
-# BVH oracle: the binned SAH tree built one node at a time by recursion,
-# to pin the level-by-level construction's arrays
+# BVH oracle: the node-at-a-time tree construction that the level-by-level
+# one replaced, kept to pin its arrays
 
-def sah_tree_oracle(vertices, triangles, leaf_size=8, bins=16):
-    """(order, node_left, node_right, node_start, node_count) of the binned
-    surface-area-heuristic tree, one node at a time by recursion: per node,
-    an (axis, slab) table of triangle counts and boxes, prefix and suffix
-    unions over its slabs, and the first cheapest of all 3 * (bins - 1)
-    cuts, with cost A_L n_L + A_R n_R (half surface areas)."""
+def bvh_tree_oracle(vertices, triangles, leaf_size=8):
+    """(order, node_left, node_right, node_start, node_count), one node at a
+    time from an explicit stack."""
     tv = np.asarray(vertices, dtype=np.float64)[np.asarray(triangles)]
-    cen = tv.mean(axis=1)
-    box = np.hstack([tv.min(axis=1), -tv.max(axis=1)])     # (lo, -hi)
-    order = np.arange(len(cen), dtype=np.int64)
+    centroids = tv.mean(axis=1)
+    m = len(centroids)
+    order = np.arange(m, dtype=np.int64)
     node_left, node_right, node_start, node_count = [], [], [], []
-
-    def half_area(b):
-        e = np.maximum(-(b[..., :3] + b[..., 3:]), 0.0)
-        ex, ey, ez = e[..., 0], e[..., 1], e[..., 2]
-        return ex * ey + ey * ez + ez * ex
-
-    def build(start, idx):
-        me, n = len(node_start), len(idx)
+    stack = [(0, m, -1, False)]
+    while stack:
+        start, end, parent, is_right = stack.pop()
+        idx = order[start:end]
+        me = len(node_start)
         node_left.append(-1)
         node_right.append(-1)
         node_start.append(start)
-        node_count.append(n)
-        c = cen[idx]
-        cmin = c.min(axis=0)
-        ext = c.max(axis=0) - cmin
-        if not (ext > 0.0).any():                   # all centroids coincide
-            return me
-        scale = np.divide(bins, ext, out=np.zeros(3), where=ext > 0.0)
-        b = np.minimum(((c - cmin) * scale).astype(np.int64), bins - 1)
-        cell = (np.arange(3) * bins + b).ravel()          # (axis, slab)
-        count = np.bincount(cell, minlength=3 * bins).reshape(3, bins)
-        table = np.full((3 * bins, 6), np.inf)
-        np.minimum.at(table, cell, np.repeat(box[idx], 3, axis=0))
-        table = table.reshape(3, bins, 6)
-        # half areas of each slab's prefix and suffix unions; the last
-        # prefix of any axis is the node's box
-        a_pre, a_suf = half_area(np.stack([
-            np.minimum.accumulate(table, axis=1),
-            np.minimum.accumulate(table[:, ::-1], axis=1)[:, ::-1]]))
-        n_left = count.cumsum(axis=1)[:, :-1]
-        cost = np.where((n_left > 0) & (n_left < n),
-                        a_pre[:, :-1] * n_left + a_suf[:, 1:] * (n - n_left),
-                        np.inf)
-        axis, cut = divmod(int(cost.argmin()), bins - 1)
-        # a small node splits only when 1 + cost / area < n
-        if n <= leaf_size and not cost[axis, cut] < (n - 1) * a_pre[0, -1]:
-            return me
-        left = b[:, axis] <= cut
-        order[start:start + n] = np.concatenate([idx[left], idx[~left]])
-        node_count[me] = 0
-        node_left[me] = build(start, idx[left])
-        node_right[me] = build(start + n_left[axis, cut], idx[~left])
-        return me
-
-    build(0, order.copy())
+        node_count.append(0)
+        if parent >= 0:
+            if is_right:
+                node_right[parent] = me
+            else:
+                node_left[parent] = me
+        count = end - start
+        cen = centroids[idx]
+        spread = cen.max(axis=0) - cen.min(axis=0)
+        axis = int(np.argmax(spread))
+        if count <= leaf_size or spread[axis] <= 0.0:
+            node_count[me] = count
+            continue
+        local = np.argsort(cen[:, axis], kind="stable")
+        order[start:end] = idx[local]
+        mid = start + count // 2
+        stack.append((mid, end, me, True))
+        stack.append((start, mid, me, False))
     return (order, np.asarray(node_left), np.asarray(node_right),
             np.asarray(node_start), np.asarray(node_count))
 
