@@ -274,20 +274,47 @@ def _parse_ply(text: str) -> Mesh:
         ix, iy, iz = (vertex_props.index(k) for k in ("x", "y", "z"))
     except ValueError as exc:
         raise MeshError("PLY vertex element lacks x/y/z properties") from exc
-    body = [ln for ln in lines[body_start:] if ln.strip()]
+    body = list(filter(str.strip, lines[body_start:]))
     if len(body) < n_vertex + n_face:
         raise MeshError("PLY body shorter than declared element counts")
-    vertices = np.empty((n_vertex, 3), dtype=np.float64)
-    for k in range(n_vertex):
-        parts = body[k].split()
-        if len(parts) < len(vertex_props):
-            raise MeshError(f"PLY vertex row {k} too short")
+    vertex_rows = body[:n_vertex]
+    face_rows = body[n_vertex:n_vertex + n_face]
+    # Each block is parsed as one token array when every row has the
+    # declared width and every face is a triangle.  Otherwise, or when a
+    # token does not parse, the per-row loops below run: they accept the
+    # other rows a PLY file may hold and raise the first failing row's error.
+    # np.array converts str tokens with Python's float and int.
+    vertices = None
+    tokens = _ply_tokens(vertex_rows, len(vertex_props))
+    if tokens is not None:
         try:
-            vertices[k] = (float(parts[ix]), float(parts[iy]), float(parts[iz]))
+            vertices = np.array(tokens, dtype=np.float64).reshape(n_vertex, -1)
         except ValueError:
-            raise MeshError(f"PLY vertex row {k}: non-numeric coordinate in {body[k]!r}") from None
+            pass
+        else:
+            vertices = vertices[:, (ix, iy, iz)]
+    if vertices is None:
+        vertices = np.empty((n_vertex, 3), dtype=np.float64)
+        for k in range(n_vertex):
+            parts = body[k].split()
+            if len(parts) < len(vertex_props):
+                raise MeshError(f"PLY vertex row {k} too short")
+            try:
+                vertices[k] = (float(parts[ix]), float(parts[iy]), float(parts[iz]))
+            except ValueError:
+                raise MeshError(f"PLY vertex row {k}: non-numeric coordinate "
+                                f"in {body[k]!r}") from None
+    tokens = _ply_tokens(face_rows, 4)
+    if tokens is not None and tokens[::4].count("3") == n_face:
+        del tokens[::4]
+        try:
+            triangles = np.array(tokens, dtype=np.int64).reshape(n_face, 3)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            return Mesh(vertices, triangles)
     faces = []
-    for k, line in enumerate(body[n_vertex:n_vertex + n_face]):
+    for k, line in enumerate(face_rows):
         parts = line.split()
         try:
             cnt = int(parts[0])
@@ -300,6 +327,22 @@ def _parse_ply(text: str) -> Mesh:
             raise MeshError(f"PLY face row {k} has fewer than 3 indices")
         faces.extend(_fan(idx))
     return Mesh(vertices, faces)
+
+
+def _ply_tokens(rows, width):
+    """The tokens of rows, in order, if there is at least one row and each
+    has exactly width tokens; else None.
+
+    One split serves every row: the rows are joined with a NUL token
+    between them, which marks where each row ends unless a row holds one.
+    """
+    tokens = " \0 ".join(rows).split()
+    marks = tokens[width::width + 1]
+    if (len(tokens) != len(rows) * (width + 1) - 1
+            or marks.count("\0") != len(marks) or tokens.count("\0") != len(marks)):
+        return None
+    del tokens[width::width + 1]
+    return tokens
 
 
 def save_ply(mesh: Mesh, path, colors=None) -> None:

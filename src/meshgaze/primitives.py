@@ -137,23 +137,3 @@ def box(center=(0.0, 1.5, 0.0), size=(0.6, 0.6, 0.6)) -> Mesh:
     if np.mean(np.einsum("ij,ij->i", mesh.normals, mesh.vertices - c)) < 0:
         mesh = Mesh(v, np.asarray(faces, dtype=np.int64)[:, ::-1])
     return mesh
-
-
-def vertex_rings(mesh: Mesh, seed_vertex: int, rings: int) -> set[int]:
-    """Vertex ids within `rings` edge hops of seed_vertex (BFS over edges)."""
-    adj: dict[int, set[int]] = {}
-    for a, b, c in mesh.triangles:
-        a, b, c = int(a), int(b), int(c)
-        adj.setdefault(a, set()).update((b, c))
-        adj.setdefault(b, set()).update((a, c))
-        adj.setdefault(c, set()).update((a, b))
-    frontier = {seed_vertex}
-    seen = {seed_vertex}
-    for _ in range(rings):
-        nxt = set()
-        for v in frontier:
-            nxt |= adj.get(v, set())
-        nxt -= seen
-        seen |= nxt
-        frontier = nxt
-    return seen

@@ -20,8 +20,8 @@ import meshgaze
 from meshgaze import bvh, primitives
 from meshgaze.config import MAX_COORD, RunConfig
 from meshgaze.gaze import RECORDING_HEADER, GazeError, rotation_matrix
-from meshgaze.io import read_csv
-from meshgaze.mesh import bounding_box_diagonal
+from meshgaze.io import read_csv, read_text
+from meshgaze.mesh import Mesh, MeshError, bounding_box_diagonal
 from meshgaze.synth import ScenarioError, euler_facing
 from meshgaze.visibility import CameraModel, ViewPose
 
@@ -104,6 +104,99 @@ def bumpy():
 @pytest.fixture()
 def cfg():
     return RunConfig()
+
+
+# ---------------------------------------------------------------------------
+# mesh helpers
+
+def vertex_rings(mesh, seed_vertex: int, rings: int) -> set[int]:
+    """Vertex ids within `rings` edge hops of seed_vertex (BFS over edges)."""
+    adj: dict[int, set[int]] = {}
+    for a, b, c in mesh.triangles:
+        a, b, c = int(a), int(b), int(c)
+        adj.setdefault(a, set()).update((b, c))
+        adj.setdefault(b, set()).update((a, c))
+        adj.setdefault(c, set()).update((a, b))
+    frontier = {seed_vertex}
+    seen = {seed_vertex}
+    for _ in range(rings):
+        nxt = set()
+        for v in frontier:
+            nxt |= adj.get(v, set())
+        nxt -= seen
+        seen |= nxt
+        frontier = nxt
+    return seen
+
+
+def load_ply_oracle(path):
+    """An ascii-PLY file parsed one body row at a time, as load_mesh did
+    before it parsed whole blocks: the Mesh, or the first row's error."""
+    text = read_text(path, "mesh file", MeshError)
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "ply":
+        raise MeshError("not a PLY file")
+    counts = {}
+    vertex_props: list[str] = []
+    in_vertex_element = False
+    body_start = None
+    ascii_fmt = False
+    for i, line in enumerate(lines[1:], start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if parts[0] == "format":
+                ascii_fmt = len(parts) >= 2 and parts[1] == "ascii"
+            elif parts[0] == "element":
+                in_vertex_element = parts[1] == "vertex"
+                if parts[1] in ("vertex", "face"):
+                    counts[parts[1]] = int(parts[2])
+            elif parts[0] == "property":
+                if in_vertex_element and parts[1] != "list":
+                    vertex_props.append(parts[-1])
+            elif parts[0] == "end_header":
+                body_start = i + 1
+                break
+        except (IndexError, ValueError):
+            raise MeshError(f"PLY header line {i + 1}: malformed {line.strip()!r}") from None
+    if not ascii_fmt:
+        raise MeshError("only ascii PLY is supported")
+    if body_start is None or len(counts) < 2:
+        raise MeshError("incomplete PLY header")
+    n_vertex, n_face = counts["vertex"], counts["face"]
+    if min(n_vertex, n_face) < 0:
+        raise MeshError("PLY element count is negative")
+    try:
+        ix, iy, iz = (vertex_props.index(k) for k in ("x", "y", "z"))
+    except ValueError as exc:
+        raise MeshError("PLY vertex element lacks x/y/z properties") from exc
+    body = [ln for ln in lines[body_start:] if ln.strip()]
+    if len(body) < n_vertex + n_face:
+        raise MeshError("PLY body shorter than declared element counts")
+    vertices = np.empty((n_vertex, 3), dtype=np.float64)
+    for k in range(n_vertex):
+        parts = body[k].split()
+        if len(parts) < len(vertex_props):
+            raise MeshError(f"PLY vertex row {k} too short")
+        try:
+            vertices[k] = (float(parts[ix]), float(parts[iy]), float(parts[iz]))
+        except ValueError:
+            raise MeshError(f"PLY vertex row {k}: non-numeric coordinate in {body[k]!r}") from None
+    faces = []
+    for k, line in enumerate(body[n_vertex:n_vertex + n_face]):
+        parts = line.split()
+        try:
+            cnt = int(parts[0])
+            idx = [int(p) for p in parts[1:1 + cnt]]
+        except ValueError:
+            raise MeshError(f"PLY face row {k}: non-integer field in {line!r}") from None
+        if len(parts) < 1 + cnt:
+            raise MeshError(f"PLY face row {k} too short")
+        if cnt < 3:
+            raise MeshError(f"PLY face row {k} has fewer than 3 indices")
+        faces.extend((idx[0], idx[i], idx[i + 1]) for i in range(1, cnt - 1))
+    return Mesh(vertices, faces)
 
 
 # ---------------------------------------------------------------------------

@@ -1117,6 +1117,29 @@ def test_cli_import_restores_caller_blas_env():
     assert python(code, OPENBLAS_NUM_THREADS="2") == ["'2' 1"]
 
 
+def test_cli_import_freezes_its_objects_and_restores_gc(tmp_path):
+    """Importing meshgaze.cli runs with the cyclic GC off, moves what it
+    made to the GC's permanent generation, and leaves the GC on or off as
+    the caller had it, also when one of its imports raises."""
+    code = ("import gc\n{}\nfrozen = gc.get_freeze_count()\n"
+            "import meshgaze.cli\n"
+            "print(frozen, gc.isenabled(), gc.get_freeze_count() > 0)\n")
+    assert python(code.format("")) == ["0 True True"]
+    assert python(code.format("gc.disable()")) == ["0 False True"]
+
+    shutil.copytree(os.path.join(SRC, "meshgaze"), tmp_path / "meshgaze",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    synth = tmp_path / "meshgaze" / "synth.py"
+    synth.write_text(synth.read_text()
+                     + "raise RuntimeError('synth is broken')\n")
+    broken = ("import gc\n{}\ntry:\n    import meshgaze.cli\n"
+              "except RuntimeError as exc:\n    print(exc, gc.isenabled())\n")
+    assert python(broken.format(""), PYTHONPATH=str(tmp_path)) == [
+        "synth is broken True"]
+    assert python(broken.format("gc.disable()"), PYTHONPATH=str(tmp_path)) == [
+        "synth is broken False"]
+
+
 def test_package_import_leaves_numpy_unloaded():
     """`import meshgaze` resolves its names on first use: it loads no numpy
     and leaves the BLAS thread count to the caller."""

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import load_fixations_oracle
+from conftest import load_fixations_oracle, load_ply_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,6 +145,67 @@ def test_fixation_table_loader_matches_row_oracle(scratch, raw):
     values = np.column_stack([got.position, got.pose_p, got.pose_o,
                               got.duration])
     assert values.tolist() == [r[2] for r in want]
+
+
+PLY_VERTICES = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"],
+                ["0", "0", "1"]]
+PLY_FACES = [["3", "0", "2", "1"], ["3", "0", "1", "3"], ["3", "0", "3", "2"],
+             ["3", "1", "2", "3"]]
+PLY_TOKENS = ["x", "nan", "1e300", "99999999999999999999", "1_0", "-1", "0",
+              "2", "4", "5", "1e-309", "-0.0", "-nan", "3.0", "+3", "\0"]
+
+
+@st.composite
+def ply_fields(draw) -> bytes:
+    """A tetrahedron PLY (its vertices optionally colored) with up to four
+    single fields of its body rows replaced, removed or added, or blank
+    lines put between them, so that the whole-block parse, its fall-back
+    and each row check are reached."""
+    colored = draw(st.booleans())
+    vertices = [row + ["7", "8", "9"] if colored else list(row)
+                for row in PLY_VERTICES]
+    rows = vertices + [list(row) for row in PLY_FACES]
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["replace", "replace", "remove", "add",
+                                     "blank"]))
+        if edit == "blank":
+            rows.insert(k, [])
+        elif edit == "add":
+            rows[k].append(draw(st.sampled_from(PLY_TOKENS)))
+        elif rows[k]:
+            i = draw(st.integers(0, len(rows[k]) - 1))
+            if edit == "remove":
+                del rows[k][i]
+            else:
+                rows[k][i] = draw(st.sampled_from(PLY_TOKENS))
+    header = ["ply", "format ascii 1.0", f"element vertex {len(PLY_VERTICES)}",
+              "property float64 x", "property float64 y", "property float64 z"]
+    if colored:
+        header += ["property uchar red", "property uchar green",
+                   "property uchar blue"]
+    header += [f"element face {len(PLY_FACES)}",
+               "property list uchar int vertex_indices", "end_header"]
+    return "\n".join(header + [" ".join(row) for row in rows]).encode() + b"\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=st.one_of(mangled(LOADERS["m.ply"][1]), ply_fields()))
+def test_ply_block_parse_matches_row_oracle(scratch, raw):
+    """On a mangled PLY file load_mesh returns the row-at-a-time parser's
+    arrays bit for bit, or raises its first error message."""
+    path = scratch / "oracle.ply"
+    path.write_bytes(raw)
+    try:
+        want = load_ply_oracle(path)
+    except MeshgazeError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_mesh(path)
+        assert str(got.value) == str(exc)
+        return
+    got = load_mesh(path)
+    for a, b in ((got.vertices, want.vertices), (got.triangles, want.triangles)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 SCENARIO_FIELDS = ["mesh_id", "targets", "radius", "height", "start_angle_deg",

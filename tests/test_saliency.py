@@ -6,12 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import (facing_pose, fpfh_oracle, gaussian_average_oracle,
-                      pair_list_averages_oracle, peak_rss_mb, uniqueness_oracle)
+                      pair_list_averages_oracle, peak_rss_mb, uniqueness_oracle,
+                      vertex_rings)
 
 from meshgaze.config import RunConfig
 from meshgaze import mesh as mesh_module
 from meshgaze.mesh import Mesh, bounding_box_diagonal
-from meshgaze.primitives import bumpy_sphere, plane_grid, vertex_rings
+from meshgaze.primitives import bumpy_sphere, plane_grid
 from meshgaze.saliency import (_BLOCK_CELLS, _PRODUCT_CELLS, DESCRIPTOR_SIZE,
                                SaliencyError,
                                _gaussian_averages, baseline_curvature_saliency,
