@@ -277,23 +277,15 @@ def _parse_ply(text: str) -> Mesh:
     body = list(filter(str.strip, lines[body_start:]))
     if len(body) < n_vertex + n_face:
         raise MeshError("PLY body shorter than declared element counts")
-    vertex_rows = body[:n_vertex]
     face_rows = body[n_vertex:n_vertex + n_face]
-    # Each block is parsed as one token array when every row has the
-    # declared width and every face is a triangle.  Otherwise, or when a
-    # token does not parse, the per-row loops below run: they accept the
-    # other rows a PLY file may hold and raise the first failing row's error.
-    # np.array converts str tokens with Python's float and int.
-    vertices = None
-    tokens = _ply_tokens(vertex_rows, len(vertex_props))
-    if tokens is not None:
-        try:
-            vertices = np.array(tokens, dtype=np.float64).reshape(n_vertex, -1)
-        except ValueError:
-            pass
-        else:
-            vertices = vertices[:, (ix, iy, iz)]
-    if vertices is None:
+    # Each block is parsed as one array when every row has the declared
+    # width and every face is a triangle.  Otherwise the per-row loops run:
+    # they accept the other rows a PLY file may hold and raise the first
+    # failing row's error.
+    block = _ply_block(body[:n_vertex], len(vertex_props), np.float64)
+    if block is not None:
+        vertices = block[:, (ix, iy, iz)]
+    else:
         vertices = np.empty((n_vertex, 3), dtype=np.float64)
         for k in range(n_vertex):
             parts = body[k].split()
@@ -304,15 +296,9 @@ def _parse_ply(text: str) -> Mesh:
             except ValueError:
                 raise MeshError(f"PLY vertex row {k}: non-numeric coordinate "
                                 f"in {body[k]!r}") from None
-    tokens = _ply_tokens(face_rows, 4)
-    if tokens is not None and tokens[::4].count("3") == n_face:
-        del tokens[::4]
-        try:
-            triangles = np.array(tokens, dtype=np.int64).reshape(n_face, 3)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            return Mesh(vertices, triangles)
+    block = _ply_block(face_rows, 4, np.int64)
+    if block is not None and (block[:, 0] == 3).all():
+        return Mesh(vertices, block[:, 1:].copy())
     faces = []
     for k, line in enumerate(face_rows):
         parts = line.split()
@@ -329,20 +315,23 @@ def _parse_ply(text: str) -> Mesh:
     return Mesh(vertices, faces)
 
 
-def _ply_tokens(rows, width):
-    """The tokens of rows, in order, if there is at least one row and each
-    has exactly width tokens; else None.
+def _ply_block(rows, width, dtype):
+    """rows as one (len(rows), width) array of dtype, or None unless there
+    is a row, every row has exactly width tokens and every token parses.
 
-    One split serves every row: the rows are joined with a NUL token
-    between them, which marks where each row ends unless a row holds one.
+    np.array converts str tokens with Python's float or int, so the values
+    are the per-row loops'.  One split serves every row: the rows are
+    joined with a NUL token between them, which marks where each row ends.
+    A NUL token that is not between two rows fails to parse.
     """
     tokens = " \0 ".join(rows).split()
-    marks = tokens[width::width + 1]
-    if (len(tokens) != len(rows) * (width + 1) - 1
-            or marks.count("\0") != len(marks) or tokens.count("\0") != len(marks)):
+    if len(tokens) != len(rows) * (width + 1) - 1:
         return None
     del tokens[width::width + 1]
-    return tokens
+    try:
+        return np.array(tokens, dtype).reshape(len(rows), width)
+    except (ValueError, OverflowError):
+        return None
 
 
 def save_ply(mesh: Mesh, path, colors=None) -> None:
