@@ -157,20 +157,28 @@ PLY_TOKENS = ["x", "nan", "1e300", "99999999999999999999", "1_0", "-1", "0",
 
 @st.composite
 def ply_fields(draw) -> bytes:
-    """A tetrahedron PLY (its vertices optionally colored) with up to four
-    single fields of its body rows replaced, removed or added, or blank
-    lines put between them, so that the whole-block parse, its fall-back
-    and each row check are reached."""
+    """A tetrahedron PLY (its vertices optionally colored) with one to three
+    single fields of its body rows replaced, removed, added or moved to the
+    next row, a face count set to another count, or blank lines put between
+    rows, so that the whole-block parse, its fall-back and each row check
+    are reached."""
     colored = draw(st.booleans())
     vertices = [row + ["7", "8", "9"] if colored else list(row)
                 for row in PLY_VERTICES]
     rows = vertices + [list(row) for row in PLY_FACES]
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(0, len(rows) - 1))
-        edit = draw(st.sampled_from(["replace", "replace", "remove", "add",
-                                     "blank"]))
+        edit = draw(st.sampled_from(["replace", "replace", "count", "remove",
+                                     "add", "move", "blank"]))
         if edit == "blank":
             rows.insert(k, [])
+        elif edit == "count":
+            face = rows[-draw(st.integers(1, len(PLY_FACES)))]
+            if face:
+                face[0] = draw(st.sampled_from(["0", "2", "4", "-1", "03"]))
+        elif edit == "move":
+            if rows[k] and k + 1 < len(rows):
+                rows[k + 1].insert(0, rows[k].pop())
         elif edit == "add":
             rows[k].append(draw(st.sampled_from(PLY_TOKENS)))
         elif rows[k]:
@@ -189,7 +197,7 @@ def ply_fields(draw) -> bytes:
     return "\n".join(header + [" ".join(row) for row in rows]).encode() + b"\n"
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(raw=st.one_of(mangled(LOADERS["m.ply"][1]), ply_fields()))
 def test_ply_block_parse_matches_row_oracle(scratch, raw):
     """On a mangled PLY file load_mesh returns the row-at-a-time parser's
