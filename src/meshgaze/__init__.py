@@ -20,14 +20,13 @@ _EXPORTS = {
     "config": ("MeshgazeError", "ConfigError", "RunConfig", "load_config",
                "parse_config"),
     "mesh": ("Mesh", "MeshError", "load_mesh", "save_ply"),
-    "gaze": ("GazeError", "PoseSample", "head_orientations", "load_recording",
+    "gaze": ("GazeError", "Recording", "head_orientations", "load_recording",
              "screen_frames", "screen_point", "trace_samples"),
     "fixation": ("FixationError", "Fixations", "classify_ivt",
                  "extract_fixations", "load_fixations", "save_fixations"),
     "visibility": ("CameraModel", "ViewPose", "VisibilityError", "pose_hash",
                    "visible_points"),
-    "fdm": ("FdmError", "FixationDensityMap", "build_ground_truth", "plcc",
-            "splat_fdm"),
+    "fdm": ("FdmError", "build_ground_truth", "plcc", "splat_fdm"),
     "saliency": ("SaliencyError", "SaliencyMap", "baseline_curvature_saliency",
                  "compute_fpfh", "saliency_map", "uniqueness"),
     "evaluation": ("EvaluationError", "inter_observer_test", "metric_cc",

@@ -103,10 +103,10 @@ def cmd_process(args) -> int:
                "recordings": {}, "total_fixations": 0}
     for name in rec_files:
         rec_id = os.path.splitext(name)[0]
-        samples = load_recording(os.path.join(args.recordings, name),
-                                 cfg.screen_half_extent)
-        traced = trace_samples(samples, mesh, cfg.d_screen)
-        fixations, stats = extract_fixations(traced, cfg, rec_id)
+        recording = load_recording(os.path.join(args.recordings, name),
+                                   cfg.screen_half_extent)
+        traced = trace_samples(recording, mesh, cfg.d_screen)
+        fixations, stats = extract_fixations(recording, traced, cfg, rec_id)
         warnings = []
         if stats["miss_samples"] == stats["samples"]:
             warnings.append("all sight-lines missed the mesh")
@@ -135,11 +135,12 @@ def cmd_fdm(args) -> int:
     fixations = _load_fixation_dir(args.fixations)
     os.makedirs(args.out, exist_ok=True)
     if not args.by_pose:
-        fdm = splat_fdm(mesh, fixations, cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)
-        if fdm.flagged:
+        values = splat_fdm(mesh, fixations, cfg.sigma_fdm,
+                           cfg.fdm_cutoff_sigmas)
+        if not (values > 0).any():
             _warn("no fixations: all-zero density map")
-        save_map_csv(os.path.join(args.out, "fdm.csv"), fdm.values)
-        save_map_ply(os.path.join(args.out, "fdm.ply"), mesh, fdm.values)
+        save_map_csv(os.path.join(args.out, "fdm.csv"), values)
+        save_map_ply(os.path.join(args.out, "fdm.ply"), mesh, values)
         write_json(os.path.join(args.out, "fdm.meta.json"),
                    {"version": __version__, "sigma_fdm": cfg.sigma_fdm,
                     "cutoff_sigmas": cfg.fdm_cutoff_sigmas,
@@ -151,15 +152,15 @@ def cmd_fdm(args) -> int:
     meta = {"version": __version__, "sigma_fdm": cfg.sigma_fdm,
             "buckets": {}}
     for bucket, rows, pose, vs in bucket_views(mesh, fixations, cfg):
-        gt = build_ground_truth(mesh, fixations[rows], bucket, vs,
-                                cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)
-        if gt.map.flagged:
+        values, a_w = build_ground_truth(mesh, fixations[rows], bucket, vs,
+                                         cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)
+        if not (values > 0).any():
             _warn(f"bucket {bucket}: density is zero on the visible set")
-        save_map_csv(os.path.join(args.out, f"{bucket}.csv"), gt.map.values)
+        save_map_csv(os.path.join(args.out, f"{bucket}.csv"), values)
         save_visibility(os.path.join(args.out, f"{bucket}.vis.csv"), vs)
-        weights[bucket] = gt.a_w
+        weights[bucket] = a_w
         meta["buckets"][bucket] = {
-            "a_w": gt.a_w, "fixations": len(rows),
+            "a_w": a_w, "fixations": len(rows),
             "pose_p": pose.p.tolist(), "pose_o": pose.o_deg.tolist(),
         }
     write_json(os.path.join(args.out, "weights.json"), weights)
@@ -319,10 +320,10 @@ def cmd_synth(args) -> int:
             raise ScenarioError(f"target vertex {t} out of range")
     os.makedirs(args.out, exist_ok=True)
     for subject in range(scenario.subjects):
-        samples = generate_recording(scenario, mesh, cfg, subject)
+        recording = generate_recording(scenario, mesh, cfg, subject)
         if subject == 0:
-            check_targets_reachable(scenario, mesh, cfg, samples)
-        save_recording(os.path.join(args.out, f"s{subject:02d}.csv"), samples)
+            check_targets_reachable(scenario, mesh, cfg, recording)
+        save_recording(os.path.join(args.out, f"s{subject:02d}.csv"), recording)
     write_json(os.path.join(args.out, "targets.json"), {
         "version": __version__,
         "mesh_id": scenario.mesh_id,

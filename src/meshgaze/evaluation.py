@@ -21,7 +21,7 @@ import numpy as np
 from .config import MeshgazeError
 from .fdm import FdmError, bucket_views, plcc, pose_groups, splat_fdm
 from .fixation import median, saccade_amplitudes
-from .gaze import head_orientations
+from .gaze import head_orientations, rowdot
 
 
 class EvaluationError(MeshgazeError):
@@ -271,31 +271,27 @@ RIGHT = "Right"
 NONE = "None"
 
 
-def initial_move_direction(samples, gate_m: float = 0.15) -> str:
-    """First lateral walking direction relative to the initial facing.
+def initial_move_direction(recording, gate_m: float = 0.15) -> str:
+    """First lateral walking direction of a Recording relative to the
+    initial facing.
 
     The rightward axis is the initial facing vector yawed +90 degrees; the
     verdict comes from the first sample displaced more than gate_m from
     the start.
     """
-    if len(samples) < 2:
+    if len(recording) < 2:
         raise EvaluationError("need at least 2 samples")
-    o0 = head_orientations(samples[0].o_deg)[0]
+    o0 = head_orientations(recording.o[0])[0]
     # Ry(+90) applied exactly: (x, y, z) -> (z, y, -x).  Going through
     # rotation_matrix would leave a cos(pi/2) ~ 6e-17 residue that turns
     # an exactly-forward walk into a spurious lateral verdict.
     right = np.array([o0[2], o0[1], -o0[0]])
-    p0 = samples[0].p
-    for s in samples[1:]:
-        d = s.p - p0
-        if float(np.linalg.norm(d)) > gate_m:
-            lateral = float(np.dot(d, right))
-            if lateral > 0:
-                return RIGHT
-            if lateral < 0:
-                return LEFT
-            return NONE
-    return NONE
+    d = recording.p[1:] - recording.p[0]
+    beyond = np.sqrt(rowdot(d, d)) > gate_m
+    if not beyond.any():
+        return NONE
+    lateral = float(np.dot(d[np.argmax(beyond)], right))
+    return RIGHT if lateral > 0 else LEFT if lateral < 0 else NONE
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +304,9 @@ def _similarities(pairs) -> list:
     left out."""
     out = []
     for a, b in pairs:
-        k = min(len(a.values), len(b.values))
+        k = min(len(a), len(b))
         try:
-            out.append(plcc(a.values[:k], b.values[:k]))
+            out.append(plcc(a[:k], b[:k]))
         except FdmError:
             pass
     return out
@@ -392,7 +388,7 @@ def direction_dependence_study(meshes, fixations, cfg) -> dict:
         modal = max(sorted(counts), key=counts.__getitem__)
         entries = [(fix.pose_o[rows[0]],
                     splat_fdm(meshes[m], fix[rows], cfg.sigma_fdm,
-                              cfg.fdm_cutoff_sigmas).values)
+                              cfg.fdm_cutoff_sigmas))
                    for rows, cell in zip(groups, cells) if cell == modal]
         try:
             corr = viewing_direction_dependence(
@@ -405,13 +401,13 @@ def direction_dependence_study(meshes, fixations, cfg) -> dict:
 
 
 def left_preference_study(recordings, cfg) -> tuple[dict, dict]:
-    """Counts of the first lateral move of each recording ({name: samples})
-    and the share of decided ones going left; also {name: error} of the
-    recordings too short to decide."""
+    """Counts of the first lateral move of each recording ({name:
+    Recording}) and the share of decided ones going left; also {name:
+    error} of the recordings too short to decide."""
     counts, problems = {LEFT: 0, RIGHT: 0, NONE: 0}, {}
-    for name, samples in recordings.items():
+    for name, recording in recordings.items():
         try:
-            counts[initial_move_direction(samples, cfg.move_gate_m)] += 1
+            counts[initial_move_direction(recording, cfg.move_gate_m)] += 1
         except EvaluationError as exc:
             problems[name] = exc
     decided = counts[LEFT] + counts[RIGHT]

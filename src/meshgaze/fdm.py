@@ -10,7 +10,6 @@ contributing subjects as the view's weight A_w.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,32 +25,15 @@ class FdmError(MeshgazeError):
     pass
 
 
-@dataclass
-class FixationDensityMap:
-    values: np.ndarray
-    flagged: bool = False   # True when the map carries no positive mass
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if (self.values < 0).any():
-            raise FdmError("density values must be nonnegative")
-
-
-@dataclass
-class ViewGroundTruth:
-    pose_id: str
-    map: FixationDensityMap
-    a_w: int
-
-
 # fixation-vertex pairs per splat block: 3 MB of coordinate differences
 _SPLAT_BLOCK = 2 ** 17
 
 
 def splat_fdm(mesh: Mesh, fixations, sigma: float,
-              cutoff_sigmas: float = 4.0) -> FixationDensityMap:
-    """Sum truncated Gaussian contributions of all fixations (a Fixations
-    table) per vertex, each vertex's in table order."""
+              cutoff_sigmas: float = 4.0) -> np.ndarray:
+    """Per-vertex values (n,): the truncated Gaussian contributions of all
+    fixations (a Fixations table), each vertex's summed in table order.
+    No fixations, or none within reach of any vertex, give all zeros."""
     if not sigma > 0:
         raise FdmError("sigma must be positive")
     values = np.zeros(len(mesh.vertices))
@@ -63,16 +45,13 @@ def splat_fdm(mesh: Mesh, fixations, sigma: float,
         f, v = np.nonzero(d2 <= radius * radius)
         np.add.at(values, v, fixations.weight[lo + f]
                   * np.exp(-d2[f, v] / (2.0 * sigma * sigma)))
-    # an all-zero map (no fixations, or none within reach of any vertex)
-    # is structurally valid but carries no signal; flag it for callers
-    return FixationDensityMap(values=values,
-                              flagged=not bool((values > 0.0).any()))
+    return values
 
 
 def plcc(map_a, map_b, domain=None) -> float:
     """Pearson correlation of two per-vertex fields on an optional domain."""
-    a = map_a.values if isinstance(map_a, FixationDensityMap) else np.asarray(map_a, dtype=np.float64)
-    b = map_b.values if isinstance(map_b, FixationDensityMap) else np.asarray(map_b, dtype=np.float64)
+    a = np.asarray(map_a, dtype=np.float64)
+    b = np.asarray(map_b, dtype=np.float64)
     if len(a) != len(b):
         raise FdmError("maps are not aligned")
     if domain is not None:
@@ -98,16 +77,23 @@ def pose_buckets(pose_p, pose_o_deg, grid_m: float = 0.25,
 
     Position snaps to a cubic grid; the facing vector to azimuth and
     elevation bins.  Poses sharing a key are "the same 6DoF data" for
-    ground-truth pooling and visit counting.
+    ground-truth pooling and visit counting.  FdmError when a bin index
+    or the azimuth bin count is beyond float range.
     """
     p = np.asarray(pose_p, dtype=np.float64).reshape(-1, 3)
     o = head_orientations(pose_o_deg)
     az = np.degrees(np.arctan2(o[:, 2], o[:, 0])) % 360.0
     el = np.degrees(np.arcsin(np.clip(o[:, 1], -1.0, 1.0)))
-    n_az = max(int(np.ceil(360.0 / angle_bin_deg)), 1)
+    with np.errstate(over="ignore"):
+        per_turn = np.ceil(360.0 / angle_bin_deg)
+        bins = np.column_stack([np.floor(p / grid_m),
+                                np.floor(az / angle_bin_deg),
+                                np.floor((el + 90.0) / angle_bin_deg)])
+    if not (np.isfinite(per_turn) and np.isfinite(bins).all()):
+        raise FdmError(f"pose bins overflow: grid {grid_m:g} m or angle bin "
+                       f"{angle_bin_deg:g} deg is too fine for these poses")
+    n_az = max(int(per_turn), 1)
     top = int(np.ceil(180.0 / angle_bin_deg)) - 1
-    bins = np.column_stack([np.floor(p / grid_m), np.floor(az / angle_bin_deg),
-                            np.floor((el + 90.0) / angle_bin_deg)])
     return [f"{int(x)}_{int(y)}_{int(z)}_a{int(a) % n_az}_e{min(int(e), top)}"
             for x, y, z, a, e in bins.tolist()]
 
@@ -140,16 +126,15 @@ def bucket_views(mesh: Mesh, fixations, cfg, min_fixations: int = 1):
 
 def build_ground_truth(mesh: Mesh, fixations, pose_id: str,
                        vs: VisibleSet, sigma: float,
-                       cutoff_sigmas: float = 4.0) -> ViewGroundTruth:
-    """Ground truth for one pose bucket from its Fixations table; A_w is
-    the count of distinct recordings among them."""
+                       cutoff_sigmas: float = 4.0) -> tuple[np.ndarray, int]:
+    """Ground truth (values, A_w) for one pose bucket from its Fixations
+    table: the splat zeroed outside the visible set, and the count of
+    distinct recordings among the fixations."""
     if not len(fixations):
         raise FdmError(f"no fixations in pose bucket {pose_id!r}")
-    fdm = splat_fdm(mesh, fixations, sigma, cutoff_sigmas)
-    values = np.where(vs.mask, fdm.values, 0.0)
-    gated = FixationDensityMap(values=values, flagged=not (values > 0).any())
-    return ViewGroundTruth(pose_id=pose_id, map=gated,
-                           a_w=len(set(fixations.recording.tolist())))
+    values = splat_fdm(mesh, fixations, sigma, cutoff_sigmas)
+    return (np.where(vs.mask, values, 0.0),
+            len(set(fixations.recording.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -203,16 +203,17 @@ def saccade_amplitudes(fixations: Fixations, first, second) -> np.ndarray:
     return out
 
 
-def extract_fixations(traced, cfg, recording: str = "") -> tuple[Fixations, dict]:
-    """Full per-recording pipeline on a traced stream [(PoseSample,
-    record-or-None)]: classify, cluster, pick centers.
+def extract_fixations(recording, traced, cfg,
+                      recording_id: str = "") -> tuple[Fixations, dict]:
+    """Full per-recording pipeline on a Recording table and its traced
+    stream [(row, record-or-None)]: classify, cluster, pick centers.
 
     Each fixation's pose is the member nearest the cluster's temporal
     midpoint (ties to the earliest), its duration (t_last - t_first) + dt
     and its weight the member count.  Returns the recording's fixations,
     clusters numbered from 0, and stats counting samples by label.
     """
-    t = np.array([s.t for s, _ in traced], dtype=np.float64)
+    t = recording.t
     miss = np.full(3, np.nan)
     points = np.array([miss if r is None else r.point for _, r in traced],
                       dtype=np.float64).reshape(-1, 3)
@@ -233,7 +234,7 @@ def extract_fixations(traced, cfg, recording: str = "") -> tuple[Fixations, dict
         starts = s + group_clusters(points[s:e], cfg.cluster_interval)
         for a, b in zip(starts, np.append(starts[1:], e)):
             mid = 0.5 * (t[a] + t[b - 1])
-            reps.append(traced[a + int(np.argmin(np.abs(t[a:b] - mid)))][0])
+            reps.append(a + int(np.argmin(np.abs(t[a:b] - mid))))
             centers.append(a + cluster_center_random_walk(
                 points[a:b], cfg.rw_sigma, cfg.rw_lambda, cfg.rw_rho_radius,
                 cfg.rw_tol, cfg.rw_max_iter))
@@ -241,10 +242,10 @@ def extract_fixations(traced, cfg, recording: str = "") -> tuple[Fixations, dict
     a, b = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
     n = len(a)
     stats["fixations"] = n
-    return Fixations(recording=[recording] * n, cluster=np.arange(n),
-                     position=points[centers],
-                     pose_p=[x.p for x in reps], pose_o=[x.o_deg for x in reps],
-                     duration=(t[b - 1] - t[a]) + dt, weight=b - a), stats
+    return Fixations(recording=[recording_id] * n, cluster=np.arange(n),
+                     position=points[centers], pose_p=recording.p[reps],
+                     pose_o=recording.o[reps], duration=(t[b - 1] - t[a]) + dt,
+                     weight=b - a), stats
 
 
 # ---------------------------------------------------------------------------

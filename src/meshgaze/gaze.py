@@ -24,23 +24,30 @@ class GazeError(MeshgazeError):
 
 
 @dataclass
-class PoseSample:
-    __slots__ = ("t", "p", "o_deg", "s", "index")
-    t: float
-    p: np.ndarray       # head position, (3,)
-    o_deg: np.ndarray   # Euler angles, degrees, (3,)
-    s: np.ndarray       # eye offset on screen plane, (2,)
-    index: int          # row index within the recording
+class Recording:
+    """A recording as one table, one row per sample: timestamps t (n,)
+    seconds, head positions p (n, 3) meters, Euler angles o (n, 3) degrees
+    and eye offsets s (n, 2) meters on the screen plane."""
+    t: np.ndarray
+    p: np.ndarray
+    o: np.ndarray
+    s: np.ndarray
+
+    def __post_init__(self):
+        self.t = np.asarray(self.t, dtype=np.float64).reshape(-1)
+        self.p, self.o, self.s = _rows(self.p), _rows(self.o), _rows(self.s, 2)
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass
 class IntersectionRecord:
-    __slots__ = ("point", "triangle", "bary", "distance", "sample_index")
+    __slots__ = ("point", "triangle", "bary", "distance")
     point: np.ndarray
     triangle: int
     bary: np.ndarray
     distance: float     # |point - head position|
-    sample_index: int
 
 
 _REST = np.array([0.0, 0.0, 1.0])
@@ -175,22 +182,19 @@ def cast_hits(mesh: Mesh, origins, directions):
     return points, distances, tri, bary
 
 
-def trace_samples(samples, mesh: Mesh, d_screen: float):
-    """[(sample, record-or-None)] for a whole recording, cast in one batch;
+def trace_samples(recording: Recording, mesh: Mesh, d_screen: float):
+    """[(row, record-or-None)] for a whole recording, cast in one batch;
     each record views one row of cast_hits' arrays.
 
     A sample whose screen frame degenerates (head facing straight up or
     down) is treated as a miss rather than aborting the recording.
     """
-    samples = list(samples)
-    origins, directions = sightlines([x.p for x in samples],
-                                     [x.o_deg for x in samples],
-                                     [x.s for x in samples], d_screen)
-    points, distances, tri, bary = cast_hits(mesh, origins, directions)
-    return [(x, None if t < 0 else IntersectionRecord(
-                point=y, triangle=t, bary=w, distance=d, sample_index=x.index))
-            for x, y, d, t, w in zip(samples, points, distances.tolist(),
-                                     tri.tolist(), bary)]
+    points, distances, tri, bary = cast_hits(mesh, *sightlines(
+        recording.p, recording.o, recording.s, d_screen))
+    return [(k, None if t < 0 else IntersectionRecord(
+                point=y, triangle=t, bary=w, distance=d))
+            for k, (y, d, t, w) in enumerate(zip(points, distances.tolist(),
+                                                 tri.tolist(), bary))]
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +203,14 @@ def trace_samples(samples, mesh: Mesh, d_screen: float):
 RECORDING_HEADER = ["t", "px", "py", "pz", "ox", "oy", "oz", "sx", "sy"]
 
 
-def load_recording(path, screen_half_extent: float = 0.15) -> list[PoseSample]:
+def load_recording(path, screen_half_extent: float = 0.15) -> Recording:
     """Read one recording CSV; validates ordering and eye-offset bounds.
 
     Each row is checked for its field count, then that every field parses,
     is finite, that no head coordinate exceeds MAX_COORD in magnitude,
     that t increases and that the eye offset fits the screen;
     the first failing row's first failing check is the error.  The rows
-    are parsed into one (n, 9) array and the samples view its rows.
+    are parsed into one (n, 9) array and the table's columns view it.
     """
     rows = read_csv(path, "recording", GazeError)
     if not rows or [c.strip() for c in rows[0]] != RECORDING_HEADER:
@@ -245,16 +249,11 @@ def load_recording(path, screen_half_extent: float = 0.15) -> list[PoseSample]:
         raise stop
     if not len(vals):
         raise GazeError(f"recording {path!r}: no samples")
-    return [PoseSample(t=t_i, p=p, o_deg=o, s=s_i, index=i)
-            for i, (t_i, p, o, s_i) in enumerate(zip(
-                t.tolist(), vals[:, 1:4], vals[:, 4:7], s))]
+    return Recording(t=t, p=vals[:, 1:4], o=vals[:, 4:7], s=s)
 
 
-def save_recording(path, samples) -> None:
-    """Write samples as a recording CSV, every value as repr of its float."""
-    samples = list(samples)
-    table = np.column_stack([
-        np.array([x.t for x in samples], dtype=np.float64),
-        _rows([x.p for x in samples]), _rows([x.o_deg for x in samples]),
-        _rows([x.s for x in samples], 2)])
-    write_csv(path, RECORDING_HEADER, table.tolist())
+def save_recording(path, recording: Recording) -> None:
+    """Write a recording CSV, every value as repr of its float."""
+    r = recording
+    write_csv(path, RECORDING_HEADER,
+              np.column_stack([r.t, r.p, r.o, r.s]).tolist())

@@ -24,7 +24,7 @@ class MeshError(MeshgazeError):
 class Mesh:
     """Indexed triangle mesh with lazily derived normals and indexes."""
 
-    __slots__ = ("vertices", "triangles", "_normals", "_normal_flags", "_bvh")
+    __slots__ = ("vertices", "triangles", "_normals", "_bvh")
 
     def __init__(self, vertices, triangles):
         vertices = np.asarray(vertices, dtype=np.float64)
@@ -47,7 +47,6 @@ class Mesh:
         self.vertices = vertices
         self.triangles = triangles
         self._normals = None
-        self._normal_flags = None
         self._bvh = None
 
     def __len__(self):
@@ -56,16 +55,9 @@ class Mesh:
     @property
     def normals(self):
         if self._normals is None:
-            self._normals, self._normal_flags = compute_vertex_normals(
-                self.vertices, self.triangles)
+            self._normals = compute_vertex_normals(self.vertices,
+                                                   self.triangles)[0]
         return self._normals
-
-    @property
-    def normal_flags(self):
-        """True where no usable incident triangle area exists (zero normal)."""
-        if self._normal_flags is None:
-            _ = self.normals
-        return self._normal_flags
 
     @property
     def bvh(self):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MeshgazeError
-from .gaze import (GazeError, PoseSample, cast_hits, head_orientations, rowdot,
-                   screen_frames, screen_point, sightlines)
+from .gaze import (GazeError, Recording, cast_hits, head_orientations,
+                   rowdot, screen_frames, screen_point, sightlines)
 from .io import read_text
 from .mesh import Mesh
 
@@ -236,7 +236,7 @@ def _dwell_samples(scenario: SyntheticScenario, n: int) -> int:
 
 
 def generate_recording(scenario: SyntheticScenario, mesh: Mesh, cfg,
-                       subject: int = 0) -> list[PoseSample]:
+                       subject: int = 0) -> Recording:
     """One subject's recording; deterministic in (scenario, cfg, subject)."""
     center = np.asarray(cfg.scene_center(), dtype=np.float64)
     scenario.validate(center)
@@ -277,13 +277,12 @@ def generate_recording(scenario: SyntheticScenario, mesh: Mesh, cfg,
         raise ScenarioError(
             f"sample {k}: eye offset {s[k]} exceeds the screen half-extent; "
             "bring targets nearer the view center or widen the screen")
-    return [PoseSample(t=t_k, p=p_k, o_deg=o_k, s=s_k, index=i)
-            for i, (t_k, p_k, o_k, s_k) in enumerate(zip(
-                (idx * dt).tolist(), p, o_deg, s))]
+    return Recording(t=idx * dt, p=p, o=o_deg, s=s)
 
 
 def check_targets_reachable(scenario: SyntheticScenario, mesh: Mesh, cfg,
-                            samples, tol: float | None = None) -> None:
+                            recording: Recording,
+                            tol: float | None = None) -> None:
     """Error when some planted target is never the first surface hit.
 
     Casts each sample's noise-free sight-line; a target no sample reaches
@@ -293,12 +292,9 @@ def check_targets_reachable(scenario: SyntheticScenario, mesh: Mesh, cfg,
     if tol is None:
         tol = 2.0 * cfg.cluster_interval
     targets = mesh.vertices[np.asarray(scenario.targets, dtype=np.int64)]
-    samples = list(samples)
-    per_dwell = _dwell_samples(scenario, len(samples))
-    p = np.asarray([x.p for x in samples], dtype=np.float64).reshape(-1, 3)
-    o_deg = np.asarray([x.o_deg for x in samples],
-                       dtype=np.float64).reshape(-1, 3)
-    aimed = np.arange(len(samples)) // per_dwell % len(targets)
+    p, o_deg = recording.p, recording.o
+    aimed = (np.arange(len(recording))
+             // _dwell_samples(scenario, len(recording)) % len(targets))
     reached = np.zeros(len(targets), dtype=bool)
 
     def cast(ks):

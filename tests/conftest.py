@@ -795,6 +795,34 @@ def load_fixations_oracle(path):
     return out
 
 
+def read_vertex_csv_oracle(path, header, what, error):
+    """Column 1 of a per-vertex CSV indexed by vertex id, checked one row at
+    a time: the row loop of io.read_vertex_csv, kept to pin its values and
+    first error messages for a whole-file parse."""
+    rows = [r for r in read_csv(path, what, error) if r]
+    if not rows or rows[0][:len(header)] != list(header):
+        raise error(f"{what} {path!r}: bad header")
+    n = len(rows) - 1
+    values = np.zeros(n)
+    seen = np.zeros(n, dtype=bool)
+    for k, row in enumerate(rows[1:], start=1):
+        try:
+            vid, value = int(row[0]), float(row[1])
+        except (IndexError, ValueError):
+            raise error(f"{what} {path!r}: row {k}: expected vertex_id,value, "
+                        f"got {row!r}") from None
+        if not 0 <= vid < n:
+            raise error(f"{what} {path!r}: row {k}: vertex id {vid} outside "
+                        f"0..{n - 1} (ids missing or out of range)")
+        if seen[vid]:
+            raise error(f"{what} {path!r}: row {k}: duplicate vertex id {vid}")
+        if not math.isfinite(value):
+            raise error(f"{what} {path!r}: row {k}: non-finite value {row[1]!r}")
+        seen[vid] = True
+        values[vid] = value
+    return values
+
+
 def splat_oracle(mesh, positions, weights, sigma, cutoff_sigmas=4.0):
     """Per-vertex values of the per-fixation splat loop."""
     values = np.zeros(len(mesh.vertices))

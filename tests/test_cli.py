@@ -31,7 +31,7 @@ from meshgaze.evaluation import (ViewScore, bias_study,
 from meshgaze.fdm import (load_map_csv, pose_buckets, pose_groups, save_map_csv,
                           splat_fdm)
 from meshgaze.fixation import Fixations, load_fixations
-from meshgaze.gaze import PoseSample, load_recording, save_recording
+from meshgaze.gaze import Recording, load_recording, save_recording
 from meshgaze.mesh import bounding_box_diagonal, load_mesh, save_ply
 from meshgaze.primitives import bumpy_sphere, icosphere
 from meshgaze.saliency import baseline_curvature_saliency, saliency_map
@@ -111,8 +111,8 @@ def test_synth_outputs(pipeline):
     mesh = pipeline["mesh"]
     for tid, pos in zip(meta["target_vertex_ids"], meta["target_positions"]):
         np.testing.assert_allclose(pos, mesh.vertices[tid], atol=0)
-    samples = load_recording(rec / "s00.csv")
-    assert len(samples) == 240          # 2 s at 120 Hz
+    recording = load_recording(rec / "s00.csv")
+    assert len(recording) == 240        # 2 s at 120 Hz
 
 
 def test_synth_rerun_is_byte_identical(pipeline):
@@ -239,12 +239,13 @@ def test_process_rerun_is_byte_identical(pipeline):
 
 def test_process_warns_when_everything_misses(pipeline, tmp_path, capsys):
     # looking straight away from the mesh: every sight-line misses
-    samples = [PoseSample(t=k / 120.0, p=np.array([0.0, 1.6, -1.5]),
-                          o_deg=np.array([0.0, 180.0, 0.0]),
-                          s=np.zeros(2), index=k) for k in range(20)]
+    recording = Recording(t=np.arange(20) / 120.0,
+                          p=np.tile([0.0, 1.6, -1.5], (20, 1)),
+                          o=np.tile([0.0, 180.0, 0.0], (20, 1)),
+                          s=np.zeros((20, 2)))
     rec = tmp_path / "rec"
     rec.mkdir()
-    save_recording(rec / "away.csv", samples)
+    save_recording(rec / "away.csv", recording)
     out = tmp_path / "fix"
     assert run("process", "--mesh", pipeline["mesh_path"],
                "--recordings", rec, "--out", out) == 0
@@ -300,7 +301,7 @@ def test_fdm_pooled_matches_library(pipeline):
     cfg = RunConfig()
     expect = splat_fdm(pipeline["mesh"], points, cfg.sigma_fdm,
                        cfg.fdm_cutoff_sigmas)
-    np.testing.assert_array_equal(values, expect.values)
+    np.testing.assert_array_equal(values, expect)
 
     meta = read_json(pipeline["fdm"] / "fdm.meta.json")
     assert meta["sigma_fdm"] == cfg.sigma_fdm
@@ -722,6 +723,29 @@ def test_study_functions_return_the_analyze_reports(pipeline, tmp_path):
         assert got == json.loads(json.dumps(report)), name
 
 
+def test_readme_library_snippet_runs(pipeline, tmp_path, monkeypatch, capsys):
+    """The README's "Library use" snippet, run as written on a quick-start
+    mesh and recording, gives the fixations process wrote and a self-
+    correlation of 1."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    library = readme[readme.index("## Library use"):]
+    snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    shutil.copy(pipeline["mesh_path"], tmp_path / "ball.ply")
+    shutil.copytree(pipeline["rec"], tmp_path / "recs")
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(snippet, "README.md", "exec"), scope)
+    n, cc = capsys.readouterr().out.split()
+    fixations = load_fixations(pipeline["fix"] / "s00.csv")
+    assert int(n) == len(fixations) > 0 and float(cc) == 1.0
+    for name in ("recording", "cluster", "position", "pose_p", "pose_o",
+                 "duration", "weight"):
+        assert np.array_equal(getattr(scope["fixations"], name),
+                              getattr(fixations, name)), name
+
+
 def test_analyze_without_recordings_skips_preference(pipeline, tmp_path):
     mesh_dir = tmp_path / "meshes"
     fix_root = tmp_path / "fixations"
@@ -847,6 +871,34 @@ def test_fdm_rejects_a_coordinate_beyond_the_bound(pipeline, tmp_path, capsys,
             "--out", tmp_path / "out"] + ["--by-pose"] * by_pose
     assert run(*argv) == 1
     assert "row 0: coordinate beyond +-1e+09" in assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("verb", ["fdm", "analyze"])
+@pytest.mark.parametrize("key", ["pose_grid_m=1e-309",
+                                 "pose_angle_bin_deg=1e-320"],
+                         ids=["grid", "angle"])
+def test_pose_bins_beyond_float_range_are_an_error(pipeline, tmp_path, capsys,
+                                                   verb, key):
+    """A pose grid or angle bin so fine that a bin index or the azimuth bin
+    count overflows is one `error:` line; it used to end in an
+    OverflowError traceback from int(inf)."""
+    fix = tmp_path / "fix" / "ball"
+    fix.mkdir(parents=True)
+    (fix / "s00.csv").write_text(
+        "recording_id,cluster_id,x,y,z,px,py,pz,ox,oy,oz,duration,weight\n"
+        "s00,0,0.0,1.5,-0.3,1.0,1.6,-1.5,0.0,0.0,0.0,0.5,3\n")
+    out = tmp_path / "out"
+    if verb == "fdm":
+        argv = ["fdm", "--mesh", pipeline["mesh_path"], "--fixations", fix,
+                "--out", out, "--by-pose"]
+    else:
+        mesh_dir = tmp_path / "meshes"
+        mesh_dir.mkdir()
+        shutil.copy(pipeline["mesh_path"], mesh_dir / "ball.ply")
+        argv = ["analyze", "--mesh-dir", mesh_dir, "--fixations",
+                tmp_path / "fix", "--out", out]
+    assert run(*argv, "--set", key) == 1
+    assert "pose bins overflow" in assert_one_error_line(capsys)
 
 
 TETRA_PLY = """\
@@ -1001,6 +1053,33 @@ def test_tracer_finds_every_target():
                  "tracing.install(tracer)\n"
                  "print(tracer.unmeasured)\n")
     assert out == ["[]"]
+
+
+def test_tracer_counts_the_rays_and_hits_of_trace_samples(pipeline):
+    """perfbench's gaze.rays and gaze.hit_frac count trace_samples' pairs,
+    one per sample and a record for each hit; a change to the pairs' shape
+    would leave those metrics null or skewed.  A third of the samples face
+    away from the mesh, so the recording has hits and misses."""
+    perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
+    out = python("import json, sys\n"
+                 f"sys.path.insert(0, {perfbench!r})\n"
+                 "import tracing\n"
+                 "from meshgaze.config import RunConfig\n"
+                 "from meshgaze.gaze import (Recording, cast_hits, "
+                 "load_recording, sightlines, trace_samples)\n"
+                 "from meshgaze.mesh import load_mesh\n"
+                 f"r = load_recording({str(pipeline['rec'] / 's00.csv')!r})\n"
+                 "o = r.o.copy()\n"
+                 "o[::3] += [0.0, 180.0, 0.0]\n"
+                 "r = Recording(r.t, r.p, o, r.s)\n"
+                 f"mesh = load_mesh({str(pipeline['mesh_path'])!r})\n"
+                 "d = RunConfig().d_screen\n"
+                 "hits = cast_hits(mesh, *sightlines(r.p, r.o, r.s, d))[2] >= 0\n"
+                 "counts = tracing._trace_counts(trace_samples(r, mesh, d))\n"
+                 "print(json.dumps([counts, len(r), int(hits.sum())]))\n")
+    counts, rays, hits = json.loads(out[0])
+    assert counts == {"rays": rays, "hits": hits}
+    assert 0 < hits < rays
 
 
 def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):

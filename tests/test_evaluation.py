@@ -11,7 +11,7 @@ from meshgaze.evaluation import (LEFT, NONE, RIGHT, EvaluationError,
                                  initial_move_direction, inter_observer_test,
                                  metric_cc, metric_kl, metric_se,
                                  viewing_direction_dependence, weighted_eval)
-from meshgaze.gaze import PoseSample
+from meshgaze.gaze import Recording
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +357,10 @@ def test_vdd_matches_pair_loop_oracle(case):
 # initial movement direction
 
 def _walk(facing_yaw, offsets):
-    samples = [PoseSample(t=float(k) / 10.0,
-                          p=np.asarray(off, dtype=np.float64),
-                          o_deg=np.array([0.0, facing_yaw, 0.0]),
-                          s=np.zeros(2), index=k)
-               for k, off in enumerate(offsets)]
-    return samples
+    n = len(offsets)
+    return Recording(t=np.arange(n) / 10.0, p=offsets,
+                     o=np.tile([0.0, facing_yaw, 0.0], (n, 1)),
+                     s=np.zeros((n, 2)))
 
 
 def test_initial_move_left_and_right_facing_forward():
@@ -390,8 +388,8 @@ def test_initial_move_gate_and_pure_forward():
 
 def test_initial_move_first_crossing_wins():
     # drifts right early but first crosses the gate while displaced left
-    samples = _walk(0.0, [(0, 0, 0), (0.1, 0, 0), (-0.2, 0, 0), (0.4, 0, 0)])
-    assert initial_move_direction(samples) == LEFT
+    recording = _walk(0.0, [(0, 0, 0), (0.1, 0, 0), (-0.2, 0, 0), (0.4, 0, 0)])
+    assert initial_move_direction(recording) == LEFT
 
 
 def test_initial_move_needs_two_samples():

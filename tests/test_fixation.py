@@ -10,7 +10,7 @@ from meshgaze.fixation import (FIXATION, MISS, SACCADE, FixationError,
                                cluster_center_random_walk, extract_fixations,
                                group_clusters, load_fixations, median,
                                nominal_dt, saccade_amplitudes, save_fixations)
-from meshgaze.gaze import IntersectionRecord, PoseSample
+from meshgaze.gaze import IntersectionRecord, Recording
 
 H = 0.0075
 
@@ -26,18 +26,18 @@ def make_stream(points, distances, dt=1.0 / 120.0, miss_at=()):
 
 
 def traced_of(t, points, distances):
-    """(PoseSample, IntersectionRecord|None) pairs; sample k has head
-    position (k, 0, 0) and orientation (0, k, 0)."""
-    out = []
-    for k in range(len(t)):
-        sample = PoseSample(t=float(t[k]), p=np.array([float(k), 0.0, 0.0]),
-                            o_deg=np.array([0.0, float(k), 0.0]),
-                            s=np.zeros(2), index=k)
-        rec = None if np.isnan(distances[k]) else IntersectionRecord(
-            point=points[k].copy(), triangle=0, bary=np.array([1.0, 0.0, 0.0]),
-            distance=float(distances[k]), sample_index=k)
-        out.append((sample, rec))
-    return out
+    """A Recording and its (row, IntersectionRecord|None) pairs; sample k
+    has head position (k, 0, 0) and orientation (0, k, 0)."""
+    k = np.arange(len(t), dtype=float)
+    zero = np.zeros_like(k)
+    recording = Recording(t=t, p=np.column_stack([k, zero, zero]),
+                          o=np.column_stack([zero, k, zero]),
+                          s=np.zeros((len(t), 2)))
+    traced = [(i, None if np.isnan(distances[i]) else IntersectionRecord(
+                  point=points[i].copy(), triangle=0,
+                  bary=np.array([1.0, 0.0, 0.0]), distance=float(distances[i])))
+              for i in range(len(t))]
+    return recording, traced
 
 
 def labels_of(stream, h=H, min_fixation_s=0.0):
@@ -227,7 +227,7 @@ def test_running_centroid_admits_drift():
 def test_representative_pose_is_temporal_midpoint_member(cfg):
     cfg.min_fixation_s = 0.0
     pts = [(k * 1e-4, 0, 1) for k in range(5)]
-    points, _ = extract_fixations(traced_of(*make_stream(pts, [1.0] * 5)), cfg)
+    points, _ = extract_fixations(*traced_of(*make_stream(pts, [1.0] * 5)), cfg)
     # five samples at dt spacing: the midpoint member is sample 2, whose
     # head pose traced_of set to (2, 0, 0) and (0, 2, 0)
     assert len(points) == 1
@@ -236,7 +236,7 @@ def test_representative_pose_is_temporal_midpoint_member(cfg):
     # four samples on a 1/128 s grid: the midpoint lies exactly halfway
     # between samples 1 and 2, and the earlier one wins
     stream = make_stream(pts[:4], [1.0] * 4, dt=1.0 / 128.0)
-    points, _ = extract_fixations(traced_of(*stream), cfg)
+    points, _ = extract_fixations(*traced_of(*stream), cfg)
     np.testing.assert_array_equal(points.pose_p[0], [1.0, 0.0, 0.0])
 
 
@@ -272,7 +272,7 @@ def test_singleton_cluster_short_circuits(cfg):
     cfg.min_fixation_s = 0.0
     cfg.cluster_interval = 0.001
     stream = make_stream([(0.002 * k, 0.2, 0.3) for k in range(4)], [1.0] * 4)
-    points, stats = extract_fixations(traced_of(*stream), cfg)
+    points, stats = extract_fixations(*traced_of(*stream), cfg)
     assert stats["fixations"] == len(points) == 4
     np.testing.assert_array_equal(points.position, stream[1])
     np.testing.assert_array_equal(points.pose_p[:, 0], np.arange(4.0))
@@ -306,7 +306,7 @@ def test_random_walk_matches_dense_oracle():
 def test_center_duration_and_weight(cfg):
     cfg.min_fixation_s = 0.0
     pts = [(k * 1e-4, 0, 1) for k in range(6)]
-    points, _ = extract_fixations(traced_of(*make_stream(pts, [1.0] * 6)), cfg)
+    points, _ = extract_fixations(*traced_of(*make_stream(pts, [1.0] * 6)), cfg)
     assert len(points) == 1
     assert points.weight[0] == 6
     assert points.duration[0] == pytest.approx(6 / 120.0, abs=1e-12)
@@ -379,8 +379,8 @@ def test_saccade_amplitudes_match_per_pair_oracle():
 
 def test_extract_fixations_counts(cfg):
     pts = [(0, 0, 1)] * 24 + [(0.5, 0, 1)] * 24
-    traced = traced_of(*make_stream(pts, [1.0] * 48, miss_at={5}))
-    points, stats = extract_fixations(traced, cfg)
+    recording, traced = traced_of(*make_stream(pts, [1.0] * 48, miss_at={5}))
+    points, stats = extract_fixations(recording, traced, cfg)
     assert stats["samples"] == 48
     assert stats["miss_samples"] == 1
     # the 5 samples before the miss are too brief to keep (5/120 s < 0.1 s)

@@ -7,7 +7,7 @@ from conftest import (facing_oracle, hit_records_oracle, intersect_brute,
                       load_recording_oracle, rotation_oracle,
                       screen_frame_oracle, sightline_oracle)
 
-from meshgaze.gaze import (RECORDING_HEADER, GazeError, PoseSample, cast_hits,
+from meshgaze.gaze import (RECORDING_HEADER, GazeError, Recording, cast_hits,
                            gaze_points, head_orientations, load_recording,
                            rotation_matrix, save_recording, screen_frames,
                            screen_point, sightlines, trace_samples)
@@ -160,28 +160,27 @@ def test_doubling_d_screen_keeps_direction_when_centered():
 # tracing and recording I/O
 
 def test_trace_sphere_hit_distance(sphere3):
-    sample = PoseSample(t=0.0, p=np.array([0.0, 1.5, -2.0]),
-                        o_deg=np.zeros(3), s=np.zeros(2), index=0)
-    traced = trace_samples([sample], sphere3, d_screen=0.05)
-    (s, rec), = traced
-    assert rec is not None
+    sample = Recording(t=[0.0], p=[0.0, 1.5, -2.0], o=np.zeros(3), s=np.zeros(2))
+    traced = trace_samples(sample, sphere3, d_screen=0.05)
+    (row, rec), = traced
+    assert row == 0 and rec is not None
     assert rec.distance == pytest.approx(1.7, abs=0.02)
     np.testing.assert_allclose(rec.point[:2], [0.0, 1.5], atol=1e-9)
 
 
 def test_trace_miss_is_none(sphere3):
-    sample = PoseSample(t=0.0, p=np.array([0.0, 1.5, -2.0]),
-                        o_deg=np.array([0.0, 180.0, 0.0]),  # facing away
-                        s=np.zeros(2), index=0)
-    (s, rec), = trace_samples([sample], sphere3, d_screen=0.05)
+    sample = Recording(t=[0.0], p=[0.0, 1.5, -2.0],
+                       o=[0.0, 180.0, 0.0],                 # facing away
+                       s=np.zeros(2))
+    (row, rec), = trace_samples(sample, sphere3, d_screen=0.05)
     assert rec is None
 
 
 def test_trace_degenerate_orientation_is_miss(sphere3):
-    sample = PoseSample(t=0.0, p=np.array([0.0, 3.0, 0.0]),
-                        o_deg=np.array([90.0, 0.0, 0.0]),   # looking straight down
-                        s=np.array([0.01, 0.0]), index=0)
-    (s, rec), = trace_samples([sample], sphere3, d_screen=0.05)
+    sample = Recording(t=[0.0], p=[0.0, 3.0, 0.0],
+                       o=[90.0, 0.0, 0.0],                  # looking straight down
+                       s=[0.01, 0.0])
+    (row, rec), = trace_samples(sample, sphere3, d_screen=0.05)
     assert rec is None          # degenerate beta cannot resolve the offset
 
 
@@ -217,16 +216,16 @@ def test_sightlines_match_per_sample_chain_bit_for_bit():
 def test_trace_samples_match_per_ray_records(sphere3):
     """Batched tracing gives the exhaustive scan's hits, bit for bit."""
     rng = np.random.default_rng(4)
-    samples = [PoseSample(t=0.1 * k, p=np.array([0.0, 1.5, -2.0]) + 0.1 * rng.normal(size=3),
-                          o_deg=rng.normal(0.0, 8.0, size=3),
-                          s=rng.uniform(-0.05, 0.05, size=2), index=k)
-               for k in range(120)]
-    traced = trace_samples(samples, sphere3, d_screen=0.05)
-    assert [x for x, _ in traced] == samples
+    rows = [(0.1 * k, np.array([0.0, 1.5, -2.0]) + 0.1 * rng.normal(size=3),
+             rng.normal(0.0, 8.0, size=3), rng.uniform(-0.05, 0.05, size=2))
+            for k in range(120)]
+    recording = Recording(*map(np.array, zip(*rows)))
+    traced = trace_samples(recording, sphere3, d_screen=0.05)
+    assert [k for k, _ in traced] == list(range(len(rows)))
     hits = 0
-    for x, rec in traced:
-        want = intersect_brute(sphere3.vertices, sphere3.triangles, x.p,
-                               _chain(x.p, x.o_deg, x.s, 0.05))
+    for (_, p, o, s), (_, rec) in zip(rows, traced):
+        want = intersect_brute(sphere3.vertices, sphere3.triangles, p,
+                               _chain(p, o, s, 0.05))
         assert (rec is None) == (want is None)
         if rec is not None:
             hits += 1
@@ -234,30 +233,24 @@ def test_trace_samples_match_per_ray_records(sphere3):
             tv = sphere3.vertices[sphere3.triangles[tri]]
             point = bary[0] * tv[0] + bary[1] * tv[1] + bary[2] * tv[2]
             assert rec.triangle == tri
-            assert rec.sample_index == x.index
-            assert rec.distance == float(np.linalg.norm(point - x.p))
+            assert rec.distance == float(np.linalg.norm(point - p))
             assert np.array_equal(rec.point, point)
             assert np.array_equal(rec.bary, bary)
-    assert 0 < hits < len(samples)
+    assert 0 < hits < len(rows)
 
 
 def test_recording_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
-    samples = [PoseSample(t=k / 120.0,
-                          p=rng.normal(size=3),
-                          o_deg=rng.uniform(-90, 90, size=3),
-                          s=rng.uniform(-0.1, 0.1, size=2),
-                          index=k)
-               for k in range(25)]
+    recording = Recording(t=np.arange(25) / 120.0, p=rng.normal(size=(25, 3)),
+                          o=rng.uniform(-90, 90, size=(25, 3)),
+                          s=rng.uniform(-0.1, 0.1, size=(25, 2)))
     path = tmp_path / "rec.csv"
-    save_recording(path, samples)
+    save_recording(path, recording)
     again = load_recording(path)
     assert len(again) == 25
-    for a, b in zip(samples, again):
-        assert a.t == b.t
-        np.testing.assert_array_equal(a.p, b.p)
-        np.testing.assert_array_equal(a.o_deg, b.o_deg)
-        np.testing.assert_array_equal(a.s, b.s)
+    for name in ("t", "p", "o", "s"):
+        np.testing.assert_array_equal(getattr(again, name),
+                                      getattr(recording, name))
 
 
 def test_recording_rejects_bad_files(tmp_path):
@@ -442,10 +435,10 @@ def test_load_recording_matches_row_oracle(tmp_path):
             continue
         outcomes["ok"] += 1
         assert len(got) == len(want)
-        for i, (x, (t, p, o, s)) in enumerate(zip(got, want)):
-            assert x.t == t and x.index == i
-            assert np.array_equal(x.p, p) and np.array_equal(x.o_deg, o)
-            assert np.array_equal(x.s, s)
+        for i, (t, p, o, s) in enumerate(want):
+            assert got.t[i] == t
+            assert np.array_equal(got.p[i], p) and np.array_equal(got.o[i], o)
+            assert np.array_equal(got.s[i], s)
     assert min(outcomes.values()) > 50, outcomes
     assert len(messages) >= 5, messages
 
@@ -453,13 +446,12 @@ def test_load_recording_matches_row_oracle(tmp_path):
 def test_save_recording_writes_repr_of_each_value(tmp_path):
     """The array writer's bytes: repr of each value as a Python float."""
     rng = np.random.default_rng(5)
-    samples = [PoseSample(t=k, p=rng.normal(size=3), o_deg=np.array([-0.0, 1e-300, 90]),
-                          s=rng.uniform(-0.1, 0.1, size=2), index=k)
-               for k in range(30)]
-    save_recording(tmp_path / "r.csv", samples)
+    rows = [(k, rng.normal(size=3), np.array([-0.0, 1e-300, 90]),
+             rng.uniform(-0.1, 0.1, size=2)) for k in range(30)]
+    save_recording(tmp_path / "r.csv", Recording(*map(np.array, zip(*rows))))
     want = ",".join(RECORDING_HEADER) + "\n" + "".join(
-        ",".join(repr(float(x)) for x in (s.t, *s.p, *s.o_deg, *s.s)) + "\n"
-        for s in samples)
+        ",".join(repr(float(x)) for x in (t, *p, *o, *s)) + "\n"
+        for t, p, o, s in rows)
     assert (tmp_path / "r.csv").read_text() == want
-    save_recording(tmp_path / "e.csv", [])
+    save_recording(tmp_path / "e.csv", Recording([], [], [], []))
     assert (tmp_path / "e.csv").read_text() == ",".join(RECORDING_HEADER) + "\n"

@@ -10,19 +10,20 @@ import json
 
 import numpy as np
 import pytest
-from conftest import load_fixations_oracle, load_ply_oracle
+from conftest import (load_fixations_oracle, load_ply_oracle,
+                      read_vertex_csv_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshgaze.cli import _read_poses, _read_weights
 from meshgaze.config import MeshgazeError, load_config
-from meshgaze.fdm import load_map_csv
+from meshgaze.fdm import FdmError, load_map_csv
 from meshgaze.fixation import load_fixations
 from meshgaze.gaze import load_recording
 from meshgaze.io import read_csv, write_csv
 from meshgaze.mesh import load_mesh
 from meshgaze.synth import load_scenario
-from meshgaze.visibility import CameraModel, load_visibility
+from meshgaze.visibility import CameraModel, VisibilityError, load_visibility
 
 
 def load_checked_scenario(path):
@@ -214,6 +215,87 @@ def test_ply_block_parse_matches_row_oracle(scratch, raw):
     got = load_mesh(path)
     for a, b in ((got.vertices, want.vertices), (got.triangles, want.triangles)):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+VERTEX_IDS = ["-1", "0", "1", "3", "5", "1.0", "x", "", " 2", "1_0", "+2",
+              "99999999999999999999"]
+VERTEX_VALUES = ["0", "1", "2", "-0.0", "0.5", "1e-3", "x", "", "nan", "NaN",
+                 "inf", "-inf", "1e999", " 1", "1_0"]
+
+
+@st.composite
+def vertex_rows(draw, header: str) -> bytes:
+    """A per-vertex CSV of one to five `id,value` rows, shuffled, with up to
+    four edits: an id set out of range, negative, to another row's id or to
+    a non-integer; a value set to a non-number, nan or inf; the value
+    column removed; a column added; a blank line put between rows.  So
+    every row check of the per-vertex reader is reached."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.permutations(
+        [[str(k), draw(st.sampled_from(["0", "1", "0.25"]))] for k in range(n)]))
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["id", "value", "drop", "extra", "blank"]))
+        row = rows[k]
+        if edit == "blank":
+            rows.insert(k, [])
+        elif not row:
+            continue
+        elif edit == "id":
+            row[0] = draw(st.sampled_from(VERTEX_IDS))
+        elif edit == "value":
+            row[1:2] = [draw(st.sampled_from(VERTEX_VALUES))]
+        elif edit == "drop":
+            del row[1:]
+        else:
+            row.append(draw(st.sampled_from(VERTEX_VALUES)))
+    return "\n".join([header] + [",".join(r) for r in rows]).encode() + b"\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=st.one_of(mangled(LOADERS["map.csv"][1]),
+                     vertex_rows("vertex_id,value"),
+                     vertex_rows("vertex_id,S,U,C")))
+def test_map_loader_matches_row_oracle(scratch, raw):
+    """On a mangled map CSV load_map_csv returns the row-at-a-time reader's
+    values bit for bit, or raises its first error message."""
+    path = scratch / "oracle.csv"
+    path.write_bytes(raw)
+    try:
+        want = read_vertex_csv_oracle(path, ["vertex_id"], "map file", FdmError)
+    except MeshgazeError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_map_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    got = load_map_csv(path)
+    assert (got.dtype, got.shape, got.tobytes()) == (
+        want.dtype, want.shape, want.tobytes())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=st.one_of(mangled(LOADERS["vis.csv"][1]),
+                     vertex_rows("vertex_id,visible")))
+def test_visibility_loader_matches_row_oracle(scratch, raw):
+    """On a mangled visibility CSV load_visibility returns the mask of the
+    row-at-a-time reader's values, or raises its first error message, or,
+    for a value other than 0 or 1, the 0-or-1 error."""
+    path = scratch / "oracle.vis.csv"
+    path.write_bytes(raw)
+    try:
+        want = read_vertex_csv_oracle(path, ["vertex_id", "visible"],
+                                      "visibility file", VisibilityError)
+    except MeshgazeError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_visibility(path)
+        assert str(got.value) == str(exc)
+        return
+    if not np.isin(want, (0.0, 1.0)).all():
+        with pytest.raises(VisibilityError, match="values must be 0 or 1$"):
+            load_visibility(path)
+        return
+    got = load_visibility(path)
+    assert got.dtype == bool and np.array_equal(got, want == 1.0)
 
 
 SCENARIO_FIELDS = ["mesh_id", "targets", "radius", "height", "start_angle_deg",

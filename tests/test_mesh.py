@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from meshgaze import mesh as mesh_module
 from meshgaze import primitives
-from meshgaze.mesh import (Mesh, MeshError, bounding_box_diagonal, load_mesh,
+from meshgaze.mesh import (Mesh, MeshError, bounding_box_diagonal,
+                           compute_vertex_normals, load_mesh,
                            radius_pair_blocks, radius_pairs, save_ply)
 
 TRI_OBJ = """\
@@ -129,8 +130,9 @@ def test_degenerate_triangle_flagged():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]])
     tris = np.array([[0, 1, 2], [3, 3, 3]])       # second has zero area
     mesh = Mesh(verts, tris)
-    assert mesh.normal_flags[3]                   # only degenerate incidence
-    assert not mesh.normal_flags[:3].any()
+    flags = compute_vertex_normals(verts, tris)[1]
+    assert flags[3]                               # only degenerate incidence
+    assert not flags[:3].any()
     assert np.linalg.norm(mesh.normals[:3] - [0, 0, 1], axis=1).max() < 1e-12
 
 

@@ -10,8 +10,8 @@ from conftest import (euler_facing_oracle, facing_oracle,
                       generate_recording_oracle, inverse_offset_oracle,
                       pick_visible_targets)
 
-from meshgaze.gaze import (GazeError, PoseSample, cast_hits, head_orientations,
-                           rowdot, sightlines)
+from meshgaze.gaze import (GazeError, cast_hits, head_orientations, rowdot,
+                           sightlines)
 from meshgaze.mesh import Mesh
 from meshgaze.primitives import bumpy_sphere
 from meshgaze.synth import (MAX_SAMPLES, ScenarioError, SyntheticScenario,
@@ -160,11 +160,8 @@ def test_recording_shape_and_determinism(sphere3, cfg):
     a = generate_recording(sc, sphere3, cfg, subject=0)
     b = generate_recording(sc, sphere3, cfg, subject=0)
     assert len(a) == int(round(sc.duration_s * sc.rate_hz)) == 240
-    for sa, sb in zip(a, b):
-        assert sa.t == sb.t
-        np.testing.assert_array_equal(sa.p, sb.p)
-        np.testing.assert_array_equal(sa.o_deg, sb.o_deg)
-        np.testing.assert_array_equal(sa.s, sb.s)
+    for name in ("t", "p", "o", "s"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_recording_subjects_differ(sphere3, cfg):
@@ -173,33 +170,32 @@ def test_recording_subjects_differ(sphere3, cfg):
     a = generate_recording(sc, sphere3, cfg, subject=0)
     b = generate_recording(sc, sphere3, cfg, subject=1)
     # staggered start angles move the orbit; noise draws differ too
-    assert np.abs(a[0].p - b[0].p).max() > 1e-3
-    assert np.abs(a[0].s - b[0].s).max() > 0.0
+    assert np.abs(a.p[0] - b.p[0]).max() > 1e-3
+    assert np.abs(a.s[0] - b.s[0]).max() > 0.0
 
 
 def test_recording_orbit_geometry(sphere3, cfg):
     targets = pick_visible_targets(sphere3, (0.0, 1.6, -1.5), 1)
     sc = make_scenario(targets, radius=1.5, height=1.6)
-    samples = generate_recording(sc, sphere3, cfg, subject=0)
+    recording = generate_recording(sc, sphere3, cfg, subject=0)
     center = np.asarray(cfg.scene_center())
-    for s in samples[:: 40]:
-        assert s.p[1] == pytest.approx(1.6, abs=1e-12)
-        assert np.linalg.norm(s.p - center) == pytest.approx(1.5, abs=1e-9)
+    for p, o in zip(recording.p[:: 40], recording.o[:: 40]):
+        assert p[1] == pytest.approx(1.6, abs=1e-12)
+        assert np.linalg.norm(p - center) == pytest.approx(1.5, abs=1e-9)
         # head always faces the scene center
-        o_vec = head_orientations(s.o_deg)[0]
-        want = (center - s.p) / np.linalg.norm(center - s.p)
+        o_vec = head_orientations(o)[0]
+        want = (center - p) / np.linalg.norm(center - p)
         np.testing.assert_allclose(o_vec, want, atol=1e-12)
 
 
 def test_noise_free_recording_hits_targets(sphere3, cfg):
     targets = pick_visible_targets(sphere3, (0.0, 1.6, -1.5), 2)
     sc = make_scenario(targets, noise_deg=0.0)
-    samples = generate_recording(sc, sphere3, cfg, subject=0)
+    recording = generate_recording(sc, sphere3, cfg, subject=0)
     per_dwell = int(round(sc.dwell_s * sc.rate_hz))
-    ks = range(0, len(samples), 17)
+    ks = range(0, len(recording), 17)
     points = cast_hits(sphere3, *sightlines(
-        [samples[k].p for k in ks], [samples[k].o_deg for k in ks],
-        [samples[k].s for k in ks], cfg.d_screen))[0]
+        recording.p[ks], recording.o[ks], recording.s[ks], cfg.d_screen))[0]
     hits = 0
     checked = 0
     for k, point in zip(ks, points):
@@ -226,16 +222,16 @@ def test_recording_screen_bound_enforced(sphere3, cfg):
 def test_check_targets_reachable(sphere3, cfg):
     good = pick_visible_targets(sphere3, (0.0, 1.6, -1.5), 2)
     sc = make_scenario(good)
-    samples = generate_recording(sc, sphere3, cfg, subject=0)
-    check_targets_reachable(sc, sphere3, cfg, samples)   # no error
+    recording = generate_recording(sc, sphere3, cfg, subject=0)
+    check_targets_reachable(sc, sphere3, cfg, recording)   # no error
 
     # a vertex on the far side of the sphere is never the first hit
     center = np.array([0.0, 1.5, 0.0])
     far = int(np.argmax((sphere3.vertices - center) @ np.array([0.0, 0.0, 1.0])))
     sc_bad = make_scenario([good[0], far])
-    samples_bad = generate_recording(sc_bad, sphere3, cfg, subject=0)
+    recording_bad = generate_recording(sc_bad, sphere3, cfg, subject=0)
     with pytest.raises(ScenarioError, match="never visible"):
-        check_targets_reachable(sc_bad, sphere3, cfg, samples_bad)
+        check_targets_reachable(sc_bad, sphere3, cfg, recording_bad)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +299,10 @@ def _golden_inputs():
 
 def _assert_same_recording(got, want):
     assert len(got) == len(want)
-    for k, (x, (t, p, o, s)) in enumerate(zip(got, want)):
-        assert x.index == k and x.t == t
-        assert np.array_equal(x.p, p) and np.array_equal(x.o_deg, o)
-        assert np.array_equal(x.s, s)
+    for k, (t, p, o, s) in enumerate(want):
+        assert got.t[k] == t
+        assert np.array_equal(got.p[k], p) and np.array_equal(got.o[k], o)
+        assert np.array_equal(got.s[k], s)
 
 
 def test_generate_recording_matches_per_sample_oracle(sphere3, cfg):
@@ -342,8 +338,7 @@ def test_generate_recording_first_error_matches_oracle(sphere3, cfg):
     side = int(np.argmax(sphere3.vertices[:, 0]))
     tight = dataclasses.replace(cfg, screen_half_extent=0.004)
     noisy = make_scenario(good, noise_deg=0.5)
-    free = np.array([x.s for x in generate_recording(
-        make_scenario(good), mesh, cfg)])
+    free = generate_recording(make_scenario(good), mesh, cfg).s
     edge = dataclasses.replace(cfg, screen_half_extent=float(np.abs(free).max()) + 2e-4)
     cases = [
         (make_scenario([n]), cfg),                       # behind at sample 0
@@ -372,19 +367,17 @@ def test_check_targets_reachable_raises_the_per_sample_error(sphere3, cfg):
     error, as the per-sample loop did."""
     good = pick_visible_targets(sphere3, (0.0, 1.6, -1.5), 2)
     sc = make_scenario(good)
-    samples = generate_recording(sc, sphere3, cfg)
-    broken = [PoseSample(t=x.t, p=x.p, o_deg=x.o_deg.copy(), s=x.s, index=x.index)
-              for x in samples]
-    broken[0].o_deg[1] = np.nan
+    recording = generate_recording(sc, sphere3, cfg)
+    broken = dataclasses.replace(recording, o=recording.o.copy())
+    broken.o[0, 1] = np.nan
     with pytest.raises(GazeError, match="non-finite Euler angles"):
         check_targets_reachable(sc, sphere3, cfg, broken)
-    behind = [PoseSample(t=x.t, p=x.p, o_deg=x.o_deg + [0.0, 180.0, 0.0], s=x.s,
-                         index=x.index) for x in samples]
+    behind = dataclasses.replace(recording, o=recording.o + [0.0, 180.0, 0.0])
     with pytest.raises(ScenarioError, match="behind the screen plane"):
         check_targets_reachable(sc, sphere3, cfg, behind)
     # facing straight up or down, toward the first target's side of the head
-    pitch = 90.0 if sphere3.vertices[good[0], 1] < samples[0].p[1] else -90.0
-    vertical = [PoseSample(t=x.t, p=x.p, o_deg=np.array([pitch, 0.0, 0.0]),
-                           s=x.s, index=x.index) for x in samples]
+    pitch = 90.0 if sphere3.vertices[good[0], 1] < recording.p[0, 1] else -90.0
+    vertical = dataclasses.replace(
+        recording, o=np.tile([pitch, 0.0, 0.0], (len(recording), 1)))
     with pytest.raises(GazeError, match="degenerate screen frame"):
         check_targets_reachable(sc, sphere3, cfg, vertical)
