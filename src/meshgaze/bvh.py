@@ -36,13 +36,13 @@ def _ray_frames(d):
 def _watertight(a, b, c, frame, tmin):
     """Watertight test of triangles (a, b, c) given relative to the ray origin.
 
-    The frame entries are scalars (one ray against every row) or arrays
-    with one entry per row (one ray per row).  Returns (t, bary, valid): t
-    is inf where invalid; bary is (m, 3) barycentric weights of the
-    (a, b, c) rows; valid marks real hits with t > tmin.
+    The frame entries are arrays with one entry per row (one ray per
+    row).  Returns (t, bary, valid): t is inf where invalid; bary is (m, 3)
+    barycentric weights of the (a, b, c) rows; valid marks real hits with
+    t > tmin.
     """
     kx, ky, kz, sx, sy, sz = frame
-    rows = np.arange(len(a)) if np.ndim(kx) else slice(None)
+    rows = np.arange(len(a))
     ax = a[rows, kx] - sx * a[rows, kz]
     ay = a[rows, ky] - sy * a[rows, kz]
     bx = b[rows, kx] - sx * b[rows, kz]
@@ -142,14 +142,13 @@ def _median_split(centroids, leaf_size: int):
 class TriangleBVH:
     """Axis-aligned median-split hierarchy stored as flat arrays."""
 
-    __slots__ = ("vertices", "triangles", "order", "node_lo", "node_hi",
-                 "node_left", "node_right", "node_start", "node_count",
-                 "_v0", "_v1", "_v2")
+    __slots__ = ("order", "node_lo", "node_hi", "node_left", "node_right",
+                 "node_start", "node_count", "_v0", "_v1", "_v2")
 
     def __init__(self, vertices, triangles, leaf_size: int = 8):
-        self.vertices = np.asarray(vertices, dtype=np.float64)
-        self.triangles = np.asarray(triangles, dtype=np.int64)
-        tv = self.vertices[self.triangles]          # (m, 3, 3)
+        vertices = np.asarray(vertices, dtype=np.float64)
+        triangles = np.asarray(triangles, dtype=np.int64)
+        tv = vertices[triangles]                    # (m, 3, 3)
         tri_lo = tv.min(axis=1)
         tri_hi = tv.max(axis=1)
         centroids = tv.mean(axis=1)
@@ -163,17 +162,17 @@ class TriangleBVH:
                                       node_end)
         # padded so slab rounding never prunes a triangle whose hit lies on
         # a box face, as for a ray through a shared vertex
-        pad = 1e-9 * (1.0 + float(np.abs(self.vertices).max()))
+        pad = 1e-9 * (1.0 + float(np.abs(vertices).max()))
         self.node_lo -= pad
         self.node_hi += pad
         self.node_left = node_left
         self.node_right = node_right
         self.node_start = node_start
         self.node_count = np.where(node_left < 0, node_end - node_start, 0)
-        ordered = self.triangles[order]
-        self._v0 = self.vertices[ordered[:, 0]]
-        self._v1 = self.vertices[ordered[:, 1]]
-        self._v2 = self.vertices[ordered[:, 2]]
+        ordered = triangles[order]
+        self._v0 = vertices[ordered[:, 0]]
+        self._v1 = vertices[ordered[:, 1]]
+        self._v2 = vertices[ordered[:, 2]]
 
     def intersect_many(self, origins, directions, tmin: float = 0.0,
                        tmax=np.inf):

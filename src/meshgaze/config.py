@@ -2,8 +2,7 @@
 
 The on-disk format is plain ``key=value`` text, one pair per line, with
 ``#`` comments and blank lines allowed.  Unknown keys are rejected so a
-typo cannot silently fall back to a default.  Serialization uses ``repr``
-for floats, which round-trips float64 exactly.
+typo cannot silently fall back to a default.
 """
 from __future__ import annotations
 
@@ -114,6 +113,8 @@ class RunConfig:
             raise ConfigError("camera FoV must lie in (0, 180) degrees")
         if self.vdd_repetitions < 1:
             raise ConfigError("vdd_repetitions must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def scene_center(self):
         return (self.scene_center_x, self.scene_center_y, self.scene_center_z)
@@ -123,7 +124,6 @@ class RunConfig:
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
-_FIELD_NAMES = [f.name for f in dataclasses.fields(RunConfig)]
 
 
 def _parse_value(key: str, raw: str):
@@ -146,14 +146,6 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _set_key(cfg: RunConfig, pair: str, where: str = "") -> None:
     """Set one ``key=value`` pair on cfg; where prefixes an unknown key."""
     key, _, raw = pair.partition("=")
@@ -163,9 +155,9 @@ def _set_key(cfg: RunConfig, pair: str, where: str = "") -> None:
     setattr(cfg, key, _parse_value(key, raw))
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse flat key=value text into a RunConfig; unknown keys are errors."""
-    cfg = dataclasses.replace(base) if base is not None else RunConfig()
+    cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -179,11 +171,6 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     return parse_config(read_text(path, "config file", ConfigError))
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    lines = [f"{name}={_format_value(getattr(cfg, name))}" for name in _FIELD_NAMES]
-    return "\n".join(lines) + "\n"
 
 
 def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:

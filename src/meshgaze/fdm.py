@@ -48,15 +48,12 @@ def splat_fdm(mesh: Mesh, fixations, sigma: float,
     return values
 
 
-def plcc(map_a, map_b, domain=None) -> float:
-    """Pearson correlation of two per-vertex fields on an optional domain."""
+def plcc(map_a, map_b) -> float:
+    """Pearson correlation of two per-vertex fields."""
     a = np.asarray(map_a, dtype=np.float64)
     b = np.asarray(map_b, dtype=np.float64)
     if len(a) != len(b):
         raise FdmError("maps are not aligned")
-    if domain is not None:
-        domain = np.asarray(domain)
-        a, b = a[domain], b[domain]
     if len(a) < 2:
         raise FdmError("correlation needs at least 2 values")
     da = a - a.mean()
@@ -78,7 +75,8 @@ def pose_buckets(pose_p, pose_o_deg, grid_m: float = 0.25,
     Position snaps to a cubic grid; the facing vector to azimuth and
     elevation bins.  Poses sharing a key are "the same 6DoF data" for
     ground-truth pooling and visit counting.  FdmError when a bin index
-    or the azimuth bin count is beyond float range.
+    or the azimuth bin count reaches 2**53, past which float64 cannot
+    tell neighbouring bins apart (inside it a key stays short).
     """
     p = np.asarray(pose_p, dtype=np.float64).reshape(-1, 3)
     o = head_orientations(pose_o_deg)
@@ -89,9 +87,10 @@ def pose_buckets(pose_p, pose_o_deg, grid_m: float = 0.25,
         bins = np.column_stack([np.floor(p / grid_m),
                                 np.floor(az / angle_bin_deg),
                                 np.floor((el + 90.0) / angle_bin_deg)])
-    if not (np.isfinite(per_turn) and np.isfinite(bins).all()):
-        raise FdmError(f"pose bins overflow: grid {grid_m:g} m or angle bin "
-                       f"{angle_bin_deg:g} deg is too fine for these poses")
+    if not (per_turn < 2.0 ** 53 and (np.abs(bins) < 2.0 ** 53).all()):
+        raise FdmError(f"pose bins overflow: pose_grid_m={grid_m:g} or "
+                       f"pose_angle_bin_deg={angle_bin_deg:g} is too fine "
+                       "for these poses")
     n_az = max(int(per_turn), 1)
     top = int(np.ceil(180.0 / angle_bin_deg)) - 1
     return [f"{int(x)}_{int(y)}_{int(z)}_a{int(a) % n_az}_e{min(int(e), top)}"

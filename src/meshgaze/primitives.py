@@ -1,4 +1,4 @@
-"""Procedural test meshes: spheres, grids, boxes, and planted-feature variants.
+"""Procedural test meshes: spheres, seeded bumpy spheres and flat grids.
 
 These stand in for the unpublished stimulus set in tests and demos.  All
 constructors are deterministic; randomized variants take an explicit seed.
@@ -55,25 +55,6 @@ def icosphere(subdivisions: int = 3, radius: float = 0.3,
     return mesh
 
 
-def spike_sphere(subdivisions: int = 3, radius: float = 0.3,
-                 center=(0.0, 1.5, 0.0), spike_direction=(0.0, 0.0, -1.0),
-                 spike_scale: float = 1.6) -> tuple[Mesh, int]:
-    """Icosphere with one vertex pushed radially outward.
-
-    Returns (mesh, apex_vertex_id).  The apex is the vertex nearest the
-    given direction from center before displacement.
-    """
-    base = icosphere(subdivisions, radius, center)
-    c = np.asarray(center, dtype=np.float64)
-    d = np.asarray(spike_direction, dtype=np.float64)
-    d = d / np.linalg.norm(d)
-    radial = base.vertices - c
-    apex = int(np.argmax(radial @ d))
-    v = base.vertices.copy()
-    v[apex] = c + radial[apex] * spike_scale
-    return Mesh(v, base.triangles.copy()), apex
-
-
 def bumpy_sphere(subdivisions: int = 3, radius: float = 0.3,
                  center=(0.0, 1.5, 0.0), amplitude: float = 0.12,
                  seed: int = 0) -> Mesh:
@@ -110,30 +91,3 @@ def plane_grid(nx: int = 10, nz: int = 10, size: float = 1.0,
             faces.append((a, e, b))
             faces.append((a, d, e))
     return Mesh(np.asarray(verts), np.asarray(faces, dtype=np.int64))
-
-
-def box(center=(0.0, 1.5, 0.0), size=(0.6, 0.6, 0.6)) -> Mesh:
-    """Axis-aligned box, 8 vertices, 12 outward-wound triangles."""
-    c = np.asarray(center, dtype=np.float64)
-    h = np.asarray(size, dtype=np.float64) / 2.0
-    corners = np.array([
-        [-1, -1, -1], [1, -1, -1], [1, 1, -1], [-1, 1, -1],
-        [-1, -1, 1], [1, -1, 1], [1, 1, 1], [-1, 1, 1],
-    ], dtype=np.float64)
-    v = c + corners * h
-    quads = [
-        (0, 1, 2, 3),  # z-
-        (5, 4, 7, 6),  # z+
-        (4, 0, 3, 7),  # x-
-        (1, 5, 6, 2),  # x+
-        (4, 5, 1, 0),  # y-
-        (3, 2, 6, 7),  # y+
-    ]
-    faces = []
-    for a, b, cc, d in quads:
-        faces.append((a, b, cc))
-        faces.append((a, cc, d))
-    mesh = Mesh(v, np.asarray(faces, dtype=np.int64))
-    if np.mean(np.einsum("ij,ij->i", mesh.normals, mesh.vertices - c)) < 0:
-        mesh = Mesh(v, np.asarray(faces, dtype=np.int64)[:, ::-1])
-    return mesh

@@ -340,12 +340,12 @@ def _local_maxima_mean(values, tris) -> float:
     return float(rest.mean()) if len(rest) else 0.0
 
 
-def baseline_curvature_saliency(mesh: Mesh, scales=None,
-                                eps_frac: float = 0.003,
+def baseline_curvature_saliency(mesh: Mesh, eps_frac: float = 0.003,
                                 guard: float = 1.0) -> np.ndarray:
     """Center-surround mean-curvature saliency at multiple scales.
 
-    Per scale sigma the map is |G(kappa, sigma) - G(kappa, 2 sigma)|,
+    The scales are 2..6 times eps_frac times the bbox diagonal.  Per scale
+    sigma the map is |G(kappa, sigma) - G(kappa, 2 sigma)|,
     suppressed by (max - mean-of-other-local-maxima)^2 and summed over
     scales.  The sum is min-max normalized unless its dimensionless
     contrast (times diagonal^3, since curvature carries 1/length) falls
@@ -353,9 +353,8 @@ def baseline_curvature_saliency(mesh: Mesh, scales=None,
     surface must not have tessellation noise amplified to full range.
     """
     diag = bounding_box_diagonal(mesh)
-    if scales is None:
-        eps = eps_frac * diag
-        scales = [m * eps for m in (2, 3, 4, 5, 6)]
+    eps = eps_frac * diag
+    scales = [m * eps for m in (2, 3, 4, 5, 6)]
     kappa, _ = mean_curvature(mesh)
     averages = _gaussian_averages(kappa, mesh.vertices,
                                   [f * sigma for sigma in scales for f in (1.0, 2.0)])

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -101,9 +102,9 @@ class SyntheticScenario:
                 "orbit radius must exceed the height offset from scene center")
 
 
-_INT_FIELDS = ("subjects", "seed")
-_REAL_FIELDS = ("radius", "height", "start_angle_deg", "span_deg", "noise_deg",
-                "noise_tau_s", "duration_s", "rate_hz", "dwell_s")
+_FIELD_TYPES = get_type_hints(SyntheticScenario)
+_INT_FIELDS = [name for name, typ in _FIELD_TYPES.items() if typ is int]
+_REAL_FIELDS = [name for name, typ in _FIELD_TYPES.items() if typ is float]
 
 
 def _is_int(value) -> bool:
@@ -120,14 +121,9 @@ def _is_finite_real(value) -> bool:
 
 
 def scenario_to_json(sc: SyntheticScenario) -> str:
-    return json.dumps({
-        "mesh_id": sc.mesh_id, "targets": list(map(int, sc.targets)),
-        "radius": sc.radius, "height": sc.height,
-        "start_angle_deg": sc.start_angle_deg, "span_deg": sc.span_deg,
-        "noise_deg": sc.noise_deg, "noise_tau_s": sc.noise_tau_s,
-        "duration_s": sc.duration_s, "rate_hz": sc.rate_hz,
-        "dwell_s": sc.dwell_s, "subjects": sc.subjects, "seed": sc.seed,
-    }, indent=2, sort_keys=True)
+    fields = {name: getattr(sc, name) for name in _FIELD_TYPES}
+    fields["targets"] = list(map(int, sc.targets))
+    return json.dumps(fields, indent=2, sort_keys=True)
 
 
 def scenario_from_json(text: str) -> SyntheticScenario:
@@ -139,10 +135,7 @@ def scenario_from_json(text: str) -> SyntheticScenario:
         raise ScenarioError(f"malformed scenario JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario JSON must be an object")
-    known = {f: raw[f] for f in (
-        "mesh_id", "targets", "radius", "height", "start_angle_deg",
-        "span_deg", "noise_deg", "noise_tau_s", "duration_s", "rate_hz",
-        "dwell_s", "subjects", "seed") if f in raw}
+    known = {f: raw[f] for f in _FIELD_TYPES if f in raw}
     extra = set(raw) - set(known)
     if extra:
         raise ScenarioError(f"unknown scenario fields: {sorted(extra)}")
@@ -281,16 +274,14 @@ def generate_recording(scenario: SyntheticScenario, mesh: Mesh, cfg,
 
 
 def check_targets_reachable(scenario: SyntheticScenario, mesh: Mesh, cfg,
-                            recording: Recording,
-                            tol: float | None = None) -> None:
+                            recording: Recording) -> None:
     """Error when some planted target is never the first surface hit.
 
     Casts each sample's noise-free sight-line; a target no sample reaches
-    (within tol of the target position) was never visible along the
-    trajectory.
+    (within twice cfg.cluster_interval of the target position) was never
+    visible along the trajectory.
     """
-    if tol is None:
-        tol = 2.0 * cfg.cluster_interval
+    tol = 2.0 * cfg.cluster_interval
     targets = mesh.vertices[np.asarray(scenario.targets, dtype=np.int64)]
     p, o_deg = recording.p, recording.o
     aimed = (np.arange(len(recording))

@@ -7,6 +7,7 @@ PASS/FAIL line per criterion, including criteria that never ran.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -91,9 +92,28 @@ def sphere4():
     return primitives.icosphere(4)          # 2562 vertices
 
 
+def spike_sphere(subdivisions: int = 3, radius: float = 0.3,
+                 center=(0.0, 1.5, 0.0), spike_direction=(0.0, 0.0, -1.0),
+                 spike_scale: float = 1.6) -> tuple[Mesh, int]:
+    """Icosphere with one vertex pushed radially outward.
+
+    Returns (mesh, apex_vertex_id).  The apex is the vertex nearest the
+    given direction from center before displacement.
+    """
+    base = primitives.icosphere(subdivisions, radius, center)
+    c = np.asarray(center, dtype=np.float64)
+    d = np.asarray(spike_direction, dtype=np.float64)
+    d = d / np.linalg.norm(d)
+    radial = base.vertices - c
+    apex = int(np.argmax(radial @ d))
+    v = base.vertices.copy()
+    v[apex] = c + radial[apex] * spike_scale
+    return Mesh(v, base.triangles.copy()), apex
+
+
 @pytest.fixture(scope="session")
 def spike_pack():
-    return primitives.spike_sphere()        # (mesh, apex vertex id)
+    return spike_sphere()                   # (mesh, apex vertex id)
 
 
 @pytest.fixture(scope="session")
@@ -196,6 +216,40 @@ def load_ply_oracle(path):
         if cnt < 3:
             raise MeshError(f"PLY face row {k} has fewer than 3 indices")
         faces.extend((idx[0], idx[i], idx[i + 1]) for i in range(1, cnt - 1))
+    return Mesh(vertices, faces)
+
+
+def load_obj_oracle(path):
+    """An OBJ file parsed one line at a time, as load_mesh parses it today:
+    the Mesh, or the first failing line's error.  Kept to pin OBJ loading
+    before a whole-file parse replaces the line loop."""
+    text = read_text(path, "mesh file", MeshError)
+    vertices = []
+    faces = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise MeshError(f"line {lineno}: malformed vertex line")
+            try:
+                vertices.append((float(parts[1]), float(parts[2]), float(parts[3])))
+            except ValueError:
+                raise MeshError(f"line {lineno}: malformed vertex line") from None
+        elif parts[0] == "f":
+            idx = []
+            for token in parts[1:]:
+                try:
+                    i = int(token.split("/")[0])
+                except ValueError:
+                    raise MeshError(f"line {lineno}: malformed face line") from None
+                if i < 1:
+                    raise MeshError(f"line {lineno}: face index must be >= 1")
+                idx.append(i - 1)
+            if len(idx) < 3:
+                raise MeshError(f"line {lineno}: face needs >= 3 indices")
+            faces.extend((idx[0], idx[j], idx[j + 1]) for j in range(1, len(idx) - 1))
     return Mesh(vertices, faces)
 
 
@@ -645,7 +699,7 @@ def intersect_triangles(origin, direction, v0, v1, v2, tmin: float = 0.0):
     """
     origin = np.asarray(origin, dtype=np.float64)
     d = np.asarray(direction, dtype=np.float64).reshape(1, 3)
-    frame = [f[0] for f in bvh._ray_frames(d)]
+    frame = [np.full(len(v0), f[0]) for f in bvh._ray_frames(d)]
     return bvh._watertight(v0 - origin, v1 - origin, v2 - origin, frame, tmin)
 
 
@@ -861,3 +915,18 @@ def pose_bucket_oracle(pose_p, pose_o_deg, grid_m=0.25, angle_bin_deg=30.0):
     ie = min(int(np.floor((el + 90.0) / angle_bin_deg)),
              int(np.ceil(180.0 / angle_bin_deg)) - 1)
     return f"{gx}_{gy}_{gz}_a{ia}_e{ie}"
+
+
+# ---------------------------------------------------------------------------
+# config text: every field as key=value, so parse_config can be checked to
+# read back what a config holds
+
+def serialize_config(cfg) -> str:
+    """The fields of a RunConfig as key=value lines in declaration order;
+    floats by repr, which round-trips float64 exactly."""
+    def text(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+    return "".join(f"{f.name}={text(getattr(cfg, f.name))}\n"
+                   for f in dataclasses.fields(cfg))

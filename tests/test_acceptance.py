@@ -16,7 +16,8 @@ import time
 import numpy as np
 import pytest
 from conftest import (convex_oracle, criterion, facing_pose, intersect_brute,
-                      occlusion_oracle, pick_visible_targets, vertex_rings)
+                      occlusion_oracle, pick_visible_targets, spike_sphere,
+                      vertex_rings)
 
 from meshgaze.cli import main as cli_main
 from meshgaze.config import RunConfig
@@ -25,7 +26,7 @@ from meshgaze.evaluation import (ViewScore, bias_distance, metric_cc,
                                  viewing_direction_dependence, weighted_eval)
 from meshgaze.fixation import FIXATION, SACCADE, classify_ivt, load_fixations
 from meshgaze.mesh import save_ply
-from meshgaze.primitives import bumpy_sphere, icosphere, plane_grid, spike_sphere
+from meshgaze.primitives import bumpy_sphere, icosphere, plane_grid
 from meshgaze.saliency import compute_fpfh, saliency_map, uniqueness
 from meshgaze.synth import SyntheticScenario, scenario_to_json
 from meshgaze.visibility import CameraModel, ViewPose, visible_points

@@ -875,13 +875,15 @@ def test_fdm_rejects_a_coordinate_beyond_the_bound(pipeline, tmp_path, capsys,
 
 @pytest.mark.parametrize("verb", ["fdm", "analyze"])
 @pytest.mark.parametrize("key", ["pose_grid_m=1e-309",
-                                 "pose_angle_bin_deg=1e-320"],
-                         ids=["grid", "angle"])
+                                 "pose_angle_bin_deg=1e-320",
+                                 "pose_grid_m=1e-80"],
+                         ids=["grid", "angle", "grid-fine"])
 def test_pose_bins_beyond_float_range_are_an_error(pipeline, tmp_path, capsys,
                                                    verb, key):
     """A pose grid or angle bin so fine that a bin index or the azimuth bin
-    count overflows is one `error:` line; it used to end in an
-    OverflowError traceback from int(inf)."""
+    count overflows is one `error:` line naming the key; it used to end in
+    an OverflowError traceback from int(inf), or, for bins fine but finite,
+    in `File name too long` for the bucket's output file."""
     fix = tmp_path / "fix" / "ball"
     fix.mkdir(parents=True)
     (fix / "s00.csv").write_text(
@@ -898,7 +900,31 @@ def test_pose_bins_beyond_float_range_are_an_error(pipeline, tmp_path, capsys,
         argv = ["analyze", "--mesh-dir", mesh_dir, "--fixations",
                 tmp_path / "fix", "--out", out]
     assert run(*argv, "--set", key) == 1
-    assert "pose bins overflow" in assert_one_error_line(capsys)
+    err = assert_one_error_line(capsys)
+    assert "pose bins overflow" in err and key.split("=")[0] in err
+
+
+@pytest.mark.parametrize("verb", ["saliency", "analyze"])
+def test_negative_seed_is_an_error(pipeline, tmp_path, capsys, verb):
+    """A negative seed is a config error: with uniqueness subsampled, or in
+    analyze's direction study, it used to end in a ValueError traceback
+    from np.random.default_rng, and otherwise it was accepted with exit 0."""
+    out = tmp_path / "out"
+    if verb == "saliency":
+        argv = ["saliency", "--mesh", pipeline["mesh_path"], "--pose",
+                "0,1.5,-1.2,0,0,0", "--out", out,
+                "--set", "uniqueness_exact_limit=10",
+                "--set", "uniqueness_sample_size=5"]
+    else:
+        mesh_dir = tmp_path / "meshes"
+        mesh_dir.mkdir()
+        shutil.copy(pipeline["mesh_path"], mesh_dir / "ball.ply")
+        shutil.copytree(pipeline["fix"], tmp_path / "fix" / "ball")
+        argv = ["analyze", "--mesh-dir", mesh_dir, "--fixations",
+                tmp_path / "fix", "--out", out]
+    assert run(*argv, "--set", "seed=-1") == 1
+    assert "seed must be >= 0" in assert_one_error_line(capsys)
+    assert not out.exists() or not os.listdir(out)
 
 
 TETRA_PLY = """\

@@ -7,11 +7,11 @@ import inspect
 import pkgutil
 
 import pytest
+from conftest import serialize_config
 
 import meshgaze
 from meshgaze.config import (ConfigError, MeshgazeError, RunConfig,
-                             apply_overrides, load_config, parse_config,
-                             serialize_config)
+                             apply_overrides, load_config, parse_config)
 from meshgaze.io import write_text
 
 

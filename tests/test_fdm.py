@@ -191,14 +191,6 @@ def test_plcc_hand_value():
     assert plcc(a, b) == pytest.approx(want, abs=1e-12)
 
 
-def test_plcc_domain_restriction():
-    a = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    b = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-    dom = np.array([True, True, False, False, False])
-    assert plcc(a, b, domain=dom) == pytest.approx(-1.0, abs=1e-12)
-    assert plcc(a, b, domain=np.array([0, 1])) == pytest.approx(-1.0, abs=1e-12)
-
-
 def test_plcc_errors():
     with pytest.raises(FdmError):
         plcc(np.ones(3), np.ones(4))
@@ -253,12 +245,15 @@ def test_pose_bucket_elevation_poles_stay_in_range():
 
 def test_pose_bins_beyond_float_range_raise():
     """A grid or angle bin so fine that a bin index or the azimuth bin count
-    overflows to infinity is an FdmError, not an OverflowError."""
+    overflows to infinity, or reaches 2**53 where float64 stops telling
+    neighbouring bins apart, is an FdmError, not an OverflowError or a
+    bucket key hundreds of digits long."""
     pose = ([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    for grid, angle in ((1e-309, 30.0), (0.25, 1e-320)):
+    for grid, angle in ((1e-309, 30.0), (0.25, 1e-320),
+                        (1e-300, 30.0), (0.25, 1e-300)):
         with pytest.raises(FdmError, match="pose bins overflow"):
             pose_buckets(*pose, grid, angle)
-    assert pose_buckets(*pose, 1e-300, 1e-300)      # large but finite bins
+    assert pose_buckets(*pose, 1e-15, 1e-13)        # fine but exact bins
 
 
 # ---------------------------------------------------------------------------

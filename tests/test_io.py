@@ -10,8 +10,8 @@ import json
 
 import numpy as np
 import pytest
-from conftest import (load_fixations_oracle, load_ply_oracle,
-                      read_vertex_csv_oracle)
+from conftest import (load_fixations_oracle, load_obj_oracle,
+                      load_ply_oracle, read_vertex_csv_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -205,8 +205,14 @@ def test_ply_block_parse_matches_row_oracle(scratch, raw):
     arrays bit for bit, or raises its first error message."""
     path = scratch / "oracle.ply"
     path.write_bytes(raw)
+    assert_mesh_loads_like(path, load_ply_oracle)
+
+
+def assert_mesh_loads_like(path, oracle):
+    """load_mesh(path) gives the oracle's vertex and triangle arrays bit for
+    bit (dtype, shape, bytes), or raises the oracle's error and message."""
     try:
-        want = load_ply_oracle(path)
+        want = oracle(path)
     except MeshgazeError as exc:
         with pytest.raises(type(exc)) as got:
             load_mesh(path)
@@ -215,6 +221,57 @@ def test_ply_block_parse_matches_row_oracle(scratch, raw):
     got = load_mesh(path)
     for a, b in ((got.vertices, want.vertices), (got.triangles, want.triangles)):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+OBJ_COORDS = ["x", "nan", "-nan", "1e300", "inf", "1_0", "+3", "-0.0",
+              "1e-309", "\0"]
+OBJ_INDICES = ["0", "-1", "-4", "5", "1/2/3", "2//1", "3/", "/1", "x", "1.0",
+               "99999999999999999999"]
+OBJ_LINES = [["vn", "0", "0", "1"], ["vt", "0.5", "0.5"], ["usemtl", "m"],
+             ["#", "c"], ["v", "1", "1"], ["f", "1", "2"]]
+
+
+@st.composite
+def obj_fields(draw) -> bytes:
+    """A tetrahedron OBJ, its face indices written `i`, `i/t`, `i/t/n` or
+    `i//n`, with one to three edits: a vertex coordinate set to a
+    non-number, nan or 1e300; a face index set to 0, a negative, one past
+    the vertices or a non-integer; a face cut to 2 indices or grown to 5;
+    a `vn`, `vt`, comment, short vertex or short face line added; a blank
+    line put between lines.  So every line check is reached."""
+    suffix = st.sampled_from(["", "/1", "/1/1", "//1"])
+    rows = [["v", *row] for row in PLY_VERTICES]
+    rows += [["f", *(str(int(i) + 1) + draw(suffix) for i in face[1:])]
+             for face in PLY_FACES]
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["field", "field", "arity", "line",
+                                     "blank"]))
+        row = rows[k]
+        if edit == "blank":
+            rows.insert(k, [])
+        elif edit == "line":
+            rows.insert(k, list(draw(st.sampled_from(OBJ_LINES))))
+        elif row[:1] == ["f"] and edit == "arity":
+            if draw(st.booleans()):
+                del row[3:]
+            else:
+                row += ["4", "2"]
+        elif row[:1] in (["v"], ["f"]) and len(row) > 1:
+            i = draw(st.integers(1, len(row) - 1))
+            row[i] = draw(st.sampled_from(OBJ_COORDS if row[0] == "v"
+                                          else OBJ_INDICES))
+    return "\n".join(" ".join(row) for row in rows).encode() + b"\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=st.one_of(mangled(LOADERS["m.obj"][1]), obj_fields()))
+def test_obj_loader_matches_line_oracle(scratch, raw):
+    """On a mangled OBJ file load_mesh returns the line-at-a-time parser's
+    arrays bit for bit, or raises its first error message."""
+    path = scratch / "oracle.obj"
+    path.write_bytes(raw)
+    assert_mesh_loads_like(path, load_obj_oracle)
 
 
 VERTEX_IDS = ["-1", "0", "1", "3", "5", "1.0", "x", "", " 2", "1_0", "+2",
