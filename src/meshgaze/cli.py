@@ -77,7 +77,6 @@ def _load_cfg(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.set:
         cfg = apply_overrides(cfg, args.set)
-    cfg.validate()
     return cfg
 
 

@@ -7,8 +7,11 @@ typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import get_type_hints
+
+import numpy as np
 
 from .io import read_text
 
@@ -26,95 +29,120 @@ class ConfigError(MeshgazeError):
     """Malformed config file, unknown key, or out-of-range value."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:               # an integer beyond float range
+        return False
+
+
+# A domain is (test, message): the message, formatted with the field's name
+# and value, is the error when test(value) is false.
+POSITIVE = (lambda v: v > 0, "{name} must be positive")
+AT_LEAST_1 = (lambda v: v >= 1, "{name} must be >= 1")
+NON_NEGATIVE = (lambda v: v >= 0, "{name} must be >= 0")
+UNIT = (lambda v: 0 < v < 1, "{name} must lie in (0, 1)")
+ANGLE = (lambda v: 0 < v < 180, "{name} must lie in (0, 180) degrees")
+COORD = (lambda v: abs(v) <= MAX_COORD, f"{{name}} must lie within +-{MAX_COORD:g}")
+SE_VARIANT = (lambda v: v in ("unit_mean", "minmax"), "unknown {name} {value!r}")
+
+# the check of each annotated type, run before the field's domain
+_TYPE_CHECKS = {
+    "int": (_is_int, "{name} must be an integer, got {value!r}"),
+    "float": (_is_finite_real, "{name} must be a finite number, got {value!r}"),
+    "str": (lambda v: isinstance(v, str), "{name} must be a string, got {value!r}"),
+}
+
+
+def within(domain, default=dataclasses.MISSING):
+    """A dataclass field whose values check_fields tests against domain."""
+    return dataclasses.field(default=default, metadata={"domain": domain})
+
+
+def check_fields(obj, error) -> None:
+    """Raise error for the first field of dataclass obj, in declaration
+    order, whose value has the wrong type (an int field takes an integer
+    that is not a bool, a float field a finite real) or lies outside the
+    domain that within declared for it."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        checks = (_TYPE_CHECKS.get(getattr(f.type, "__name__", f.type)),
+                  f.metadata.get("domain"))
+        for test, message in filter(None, checks):
+            if not test(value):
+                raise error(message.format(name=f.name, value=value))
+
+
 @dataclass
 class RunConfig:
     # recording / gaze geometry
-    d_screen: float = 0.05              # head-to-screen distance, meters
-    screen_half_extent: float = 0.15    # |sx|,|sy| bound, meters
+    d_screen: float = within(POSITIVE, 0.05)  # head-to-screen distance, meters
+    screen_half_extent: float = within(POSITIVE, 0.15)  # |sx|,|sy| bound, meters
 
     # fixation classification and clustering
-    ivt_h: float = 0.0075               # adaptive velocity-threshold gain
-    min_fixation_s: float = 0.1
-    cluster_interval: float = 0.03      # AOI spatial interval, meters
-    rw_sigma: float = 0.03              # random-walk affinity scale (= interval)
-    rw_lambda: float = 0.85             # random-walk damping
-    rw_rho_radius: float = 0.015        # density-count radius (= interval / 2)
-    rw_tol: float = 1e-9
-    rw_max_iter: int = 1000
+    ivt_h: float = within(POSITIVE, 0.0075)  # adaptive velocity-threshold gain
+    min_fixation_s: float = within(POSITIVE, 0.1)
+    cluster_interval: float = within(POSITIVE, 0.03)  # AOI spatial interval, meters
+    rw_sigma: float = within(POSITIVE, 0.03)  # random-walk affinity scale (= interval)
+    rw_lambda: float = within(UNIT, 0.85)  # random-walk damping
+    rw_rho_radius: float = within(POSITIVE, 0.015)  # density-count radius (interval / 2)
+    rw_tol: float = within(POSITIVE, 1e-9)
+    rw_max_iter: int = within(AT_LEAST_1, 1000)
 
     # fixation density maps
-    sigma_fdm: float = 0.035            # splat std-dev, meters
-    fdm_cutoff_sigmas: float = 4.0      # splat truncation radius, in sigmas
+    sigma_fdm: float = within(POSITIVE, 0.035)  # splat std-dev, meters
+    fdm_cutoff_sigmas: float = within(POSITIVE, 4.0)  # splat cut-off radius, in sigmas
 
     # saliency
-    sigma_c: float = 0.2                # visual-bias controlling constant
-    bias_squared_distance: bool = False # False = literal unsquared exponent
-    fpfh_radius_frac: float = 0.02      # FPFH radius as fraction of bbox diagonal
-    uniqueness_exact_limit: int = 5000  # exact O(n^2) up to this visible count
-    uniqueness_sample_size: int = 5000
-    eps_bhattacharyya: float = 1e-12    # coefficient clamp floor
-    baseline_eps_frac: float = 0.003    # curvature-baseline base scale / diagonal
-    baseline_guard: float = 1.0         # flat-map contrast guard (dimensionless)
+    sigma_c: float = within(POSITIVE, 0.2)  # visual-bias controlling constant
+    bias_squared_distance: bool = False  # False = literal unsquared exponent
+    fpfh_radius_frac: float = within(POSITIVE, 0.02)  # FPFH radius / bbox diagonal
+    uniqueness_exact_limit: int = within(AT_LEAST_1, 5000)  # exact O(n^2) up to this many
+    uniqueness_sample_size: int = within(AT_LEAST_1, 5000)
+    eps_bhattacharyya: float = within(POSITIVE, 1e-12)  # coefficient clamp floor
+    baseline_eps_frac: float = within(POSITIVE, 0.003)  # baseline base scale / diagonal
+    baseline_guard: float = 1.0  # flat-map contrast guard (dimensionless)
 
     # evaluation
-    eps_kl_floor: float = 1e-12
-    se_variant: str = "unit_mean"       # or "minmax"
+    eps_kl_floor: float = within(POSITIVE, 1e-12)
+    se_variant: str = within(SE_VARIANT, "unit_mean")  # or "minmax"
 
     # camera / visibility
-    cam_hfov_deg: float = 110.0
-    cam_vfov_deg: float = 110.0
-    cam_near: float = 0.05
+    cam_hfov_deg: float = within(ANGLE, 110.0)
+    cam_vfov_deg: float = within(ANGLE, 110.0)
+    cam_near: float = within(POSITIVE, 0.05)
     # a hit on a vertex's sight line hides it only when nearer than the
     # vertex by more than this fraction of the bbox diagonal
-    depth_tol_frac: float = 0.001
+    depth_tol_frac: float = within(POSITIVE, 0.001)
 
     # pose bucketing
-    pose_grid_m: float = 0.25
-    pose_angle_bin_deg: float = 30.0
+    pose_grid_m: float = within(POSITIVE, 0.25)
+    pose_angle_bin_deg: float = within(POSITIVE, 30.0)
 
     # scene / load transform
-    mesh_scale: float = 1.0
-    mesh_translate_x: float = 0.0
-    mesh_translate_y: float = 0.0
-    mesh_translate_z: float = 0.0
-    scene_center_x: float = 0.0
-    scene_center_y: float = 1.5
-    scene_center_z: float = 0.0
+    mesh_scale: float = within(POSITIVE, 1.0)
+    mesh_translate_x: float = within(COORD, 0.0)
+    mesh_translate_y: float = within(COORD, 0.0)
+    mesh_translate_z: float = within(COORD, 0.0)
+    scene_center_x: float = within(COORD, 0.0)
+    scene_center_y: float = within(COORD, 1.5)
+    scene_center_z: float = within(COORD, 0.0)
 
     # studies
-    vdd_repetitions: int = 100
-    vdd_max_angle_deg: float = 90.0
-    move_gate_m: float = 0.15
+    vdd_repetitions: int = within(AT_LEAST_1, 100)
+    vdd_max_angle_deg: float = within(POSITIVE, 90.0)
+    move_gate_m: float = within(POSITIVE, 0.15)
 
-    seed: int = 0
+    seed: int = within(NON_NEGATIVE, 0)
 
     def validate(self) -> None:
-        positive = (
-            "d_screen", "screen_half_extent", "ivt_h", "min_fixation_s",
-            "cluster_interval", "rw_sigma", "rw_rho_radius",
-            "rw_tol", "sigma_fdm", "fdm_cutoff_sigmas", "sigma_c",
-            "fpfh_radius_frac", "eps_bhattacharyya", "baseline_eps_frac",
-            "eps_kl_floor", "cam_near", "depth_tol_frac", "pose_grid_m",
-            "pose_angle_bin_deg", "mesh_scale", "vdd_max_angle_deg",
-            "move_gate_m",
-        )
-        for name in positive:
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0.0 < self.rw_lambda < 1.0:
-            raise ConfigError("rw_lambda must lie in (0, 1)")
-        if self.rw_max_iter < 1:
-            raise ConfigError("rw_max_iter must be >= 1")
-        if self.uniqueness_exact_limit < 1 or self.uniqueness_sample_size < 1:
-            raise ConfigError("uniqueness limits must be >= 1")
-        if self.se_variant not in ("unit_mean", "minmax"):
-            raise ConfigError(f"unknown se_variant {self.se_variant!r}")
-        if not 0.0 < self.cam_hfov_deg < 180.0 or not 0.0 < self.cam_vfov_deg < 180.0:
-            raise ConfigError("camera FoV must lie in (0, 180) degrees")
-        if self.vdd_repetitions < 1:
-            raise ConfigError("vdd_repetitions must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        check_fields(self, ConfigError)
 
     def scene_center(self):
         return (self.scene_center_x, self.scene_center_y, self.scene_center_z)

@@ -66,9 +66,12 @@ class Mesh:
         return self._bvh
 
     def transformed(self, scale: float = 1.0, translate=(0.0, 0.0, 0.0)) -> "Mesh":
-        if scale <= 0:
-            raise MeshError("scale must be positive")
-        v = self.vertices * float(scale) + np.asarray(translate, dtype=np.float64)
+        translate = np.asarray(translate, dtype=np.float64)
+        if not 0 < scale < math.inf:
+            raise MeshError(f"scale must be positive and finite, got {scale!r}")
+        if not np.isfinite(translate).all():
+            raise MeshError(f"translate must be finite, got {translate.tolist()}")
+        v = self.vertices * float(scale) + translate
         return Mesh(v, self.triangles.copy())
 
 

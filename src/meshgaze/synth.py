@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import get_type_hints
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import MeshgazeError
+from .config import (AT_LEAST_1, COORD, MAX_COORD, NON_NEGATIVE, POSITIVE,
+                     MeshgazeError, _is_int, check_fields, within)
 from .gaze import (GazeError, Recording, cast_hits, head_orientations,
                    rowdot, screen_frames, screen_point, sightlines)
 from .io import read_text
@@ -30,51 +30,32 @@ class ScenarioError(MeshgazeError):
 
 MAX_SAMPLES = 10 ** 7     # samples of one scenario: about 23 h at 120 Hz
 _DEGENERATE = "degenerate screen frame: facing parallel to Y axis"
+VERTEX_IDS = (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+              "{name} must be a list of integer vertex ids, got {value!r}")
+RADIUS = (lambda v: 0 < v <= MAX_COORD,
+          f"{{name}} must be positive and at most {MAX_COORD:g}")
 
 
 @dataclass
 class SyntheticScenario:
     mesh_id: str
-    targets: list[int]
-    radius: float = 1.5            # 3D distance from scene center, meters
-    height: float = 1.6            # head height, meters
+    targets: list[int] = within(VERTEX_IDS)
+    radius: float = within(RADIUS, 1.5)        # 3D distance from scene center, meters
+    height: float = within(COORD, 1.6)         # head height, meters
     start_angle_deg: float = 250.0
-    span_deg: float = 40.0         # orbit arc swept over the recording
-    noise_deg: float = 0.0         # stationary angular noise std
-    noise_tau_s: float = 0.1       # noise correlation time constant
-    duration_s: float = 10.0
-    rate_hz: float = 120.0
-    dwell_s: float = 0.5           # time spent per target before switching
-    subjects: int = 1
-    seed: int = 0
-
-    def check_types(self) -> None:
-        """ScenarioError unless every field has its declared type: mesh_id a
-        string, targets a list of integer vertex ids, subjects and seed
-        integers, and every other field a finite number (a JSON true or
-        false is not a number here)."""
-        if not isinstance(self.mesh_id, str):
-            raise ScenarioError(f"mesh_id must be a string, got {self.mesh_id!r}")
-        if not (isinstance(self.targets, list)
-                and all(_is_int(t) for t in self.targets)):
-            raise ScenarioError(
-                f"targets must be a list of integer vertex ids, got {self.targets!r}")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ScenarioError(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if not _is_finite_real(value):
-                raise ScenarioError(
-                    f"{name} must be a finite number, got {value!r}")
+    span_deg: float = 40.0                     # orbit arc swept over the recording
+    noise_deg: float = within(NON_NEGATIVE, 0.0)   # stationary angular noise std
+    noise_tau_s: float = within(POSITIVE, 0.1)     # noise correlation time constant
+    duration_s: float = within(POSITIVE, 10.0)
+    rate_hz: float = within(POSITIVE, 120.0)
+    dwell_s: float = within(POSITIVE, 0.5)     # time spent per target before switching
+    subjects: int = within(AT_LEAST_1, 1)
+    seed: int = within(NON_NEGATIVE, 0)
 
     def validate(self, scene_center) -> None:
-        self.check_types()
+        check_fields(self, ScenarioError)
         if not self.targets:
             raise ScenarioError("scenario needs at least one target vertex")
-        if self.radius <= 0 or self.duration_s <= 0 or self.rate_hz <= 0:
-            raise ScenarioError("radius, duration, and rate must be positive")
         n = self.duration_s * self.rate_hz
         if not (math.isfinite(n) and round(n) >= 1):
             raise ScenarioError(
@@ -88,61 +69,38 @@ class SyntheticScenario:
                 f"{self.subjects} subjects of {round(n)} samples each give "
                 f"{self.subjects * round(n)} samples; at most {MAX_SAMPLES} "
                 "are allowed")
-        if self.dwell_s <= 0:
-            raise ScenarioError("dwell must be positive")
-        if self.noise_deg < 0 or self.noise_tau_s <= 0:
-            raise ScenarioError("noise parameters out of range")
-        if self.subjects < 1:
-            raise ScenarioError("subjects must be >= 1")
-        if self.seed < 0:
-            raise ScenarioError("seed must be >= 0")
         dy = self.height - scene_center[1]
         if self.radius <= abs(dy):
             raise ScenarioError(
                 "orbit radius must exceed the height offset from scene center")
 
 
-_FIELD_TYPES = get_type_hints(SyntheticScenario)
-_INT_FIELDS = [name for name, typ in _FIELD_TYPES.items() if typ is int]
-_REAL_FIELDS = [name for name, typ in _FIELD_TYPES.items() if typ is float]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_finite_real(value) -> bool:
-    if not (_is_int(value) or isinstance(value, (float, np.floating))):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:               # an integer beyond float range
-        return False
+_FIELDS = [f.name for f in fields(SyntheticScenario)]
 
 
 def scenario_to_json(sc: SyntheticScenario) -> str:
-    fields = {name: getattr(sc, name) for name in _FIELD_TYPES}
-    fields["targets"] = list(map(int, sc.targets))
-    return json.dumps(fields, indent=2, sort_keys=True)
+    values = {name: getattr(sc, name) for name in _FIELDS}
+    values["targets"] = list(map(int, sc.targets))
+    return json.dumps(values, indent=2, sort_keys=True)
 
 
 def scenario_from_json(text: str) -> SyntheticScenario:
     """Parse a scenario; raises ScenarioError on malformed JSON, unknown or
-    missing fields, or a field of the wrong type."""
+    missing fields, or a field of the wrong type or out of its domain."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed scenario JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario JSON must be an object")
-    known = {f: raw[f] for f in _FIELD_TYPES if f in raw}
+    known = {f: raw[f] for f in _FIELDS if f in raw}
     extra = set(raw) - set(known)
     if extra:
         raise ScenarioError(f"unknown scenario fields: {sorted(extra)}")
     if "mesh_id" not in known or "targets" not in known:
         raise ScenarioError("scenario requires mesh_id and targets")
     scenario = SyntheticScenario(**known)
-    scenario.check_types()
+    check_fields(scenario, ScenarioError)
     return scenario
 
 

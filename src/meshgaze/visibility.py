@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MAX_COORD, MeshgazeError
+from .config import ANGLE, MAX_COORD, POSITIVE, MeshgazeError, check_fields, within
 from .gaze import rotation_matrix
 from .io import read_vertex_csv, write_csv
 from .mesh import Mesh, bounding_box_diagonal
@@ -26,15 +26,12 @@ class VisibilityError(MeshgazeError):
 
 @dataclass
 class CameraModel:
-    hfov_deg: float = 110.0
-    vfov_deg: float = 110.0
-    near: float = 0.05
+    hfov_deg: float = within(ANGLE, 110.0)
+    vfov_deg: float = within(ANGLE, 110.0)
+    near: float = within(POSITIVE, 0.05)
 
     def __post_init__(self):
-        if not 0.0 < self.hfov_deg < 180.0 or not 0.0 < self.vfov_deg < 180.0:
-            raise VisibilityError("FoV must lie in (0, 180) degrees")
-        if not self.near > 0:
-            raise VisibilityError("near plane must be positive")
+        check_fields(self, VisibilityError)
 
 
 def camera_from_config(cfg) -> CameraModel:

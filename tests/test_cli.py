@@ -927,6 +927,41 @@ def test_negative_seed_is_an_error(pipeline, tmp_path, capsys, verb):
     assert not out.exists() or not os.listdir(out)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verb, setting, named", [
+    ("saliency", "cam_near=inf", "cam_near must be a finite number, got inf"),
+    ("saliency", "depth_tol_frac=inf", "depth_tol_frac must be a finite number"),
+    ("saliency", "mesh_scale=inf", "mesh_scale must be a finite number"),
+    ("synth", "d_screen=inf", "d_screen must be a finite number"),
+    ("synth", "cluster_interval=inf", "cluster_interval must be a finite number"),
+    ("synth", None, "radius must be positive and at most 1e+09"),
+])
+def test_setting_out_of_its_domain_is_one_error(pipeline, tmp_path, capsys,
+                                                verb, setting, named):
+    """An infinite setting, or an orbit radius of 1e200, ends in one `error:`
+    line naming it and no numpy warning; cam_near=inf and the others used
+    to exit 0, mesh_scale=inf to warn from numpy first, and radius=1e200
+    to end in an OverflowError traceback."""
+    out = tmp_path / "out"
+    if verb == "saliency":
+        argv = ["saliency", "--mesh", pipeline["mesh_path"], "--pose",
+                "0,1.5,-1.2,0,0,0", "--out", out]
+    else:
+        scenario = pipeline["scenario"]
+        if setting is None:
+            raw = json.loads(scenario.read_text())
+            raw["radius"] = 1e200
+            scenario = tmp_path / "far.json"
+            scenario.write_text(json.dumps(raw))
+        argv = ["synth", "--scenario", scenario, "--mesh",
+                pipeline["mesh_path"], "--out", out]
+    if setting is not None:
+        argv += ["--set", setting]
+    assert run(*argv) == 1
+    assert named in assert_one_error_line(capsys)
+    assert not out.exists() or not os.listdir(out)
+
+
 TETRA_PLY = """\
 ply
 format ascii 1.0

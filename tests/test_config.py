@@ -4,7 +4,11 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import json
+import math
+import os
 import pkgutil
+import re
 
 import pytest
 from conftest import serialize_config
@@ -13,6 +17,8 @@ import meshgaze
 from meshgaze.config import (ConfigError, MeshgazeError, RunConfig,
                              apply_overrides, load_config, parse_config)
 from meshgaze.io import write_text
+from meshgaze.synth import (ScenarioError, SyntheticScenario,
+                            scenario_from_json)
 
 
 def test_defaults_validate():
@@ -83,6 +89,101 @@ def test_validate_rejects_bad_variant():
     cfg = dataclasses.replace(RunConfig(), se_variant="fancy")
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_validate_reports_the_first_bad_field_in_declaration_order():
+    cfg = dataclasses.replace(RunConfig(), seed=-1, cam_hfov_deg=0.0,
+                              sigma_fdm=0.0, rw_lambda=2.0)
+    with pytest.raises(ConfigError, match=r"^rw_lambda must lie in \(0, 1\)$"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("cam_near=inf", "cam_near must be a finite number, got inf"),
+    ("baseline_guard=nan", "baseline_guard must be a finite number, got nan"),
+    ("rw_lambda=1", "rw_lambda must lie in (0, 1)"),
+    ("cam_vfov_deg=180", "cam_vfov_deg must lie in (0, 180) degrees"),
+    ("uniqueness_sample_size=0", "uniqueness_sample_size must be >= 1"),
+    ("scene_center_y=-2e9", "scene_center_y must lie within +-1e+09"),
+    ("se_variant=fancy", "unknown se_variant 'fancy'"),
+])
+def test_override_out_of_its_domain_names_the_key(override, message):
+    with pytest.raises(ConfigError) as err:
+        apply_overrides(RunConfig(), [override])
+    assert str(err.value) == message
+
+
+EXTREMES = [math.inf, -math.inf, math.nan, 0, -1, 1e308]
+# checks that involve more than one scenario field, and so may name another
+CROSS_FIELD = ("duration_s * rate_hz", "orbit radius must exceed the height")
+
+
+def numeric_fields(cls):
+    return [f.name for f in dataclasses.fields(cls) if f.type in ("int", "float")]
+
+
+def outcome(call, error):
+    """None when call returns, else the message of the error it raises."""
+    try:
+        call()
+    except error as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("value", EXTREMES)
+def test_every_numeric_setting_takes_or_names_an_extreme_value(value):
+    """Each numeric field of RunConfig and of a scenario file, set to an
+    extreme value, is taken or rejected by a message that starts with its
+    name; a non-finite value is always rejected.  A finite value may instead
+    fail a check of several fields, whose message names the field too."""
+    def scenario(name):
+        raw = json.dumps({"mesh_id": "m", "targets": [1], name: value})
+        return lambda: scenario_from_json(raw).validate((0.0, 1.5, 0.0))
+
+    cases = [(name, dataclasses.replace(RunConfig(), **{name: value}).validate,
+              ConfigError) for name in numeric_fields(RunConfig)]
+    cases += [(name, scenario(name), ScenarioError)
+              for name in numeric_fields(SyntheticScenario)]
+    assert len(cases) == 37 + 11
+    for name, call, error in cases:
+        message = outcome(call, error)
+        if not math.isfinite(value):
+            assert message is not None, name
+        assert message is None or message.startswith(name) or (
+            math.isfinite(value) and message.startswith(CROSS_FIELD)
+            and name in message), (name, message)
+
+
+def readme_defaults():
+    """{key: default text} of each row of README's Configuration table; a
+    row that names keys `a` / `b` gives its defaults as `x` / `y` or as one
+    `x` for both."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    out = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if not line.startswith("| `") or len(cells) != 3:
+            continue
+        keys = re.findall(r"`([^`]+)`", cells[0])
+        defaults = re.findall(r"`([^`]+)`", cells[1])
+        out.update(zip(keys, defaults * len(keys) if len(defaults) == 1
+                       else defaults))
+    return out
+
+
+def test_readme_configuration_defaults_match_runconfig():
+    documented = readme_defaults()
+    assert len(documented) >= 10
+    cfg = RunConfig()
+    for key, text in documented.items():
+        value = getattr(cfg, key)
+        if isinstance(value, str):
+            assert text == value, key
+        else:
+            assert float(text) == value, key
 
 
 def test_apply_overrides():

@@ -11,7 +11,8 @@ import json
 import numpy as np
 import pytest
 from conftest import (load_fixations_oracle, load_obj_oracle,
-                      load_ply_oracle, read_vertex_csv_oracle)
+                      load_ply_oracle, load_recording_oracle,
+                      read_vertex_csv_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,6 +147,47 @@ def test_fixation_table_loader_matches_row_oracle(scratch, raw):
     values = np.column_stack([got.position, got.pose_p, got.pose_o,
                               got.duration])
     assert values.tolist() == [r[2] for r in want]
+
+
+# per recording column: t, then head position and angles, then eye offsets
+RECORDING_TOKENS = [["0.0", "0.5", "0.25", "-1", "nan"]] + 6 * [
+    ["nan", "inf", "-inf", "1e10", "-1e9", "1000000000.0001", "-0.0"]] + 2 * [
+    ["0.15", "0.1500001", "-0.2", "-0.15", "inf"]]
+
+
+@st.composite
+def recording_rows(draw) -> bytes:
+    """A recording whose rows are the seed's rows, drawn with repeats and in
+    any order so that t may repeat or decrease, with up to three fields
+    each replaced by a token for its column."""
+    header, *rows = LOADERS["rec.csv"][1].decode().splitlines()
+    lines = [header]
+    for _ in range(draw(st.integers(1, 4))):
+        fields = rows[draw(st.integers(0, len(rows) - 1))].split(",")
+        for _ in range(draw(st.integers(0, 3))):
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[j] = draw(st.sampled_from(RECORDING_TOKENS[j]))
+        lines.append(",".join(fields))
+    return "\n".join(lines).encode() + b"\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=st.one_of(mangled(LOADERS["rec.csv"][1]), recording_rows()))
+def test_recording_loader_matches_row_oracle(scratch, raw):
+    """On a mangled recording the whole-file loader returns the row-at-a-time
+    loader's samples bit for bit, or raises its first error message."""
+    path = scratch / "oracle_rec.csv"
+    path.write_bytes(raw)
+    try:
+        want = load_recording_oracle(path)
+    except MeshgazeError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_recording(path)
+        assert str(got.value) == str(exc)
+        return
+    got = load_recording(path)
+    want = np.array([[t, *p, *o, *s] for t, p, o, s in want])
+    assert np.column_stack([got.t, got.p, got.o, got.s]).tobytes() == want.tobytes()
 
 
 PLY_VERTICES = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"],

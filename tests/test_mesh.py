@@ -90,6 +90,27 @@ def test_load_transform(tmp_path):
     np.testing.assert_allclose(mesh.vertices[1], [2.0, 1.5, 0.0])
 
 
+@pytest.mark.parametrize("scale, translate, message", [
+    (float("inf"), (0.0, 0.0, 0.0), "scale must be positive and finite, got inf"),
+    (float("nan"), (0.0, 0.0, 0.0), "scale must be positive and finite, got nan"),
+    (0.0, (0.0, 0.0, 0.0), "scale must be positive and finite, got 0.0"),
+    (1.0, (0.0, float("inf"), 0.0), "translate must be finite, got [0.0, inf, 0.0]"),
+    (1.0, (float("nan"), 0.0, 0.0), "translate must be finite, got [nan, 0.0, 0.0]"),
+])
+def test_load_transform_rejects_non_finite_placement(tmp_path, scale,
+                                                     translate, message):
+    """A placement that is not finite is an error before any arithmetic:
+    scale=inf used to warn from numpy's multiply first, and scale=nan to
+    report a non-finite vertex coordinate."""
+    path = tmp_path / "tri.obj"
+    path.write_text(TRI_OBJ)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError) as err:
+            load_mesh(path, scale=scale, translate=translate)
+    assert str(err.value) == message
+
+
 def test_ply_roundtrip_bit_exact(tmp_path, sphere2):
     path = tmp_path / "s.ply"
     save_ply(sphere2, path)

@@ -160,6 +160,13 @@ def test_camera_validation():
         CameraModel(vfov_deg=180.0)
     with pytest.raises(VisibilityError):
         CameraModel(near=0.0)
+    with pytest.raises(VisibilityError,
+                       match=r"^near must be a finite number, got inf$"):
+        CameraModel(near=float("inf"))
+    # several bad fields: the first declared is reported
+    with pytest.raises(VisibilityError,
+                       match=r"^hfov_deg must lie in \(0, 180\) degrees$"):
+        CameraModel(hfov_deg=180.0, near=-1.0)
 
 
 def test_camera_from_config(cfg):
