@@ -17,20 +17,24 @@ caller's value (or its absence) is put back, so a program that imports
 this module passes its own setting on to the processes it starts.  No
 verb loads a second BLAS (scipy) that would read the variable later.
 
-The imports below (numpy and every meshgaze module) leave about 33,000
-objects that live as long as the process.  The cyclic GC would scan them
-again and again while they are made, and once more at interpreter
-shutdown, which together cost a short verb process about a tenth of its
-CPU.  So the GC is switched off while they run; in a ``finally`` they are
-moved to the permanent generation (``gc.freeze``) and the GC is switched
-back on if it was on before.  The freeze happens once, at import: a
-freeze on every ``main()`` call would also pin the garbage that a
-program calling ``main()`` in-process had made by then.
+Importing numpy leaves about 31,000 objects that live as long as the
+process.  The cyclic GC would scan them again and again while they are
+made, and once more at interpreter shutdown, which together cost a short
+verb process about a tenth of its CPU.  So the GC is switched off while
+numpy loads; in a ``finally`` its objects are moved to the permanent
+generation (``gc.freeze``) and the GC is switched back on if it was on
+before.  The freeze happens once, at import: a freeze on every ``main()``
+call would also pin the garbage that a program calling ``main()``
+in-process had made by then.  The meshgaze modules are only registered
+here (``_lazy``, ``importlib.util.LazyLoader``): each is compiled and run
+on first attribute access, so a verb pays only for the modules it uses
+(and their objects are not frozen).
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import os
 import sys
@@ -49,39 +53,39 @@ try:
         os.environ["OPENBLAS_NUM_THREADS"] = _CALLER_BLAS_THREADS
 
     from . import __version__
-    from .config import MeshgazeError, RunConfig, apply_overrides, load_config
-    from .evaluation import (EvaluationError, ViewScore, bias_study,
-                             direction_dependence_study, inter_observer_study,
-                             left_preference_study, metric_cc, metric_kl,
-                             metric_se, saccade_study, weighted_eval)
-    from .fdm import (FdmError, bucket_views, build_ground_truth, load_map_csv,
-                      save_map_csv, save_map_ply, splat_fdm)
-    from .fixation import (Fixations, extract_fixations, load_fixations,
-                           save_fixations)
-    from .gaze import GazeError, load_recording, save_recording, trace_samples
-    from .io import read_text, read_vertex_csv, write_csv, write_json
-    from .mesh import Mesh, load_mesh
-    from .saliency import baseline_curvature_saliency, saliency_map
-    from .synth import (ScenarioError, check_targets_reachable,
-                        generate_recording, load_scenario)
-    from .visibility import (CameraModel, ViewPose, VisibilityError,
-                             camera_from_config, load_visibility,
-                             save_visibility)
 finally:
     gc.freeze()
     if _GC_WAS_ENABLED:
         gc.enable()
 
 
-def _load_cfg(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+def _lazy(name: str):
+    """meshgaze.<name>, put in sys.modules now and run on first use."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[fullname])
+        setattr(sys.modules[__package__], name, sys.modules[fullname])
+    return sys.modules[fullname]
+
+
+(_config, _evaluation, _fdm, _fixation, _gaze, _io, _mesh, _saliency, _synth,
+ _visibility) = map(_lazy, ("config", "evaluation", "fdm", "fixation", "gaze",
+                            "io", "mesh", "saliency", "synth", "visibility"))
+
+
+def _load_cfg(args) -> _config.RunConfig:
+    cfg = _config.load_config(args.config) if args.config else _config.RunConfig()
     if args.set:
-        cfg = apply_overrides(cfg, args.set)
+        cfg = _config.apply_overrides(cfg, args.set)
     return cfg
 
 
-def _mesh_from_cfg(path, cfg) -> Mesh:
-    return load_mesh(path, scale=cfg.mesh_scale, translate=cfg.mesh_translate())
+def _mesh_from_cfg(path, cfg) -> _mesh.Mesh:
+    return _mesh.load_mesh(path, scale=cfg.mesh_scale,
+                           translate=cfg.mesh_translate())
 
 
 def _warn(msg: str) -> None:
@@ -96,16 +100,17 @@ def cmd_process(args) -> int:
     mesh = _mesh_from_cfg(args.mesh, cfg)
     rec_files = sorted(f for f in os.listdir(args.recordings) if f.endswith(".csv"))
     if not rec_files:
-        raise GazeError(f"no recordings found in {args.recordings!r}")
+        raise _gaze.GazeError(f"no recordings found in {args.recordings!r}")
     os.makedirs(args.out, exist_ok=True)
     summary = {"version": __version__, "mesh": os.path.basename(args.mesh),
                "recordings": {}, "total_fixations": 0}
     for name in rec_files:
         rec_id = os.path.splitext(name)[0]
-        recording = load_recording(os.path.join(args.recordings, name),
-                                   cfg.screen_half_extent)
-        traced = trace_samples(recording, mesh, cfg.d_screen)
-        fixations, stats = extract_fixations(recording, traced, cfg, rec_id)
+        recording = _gaze.load_recording(os.path.join(args.recordings, name),
+                                         cfg.screen_half_extent)
+        traced = _gaze.trace_samples(recording, mesh, cfg.d_screen)
+        fixations, stats = _fixation.extract_fixations(recording, traced, cfg,
+                                                       rec_id)
         warnings = []
         if stats["miss_samples"] == stats["samples"]:
             warnings.append("all sight-lines missed the mesh")
@@ -113,19 +118,20 @@ def cmd_process(args) -> int:
             warnings.append("no fixations detected")
         for w in warnings:
             _warn(f"{rec_id}: {w}")
-        save_fixations(os.path.join(args.out, f"{rec_id}.csv"), fixations)
+        _fixation.save_fixations(os.path.join(args.out, f"{rec_id}.csv"),
+                                 fixations)
         stats["warnings"] = warnings
         summary["recordings"][rec_id] = stats
         summary["total_fixations"] += stats["fixations"]
-    write_json(os.path.join(args.out, "summary.json"), summary)
+    _io.write_json(os.path.join(args.out, "summary.json"), summary)
     return 0
 
 
-def _load_fixation_dir(path) -> Fixations:
+def _load_fixation_dir(path) -> _fixation.Fixations:
     """The fixations of every CSV in a directory, files in name order."""
-    return Fixations.concat(load_fixations(os.path.join(path, name))
-                            for name in sorted(os.listdir(path))
-                            if name.endswith(".csv"))
+    return _fixation.Fixations.concat(
+        _fixation.load_fixations(os.path.join(path, name))
+        for name in sorted(os.listdir(path)) if name.endswith(".csv"))
 
 
 def cmd_fdm(args) -> int:
@@ -134,52 +140,55 @@ def cmd_fdm(args) -> int:
     fixations = _load_fixation_dir(args.fixations)
     os.makedirs(args.out, exist_ok=True)
     if not args.by_pose:
-        values = splat_fdm(mesh, fixations, cfg.sigma_fdm,
-                           cfg.fdm_cutoff_sigmas)
+        values = _fdm.splat_fdm(mesh, fixations, cfg.sigma_fdm,
+                                cfg.fdm_cutoff_sigmas)
         if not (values > 0).any():
             _warn("no fixations: all-zero density map")
-        save_map_csv(os.path.join(args.out, "fdm.csv"), values)
-        save_map_ply(os.path.join(args.out, "fdm.ply"), mesh, values)
-        write_json(os.path.join(args.out, "fdm.meta.json"),
-                   {"version": __version__, "sigma_fdm": cfg.sigma_fdm,
-                    "cutoff_sigmas": cfg.fdm_cutoff_sigmas,
-                    "fixations": len(fixations)})
+        _fdm.save_map_csv(os.path.join(args.out, "fdm.csv"), values)
+        _fdm.save_map_ply(os.path.join(args.out, "fdm.ply"), mesh, values)
+        _io.write_json(os.path.join(args.out, "fdm.meta.json"),
+                       {"version": __version__, "sigma_fdm": cfg.sigma_fdm,
+                        "cutoff_sigmas": cfg.fdm_cutoff_sigmas,
+                        "fixations": len(fixations)})
         return 0
 
     # per-pose ground truth: bucket fixations, gate by per-bucket visibility
     weights = {}
     meta = {"version": __version__, "sigma_fdm": cfg.sigma_fdm,
             "buckets": {}}
-    for bucket, rows, pose, vs in bucket_views(mesh, fixations, cfg):
-        values, a_w = build_ground_truth(mesh, fixations[rows], bucket, vs,
-                                         cfg.sigma_fdm, cfg.fdm_cutoff_sigmas)
+    for bucket, rows, pose, vs in _fdm.bucket_views(mesh, fixations, cfg):
+        values, a_w = _fdm.build_ground_truth(
+            mesh, fixations[rows], bucket, vs, cfg.sigma_fdm,
+            cfg.fdm_cutoff_sigmas)
         if not (values > 0).any():
             _warn(f"bucket {bucket}: density is zero on the visible set")
-        save_map_csv(os.path.join(args.out, f"{bucket}.csv"), values)
-        save_visibility(os.path.join(args.out, f"{bucket}.vis.csv"), vs)
+        _fdm.save_map_csv(os.path.join(args.out, f"{bucket}.csv"), values)
+        _visibility.save_visibility(
+            os.path.join(args.out, f"{bucket}.vis.csv"), vs)
         weights[bucket] = a_w
         meta["buckets"][bucket] = {
             "a_w": a_w, "fixations": len(rows),
             "pose_p": pose.p.tolist(), "pose_o": pose.o_deg.tolist(),
         }
-    write_json(os.path.join(args.out, "weights.json"), weights)
-    write_json(os.path.join(args.out, "gt_meta.json"), meta)
+    _io.write_json(os.path.join(args.out, "weights.json"), weights)
+    _io.write_json(os.path.join(args.out, "gt_meta.json"), meta)
     return 0
 
 
-def _parse_pose(text: str, cam: CameraModel) -> ViewPose:
+def _parse_pose(text: str, cam: _visibility.CameraModel) -> _visibility.ViewPose:
     try:
         vals = [float(p) for p in text.replace(",", " ").split()]
     except ValueError:
         vals = []
     if len(vals) != 6:
-        raise VisibilityError(f"pose must have 6 numbers, got {text!r}")
-    return ViewPose(p=np.array(vals[:3]), o_deg=np.array(vals[3:]), camera=cam)
+        raise _visibility.VisibilityError(f"pose must have 6 numbers, got {text!r}")
+    return _visibility.ViewPose(p=np.array(vals[:3]), o_deg=np.array(vals[3:]),
+                                camera=cam)
 
 
-def _read_poses(path, cam: CameraModel) -> list[ViewPose]:
+def _read_poses(path, cam: _visibility.CameraModel) -> list[_visibility.ViewPose]:
     """A --poses file: one pose per line; blank and '#' lines are skipped."""
-    text = read_text(path, "poses file", VisibilityError)
+    text = _io.read_text(path, "poses file", _visibility.VisibilityError)
     return [_parse_pose(line, cam) for line in text.split("\n")
             if line.strip() and not line.startswith("#")]
 
@@ -187,15 +196,15 @@ def _read_poses(path, cam: CameraModel) -> list[ViewPose]:
 def cmd_saliency(args) -> int:
     cfg = _load_cfg(args)
     mesh = _mesh_from_cfg(args.mesh, cfg)
-    cam = camera_from_config(cfg)
+    cam = _visibility.camera_from_config(cfg)
     poses = [_parse_pose(t, cam) for t in (args.pose or [])]
     if args.poses:
         poses += _read_poses(args.poses, cam)
     if not poses:
-        raise VisibilityError("no poses given (use --pose or --poses)")
+        raise _visibility.VisibilityError("no poses given (use --pose or --poses)")
     os.makedirs(args.out, exist_ok=True)
     for pose in poses:
-        smap = saliency_map(mesh, pose, cfg)
+        smap = _saliency.saliency_map(mesh, pose, cfg)
         pid = smap.pose_id
         if smap.flagged:
             _warn(f"pose {pid}: empty visible set, all-zero saliency")
@@ -204,12 +213,13 @@ def cmd_saliency(args) -> int:
                   f"vertices have no neighbour within the FPFH radius "
                   f"{smap.fpfh_radius:.6g}")
         # .tolist() yields Python floats; numpy scalars repr as np.float64(..)
-        write_csv(os.path.join(args.out, f"{pid}.csv"), ["vertex_id", "S", "U", "C"],
-                  ((i, repr(s), repr(u), repr(c)) for i, (s, u, c) in
-                   enumerate(zip(smap.s.tolist(), smap.u.tolist(),
-                                 smap.c.tolist()))))
-        save_map_ply(os.path.join(args.out, f"{pid}.ply"), mesh, smap.s)
-        write_json(os.path.join(args.out, f"{pid}.meta.json"), {
+        _io.write_csv(os.path.join(args.out, f"{pid}.csv"),
+                      ["vertex_id", "S", "U", "C"],
+                      ((i, repr(s), repr(u), repr(c)) for i, (s, u, c) in
+                       enumerate(zip(smap.s.tolist(), smap.u.tolist(),
+                                     smap.c.tolist()))))
+        _fdm.save_map_ply(os.path.join(args.out, f"{pid}.ply"), mesh, smap.s)
+        _io.write_json(os.path.join(args.out, f"{pid}.meta.json"), {
             "version": __version__, "pose_id": pid,
             "pose_p": [float(x) for x in pose.p],
             "pose_o": [float(x) for x in pose.o_deg],
@@ -225,33 +235,34 @@ def cmd_saliency(args) -> int:
 def cmd_baseline(args) -> int:
     cfg = _load_cfg(args)
     mesh = _mesh_from_cfg(args.mesh, cfg)
-    values = baseline_curvature_saliency(mesh, eps_frac=cfg.baseline_eps_frac,
-                                         guard=cfg.baseline_guard)
+    values = _saliency.baseline_curvature_saliency(
+        mesh, eps_frac=cfg.baseline_eps_frac, guard=cfg.baseline_guard)
     base, _ = os.path.splitext(args.out)
-    save_map_csv(base + ".csv", values)
-    save_map_ply(base + ".ply", mesh, values)
-    write_json(base + ".meta.json",
-               {"version": __version__, "eps_frac": cfg.baseline_eps_frac,
-                "guard": cfg.baseline_guard})
+    _fdm.save_map_csv(base + ".csv", values)
+    _fdm.save_map_ply(base + ".ply", mesh, values)
+    _io.write_json(base + ".meta.json",
+                   {"version": __version__, "eps_frac": cfg.baseline_eps_frac,
+                    "guard": cfg.baseline_guard})
     return 0
 
 
 def _read_prediction(path) -> np.ndarray:
     """Accept both plain (vertex_id,value) maps and (vertex_id,S,U,C) exports."""
-    return read_vertex_csv(path, ["vertex_id"], "prediction file", FdmError)
+    return _io.read_vertex_csv(path, ["vertex_id"], "prediction file", _fdm.FdmError)
 
 
 def _read_weights(path) -> dict:
     """Per-view visit weights A_w: a JSON object of integers >= 1."""
+    error = _evaluation.EvaluationError
     try:
-        weights = json.loads(read_text(path, "weights file", EvaluationError))
+        weights = json.loads(_io.read_text(path, "weights file", error))
     except ValueError as exc:
-        raise EvaluationError(f"weights file {path!r}: {exc}") from exc
+        raise error(f"weights file {path!r}: {exc}") from exc
     if not isinstance(weights, dict):
-        raise EvaluationError(f"weights file {path!r}: not a JSON object")
+        raise error(f"weights file {path!r}: not a JSON object")
     for pid, w in weights.items():
         if type(w) is not int or w < 1:      # bool and float are rejected
-            raise EvaluationError(
+            raise error(
                 f"weights file {path!r}: weight of {pid!r} must be an "
                 f"integer >= 1, got {w!r}")
     return weights
@@ -265,65 +276,68 @@ def cmd_evaluate(args) -> int:
     pred_files = {os.path.splitext(f)[0]: os.path.join(args.predictions, f)
                   for f in os.listdir(args.predictions) if f.endswith(".csv")}
     if not gt_files:
-        raise EvaluationError("no ground-truth maps found")
+        raise _evaluation.EvaluationError("no ground-truth maps found")
     missing = sorted(set(gt_files) - set(pred_files))
     if missing:
-        raise EvaluationError(f"predictions missing for pose ids: {missing}")
+        raise _evaluation.EvaluationError(
+            f"predictions missing for pose ids: {missing}")
     weights_path = os.path.join(args.ground_truth, "weights.json")
     weights = _read_weights(weights_path) if os.path.exists(weights_path) else {}
     scores = []
     per_view = {}
     for pid in sorted(gt_files):
-        g = load_map_csv(gt_files[pid])
+        g = _fdm.load_map_csv(gt_files[pid])
         r = _read_prediction(pred_files[pid])
         vis_path = os.path.join(args.ground_truth, f"{pid}.vis.csv")
         domain = None
         if os.path.exists(vis_path):
-            domain = load_visibility(vis_path)
+            domain = _visibility.load_visibility(vis_path)
         a_w = weights.get(pid, 1)
         try:
-            cc = metric_cc(g, r, domain)
-            se = metric_se(g, r, domain, cfg.se_variant)
-            kl = metric_kl(g, r, domain, cfg.eps_kl_floor)
-        except EvaluationError as exc:
-            raise EvaluationError(f"view {pid!r}: {exc}") from exc
-        scores.append(ViewScore(pose_id=pid, cc=cc, se=se, kl=kl, a_w=a_w))
+            cc = _evaluation.metric_cc(g, r, domain)
+            se = _evaluation.metric_se(g, r, domain, cfg.se_variant)
+            kl = _evaluation.metric_kl(g, r, domain, cfg.eps_kl_floor)
+        except _evaluation.EvaluationError as exc:
+            raise _evaluation.EvaluationError(f"view {pid!r}: {exc}") from exc
+        scores.append(_evaluation.ViewScore(pose_id=pid, cc=cc, se=se, kl=kl,
+                                            a_w=a_w))
         per_view[pid] = {"cc": cc, "se": se, "kl": kl, "A_w": a_w}
     report = {
         "version": __version__,
         "views": per_view,
         "aggregate": {
-            "E_cc": weighted_eval(scores, "cc"),
-            "E_se": weighted_eval(scores, "se"),
-            "E_kl": weighted_eval(scores, "kl"),
+            "E_cc": _evaluation.weighted_eval(scores, "cc"),
+            "E_se": _evaluation.weighted_eval(scores, "se"),
+            "E_kl": _evaluation.weighted_eval(scores, "kl"),
         },
     }
-    write_json(args.out, report)
+    _io.write_json(args.out, report)
     agg = report["aggregate"]
     csv_rows = [(pid, repr(v["cc"]), repr(v["se"]), repr(v["kl"]), v["A_w"])
                 for pid, v in sorted(per_view.items())]
     csv_rows.append(("aggregate", repr(agg["E_cc"]), repr(agg["E_se"]),
                      repr(agg["E_kl"]), sum(s.a_w for s in scores)))
-    write_csv(os.path.splitext(args.out)[0] + ".csv",
-              ["pose_id", "cc", "se", "kl", "A_w"], csv_rows)
+    _io.write_csv(os.path.splitext(args.out)[0] + ".csv",
+                  ["pose_id", "cc", "se", "kl", "A_w"], csv_rows)
     return 0
 
 
 def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
-    scenario = load_scenario(args.scenario)
+    scenario = _synth.load_scenario(args.scenario)
     mesh = _mesh_from_cfg(args.mesh, cfg)
     n_verts = len(mesh.vertices)
     for t in scenario.targets:
         if not 0 <= int(t) < n_verts:
-            raise ScenarioError(f"target vertex {t} out of range")
+            raise _synth.ScenarioError(f"target vertex {t} out of range")
     os.makedirs(args.out, exist_ok=True)
     for subject in range(scenario.subjects):
-        recording = generate_recording(scenario, mesh, cfg, subject)
+        recording = _synth.generate_recording(scenario, mesh, cfg, subject)
         if subject == 0:
-            check_targets_reachable(scenario, mesh, cfg, recording)
-        save_recording(os.path.join(args.out, f"s{subject:02d}.csv"), recording)
-    write_json(os.path.join(args.out, "targets.json"), {
+            _synth.check_targets_reachable(scenario, mesh, cfg, recording)
+        _gaze.save_recording(os.path.join(args.out, f"s{subject:02d}.csv"),
+                             recording)
+    _io.write_json(os.path.join(args.out, "targets.json"), {
         "version": __version__,
         "mesh_id": scenario.mesh_id,
         "target_vertex_ids": [int(t) for t in scenario.targets],
@@ -347,25 +361,26 @@ def cmd_analyze(args) -> int:
                 if os.path.isdir(os.path.join(args.fixations, name))}
     shared = sorted(set(mesh_files) & set(fix_dirs))
     if not shared:
-        raise EvaluationError(
+        raise _evaluation.EvaluationError(
             "analyze needs per-mesh fixation subdirectories matching mesh files")
     os.makedirs(args.out, exist_ok=True)
 
     def write(name, report):
-        write_json(os.path.join(args.out, name),
-                   {"version": __version__, **report})
+        _io.write_json(os.path.join(args.out, name),
+                       {"version": __version__, **report})
 
     meshes = {m: _mesh_from_cfg(mesh_files[m], cfg) for m in shared}
     fixations = {m: _load_fixation_dir(fix_dirs[m]) for m in shared}
-    write("inter_observer.json", inter_observer_study(meshes, fixations, cfg))
-    write("bias.json", bias_study(meshes, fixations, cfg))
-    write("saccade.json", saccade_study(fixations))
-    vdd = direction_dependence_study(meshes, fixations, cfg)
+    write("inter_observer.json",
+          _evaluation.inter_observer_study(meshes, fixations, cfg))
+    write("bias.json", _evaluation.bias_study(meshes, fixations, cfg))
+    write("saccade.json", _evaluation.saccade_study(fixations))
+    vdd = _evaluation.direction_dependence_study(meshes, fixations, cfg)
     write("direction_dependence.json", vdd)
-    write_csv(os.path.join(args.out, "direction_dependence.csv"),
-              ["mesh", "correlation", "abs_correlation"],
-              [(m, repr(r["correlation"]), repr(r["abs_correlation"]))
-               for m, r in vdd["per_mesh"].items() if "correlation" in r])
+    _io.write_csv(os.path.join(args.out, "direction_dependence.csv"),
+                  ["mesh", "correlation", "abs_correlation"],
+                  [(m, repr(r["correlation"]), repr(r["abs_correlation"]))
+                   for m, r in vdd["per_mesh"].items() if "correlation" in r])
 
     if not args.recordings:
         write("left_preference.json",
@@ -375,11 +390,11 @@ def cmd_analyze(args) -> int:
     for name in sorted(os.listdir(args.recordings)):
         if name.endswith(".csv"):
             try:
-                recordings[name] = load_recording(
+                recordings[name] = _gaze.load_recording(
                     os.path.join(args.recordings, name), cfg.screen_half_extent)
-            except GazeError as exc:
+            except _gaze.GazeError as exc:
                 problems[name] = exc
-    report, undecided = left_preference_study(recordings, cfg)
+    report, undecided = _evaluation.left_preference_study(recordings, cfg)
     problems.update(undecided)
     for name in sorted(problems):
         _warn(f"left-preference: {name}: {problems[name]}")
@@ -463,7 +478,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (MeshgazeError, OSError) as exc:
+    except (_config.MeshgazeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -71,7 +71,8 @@ class Mesh:
             raise MeshError(f"scale must be positive and finite, got {scale!r}")
         if not np.isfinite(translate).all():
             raise MeshError(f"translate must be finite, got {translate.tolist()}")
-        v = self.vertices * float(scale) + translate
+        with np.errstate(over="ignore", invalid="ignore"):  # Mesh rejects inf
+            v = self.vertices * float(scale) + translate
         return Mesh(v, self.triangles.copy())
 
 

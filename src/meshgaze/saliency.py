@@ -173,11 +173,14 @@ def bias_weight(positions, center, sigma_c: float = 0.2,
     visible-set centroid.  The default exponent uses the unsquared
     distance over 2 sigma^2, as printed in the defining equation; squared
     selects the conventional Gaussian form."""
-    if not sigma_c > 0:
-        raise SaliencyError("sigma_c must be positive")
+    two_var = 2.0 * sigma_c * sigma_c    # 0 or subnormal: d / 2 sigma^2 overflows
+    if not (sigma_c > 0 and two_var >= np.finfo(np.float64).tiny):
+        raise SaliencyError("sigma_c must be positive, with 2 sigma_c^2 a "
+                            f"normal float, got {sigma_c!r}")
     d = np.linalg.norm(np.asarray(positions, dtype=np.float64) - center, axis=1)
     expo = d ** 2 if squared else d
-    return np.exp(-expo / (2.0 * sigma_c * sigma_c))
+    with np.errstate(over="ignore"):            # far from the centroid: C = 0
+        return np.exp(-expo / two_var)
 
 
 @dataclass

@@ -983,6 +983,34 @@ end_header
 """
 
 
+@pytest.mark.parametrize("setting, named", [
+    ("sigma_c=1e-160", "sigma_c must be positive, with 2 sigma_c^2 a normal "
+                       "float, got 1e-160"),
+    ("sigma_c=1e-308", "got 1e-308"),
+    ("mesh_scale=1e308", "non-finite vertex coordinate"),
+])
+def test_extreme_finite_setting_is_one_error_under_warning_errors(
+        pipeline, tmp_path, setting, named):
+    """A finite setting that overflows inside numpy ends in one `error:`
+    line in a process run with -W error::RuntimeWarning, so no numpy
+    warning is raised on the way: sigma_c=1e-160 used to warn `overflow
+    encountered in divide` and exit 0 with an all-zero map, 1e-308 to warn
+    `divide by zero`, and mesh_scale=1e308 to warn `overflow encountered
+    in multiply` before its error."""
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "meshgaze.cli",
+         "saliency", "--mesh", str(pipeline["mesh_path"]), "--pose",
+         "0,1.6,-1.5,0,0,0", "--out", str(out), "--set", setting],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert named in proc.stderr
+    assert not out.exists() or not os.listdir(out)
+
+
 def assert_one_error_line(capsys):
     """stderr holds exactly one line, an `error:` one; returns it."""
     err = capsys.readouterr().err
@@ -1116,6 +1144,33 @@ def test_tracer_finds_every_target():
     assert out == ["[]"]
 
 
+def test_traced_saliency_records_its_kernel_spans(pipeline, tmp_path):
+    """A traced verb process (launch.py --spans) wraps the kernels of modules
+    that meshgaze.cli only registered: the tracer's lookups run them, so a
+    traced `saliency` records the map, FPFH, uniqueness and visibility
+    spans with their work counts."""
+    perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
+    spans = tmp_path / "spans.json"
+    subprocess.run([sys.executable, os.path.join(perfbench, "launch.py"),
+                    "--spans", str(spans), "saliency", "--mesh",
+                    str(pipeline["mesh_path"]), "--pose", "0,1.6,-1.5,0,0,0",
+                    "--out", str(tmp_path / "sal")],
+                   check=True, capture_output=True, timeout=120)
+    record = read_json(spans)
+    assert record["unmeasured"] == []
+    counts = {}
+    for name, start, end, parent, count in record["spans"]:
+        assert end >= start
+        counts.setdefault(name, []).append(count)
+    assert counts["saliency.map"] == [None]
+    [vis] = counts["visibility.visible"]
+    [fpfh] = counts["saliency.fpfh"]
+    [uniq] = counts["saliency.uniqueness"]
+    assert vis["triangles"] == len(pipeline["mesh"].triangles)
+    assert 0 < vis["visible"] == fpfh["points"]
+    assert uniq == {"cells": vis["visible"] ** 2, "subsampled": 0}
+
+
 def test_tracer_counts_the_rays_and_hits_of_trace_samples(pipeline):
     """perfbench's gaze.rays and gaze.hit_frac count trace_samples' pairs,
     one per sample and a record for each hit; a change to the pairs' shape
@@ -1236,6 +1291,83 @@ def test_synth_leaves_numpy_ma_unloaded(pipeline, tmp_path):
             (pipeline["rec"] / name).read_bytes()
 
 
+# The meshgaze modules each process runs: meshgaze.cli registers its
+# submodules lazily, so a verb compiles and runs only what it calls.
+SETUP_MODULES = ["bvh", "cli", "config", "io", "mesh"]
+VERB_MODULES = {
+    "synth": ["gaze", "synth"],
+    "process": ["fixation", "gaze"],
+    "fdm": ["fdm", "fixation", "gaze", "visibility"],
+    "fdm_by_pose": ["fdm", "fixation", "gaze", "visibility"],
+    "saliency": ["fdm", "gaze", "saliency", "visibility"],
+    "baseline": ["fdm", "gaze", "saliency", "visibility"],
+    "evaluate": ["evaluation", "fdm", "fixation", "gaze", "visibility"],
+    "analyze": ["evaluation", "fdm", "fixation", "gaze", "visibility"],
+}
+RAN = ("import sys, types\n"
+       "print(' '.join(sorted(name[len('meshgaze.'):] for name, module\n"
+       "                      in sys.modules.items()\n"
+       "                      if name.startswith('meshgaze.')\n"
+       "                      and type(module) is types.ModuleType)))\n")
+
+
+def test_setup_probe_runs_only_the_mesh_modules(pipeline):
+    """What every verb pays first -- import meshgaze.cli, load a mesh, build
+    its normals and BVH -- runs cli, config, io, mesh and bvh; a module
+    merely registered is still a LazyLoader module, not a ModuleType.  A
+    registered module is an attribute of the package, as after an import."""
+    out = python("import meshgaze.cli\n" + RAN + "import meshgaze.mesh\n"
+                 "mesh = meshgaze.mesh.load_mesh("
+                 f"{str(pipeline['mesh_path'])!r})\n"
+                 "mesh.normals, mesh.bvh\n" + RAN)
+    assert out == ["cli", " ".join(SETUP_MODULES)]
+    # a module imported before meshgaze.cli is kept, not replaced and run again
+    assert python("import meshgaze.mesh as first, meshgaze.cli\n"
+                  "print(meshgaze.cli._mesh is first is meshgaze.mesh)\n") \
+        == ["True"]
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_MODULES))
+def test_verb_runs_only_the_modules_it_uses(pipeline, tmp_path, verb):
+    """Each verb of the quick-start pipeline runs the set-up modules plus
+    exactly the ones it calls into, and writes the same bytes as the
+    in-process run of the shared pipeline where both made a file."""
+    mesh, out = str(pipeline["mesh_path"]), str(tmp_path / "out")
+    if verb == "analyze":
+        mesh_dir = tmp_path / "meshes"
+        mesh_dir.mkdir()
+        shutil.copy(pipeline["mesh_path"], mesh_dir / "ball.ply")
+        shutil.copytree(pipeline["fix"], tmp_path / "fix" / "ball")
+    argv = {
+        "synth": ["synth", "--scenario", str(pipeline["scenario"]), "--mesh",
+                  mesh, "--out", out],
+        "process": ["process", "--mesh", mesh, "--recordings",
+                    str(pipeline["rec"]), "--out", out],
+        "fdm": ["fdm", "--mesh", mesh, "--fixations", str(pipeline["fix"]),
+                "--out", out],
+        "fdm_by_pose": ["fdm", "--mesh", mesh, "--fixations",
+                        str(pipeline["fix"]), "--out", out, "--by-pose"],
+        "saliency": ["saliency", "--mesh", mesh, "--pose", "0,1.6,-1.5,0,0,0",
+                     "--out", out],
+        "baseline": ["baseline", "--mesh", mesh, "--out", out + "/curvature"],
+        "evaluate": ["evaluate", "--ground-truth", str(pipeline["gt"]),
+                     "--predictions", str(pipeline["gt"]), "--out",
+                     out + "/report.json"],
+        "analyze": ["analyze", "--mesh-dir", str(tmp_path / "meshes"),
+                    "--fixations", str(tmp_path / "fix"), "--recordings",
+                    str(pipeline["rec"]), "--out", out],
+    }[verb]
+    ran = python("from meshgaze.cli import main\n"
+                 f"assert main({argv!r}) == 0\n" + RAN)
+    assert ran == [" ".join(sorted(SETUP_MODULES + VERB_MODULES[verb]))]
+    made = {"synth": "rec", "process": "fix", "fdm": "fdm",
+            "fdm_by_pose": "gt"}.get(verb)
+    if made is not None:
+        for name in sorted(os.listdir(out)):
+            assert (tmp_path / "out" / name).read_bytes() == \
+                (pipeline[made] / name).read_bytes(), name
+
+
 def _require_openblas_thread_count():
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("threads are counted in /proc/self/task, which only Linux has")
@@ -1260,24 +1392,47 @@ def test_cli_import_restores_caller_blas_env():
 def test_cli_import_freezes_its_objects_and_restores_gc(tmp_path):
     """Importing meshgaze.cli runs with the cyclic GC off, moves what it
     made to the GC's permanent generation, and leaves the GC on or off as
-    the caller had it, also when one of its imports raises."""
+    the caller had it, also when one of its imports raises (here numpy,
+    shadowed on PYTHONPATH by a package that raises)."""
     code = ("import gc\n{}\nfrozen = gc.get_freeze_count()\n"
             "import meshgaze.cli\n"
             "print(frozen, gc.isenabled(), gc.get_freeze_count() > 0)\n")
     assert python(code.format("")) == ["0 True True"]
     assert python(code.format("gc.disable()")) == ["0 False True"]
 
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text(
+        "raise RuntimeError('numpy is broken')\n")
+    broken = ("import gc\n{}\ntry:\n    import meshgaze.cli\n"
+              "except RuntimeError as exc:\n    print(exc, gc.isenabled())\n")
+    path = os.pathsep.join([str(tmp_path), SRC])
+    assert python(broken.format(""), PYTHONPATH=path) == [
+        "numpy is broken True"]
+    assert python(broken.format("gc.disable()"), PYTHONPATH=path) == [
+        "numpy is broken False"]
+
+
+def test_cli_runs_a_submodule_only_when_a_verb_uses_it(pipeline, tmp_path):
+    """meshgaze.cli registers its submodules without running them: with a
+    synth.py that raises, the import and `baseline` succeed, and `synth`
+    raises that module's error when it first uses it."""
     shutil.copytree(os.path.join(SRC, "meshgaze"), tmp_path / "meshgaze",
                     ignore=shutil.ignore_patterns("__pycache__"))
     synth = tmp_path / "meshgaze" / "synth.py"
     synth.write_text(synth.read_text()
                      + "raise RuntimeError('synth is broken')\n")
-    broken = ("import gc\n{}\ntry:\n    import meshgaze.cli\n"
-              "except RuntimeError as exc:\n    print(exc, gc.isenabled())\n")
-    assert python(broken.format(""), PYTHONPATH=str(tmp_path)) == [
-        "synth is broken True"]
-    assert python(broken.format("gc.disable()"), PYTHONPATH=str(tmp_path)) == [
-        "synth is broken False"]
+    base = ["baseline", "--mesh", str(pipeline["mesh_path"]), "--out",
+            str(tmp_path / "base" / "curvature")]
+    recs = ["synth", "--scenario", str(pipeline["scenario"]), "--mesh",
+            str(pipeline["mesh_path"]), "--out", str(tmp_path / "rec")]
+    out = python("from meshgaze.cli import main\n"
+                 f"print(main({base!r}))\n"
+                 f"try:\n    main({recs!r})\n"
+                 "except RuntimeError as exc:\n    print(exc)\n",
+                 PYTHONPATH=str(tmp_path))
+    assert out == ["0", "synth is broken"]
+    assert (tmp_path / "base" / "curvature.csv").exists()
+    assert not (tmp_path / "rec").exists()
 
 
 def test_package_import_leaves_numpy_unloaded():

@@ -237,6 +237,34 @@ def test_bias_weight_rejects_bad_sigma():
         bias_weight(np.zeros((1, 3)), np.zeros(3), sigma_c=0.0)
 
 
+@pytest.mark.parametrize("sigma_c", [-0.2, float("nan"), 1e-160, 1e-308,
+                                     1.05e-154])
+def test_bias_weight_rejects_sigma_whose_variance_is_not_normal(sigma_c):
+    """A non-positive sigma_c, or one so small that 2 sigma_c^2 is 0 or
+    subnormal, is an error naming sigma_c: 1e-160 used to overflow the
+    division and 1e-308 to divide by zero, a NaN at the centroid."""
+    with pytest.raises(SaliencyError, match="sigma_c must be positive, "
+                       "with 2 sigma_c\\^2 a normal float"):
+        bias_weight(np.eye(3), np.zeros(3), sigma_c=sigma_c)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("squared", [False, True])
+def test_bias_weight_far_vertex_is_zero_without_warning(squared):
+    """With 2 sigma_c^2 just above the smallest normal float, a vertex far
+    from the centroid gets C = 0 and the one on it C = 1, with no overflow
+    warning; for a sigma that never overflows, the values are the printed
+    formula's, bit for bit."""
+    pos = np.array([[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0], [10.0, 0.0, 0.0]])
+    c = bias_weight(pos, np.zeros(3), sigma_c=1.1e-154, squared=squared)
+    assert c.tolist() == [1.0, 0.0, 0.0]
+    d = np.linalg.norm(pos, axis=1)
+    for sigma_c in (1e-3, 0.2, 3.0, 1e150, 1e300):
+        expo = d ** 2 if squared else d
+        assert bias_weight(pos, np.zeros(3), sigma_c, squared).tobytes() == \
+            np.exp(-expo / (2.0 * sigma_c * sigma_c)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # full map
 
