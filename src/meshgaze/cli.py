@@ -64,6 +64,19 @@ def _lazy(name: str):
     fullname = f"{__package__}.{name}"
     if fullname not in sys.modules:
         spec = importlib.util.find_spec(fullname)
+        def exec_module(module, run=spec.loader.exec_module):
+            try:
+                run(module)
+            except BaseException as err:    # dropped, as a failed import is
+                def unusable(attr, cause=err):
+                    raise ImportError(f"{fullname} raised on first use") from cause
+                sys.modules.pop(fullname, None)
+                vars(sys.modules[__package__]).pop(name, None)
+                for key in [k for k in vars(module) if k[:2] != "__"]:
+                    del vars(module)[key]              # no half-run names
+                module.__getattr__ = unusable
+                raise
+        spec.loader.exec_module = exec_module
         spec.loader = importlib.util.LazyLoader(spec.loader)
         sys.modules[fullname] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[fullname])

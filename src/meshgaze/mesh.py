@@ -111,7 +111,7 @@ def bounding_box_diagonal(mesh_or_vertices) -> float:
 
 _MAX_CELLS = 1 << 20         # grid cells per axis, so cell keys fit int64
 _SOURCE_BLOCK = 1 << 14      # points whose neighbor cells are looked up at once
-_PAIR_CHUNK = 1 << 20        # candidate pairs tested at once
+_PAIR_CHUNK = 1 << 17        # candidate pairs tested at once
 
 
 def radius_pairs(points, r: float) -> np.ndarray:

@@ -24,7 +24,8 @@ from .visibility import ViewPose, VisibleSet, pose_hash, visible_points
 N_BINS = 11
 N_FEATURES = 3
 DESCRIPTOR_SIZE = N_BINS * N_FEATURES  # 33
-_PRODUCT_CELLS = 2.0e7        # cells of one descriptor product in uniqueness
+_PRODUCT_CELLS = 1 << 19      # about the cells of one descriptor product
+_PRODUCT_ROWS = 384           # a multiple of every x86-64 DGEMM row tile
 _BLOCK_CELLS = 1 << 16        # cells per elementwise pass over the product
 
 
@@ -137,16 +138,17 @@ def uniqueness(positions, descriptors, exact_limit: int = 5000,
     sqrt_cols = sqrt_all[cols]
     pos_cols = positions[cols]
 
-    # One BLAS product per chunk of rows, always cut at the same rows: the
-    # product's last bits depend on the operand shapes.  The elementwise
-    # passes run on cache-sized row blocks of it, in place.
+    # BLAS products cut at multiples of _PRODUCT_ROWS rows, none shorter, give
+    # the bytes of one uncut product: an empirical rule that the tests hold.
+    # The elementwise passes run on cache-sized row blocks of each, in place.
     acc = np.zeros(n)
-    chunk = min(n, max(1, int(_PRODUCT_CELLS // len(cols))))
+    step = _PRODUCT_ROWS * max(1, _PRODUCT_CELLS // _PRODUCT_ROWS // len(cols))
+    starts = range(0, max(1, n - _PRODUCT_ROWS + 1), step)
+    chunk = min(n, max(step, n - starts[-1]))
     rows = min(chunk, max(1, _BLOCK_CELLS // len(cols)))
     buf = np.empty((chunk, len(cols)))
     d, t = np.empty((rows, len(cols))), np.empty((rows, len(cols)))
-    for s in range(0, n, chunk):
-        e = min(n, s + chunk)
+    for s, e in zip(starts, [*starts[1:], n]):
         np.matmul(sqrt_all[s:e], sqrt_cols.T, out=buf[:e - s])  # (chunk, |cols|)
         for a in range(s, e, rows):
             b = min(e, a + rows)

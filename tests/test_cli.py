@@ -1435,6 +1435,33 @@ def test_cli_runs_a_submodule_only_when_a_verb_uses_it(pipeline, tmp_path):
     assert not (tmp_path / "rec").exists()
 
 
+def test_cli_submodule_whose_first_run_raised_stays_unusable(pipeline,
+                                                            tmp_path):
+    """A submodule whose first run raised leaves sys.modules and the package,
+    as after a failed import, and every later use of it fails too: `synth`
+    raises ImportError from the first error, never returns or writes."""
+    shutil.copytree(os.path.join(SRC, "meshgaze"), tmp_path / "meshgaze",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    synth = tmp_path / "meshgaze" / "synth.py"
+    synth.write_text(synth.read_text()
+                     + "raise RuntimeError('synth is broken')\n")
+    recs = ["synth", "--scenario", str(pipeline["scenario"]), "--mesh",
+            str(pipeline["mesh_path"]), "--out", str(tmp_path / "rec")]
+    out = python("import sys, meshgaze\n"
+                 "from meshgaze.cli import main\n"
+                 "for _ in range(3):\n"
+                 f"    try:\n        print(main({recs!r}))\n"
+                 "    except Exception as exc:\n"
+                 "        print(type(exc).__name__, exc, '|', exc.__cause__)\n"
+                 "print('meshgaze.synth' in sys.modules, "
+                 "'synth' in vars(meshgaze))\n",
+                 PYTHONPATH=str(tmp_path))
+    again = "ImportError meshgaze.synth raised on first use | synth is broken"
+    assert out == ["RuntimeError synth is broken | None", again, again,
+                   "False False"]
+    assert not (tmp_path / "rec").exists()
+
+
 def test_package_import_leaves_numpy_unloaded():
     """`import meshgaze` resolves its names on first use: it loads no numpy
     and leaves the BLAS thread count to the caller."""

@@ -13,8 +13,8 @@ from meshgaze.config import RunConfig
 from meshgaze import mesh as mesh_module
 from meshgaze.mesh import Mesh, bounding_box_diagonal
 from meshgaze.primitives import bumpy_sphere, plane_grid
-from meshgaze.saliency import (_BLOCK_CELLS, _PRODUCT_CELLS, DESCRIPTOR_SIZE,
-                               SaliencyError,
+from meshgaze.saliency import (_BLOCK_CELLS, _PRODUCT_CELLS, _PRODUCT_ROWS,
+                               DESCRIPTOR_SIZE, SaliencyError,
                                _gaussian_averages, baseline_curvature_saliency,
                                bias_weight, compute_fpfh, mean_curvature,
                                saliency_map, uniqueness)
@@ -79,26 +79,60 @@ def test_fpfh_and_uniqueness_bytes_match_oracles(case):
         assert np.array_equal(u, want_u)
 
 
-@pytest.mark.parametrize("n, kw", [
-    (4600, {}),
-    (9000, {"exact_limit": 5000, "sample_size": 2300, "seed": 7}),
-], ids=["exact", "subsampled"])
-def test_uniqueness_across_product_chunks_matches_oracle(n, kw):
-    """Two BLAS product chunks, each cut into row blocks whose last one is
-    short: the same bytes as the oracle, which takes each chunk's product in
-    one piece."""
-    cols = kw.get("sample_size", n)
-    chunk = int(_PRODUCT_CELLS // cols)
-    assert chunk < n < 2 * chunk and chunk % (_BLOCK_CELLS // cols)
+def _product_step(cols):
+    """Rows of each of uniqueness' BLAS products but the last."""
+    return _PRODUCT_ROWS * max(1, _PRODUCT_CELLS // _PRODUCT_ROWS // cols)
+
+
+def _chunk_test_set(n):
     rng = np.random.default_rng(n)
     pos = rng.normal(size=(n, 3))
     pos[::97] = pos[0]                                   # coincident points
     desc = rng.random((n, DESCRIPTOR_SIZE)) ** 4
     desc[::5] = desc[1]                                  # identical descriptors
     desc /= desc.sum(axis=1, keepdims=True)
+    return pos, desc
+
+
+@pytest.mark.parametrize("n, kw", [
+    (4600, {}),
+    (9000, {"exact_limit": 5000, "sample_size": 2300, "seed": 7}),
+], ids=["exact", "subsampled"])
+def test_uniqueness_across_product_chunks_matches_oracle(n, kw):
+    """At least two BLAS product chunks, each cut into row blocks whose last
+    one is short: the same bytes as the oracle, which takes each chunk's
+    product in one piece."""
+    cols = kw.get("sample_size", n)
+    step = _product_step(cols)
+    assert step + _PRODUCT_ROWS <= n and step % (_BLOCK_CELLS // cols)
+    pos, desc = _chunk_test_set(n)
     u, subsampled = uniqueness(pos, desc, **kw)
     want_u, want_sub = uniqueness_oracle(pos, desc, rows=256, **kw)
     assert subsampled == want_sub == bool(kw)
+    assert np.array_equal(u, want_u)
+
+
+@pytest.mark.parametrize("n, cols, last", [
+    (1536, None, 384), (1537, None, 385), (1919, None, 767),
+    (41087, 13, 767), (80645, 13, 40325),                # just past a cut
+    (8832, 61, 384), (8833, 61, 385), (16913, 61, 8465),
+    (1536, 777, 384), (2601, 1000, 681),                 # the views grid
+    (1153, 1000, 385), (2687, 2300, 767), (2688, 2300, 384),
+    (5759, 4999, 767), (5377, 5000, 385),
+])
+def test_uniqueness_cut_products_keep_their_bytes(n, cols, last):
+    """Products cut at multiples of _PRODUCT_ROWS rows, the last one `last`
+    rows long and never shorter than _PRODUCT_ROWS: the same bytes as the
+    oracle's few large products, whatever the column count."""
+    kw = {} if cols is None else {"exact_limit": cols, "sample_size": cols,
+                                  "seed": 5}
+    step = _product_step(cols or n)
+    assert last >= _PRODUCT_ROWS and n > last and (n - last) % step == 0
+    assert last < step + _PRODUCT_ROWS
+    pos, desc = _chunk_test_set(n)
+    u, subsampled = uniqueness(pos, desc, **kw)
+    want_u, want_sub = uniqueness_oracle(pos, desc, rows=256, **kw)
+    assert subsampled == want_sub == (cols is not None)
     assert np.array_equal(u, want_u)
 
 
@@ -382,7 +416,7 @@ def test_gaussian_averages_match_per_vertex_oracle(which, bumpy, spike_pack):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(kappa).max()
 
 
-@pytest.mark.parametrize("chunk", [1 << 20, 20000, 1])
+@pytest.mark.parametrize("chunk", [1 << 20, 1 << 17, 20000, 1])
 def test_gaussian_averages_in_blocks_match_whole_pair_list(chunk, bumpy,
                                                            spike_pack,
                                                            monkeypatch):
@@ -446,3 +480,49 @@ def test_baseline_memory_envelope():
         "from meshgaze.saliency import baseline_curvature_saliency\n"
         "baseline_curvature_saliency(bumpy_sphere(5, seed=3))\n")
     assert peak < 110.0
+
+
+def _uniqueness_code(n):
+    return ("import numpy as np\n"
+            "from meshgaze.saliency import uniqueness\n"
+            "rng = np.random.default_rng(0)\n"
+            f"desc = rng.random(({n}, 33))\n"
+            "desc /= desc.sum(axis=1, keepdims=True)\n"
+            f"uniqueness(rng.normal(size=({n}, 3)), desc)\n")
+
+
+@pytest.mark.parametrize("n, budget", [(3841, 60.0), (15311, 90.0)],
+                         ids=["exact", "subsampled"])
+def test_uniqueness_products_of_a_few_mb(n, budget):
+    """Products of about 2^19 cells: 50 MB exact on 3,841 points and 74 MB
+    at 15,311 rows against 5,000 sampled columns, where products of up to
+    2e7 cells took 152 and 200 MB."""
+    assert peak_rss_mb(_uniqueness_code(n)) < budget
+
+
+def test_baseline_pair_blocks_of_a_few_mb():
+    """Radius pairs in blocks of about 2^17 candidates: 54 MB on
+    bumpy_sphere(5), where blocks of 2^20 took 101 MB."""
+    peak = peak_rss_mb(
+        "from meshgaze.primitives import bumpy_sphere\n"
+        "from meshgaze.saliency import baseline_curvature_saliency\n"
+        "baseline_curvature_saliency(bumpy_sphere(5, seed=3))\n")
+    assert peak < 65.0
+
+
+def test_subsampled_saliency_map_memory_envelope():
+    """The views grid: saliency_map on all 2,601 vertices of plane_grid(50,
+    50) seen from above, uniqueness against 1,000 sampled columns.  49 MB;
+    its one 2,601 x 1,000 product took 64 MB."""
+    pose = facing_pose((0.05, 2.5, -0.03), (0.05, 1.5, -0.03))
+    peak = peak_rss_mb(
+        "from meshgaze.config import RunConfig\n"
+        "from meshgaze.primitives import plane_grid\n"
+        "from meshgaze.saliency import saliency_map\n"
+        "from meshgaze.visibility import ViewPose\n"
+        f"pose = ViewPose(p={pose.p.tolist()!r}, o_deg={pose.o_deg.tolist()!r})\n"
+        "cfg = RunConfig(uniqueness_exact_limit=2000,\n"
+        "                uniqueness_sample_size=1000)\n"
+        "smap = saliency_map(plane_grid(50, 50), pose, cfg)\n"
+        "assert smap.visible == 2601 and smap.subsampled\n")
+    assert peak < 60.0
