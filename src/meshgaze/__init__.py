@@ -29,8 +29,8 @@ _EXPORTS = {
     "fdm": ("FdmError", "build_ground_truth", "plcc", "splat_fdm"),
     "saliency": ("SaliencyError", "SaliencyMap", "baseline_curvature_saliency",
                  "compute_fpfh", "saliency_map", "uniqueness"),
-    "evaluation": ("EvaluationError", "inter_observer_test", "metric_cc",
-                   "metric_kl", "metric_se", "weighted_eval"),
+    "evaluation": ("EvaluationError", "evaluate_views", "inter_observer_test",
+                   "metric_cc", "metric_kl", "metric_se", "weighted_eval"),
     "synth": ("ScenarioError", "SyntheticScenario", "generate_recording"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

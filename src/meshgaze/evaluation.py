@@ -11,6 +11,7 @@ movement preference.
 """
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .config import MeshgazeError
 from .fdm import FdmError, bucket_views, plcc, pose_groups, splat_fdm
 from .fixation import median, saccade_amplitudes
 from .gaze import head_orientations, rowdot
+from .io import read_text
 
 
 class EvaluationError(MeshgazeError):
@@ -110,6 +112,48 @@ def weighted_eval(scores, metric: str) -> float:
         raise EvaluationError("visit weights must be >= 1")
     vals = np.asarray([getattr(s, key) for s in scores], dtype=np.float64)
     return float(np.dot(a, vals) / a.sum())
+
+
+def evaluate_views(views, cfg) -> dict:
+    """The paper's 6DoF evaluation: each view's CC, SE and KL on its
+    visible domain, then their aggregates E weighted by visitor count.
+
+    views yields (pose_id, g, r, domain or None, a_w); cfg gives
+    se_variant and eps_kl_floor.  Returns {"views": {pose_id: {"cc", "se",
+    "kl", "A_w"}}, "aggregate": {"E_cc", "E_se", "E_kl"}}.  A view that
+    cannot be scored, or a pose id given twice, raises naming the pose id.
+    """
+    scores, per_view = [], {}
+    for pid, g, r, domain, a_w in views:
+        if pid in per_view:
+            raise EvaluationError(f"view {pid!r}: pose id given twice")
+        try:
+            cc = metric_cc(g, r, domain)
+            se = metric_se(g, r, domain, cfg.se_variant)
+            kl = metric_kl(g, r, domain, cfg.eps_kl_floor)
+        except EvaluationError as exc:
+            raise EvaluationError(f"view {pid!r}: {exc}") from exc
+        scores.append(ViewScore(pose_id=pid, cc=cc, se=se, kl=kl, a_w=a_w))
+        per_view[pid] = {"cc": cc, "se": se, "kl": kl, "A_w": a_w}
+    return {"views": per_view,
+            "aggregate": {f"E_{m}": weighted_eval(scores, m)
+                          for m in ("cc", "se", "kl")}}
+
+
+def load_weights(path) -> dict:
+    """Per-view visit weights A_w: a JSON object of integers >= 1."""
+    try:
+        weights = json.loads(read_text(path, "weights file", EvaluationError))
+    except ValueError as exc:
+        raise EvaluationError(f"weights file {path!r}: {exc}") from exc
+    if not isinstance(weights, dict):
+        raise EvaluationError(f"weights file {path!r}: not a JSON object")
+    for pid, w in weights.items():
+        if type(w) is not int or w < 1:      # bool and float are rejected
+            raise EvaluationError(
+                f"weights file {path!r}: weight of {pid!r} must be an "
+                f"integer >= 1, got {w!r}")
+    return weights
 
 
 def _stirling_tail(z):

@@ -155,6 +155,14 @@ def save_map_csv(path, values) -> None:
     write_csv(path, ["vertex_id", "value"], ((i, repr(v)) for i, v in enumerate(values)))
 
 
+def save_saliency_csv(path, s, u, c) -> None:
+    """A diagnostic export, vertex_id,S,U,C; load_map_csv reads S back."""
+    # .tolist() yields Python floats; numpy scalars repr as np.float64(..)
+    cols = [np.asarray(v, dtype=np.float64).tolist() for v in (s, u, c)]
+    write_csv(path, ["vertex_id", "S", "U", "C"],
+              ((i, *map(repr, row)) for i, row in enumerate(zip(*cols))))
+
+
 def load_map_csv(path) -> np.ndarray:
     """Per-vertex values of a map CSV: plain (vertex_id,value) maps and
     diagnostic exports (vertex_id,S,U,C), whose value is column 1."""

@@ -186,11 +186,20 @@ def _dwell_samples(scenario: SyntheticScenario, n: int) -> int:
     return max(1, int(round(min(scenario.dwell_s * scenario.rate_hz, n))))
 
 
+def target_positions(scenario: SyntheticScenario, mesh: Mesh) -> np.ndarray:
+    """The planted targets' vertex positions; an id outside the mesh raises."""
+    for t in scenario.targets:
+        if not 0 <= int(t) < len(mesh.vertices):
+            raise ScenarioError(f"target vertex {t} out of range")
+    return mesh.vertices[[int(t) for t in scenario.targets]]
+
+
 def generate_recording(scenario: SyntheticScenario, mesh: Mesh, cfg,
                        subject: int = 0) -> Recording:
     """One subject's recording; deterministic in (scenario, cfg, subject)."""
     center = np.asarray(cfg.scene_center(), dtype=np.float64)
     scenario.validate(center)
+    targets = target_positions(scenario, mesh)
     n = int(round(scenario.duration_s * scenario.rate_hz))
     dt = 1.0 / scenario.rate_hz
     dy = scenario.height - center[1]
@@ -200,7 +209,6 @@ def generate_recording(scenario: SyntheticScenario, mesh: Mesh, cfg,
     start = math.radians(scenario.start_angle_deg + 7.0 * subject)
     span = math.radians(scenario.span_deg)
 
-    targets = mesh.vertices[[int(t) for t in scenario.targets]]
     per_dwell = _dwell_samples(scenario, n)
 
     rng = np.random.default_rng(scenario.seed * 100003 + subject)
@@ -240,7 +248,7 @@ def check_targets_reachable(scenario: SyntheticScenario, mesh: Mesh, cfg,
     visible along the trajectory.
     """
     tol = 2.0 * cfg.cluster_interval
-    targets = mesh.vertices[np.asarray(scenario.targets, dtype=np.int64)]
+    targets = target_positions(scenario, mesh)
     p, o_deg = recording.p, recording.o
     aimed = (np.arange(len(recording))
              // _dwell_samples(scenario, len(recording)) % len(targets))

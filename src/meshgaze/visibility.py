@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ANGLE, MAX_COORD, POSITIVE, MeshgazeError, check_fields, within
 from .gaze import rotation_matrix
-from .io import read_vertex_csv, write_csv
+from .io import read_text, read_vertex_csv, write_csv
 from .mesh import Mesh, bounding_box_diagonal
 
 
@@ -119,7 +119,26 @@ def visible_points(mesh: Mesh, pose: ViewPose,
 
 
 # ---------------------------------------------------------------------------
-# visibility files
+# pose and visibility files
+
+def parse_pose(text: str, camera: CameraModel) -> ViewPose:
+    """One pose written as six numbers px,py,pz,ox,oy,oz (commas or blanks)."""
+    try:
+        vals = [float(p) for p in text.replace(",", " ").split()]
+    except ValueError:
+        vals = []
+    if len(vals) != 6:
+        raise VisibilityError(f"pose must have 6 numbers, got {text!r}")
+    return ViewPose(p=np.array(vals[:3]), o_deg=np.array(vals[3:]),
+                    camera=camera)
+
+
+def load_poses(path, camera: CameraModel) -> list[ViewPose]:
+    """A poses file: one pose per line; blank and '#' lines are skipped."""
+    text = read_text(path, "poses file", VisibilityError)
+    return [parse_pose(line, camera) for line in text.split("\n")
+            if line.strip() and not line.startswith("#")]
+
 
 def save_visibility(path, vs: VisibleSet) -> None:
     write_csv(path, ["vertex_id", "visible"],

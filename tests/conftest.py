@@ -410,7 +410,7 @@ def uniqueness_oracle(positions, descriptors, exact_limit=5000,
     positions = np.asarray(positions, dtype=np.float64)
     descriptors = np.asarray(descriptors, dtype=np.float64)
     n = len(positions)
-    subsampled = n > exact_limit
+    subsampled = n > exact_limit and n > sample_size
     if subsampled:
         rng = np.random.default_rng(seed)
         cols = np.sort(rng.choice(n, size=sample_size, replace=False))

@@ -24,7 +24,7 @@ from meshgaze import __version__
 from meshgaze.cli import main
 from meshgaze.config import RunConfig
 from meshgaze.evaluation import (ViewScore, bias_study,
-                                 direction_dependence_study,
+                                 direction_dependence_study, evaluate_views,
                                  inter_observer_study, left_preference_study,
                                  metric_cc, metric_kl, metric_se,
                                  saccade_study, weighted_eval)
@@ -494,6 +494,17 @@ def test_evaluate_weights_domain_and_formats(tmp_path):
         assert report["aggregate"][f"E_{metric}"] == pytest.approx(expect,
                                                                    abs=1e-12)
 
+    # the library call on the same arrays writes the report's body, and its
+    # aggregate is sum(A_w * score) / sum(A_w) written out by hand
+    body = evaluate_views([("m1", g1, r1, mask1, 3), ("m2", g2, r2, None, 2)],
+                          RunConfig())
+    assert body == {"views": report["views"], "aggregate": report["aggregate"]}
+    for metric in ("cc", "se", "kl"):
+        a, x = [3, 2], [getattr(score, metric) for score in scores]
+        expect = (a[0] * x[0] + a[1] * x[1]) / (a[0] + a[1])
+        assert body["aggregate"][f"E_{metric}"] == pytest.approx(expect,
+                                                                 abs=1e-12)
+
 
 def test_evaluate_missing_prediction_fails(pipeline, tmp_path, capsys):
     preds = tmp_path / "preds"
@@ -744,6 +755,23 @@ def test_readme_library_snippet_runs(pipeline, tmp_path, monkeypatch, capsys):
                  "duration", "weight"):
         assert np.array_equal(getattr(scope["fixations"], name),
                               getattr(fixations, name)), name
+
+
+def test_readme_evaluate_views_snippet_runs(capsys):
+    """The README's evaluate_views snippet prints the visitor-weighted CC:
+    (3 * the front view's CC on its seen vertices + 1 * 1) / 4."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    snippet, = [s for s in re.findall(r"```python\n(.*?)```", readme, re.S)
+                if "evaluate_views" in s]
+    scope = {}
+    exec(compile(snippet, "README.md", "exec"), scope)
+    dg, dr = (x - x.mean() for x in (scope["g"][scope["seen"]],
+                                      scope["r"][scope["seen"]]))
+    cc_front = np.sum(dg * dr) / np.sqrt(np.sum(dg * dg) * np.sum(dr * dr))
+    assert float(capsys.readouterr().out) == pytest.approx(
+        (3 * cc_front + 1 * 1.0) / 4, abs=1e-12)
 
 
 def test_analyze_without_recordings_skips_preference(pipeline, tmp_path):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from conftest import vdd_oracle
 
+from meshgaze.config import RunConfig
 from meshgaze.evaluation import (LEFT, NONE, RIGHT, EvaluationError,
                                  ViewScore, _t_two_sided_p, bias_distance,
-                                 initial_move_direction, inter_observer_test,
-                                 metric_cc, metric_kl, metric_se,
-                                 viewing_direction_dependence, weighted_eval)
+                                 evaluate_views, initial_move_direction,
+                                 inter_observer_test, metric_cc, metric_kl,
+                                 metric_se, viewing_direction_dependence,
+                                 weighted_eval)
 from meshgaze.gaze import Recording
 
 
@@ -135,6 +137,18 @@ def test_weighted_eval_errors():
         weighted_eval(_scores([1], [0.5]), "auc")
     with pytest.raises(EvaluationError):
         weighted_eval(_scores([0], [0.5]), "cc")
+
+
+def test_evaluate_views_names_the_view_it_cannot_score():
+    """A view whose metrics raise is named, in front of the metric's own
+    message (a flat ground truth has no correlation), and so is a pose id
+    given twice, which the report could hold only once."""
+    g = np.array([0.0, 1.0, 3.0])
+    views = [("a", g, g, None, 1), ("b", np.ones(3), g, None, 2)]
+    with pytest.raises(EvaluationError, match=r"^view 'b': .*variance"):
+        evaluate_views(views, RunConfig())
+    with pytest.raises(EvaluationError, match=r"^view 'a': pose id given twice$"):
+        evaluate_views([views[0], views[0]], RunConfig())
 
 
 # ---------------------------------------------------------------------------

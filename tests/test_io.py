@@ -16,15 +16,16 @@ from conftest import (load_fixations_oracle, load_obj_oracle,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshgaze.cli import _read_poses, _read_weights
 from meshgaze.config import MeshgazeError, load_config
+from meshgaze.evaluation import load_weights
 from meshgaze.fdm import FdmError, load_map_csv
 from meshgaze.fixation import load_fixations
 from meshgaze.gaze import load_recording
 from meshgaze.io import read_csv, write_csv
 from meshgaze.mesh import load_mesh
 from meshgaze.synth import load_scenario
-from meshgaze.visibility import CameraModel, VisibilityError, load_visibility
+from meshgaze.visibility import (CameraModel, VisibilityError, load_poses,
+                                 load_visibility)
 
 
 def load_checked_scenario(path):
@@ -32,9 +33,9 @@ def load_checked_scenario(path):
     load_scenario(path).validate((0.0, 1.5, 0.0))
 
 
-def load_poses(path):
-    """A saliency --poses file, parsed as the CLI parses it."""
-    return _read_poses(path, CameraModel())
+def load_default_poses(path):
+    """A saliency --poses file under the default camera."""
+    return load_poses(path, CameraModel())
 
 
 # file name -> (loader, a valid file the mutations start from)
@@ -60,8 +61,8 @@ LOADERS = {
                   b'"noise_deg": 0.5, "subjects": 2, "seed": 4}'),
     "run.cfg": (load_config, b"# run\nivt_h = 0.02\nseed=3\nse_variant=minmax\n"
                 b"bias_squared_distance=true\nrw_max_iter=10\n"),
-    "weights.json": (_read_weights, b'{"3f2a9c1e0b7d": 4, "a1": 1}'),
-    "poses.txt": (load_poses,
+    "weights.json": (load_weights, b'{"3f2a9c1e0b7d": 4, "a1": 1}'),
+    "poses.txt": (load_default_poses,
                   b"# p, o\n0 1.6 -1.5 0 0 0\n\n0.2,1.5,-1.4, 10,-5,0\n"),
 }
 

@@ -72,10 +72,13 @@ def test_fpfh_and_uniqueness_bytes_match_oracles(case):
     assert np.array_equal(flags, want_flags)
     assert flags.mean() < 0.01 and flags[-1] == (case == 2)
     n = len(pos)
-    for kw in ({}, {"exact_limit": n // 2, "sample_size": n // 3, "seed": 4}):
+    # exact, subsampled, and exact because the sample would outnumber the points
+    for kw, sub in (({}, False),
+                    ({"exact_limit": n // 2, "sample_size": n // 3, "seed": 4}, True),
+                    ({"exact_limit": n // 2, "sample_size": 2 * n, "seed": 4}, False)):
         u, subsampled = uniqueness(pos, desc, **kw)
         want_u, want_sub = uniqueness_oracle(pos, desc, **kw)
-        assert subsampled == want_sub == bool(kw)
+        assert subsampled == want_sub == sub
         assert np.array_equal(u, want_u)
 
 
@@ -458,30 +461,6 @@ def test_baseline_scale_invariance(spike_pack):
 # memory envelopes: peak RSS of a fresh interpreter running one kernel
 # (about 43 MB of it is the interpreter, numpy and the inputs)
 
-def test_uniqueness_memory_envelope():
-    """15,311 rows against 5,000 sampled columns: one 2e7-cell product (160
-    MB) and block-sized temporaries.  Three product-sized temporaries took
-    656 MB."""
-    peak = peak_rss_mb(
-        "import numpy as np\n"
-        "from meshgaze.saliency import uniqueness\n"
-        "rng = np.random.default_rng(0)\n"
-        "desc = rng.random((15311, 33))\n"
-        "desc /= desc.sum(axis=1, keepdims=True)\n"
-        "uniqueness(rng.normal(size=(15311, 3)), desc)\n")
-    assert peak < 215.0
-
-
-def test_baseline_memory_envelope():
-    """The curvature baseline on the 10,242 vertices of bumpy_sphere(5):
-    radius pairs a block at a time.  All 1.8M pairs at once took 151 MB."""
-    peak = peak_rss_mb(
-        "from meshgaze.primitives import bumpy_sphere\n"
-        "from meshgaze.saliency import baseline_curvature_saliency\n"
-        "baseline_curvature_saliency(bumpy_sphere(5, seed=3))\n")
-    assert peak < 110.0
-
-
 def _uniqueness_code(n):
     return ("import numpy as np\n"
             "from meshgaze.saliency import uniqueness\n"
@@ -496,13 +475,15 @@ def _uniqueness_code(n):
 def test_uniqueness_products_of_a_few_mb(n, budget):
     """Products of about 2^19 cells: 50 MB exact on 3,841 points and 74 MB
     at 15,311 rows against 5,000 sampled columns, where products of up to
-    2e7 cells took 152 and 200 MB."""
+    2e7 cells took 152 and 200 MB.  Before that, three temporaries the size
+    of one 2e7-cell product took 656 MB at 15,311 rows."""
     assert peak_rss_mb(_uniqueness_code(n)) < budget
 
 
 def test_baseline_pair_blocks_of_a_few_mb():
     """Radius pairs in blocks of about 2^17 candidates: 54 MB on
-    bumpy_sphere(5), where blocks of 2^20 took 101 MB."""
+    bumpy_sphere(5), where blocks of 2^20 took 101 MB and all 1.8M pairs
+    at once 151 MB."""
     peak = peak_rss_mb(
         "from meshgaze.primitives import bumpy_sphere\n"
         "from meshgaze.saliency import baseline_curvature_saliency\n"

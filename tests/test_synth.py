@@ -234,6 +234,21 @@ def test_check_targets_reachable(sphere3, cfg):
         check_targets_reachable(sc_bad, sphere3, cfg, recording_bad)
 
 
+@pytest.mark.parametrize("past_end", [False, True], ids=["minus_one", "n"])
+def test_target_ids_outside_the_mesh_raise(sphere3, cfg, past_end):
+    """Both library calls reject a target id outside 0..n-1: -1 would aim
+    at the last vertex, and n would end in a bare IndexError."""
+    good = pick_visible_targets(sphere3, (0.0, 1.6, -1.5), 1)
+    recording = generate_recording(make_scenario(good), sphere3, cfg)
+    t = len(sphere3.vertices) if past_end else -1
+    sc = make_scenario([good[0], t])
+    message = f"^target vertex {t} out of range$"
+    with pytest.raises(ScenarioError, match=message):
+        generate_recording(sc, sphere3, cfg)
+    with pytest.raises(ScenarioError, match=message):
+        check_targets_reachable(sc, sphere3, cfg, recording)
+
+
 # ---------------------------------------------------------------------------
 # whole-recording synthesis against the per-sample loop
 
