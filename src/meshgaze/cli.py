@@ -270,11 +270,11 @@ def cmd_synth(args, cfg) -> int:
     scenario = _synth.load_scenario(args.scenario)
     mesh = _mesh_from_cfg(args.mesh, cfg)
     targets = _synth.target_positions(scenario, mesh)
-    os.makedirs(args.out, exist_ok=True)
     for subject in range(scenario.subjects):
         recording = _synth.generate_recording(scenario, mesh, cfg, subject)
-        if subject == 0:
+        if subject == 0:        # --out is made once the scenario is known good
             _synth.check_targets_reachable(scenario, mesh, cfg, recording)
+            os.makedirs(args.out, exist_ok=True)
         _gaze.save_recording(os.path.join(args.out, f"s{subject:02d}.csv"),
                              recording)
     _sidecar(os.path.join(args.out, "targets.json"), mesh_id=scenario.mesh_id,

@@ -7,6 +7,7 @@ typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import get_type_hints
@@ -77,6 +78,21 @@ def check_fields(obj, error) -> None:
         for test, message in filter(None, checks):
             if not test(value):
                 raise error(message.format(name=f.name, value=value))
+
+
+def raise_first(checks, stop=None) -> None:
+    """Raise make(i) for the lowest row i that fails one of checks, a list
+    of (mask over rows, make) pairs in the order a row is checked, taking
+    the first failing check; with no failing row, raise stop if given.
+    The masks are or-ed with broadcasting, so a length-1 mask beside masks
+    over no rows fails no row.  Only the raised error is made, so a good
+    input formats no message."""
+    failing = functools.reduce(np.logical_or, (m for m, _ in checks), np.False_)
+    if failing.any():
+        i = int(np.argmax(failing))
+        raise next(make(i) for mask, make in checks if mask[i])
+    if stop is not None:
+        raise stop
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import MAX_COORD, MeshgazeError
+from .config import MAX_COORD, MeshgazeError, raise_first
 from .gaze import rowdot
 from .io import read_csv, write_csv
 
@@ -269,7 +269,7 @@ def load_fixations(path) -> Fixations:
     """One fixation CSV as a table.  Rows are checked for their field count,
     that the fields parse (integers within 64 bits), are finite, that no
     point or head coordinate passes MAX_COORD and that the weight is >= 1;
-    the first failing row's first failing check is the error."""
+    raise_first picks the error."""
     rows = read_csv(path, "fixation file", FixationError)
     if not rows or rows[0] != FIXATION_HEADER:
         raise FixationError(f"fixation file {path!r}: bad or missing header")
@@ -292,19 +292,13 @@ def load_fixations(path) -> Fixations:
         parsed.append(vals)
     vals = np.array(parsed, dtype=np.float64).reshape(-1, 10)
     cluster, weight = np.array(ints, dtype=np.int64).reshape(-1, 2).T
-    nonfinite = ~np.isfinite(vals).all(axis=1)
-    far = (np.abs(vals[:, :6]) > MAX_COORD).any(axis=1)
-    bad = nonfinite | far | (weight < 1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if nonfinite[i]:
-            raise FixationError(f"fixation file {path!r}: row {i}: non-finite value")
-        if far[i]:
-            raise FixationError(f"fixation file {path!r}: row {i}: coordinate "
-                                f"beyond +-{MAX_COORD:g}")
-        raise FixationError(f"fixation file {path!r}: row {i}: weight must be >= 1")
-    if stop is not None:
-        raise stop
+    raise_first([
+        (~np.isfinite(vals).all(axis=1), lambda i: FixationError(
+            f"fixation file {path!r}: row {i}: non-finite value")),
+        ((np.abs(vals[:, :6]) > MAX_COORD).any(axis=1), lambda i: FixationError(
+            f"fixation file {path!r}: row {i}: coordinate beyond +-{MAX_COORD:g}")),
+        (weight < 1, lambda i: FixationError(
+            f"fixation file {path!r}: row {i}: weight must be >= 1"))], stop)
     return Fixations(recording=ids, cluster=cluster, position=vals[:, 0:3],
                      pose_p=vals[:, 3:6], pose_o=vals[:, 6:9],
                      duration=vals[:, 9], weight=weight)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_COORD, MeshgazeError
+from .config import MAX_COORD, MeshgazeError, raise_first
 from .io import read_csv, write_csv
 from .mesh import Mesh
 
@@ -208,9 +208,9 @@ def load_recording(path, screen_half_extent: float = 0.15) -> Recording:
 
     Each row is checked for its field count, then that every field parses,
     is finite, that no head coordinate exceeds MAX_COORD in magnitude,
-    that t increases and that the eye offset fits the screen;
-    the first failing row's first failing check is the error.  The rows
-    are parsed into one (n, 9) array and the table's columns view it.
+    that t increases and that the eye offset fits the screen; raise_first
+    picks the error.  The rows are parsed into one (n, 9) array and the
+    table's columns view it.
     """
     rows = read_csv(path, "recording", GazeError)
     if not rows or [c.strip() for c in rows[0]] != RECORDING_HEADER:
@@ -227,26 +227,16 @@ def load_recording(path, screen_half_extent: float = 0.15) -> Recording:
             break
     vals = np.array(parsed, dtype=np.float64).reshape(-1, 9)
     t, s = vals[:, 0], vals[:, 7:9]
-    nonfinite = ~np.isfinite(vals).all(axis=1)
-    far = (np.abs(vals[:, 1:4]) > MAX_COORD).any(axis=1)
-    backwards = np.r_[False, t[1:] <= t[:-1]]
-    wide = (np.abs(s) > screen_half_extent).any(axis=1)
-    bad = nonfinite | far | backwards | wide
-    if bad.any():
-        i = int(np.argmax(bad))
-        if nonfinite[i]:
-            raise GazeError(f"recording {path!r}: row {i}: non-finite value")
-        if far[i]:
-            raise GazeError(f"recording {path!r}: row {i}: coordinate beyond "
-                            f"+-{MAX_COORD:g}")
-        if backwards[i]:
-            raise GazeError(
-                f"recording {path!r}: timestamps not strictly increasing at row {i}")
-        raise GazeError(
+    raise_first([
+        (~np.isfinite(vals).all(axis=1), lambda i: GazeError(
+            f"recording {path!r}: row {i}: non-finite value")),
+        ((np.abs(vals[:, 1:4]) > MAX_COORD).any(axis=1), lambda i: GazeError(
+            f"recording {path!r}: row {i}: coordinate beyond +-{MAX_COORD:g}")),
+        (np.r_[False, t[1:] <= t[:-1]], lambda i: GazeError(
+            f"recording {path!r}: timestamps not strictly increasing at row {i}")),
+        ((np.abs(s) > screen_half_extent).any(axis=1), lambda i: GazeError(
             f"recording {path!r}: row {i}: eye offset exceeds screen half-extent "
-            f"{screen_half_extent}")
-    if stop is not None:
-        raise stop
+            f"{screen_half_extent}"))], stop)
     if not len(vals):
         raise GazeError(f"recording {path!r}: no samples")
     return Recording(t=t, p=vals[:, 1:4], o=vals[:, 4:7], s=s)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import (AT_LEAST_1, COORD, MAX_COORD, NON_NEGATIVE, POSITIVE,
-                     MeshgazeError, _is_int, check_fields, within)
+                     MeshgazeError, _is_int, check_fields, raise_first, within)
 from .gaze import (GazeError, Recording, cast_hits, head_orientations,
                    rowdot, screen_frames, screen_point, sightlines)
 from .io import read_text
@@ -151,20 +151,14 @@ def inverse_gaze_offsets(p, o_vec, target, d_screen: float):
             along, degenerate)
 
 
-def _raise_unaimable(o_vec, along, degenerate) -> None:
-    """Raise the aiming error of the first row that has one, checked in the
-    chain's order: a non-finite facing, then a target behind the screen
-    plane, then a degenerate screen frame."""
-    facing = np.isnan(o_vec[:, 0])
-    behind = along <= 0
-    failed = facing | behind | degenerate
-    if failed.any():
-        k = int(np.argmax(failed))
-        if facing[k]:
-            raise GazeError("non-finite Euler angles")
-        if behind[k]:
-            raise ScenarioError("target behind the screen plane")
-        raise GazeError(_DEGENERATE)
+def _raise_unaimable(o_vec, along, degenerate, *more) -> None:
+    """raise_first over the aiming checks, in the chain's order: a non-finite
+    facing, then a target behind the screen plane, then a degenerate screen
+    frame; then the checks in more."""
+    raise_first([
+        (np.isnan(o_vec[:, 0]), lambda k: GazeError("non-finite Euler angles")),
+        (along <= 0, lambda k: ScenarioError("target behind the screen plane")),
+        (degenerate, lambda k: GazeError(_DEGENERATE)), *more])
 
 
 def _ar1_noise(rng, n: int, std: float, phi: float) -> np.ndarray:
@@ -227,15 +221,11 @@ def generate_recording(scenario: SyntheticScenario, mesh: Mesh, cfg,
     o_vec = head_orientations(o_deg)
     s, along, degenerate = inverse_gaze_offsets(p, o_vec, target, cfg.d_screen)
     s = s + np.stack([noise_x, noise_y], axis=1)
-    wide = np.abs(s).max(axis=1) > cfg.screen_half_extent
-    # the lowest failing sample raises, with the per-sample loop's message:
-    # the first unaimable one, unless an offset beyond the screen comes first
-    k = int(np.argmax(wide)) if wide.any() else n - 1
-    _raise_unaimable(o_vec[:k + 1], along[:k + 1], degenerate[:k + 1])
-    if wide[k]:
-        raise ScenarioError(
+    # the lowest failing sample raises, with the per-sample loop's message
+    _raise_unaimable(o_vec, along, degenerate, (
+        np.abs(s).max(axis=1) > cfg.screen_half_extent, lambda k: ScenarioError(
             f"sample {k}: eye offset {s[k]} exceeds the screen half-extent; "
-            "bring targets nearer the view center or widen the screen")
+            "bring targets nearer the view center or widen the screen")))
     return Recording(t=idx * dt, p=p, o=o_deg, s=s)
 
 

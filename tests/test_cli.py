@@ -987,7 +987,28 @@ def test_setting_out_of_its_domain_is_one_error(pipeline, tmp_path, capsys,
         argv += ["--set", setting]
     assert run(*argv) == 1
     assert named in assert_one_error_line(capsys)
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius, setting, named", [
+    (0.01, None, "orbit radius must exceed the height offset"),
+    (None, "d_screen=1e308", "exceeds the screen half-extent"),
+], ids=["radius", "d_screen"])
+def test_synth_rejected_scenario_makes_no_out(pipeline, tmp_path, capsys,
+                                              radius, setting, named):
+    """A scenario that generate_recording rejects ends in one `error:` line
+    and leaves no --out behind; both used to leave an empty directory."""
+    scenario, out = pipeline["scenario"], tmp_path / "out"
+    if radius is not None:
+        raw = json.loads(scenario.read_text())
+        raw["radius"] = radius
+        scenario = tmp_path / "near.json"
+        scenario.write_text(json.dumps(raw))
+    argv = ["synth", "--scenario", scenario, "--mesh", pipeline["mesh_path"],
+            "--out", out] + (["--set", setting] if setting else [])
+    assert run(*argv) == 1
+    assert named in assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 TETRA_PLY = """\

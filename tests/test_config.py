@@ -10,12 +10,16 @@ import os
 import pkgutil
 import re
 
+import numpy as np
 import pytest
 from conftest import serialize_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meshgaze
 from meshgaze.config import (ConfigError, MeshgazeError, RunConfig,
-                             apply_overrides, load_config, parse_config)
+                             apply_overrides, load_config, parse_config,
+                             raise_first)
 from meshgaze.io import write_text
 from meshgaze.synth import (ScenarioError, SyntheticScenario,
                             scenario_from_json)
@@ -226,3 +230,40 @@ def test_every_error_class_derives_from_meshgaze_error():
                    and obj.__module__ == module.__name__]
     assert len(errors) == 10                 # the base and nine errors
     assert all(issubclass(e, MeshgazeError) for e in errors)
+
+
+class _Failed(Exception):
+    """The error of check j at row i, with args (i, j)."""
+
+
+@st.composite
+def _masks(draw):
+    """k boolean masks over n rows, n = 0 included.  Over 0 rows every mask
+    after the first may have length 1, as load_recording's timestamp mask
+    has on a header-only file; the first carries the row count."""
+    n = draw(st.integers(0, 12))
+    k = draw(st.integers(0, 4))
+    lengths = [1 if n == 0 and j and draw(st.booleans()) else n
+               for j in range(k)]
+    return n, [np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)),
+                        dtype=bool) for m in lengths]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_masks(), st.booleans())
+def test_raise_first_matches_the_row_loop(case, with_stop):
+    """raise_first raises what a loop over rows, then over checks, raises
+    first; with no failing row it raises stop, or returns without one."""
+    n, masks = case
+    stop = KeyError("stop") if with_stop else None
+    want = next(((i, j) for i in range(n) for j, mask in enumerate(masks)
+                 if mask[i]), None)
+    checks = [(mask, lambda i, j=j: _Failed(i, j)) for j, mask in enumerate(masks)]
+    try:
+        raise_first(checks, stop)
+    except _Failed as err:
+        assert err.args == want
+    except KeyError as err:
+        assert want is None and err is stop
+    else:
+        assert want is None and stop is None
