@@ -120,8 +120,7 @@ def cmd_process(args, cfg) -> int:
     rec_files = _listing(args.recordings, stem=True)
     if not rec_files:
         raise _gaze.GazeError(f"no recordings found in {args.recordings!r}")
-    os.makedirs(args.out, exist_ok=True)
-    summary = {}
+    extracted, summary = {}, {}
     for rec_id, path in rec_files.items():
         recording = _gaze.load_recording(path, cfg.screen_half_extent)
         traced = _gaze.trace_samples(recording, mesh, cfg.d_screen)
@@ -133,9 +132,11 @@ def cmd_process(args, cfg) -> int:
             warnings.append("no fixations detected")
         for w in warnings:
             _warn(f"{rec_id}: {w}")
-        _fixation.save_fixations(os.path.join(args.out, f"{rec_id}.csv"), fixations)
         stats["warnings"] = warnings
-        summary[rec_id] = stats
+        extracted[rec_id], summary[rec_id] = fixations, stats
+    os.makedirs(args.out, exist_ok=True)    # once every recording is known good
+    for rec_id, fixations in extracted.items():
+        _fixation.save_fixations(os.path.join(args.out, f"{rec_id}.csv"), fixations)
     _sidecar(os.path.join(args.out, "summary.json"),
              mesh=os.path.basename(args.mesh), recordings=summary,
              total_fixations=sum(s["fixations"] for s in summary.values()))

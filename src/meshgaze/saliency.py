@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MeshgazeError
-from .mesh import (Mesh, bounding_box_diagonal, radius_pair_blocks,
-                   radius_pairs)
+from .mesh import Mesh, bounding_box_diagonal, radius_pair_blocks
 from .visibility import ViewPose, VisibleSet, pose_hash, visible_points
 
 N_BINS = 11
@@ -26,7 +25,8 @@ N_FEATURES = 3
 DESCRIPTOR_SIZE = N_BINS * N_FEATURES  # 33
 _PRODUCT_CELLS = 1 << 19      # about the cells of one descriptor product
 _PRODUCT_ROWS = 384           # a multiple of every x86-64 DGEMM row tile
-_BLOCK_CELLS = 1 << 16        # cells per elementwise pass over the product
+_BLOCK_CELLS = 1 << 15        # cells per elementwise pass over the product
+_FEATURE_PAIRS = 1 << 13      # pairs whose features are binned at once
 
 
 class SaliencyError(MeshgazeError):
@@ -73,7 +73,9 @@ def compute_fpfh(positions, normals, r: float):
     Simplified histograms (SPFH) are built per point over neighbors within
     r, then blended: FPFH(p) = SPFH(p) + (1/k) sum_q SPFH(q) / |p - q|,
     renormalized to sum 1.  Points with no neighbors in r get the uniform
-    descriptor and a True flag.  Sums run in radius_pairs order.
+    descriptor and a True flag.  Sums run in radius_pairs order.  Features
+    are binned _FEATURE_PAIRS pairs at a time; the counts are integers, so
+    the blocks add up exactly.
 
     Returns (descriptors (n, 33), flags (n,)).
     """
@@ -82,31 +84,47 @@ def compute_fpfh(positions, normals, r: float):
     positions = np.asarray(positions, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
     n = len(positions)
-    i, j = radius_pairs(positions, r)
-    dist = np.linalg.norm(positions[j] - positions[i], axis=1)
-    i, j, dist = (x[dist > 0] for x in (i, j, dist))
+    blocks = []
+    for _, _, (i, j) in radius_pair_blocks(positions, r):
+        dist = np.linalg.norm(positions[j] - positions[i], axis=1)
+        keep = dist > 0
+        blocks.append((i[keep], j[keep], dist[keep]))
+    i, j, dist = (np.concatenate(x) for x in zip(*blocks))
+    del blocks
     k = np.bincount(i, minlength=n)
     flags, per = k == 0, np.maximum(k, 1)[:, None]
 
-    alpha, phi, theta = _pair_features_batch(
-        positions[i], normals[i], positions[j], normals[j])
-    slot = i[:, None] * DESCRIPTOR_SIZE + np.arange(0, DESCRIPTOR_SIZE, N_BINS)
-    for col, (feat, lo, hi) in enumerate(((alpha, -1.0, 1.0), (phi, -1.0, 1.0),
-                                          (theta, -np.pi, np.pi))):
-        idx = np.floor((feat - lo) / (hi - lo) * N_BINS).astype(np.int64)
-        slot[:, col] += np.clip(idx, 0, N_BINS - 1)
-    spfh = np.bincount(slot.ravel(), minlength=n * DESCRIPTOR_SIZE)
-    spfh = spfh.reshape(n, DESCRIPTOR_SIZE) / (N_FEATURES * per)
+    spfh = np.zeros((n, DESCRIPTOR_SIZE))
+    counts = spfh.reshape(-1)
+    for a in range(0, len(i), _FEATURE_PAIRS):
+        ib, jb = i[a:a + _FEATURE_PAIRS], j[a:a + _FEATURE_PAIRS]
+        feats = _pair_features_batch(positions[ib], normals[ib],
+                                     positions[jb], normals[jb])
+        # the block's sources run from ib[0] to ib[-1]: count from there
+        slot = (ib - ib[0])[:, None] * DESCRIPTOR_SIZE + np.arange(
+            0, DESCRIPTOR_SIZE, N_BINS)
+        for col, (feat, lo, hi) in enumerate(zip(feats, (-1.0, -1.0, -np.pi),
+                                                 (1.0, 1.0, np.pi))):
+            idx = np.floor((feat - lo) / (hi - lo) * N_BINS).astype(np.int64)
+            slot[:, col] += np.clip(idx, 0, N_BINS - 1)
+        add = np.bincount(slot.ravel())
+        base = ib[0] * DESCRIPTOR_SIZE
+        counts[base:base + len(add)] += add
+    spfh /= N_FEATURES * per
 
-    near, first = np.zeros_like(spfh), np.cumsum(k) - k
+    # out = spfh + near / per, in place, near summed in rank order
+    out, first = np.zeros_like(spfh), np.cumsum(k) - k
     for rank in range(k.max(initial=0)):    # every point's rank-th neighbor
         at = first[k > rank] + rank
-        near[i[at]] += spfh[j[at]] / dist[at, None]
-    blended = spfh + near / per
-    total = blended.sum(axis=1)
+        term = spfh[j[at]]
+        term /= dist[at, None]
+        out[i[at]] += term
+    out /= per
+    out += spfh
+    total = out.sum(axis=1)
     ok = ~flags & (total > 0)
-    out = np.full((n, DESCRIPTOR_SIZE), 1.0 / DESCRIPTOR_SIZE)
-    out[ok] = blended[ok] / total[ok, None]
+    out[ok] /= total[ok, None]
+    out[~ok] = 1.0 / DESCRIPTOR_SIZE
     return out, flags
 
 

@@ -9,7 +9,6 @@ a fraction of the mesh's bounding-box diagonal.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,11 @@ from .config import ANGLE, MAX_COORD, POSITIVE, MeshgazeError, check_fields, wit
 from .gaze import rotation_matrix
 from .io import read_text, read_vertex_csv, write_csv
 from .mesh import Mesh, bounding_box_diagonal
+
+try:        # the builtin module: hashlib would map OpenSSL's libcrypto
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 
 class VisibilityError(MeshgazeError):
@@ -73,7 +77,7 @@ def pose_hash(pose: ViewPose) -> str:
     # "1080" and "1200" are the retired raster size, kept so pose ids stay put
     parts += [f"{cam.hfov_deg:.6f}", f"{cam.vfov_deg:.6f}",
               "1080", "1200", f"{cam.near:.6f}"]
-    return hashlib.sha1("|".join(parts).encode()).hexdigest()[:12]
+    return sha1("|".join(parts).encode()).hexdigest()[:12]
 
 
 def visible_points(mesh: Mesh, pose: ViewPose,

@@ -273,6 +273,26 @@ def test_process_rejects_a_head_position_beyond_the_bound(pipeline, tmp_path,
     assert "row 1: coordinate beyond +-1e+09" in assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("good, bad", [("a", "b"), ("b", "a")],
+                         ids=["bad-later", "bad-first"])
+def test_process_bad_recording_makes_no_out(pipeline, tmp_path, capsys,
+                                            good, bad):
+    """A bad recording, after a good one or before it, ends in one `error:`
+    line and leaves no --out behind; the good one's fixation CSV used to be
+    left there with no summary.json, and a bad first one an empty --out."""
+    rec = tmp_path / "rec"
+    rec.mkdir()
+    shutil.copy(pipeline["rec"] / "s00.csv", rec / f"{good}.csv")
+    (rec / f"{bad}.csv").write_text("t,px,py,pz,ox,oy,oz,sx,sy\n"
+                               "0.0,0.0,1.6,-1.5,0.0,0.0,0.0,0.0,0.0\n"
+                               "0.1,0.0,1.6,-1.5,0.0,0.0,0.0,0.9,0.0\n")
+    out = tmp_path / "fix"
+    assert run("process", "--mesh", pipeline["mesh_path"], "--recordings", rec,
+               "--out", out) == 1
+    assert "row 1: eye offset exceeds" in assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_process_empty_recordings_dir_fails(pipeline, tmp_path, capsys):
     empty = tmp_path / "rec"
     empty.mkdir()
@@ -1353,6 +1373,10 @@ VERB_MODULES = {
     "evaluate": ["evaluation", "fdm", "fixation", "gaze", "visibility"],
     "analyze": ["evaluation", "fdm", "fixation", "gaze", "visibility"],
 }
+# The verbs that load OpenSSL's libcrypto (about 3 MB and 3 ms) through
+# hashlib: numpy.random imports it through secrets.  Pose ids hash with
+# the interpreter's builtin _sha1, so loading visibility does not.
+OPENSSL_VERBS = {"synth"}
 RAN = ("import sys, types\n"
        "print(' '.join(sorted(name[len('meshgaze.'):] for name, module\n"
        "                      in sys.modules.items()\n"
@@ -1379,8 +1403,9 @@ def test_setup_probe_runs_only_the_mesh_modules(pipeline):
 @pytest.mark.parametrize("verb", sorted(VERB_MODULES))
 def test_verb_runs_only_the_modules_it_uses(pipeline, tmp_path, verb):
     """Each verb of the quick-start pipeline runs the set-up modules plus
-    exactly the ones it calls into, and writes the same bytes as the
-    in-process run of the shared pipeline where both made a file."""
+    exactly the ones it calls into, loads OpenSSL only if it draws random
+    numbers (saliency takes the exact path here), and writes the same bytes
+    as the in-process run of the shared pipeline where both made a file."""
     mesh, out = str(pipeline["mesh_path"]), str(tmp_path / "out")
     if verb == "analyze":
         mesh_dir = tmp_path / "meshes"
@@ -1407,8 +1432,10 @@ def test_verb_runs_only_the_modules_it_uses(pipeline, tmp_path, verb):
                     str(pipeline["rec"]), "--out", out],
     }[verb]
     ran = python("from meshgaze.cli import main\n"
-                 f"assert main({argv!r}) == 0\n" + RAN)
-    assert ran == [" ".join(sorted(SETUP_MODULES + VERB_MODULES[verb]))]
+                 f"assert main({argv!r}) == 0\n" + RAN
+                 + "print('_hashlib' in sys.modules)\n")
+    assert ran == [" ".join(sorted(SETUP_MODULES + VERB_MODULES[verb])),
+                   str(verb in OPENSSL_VERBS)]
     made = {"synth": "rec", "process": "fix", "fdm": "fdm",
             "fdm_by_pose": "gt"}.get(verb)
     if made is not None:

@@ -2,11 +2,14 @@
 the analytic rule on convex meshes."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import (convex_oracle, facing_pose, intersect_brute,
                       occlusion_oracle, view_candidates)
 
+from meshgaze import visibility as visibility_module
 from meshgaze.mesh import Mesh, bounding_box_diagonal
 from meshgaze.primitives import bumpy_sphere, icosphere
 from meshgaze.visibility import (CameraModel, ViewPose, VisibilityError,
@@ -188,6 +191,19 @@ def test_pose_hash_stability_and_sensitivity():
     assert pose_hash(a) != pose_hash(d)
     # pinned: output file names must not move between versions
     assert pose_hash(a) == "abba5e683fba"
+
+
+def test_pose_hash_builtin_sha1_matches_hashlib(monkeypatch):
+    """Pose ids come from the interpreter's builtin _sha1 where it exists,
+    which loads no OpenSSL; they must equal hashlib.sha1's."""
+    rng = np.random.default_rng(7)
+    poses = [ViewPose(p=rng.normal(size=3), o_deg=rng.uniform(-180, 180, 3),
+                      camera=CameraModel(hfov_deg=h, near=near))
+             for h, near in ((90.0, 0.05), (63.5, 0.01), (120.0, 0.3))]
+    ids = [pose_hash(pose) for pose in poses]
+    monkeypatch.setattr(visibility_module, "sha1", hashlib.sha1)
+    assert [pose_hash(pose) for pose in poses] == ids
+    assert len(set(ids)) == 3
 
 
 def test_visibility_file_roundtrip(tmp_path, sphere2):
