@@ -33,13 +33,13 @@ def _ray_frames(d):
         return kx, ky, kz, d[rows, kx] / dz, d[rows, ky] / dz, 1.0 / dz
 
 
-def _watertight(a, b, c, frame, tmin):
+def _watertight(a, b, c, frame):
     """Watertight test of triangles (a, b, c) given relative to the ray origin.
 
     The frame entries are arrays with one entry per row (one ray per
     row).  Returns (t, bary, valid): t is inf where invalid; bary is (m, 3)
     barycentric weights of the (a, b, c) rows; valid marks real hits with
-    t > tmin.
+    t > 0.
     """
     kx, ky, kz, sx, sy, sz = frame
     rows = np.arange(len(a))
@@ -66,7 +66,7 @@ def _watertight(a, b, c, frame, tmin):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(valid, tnum / det, np.inf)
         bary = np.stack([u / det, v / det, w / det], axis=1)
-    valid &= t > tmin
+    valid &= t > 0.0
     t = np.where(valid, t, np.inf)
     return t, bary, valid
 
@@ -86,8 +86,10 @@ def _median_split(centroids, leaf_size: int):
     after a stable sort of its range by centroid along the axis of widest
     centroid spread (the first such axis), unless it holds at most
     leaf_size triangles or all its centroids coincide.  Nodes are numbered
-    in depth-first preorder (node, left subtree, right subtree).  Returns
-    order and the node arrays left, right (-1 at a leaf), start and end.
+    by depth, left to right within a depth: each depth's nodes are the child
+    pairs of the previous depth's split nodes, in order, so the children of
+    the i-th split node are nodes 1 + 2i and 2 + 2i.  Returns order and the
+    node arrays child (the first child; -1 at a leaf), start and end.
     """
     m = len(centroids)
     order = np.arange(m, dtype=np.int64)
@@ -112,77 +114,54 @@ def _median_split(centroids, leaf_size: int):
         starts = np.stack([s, mid], axis=1).ravel()
         ends = np.stack([mid, e], axis=1).ravel()
 
-    # subtree node counts bottom-up, then preorder ids top-down: a left
-    # child follows its parent, a right child follows the left subtree
-    sizes = [np.ones(len(lv[0]), dtype=np.int64) for lv in levels]
-    for d in range(len(levels) - 2, -1, -1):
-        below = sizes[d + 1].reshape(-1, 2)
-        sizes[d][levels[d][2]] += below.sum(axis=1)
-    ids = [np.zeros(1, dtype=np.int64)]
-    for d in range(1, len(levels)):
-        parent = ids[d - 1][levels[d - 1][2]]
-        left = parent + 1
-        ids.append(np.stack([left, left + sizes[d][0::2]], axis=1).ravel())
-
-    n = int(sizes[0][0])
-    node_left = np.full(n, -1, dtype=np.int64)
-    node_right = np.full(n, -1, dtype=np.int64)
-    node_start = np.empty(n, dtype=np.int64)
-    node_end = np.empty(n, dtype=np.int64)
-    for d, (starts, ends, split) in enumerate(levels):
-        node_start[ids[d]] = starts
-        node_end[ids[d]] = ends
-        if d + 1 < len(levels):
-            children = ids[d + 1].reshape(-1, 2)
-            node_left[ids[d][split]] = children[:, 0]
-            node_right[ids[d][split]] = children[:, 1]
-    return order, node_left, node_right, node_start, node_end
+    start, end, split = (np.concatenate(lv) for lv in zip(*levels))
+    child = np.full(len(start), -1, dtype=np.int64)
+    child[split] = 1 + 2 * np.arange(int(split.sum()))
+    return order, child, start, end
 
 
 class TriangleBVH:
-    """Axis-aligned median-split hierarchy stored as flat arrays."""
+    """Axis-aligned median-split hierarchy stored as flat arrays.
 
-    __slots__ = ("order", "node_lo", "node_hi", "node_left", "node_right",
-                 "node_start", "node_count", "_v0", "_v1", "_v2")
+    Nodes are numbered by depth, left to right within a depth; an inner
+    node's children are node_child and node_child + 1, and node_child is
+    -1 at a leaf.  The tree keeps the caller's vertex and triangle arrays,
+    not copies, and reads its leaf triangles from them, so they must not
+    change after the build.
+    """
+
+    __slots__ = ("order", "node_lo", "node_hi", "node_child", "node_start",
+                 "node_count", "_vertices", "_triangles")
 
     def __init__(self, vertices, triangles, leaf_size: int = 8):
         vertices = np.asarray(vertices, dtype=np.float64)
         triangles = np.asarray(triangles, dtype=np.int64)
-        tv = vertices[triangles]                    # (m, 3, 3)
-        tri_lo = tv.min(axis=1)
-        tri_hi = tv.max(axis=1)
-        centroids = tv.mean(axis=1)
-
-        order, node_left, node_right, node_start, node_end = _median_split(
-            centroids, leaf_size)
+        order, node_child, node_start, node_end = _median_split(
+            vertices[triangles.T].mean(axis=0), leaf_size)    # centroids
+        self._vertices, self._triangles = vertices, triangles
+        tv = vertices[triangles[order].T]           # (3, m, 3) in tree order
         self.order = order
-        self.node_lo = _reduce_ranges(np.minimum, tri_lo[order], node_start,
+        self.node_lo = _reduce_ranges(np.minimum, tv.min(axis=0), node_start,
                                       node_end)
-        self.node_hi = _reduce_ranges(np.maximum, tri_hi[order], node_start,
+        self.node_hi = _reduce_ranges(np.maximum, tv.max(axis=0), node_start,
                                       node_end)
         # padded so slab rounding never prunes a triangle whose hit lies on
         # a box face, as for a ray through a shared vertex
         pad = 1e-9 * (1.0 + float(np.abs(vertices).max()))
         self.node_lo -= pad
         self.node_hi += pad
-        self.node_left = node_left
-        self.node_right = node_right
+        self.node_child = node_child
         self.node_start = node_start
-        self.node_count = np.where(node_left < 0, node_end - node_start, 0)
-        ordered = triangles[order]
-        self._v0 = vertices[ordered[:, 0]]
-        self._v1 = vertices[ordered[:, 1]]
-        self._v2 = vertices[ordered[:, 2]]
+        self.node_count = np.where(node_child < 0, node_end - node_start, 0)
 
-    def intersect_many(self, origins, directions, tmin: float = 0.0,
-                       tmax=np.inf):
+    def intersect_many(self, origins, directions, *, tmax=np.inf):
         """Nearest hits of n rays as (t (n,), tri (n,), bary (n, 3)).
 
         A ray that misses has t = inf, tri = -1 and a NaN bary row.  Each
         hit is the lexicographic minimum (t, triangle id) that an
-        exhaustive scan returns, bit for bit.  Only hits with t < tmax (a
-        scalar or one bound per ray) count, and no node that starts beyond
-        a ray's bound is visited.
+        exhaustive scan returns, bit for bit.  Only hits with 0 < t < tmax
+        (tmax a scalar or one bound per ray) count, and no node that starts
+        beyond a ray's bound is visited.
         """
         origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
         directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
@@ -194,12 +173,12 @@ class TriangleBVH:
         bary = np.full((n, 3), np.nan)
         for s in range(0, n, _RAY_CHUNK):
             e = s + _RAY_CHUNK
-            self._traverse(origins[s:e], directions[s:e], tmin,
-                           t[s:e], tri[s:e], bary[s:e])
+            self._traverse(origins[s:e], directions[s:e], t[s:e], tri[s:e],
+                           bary[s:e])
         t[tri < 0] = np.inf
         return t, tri, bary
 
-    def _traverse(self, origins, directions, tmin, best_t, best_id, best_bary):
+    def _traverse(self, origins, directions, best_t, best_id, best_bary):
         """Wavefront traversal: each step advances every live (ray, node)
         pair; the best-hit arrays (views of the caller's) update in place."""
         safe = np.where(np.abs(directions) < _TINY,
@@ -216,18 +195,15 @@ class TriangleBVH:
             entry = np.minimum(t0, t1).max(axis=1)
             exit_ = np.maximum(t0, t1).min(axis=1)
             # prune only strictly-beyond nodes so exact ties match brute force
-            live = ~((entry > best_t[ray]) | (exit_ < np.maximum(entry, tmin)))
+            live = ~((entry > best_t[ray]) | (exit_ < np.maximum(entry, 0.0)))
             ray, node = ray[live], node[live]
             leaf = self.node_count[node] > 0
-            self._leaf_hits(ray[leaf], node[leaf], origins, frame, tmin,
-                            best_t, best_id, best_bary)
-            inner = node[~leaf]
+            self._leaf_hits(ray[leaf], node[leaf], origins, frame, best_t,
+                            best_id, best_bary)
             ray = np.repeat(ray[~leaf], 2)
-            node = np.stack([self.node_left[inner], self.node_right[inner]],
-                            axis=1).ravel()
+            node = (self.node_child[node[~leaf], None] + (0, 1)).ravel()
 
-    def _leaf_hits(self, ray, node, origins, frame, tmin,
-                   best_t, best_id, best_bary):
+    def _leaf_hits(self, ray, node, origins, frame, best_t, best_id, best_bary):
         """Test leaf (ray, triangle) pairs in bounded blocks; keep per-ray bests."""
         cnt = self.node_count[node]
         first = np.cumsum(cnt) - cnt    # offset of each pair's first triangle
@@ -239,14 +215,12 @@ class TriangleBVH:
             slot = (np.repeat(self.node_start[node[lo:hi]] - first[lo:hi],
                               cnt[lo:hi])
                     + np.arange(first[lo], first[lo] + len(r)))
-            o = origins[r]
-            t, bary, valid = _watertight(
-                self._v0[slot] - o, self._v1[slot] - o, self._v2[slot] - o,
-                [f[r] for f in frame], tmin)
+            ids = self.order[slot]
+            a, b, c = self._vertices[self._triangles[ids].T] - origins[r]
+            t, bary, valid = _watertight(a, b, c, [f[r] for f in frame])
             if not valid.any():
                 continue
-            r, t, bary = r[valid], t[valid], bary[valid]
-            ids = self.order[slot[valid]]
+            r, t, bary, ids = r[valid], t[valid], bary[valid], ids[valid]
             # per-ray lexicographic minimum of (t, id) within the block
             srt = np.lexsort((ids, t, r))
             rs = r[srt]

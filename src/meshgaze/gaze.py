@@ -57,8 +57,9 @@ def rowdot(a, b) -> np.ndarray:
     """Dot product of each row pair of two (n, 3) arrays.
 
     Each row is one BLAS ddot, the sum that np.dot and a 1-D
-    np.linalg.norm form, so the stacked chain keeps the bytes of a
-    one-pose-at-a-time chain; a sum over axis=1 rounds differently.
+    np.linalg.norm form.  The golden hashes pinned in tests/test_golden.py
+    were made with these sums, and a sum over axis=1 rounds differently;
+    ROADMAP item 1 plans to replace the ddot with an elementwise sum.
     """
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
@@ -147,11 +148,10 @@ def sightlines(p, o_deg, s, d_screen: float):
     computed for the whole stack at once.
 
     A pose without a sight-line (a non-finite angle, head facing straight
-    up or down, gaze point at the head) gets a NaN direction row.
+    up or down, gaze point at the head) gets a NaN direction row; a
+    d_screen that is not positive raises GazeError.
     """
     p = _rows(p)
-    if not d_screen > 0:
-        return p, np.full_like(p, np.nan)
     o = head_orientations(o_deg)
     y, degenerate = gaze_points(screen_point(p, o, d_screen), o, s)
     directions, norm = _unit_rows(y - p)
@@ -169,8 +169,8 @@ def cast_hits(mesh: Mesh, origins, directions):
     tri = np.full(n, -1, dtype=np.int64)
     bary = np.full((n, 3), np.nan)
     cast = np.flatnonzero(np.isfinite(directions).all(axis=1))
-    _, tri[cast], bary[cast] = mesh.bvh.intersect_many(
-        origins[cast], directions[cast], 0.0)
+    _, tri[cast], bary[cast] = mesh.bvh.intersect_many(origins[cast],
+                                                       directions[cast])
     hit = tri >= 0
     tv = mesh.vertices[mesh.triangles[tri[hit]]]
     w = bary[hit]

@@ -236,8 +236,10 @@ def _parse_ply(text: str) -> Mesh:
     if not lines or lines[0].strip() != "ply":
         raise MeshError("not a PLY file")
     counts = {}
+    elements: list[str] = []
     vertex_props: list[str] = []
-    in_vertex_element = False
+    vertex_list_at = None       # vertex columns before the first list
+    face_first_list = None      # whether the face's first property is a list
     body_start = None
     ascii_fmt = False
     for i, line in enumerate(lines[1:], start=1):
@@ -248,12 +250,18 @@ def _parse_ply(text: str) -> Mesh:
             if parts[0] == "format":
                 ascii_fmt = len(parts) >= 2 and parts[1] == "ascii"
             elif parts[0] == "element":
-                in_vertex_element = parts[1] == "vertex"
+                elements.append(parts[1])
                 if parts[1] in ("vertex", "face"):
                     counts[parts[1]] = int(parts[2])
             elif parts[0] == "property":
-                if in_vertex_element and parts[1] != "list":
-                    vertex_props.append(parts[-1])
+                is_list = parts[1] == "list"
+                if elements[-1:] == ["vertex"]:
+                    if not is_list:
+                        vertex_props.append(parts[-1])
+                    elif vertex_list_at is None:
+                        vertex_list_at = len(vertex_props)
+                elif elements[-1:] == ["face"] and face_first_list is None:
+                    face_first_list = is_list
             elif parts[0] == "end_header":
                 body_start = i + 1
                 break
@@ -263,6 +271,8 @@ def _parse_ply(text: str) -> Mesh:
         raise MeshError("only ascii PLY is supported")
     if body_start is None or len(counts) < 2:
         raise MeshError("incomplete PLY header")
+    if elements[:2] != ["vertex", "face"]:
+        raise MeshError("PLY elements must begin with vertex, then face")
     n_vertex, n_face = counts["vertex"], counts["face"]
     if min(n_vertex, n_face) < 0:
         raise MeshError("PLY element count is negative")
@@ -270,6 +280,10 @@ def _parse_ply(text: str) -> Mesh:
         ix, iy, iz = (vertex_props.index(k) for k in ("x", "y", "z"))
     except ValueError as exc:
         raise MeshError("PLY vertex element lacks x/y/z properties") from exc
+    if vertex_list_at is not None and max(ix, iy, iz) >= vertex_list_at:
+        raise MeshError("PLY vertex list property precedes x/y/z")
+    if not face_first_list:
+        raise MeshError("PLY face element must start with its index list")
     body = list(filter(str.strip, lines[body_start:]))
     if len(body) < n_vertex + n_face:
         raise MeshError("PLY body shorter than declared element counts")

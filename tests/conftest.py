@@ -157,8 +157,10 @@ def load_ply_oracle(path):
     if not lines or lines[0].strip() != "ply":
         raise MeshError("not a PLY file")
     counts = {}
+    elements: list[str] = []
     vertex_props: list[str] = []
-    in_vertex_element = False
+    vertex_list_at = None       # vertex columns before the first list
+    face_first_list = None      # whether the face's first property is a list
     body_start = None
     ascii_fmt = False
     for i, line in enumerate(lines[1:], start=1):
@@ -169,12 +171,18 @@ def load_ply_oracle(path):
             if parts[0] == "format":
                 ascii_fmt = len(parts) >= 2 and parts[1] == "ascii"
             elif parts[0] == "element":
-                in_vertex_element = parts[1] == "vertex"
+                elements.append(parts[1])
                 if parts[1] in ("vertex", "face"):
                     counts[parts[1]] = int(parts[2])
             elif parts[0] == "property":
-                if in_vertex_element and parts[1] != "list":
-                    vertex_props.append(parts[-1])
+                is_list = parts[1] == "list"
+                if elements[-1:] == ["vertex"]:
+                    if not is_list:
+                        vertex_props.append(parts[-1])
+                    elif vertex_list_at is None:
+                        vertex_list_at = len(vertex_props)
+                elif elements[-1:] == ["face"] and face_first_list is None:
+                    face_first_list = is_list
             elif parts[0] == "end_header":
                 body_start = i + 1
                 break
@@ -184,6 +192,8 @@ def load_ply_oracle(path):
         raise MeshError("only ascii PLY is supported")
     if body_start is None or len(counts) < 2:
         raise MeshError("incomplete PLY header")
+    if elements[:2] != ["vertex", "face"]:
+        raise MeshError("PLY elements must begin with vertex, then face")
     n_vertex, n_face = counts["vertex"], counts["face"]
     if min(n_vertex, n_face) < 0:
         raise MeshError("PLY element count is negative")
@@ -191,6 +201,10 @@ def load_ply_oracle(path):
         ix, iy, iz = (vertex_props.index(k) for k in ("x", "y", "z"))
     except ValueError as exc:
         raise MeshError("PLY vertex element lacks x/y/z properties") from exc
+    if vertex_list_at is not None and max(ix, iy, iz) >= vertex_list_at:
+        raise MeshError("PLY vertex list property precedes x/y/z")
+    if not face_first_list:
+        raise MeshError("PLY face element must start with its index list")
     body = [ln for ln in lines[body_start:] if ln.strip()]
     if len(body) < n_vertex + n_face:
         raise MeshError("PLY body shorter than declared element counts")
@@ -591,7 +605,7 @@ def hit_records_oracle(mesh, origins, directions):
     time from intersect_many's nearest hits."""
     out = [None] * len(origins)
     cast = np.nonzero(np.isfinite(directions).all(axis=1))[0]
-    _, tri, bary = mesh.bvh.intersect_many(origins[cast], directions[cast], 0.0)
+    _, tri, bary = mesh.bvh.intersect_many(origins[cast], directions[cast])
     for k, tri_k, bary_k in zip(cast, tri, bary):
         if tri_k < 0:
             continue
@@ -690,24 +704,24 @@ def load_recording_oracle(path, screen_half_extent=0.15):
 # ray oracles: the exhaustive scan that traversal must reproduce, on the
 # production per-triangle kernel
 
-def intersect_triangles(origin, direction, v0, v1, v2, tmin: float = 0.0):
+def intersect_triangles(origin, direction, v0, v1, v2):
     """Watertight ray test against a batch of triangles.
 
     Returns (t, bary, valid): t is inf where invalid; bary is (m, 3)
     barycentric weights of (v0, v1, v2) rows; valid marks real hits with
-    t > tmin.
+    t > 0.
     """
     origin = np.asarray(origin, dtype=np.float64)
     d = np.asarray(direction, dtype=np.float64).reshape(1, 3)
     frame = [np.full(len(v0), f[0]) for f in bvh._ray_frames(d)]
-    return bvh._watertight(v0 - origin, v1 - origin, v2 - origin, frame, tmin)
+    return bvh._watertight(v0 - origin, v1 - origin, v2 - origin, frame)
 
 
-def intersect_brute(vertices, triangles, origin, direction, tmin: float = 0.0):
+def intersect_brute(vertices, triangles, origin, direction):
     """Exhaustive per-triangle scan: nearest hit as (t, tri_id, bary) or
     None; equal t settle to the lower triangle id."""
     v0, v1, v2 = (vertices[triangles[:, k]] for k in range(3))
-    t, bary, valid = intersect_triangles(origin, direction, v0, v1, v2, tmin)
+    t, bary, valid = intersect_triangles(origin, direction, v0, v1, v2)
     if not valid.any():
         return None
     ids = np.flatnonzero(valid)
@@ -722,7 +736,9 @@ def intersect_brute(vertices, triangles, origin, direction, tmin: float = 0.0):
 
 def bvh_tree_oracle(vertices, triangles, leaf_size=8):
     """(order, node_left, node_right, node_start, node_count), one node at a
-    time from an explicit stack."""
+    time from an explicit stack, with nodes numbered in depth-first
+    preorder.  TriangleBVH numbers them by depth instead; the tests
+    renumber these arrays breadth first before comparing."""
     tv = np.asarray(vertices, dtype=np.float64)[np.asarray(triangles)]
     centroids = tv.mean(axis=1)
     m = len(centroids)

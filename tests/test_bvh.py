@@ -26,35 +26,38 @@ RNG = np.random.default_rng(20240817)
 # ---------------------------------------------------------------------------
 # oracle
 
-def mt_hit(orig, d, v0, v1, v2, tmin=0.0):
-    """Scalar Moller-Trumbore; returns t or None."""
+def mt_hit(orig, d, v0, v1, v2):
+    """Moller-Trumbore of one ray against triangle rows v0, v1, v2 (m, 3);
+    returns t (m,), NaN where a triangle is missed.  Each row dot is one
+    BLAS ddot, as np.dot of two 3-vectors, and each test is written so a
+    NaN passes it, as in the one-triangle-at-a-time form."""
+    def dot(a, b):
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
     e1 = v1 - v0
     e2 = v2 - v0
     pvec = np.cross(d, e2)
-    det = float(np.dot(e1, pvec))
-    if abs(det) < 1e-14:
-        return None
-    inv = 1.0 / det
-    tvec = orig - v0
-    u = float(np.dot(tvec, pvec)) * inv
-    if u < -1e-12 or u > 1.0 + 1e-12:
-        return None
-    qvec = np.cross(tvec, e1)
-    v = float(np.dot(d, qvec)) * inv
-    if v < -1e-12 or u + v > 1.0 + 1e-12:
-        return None
-    t = float(np.dot(e2, qvec)) * inv
-    return t if t > tmin else None
+    det = dot(e1, pvec)
+    hit = ~(np.abs(det) < 1e-14)
+    with np.errstate(all="ignore"):                 # on missed rows only
+        inv = 1.0 / det
+        tvec = orig - v0
+        u = dot(tvec, pvec) * inv
+        hit &= ~((u < -1e-12) | (u > 1.0 + 1e-12))
+        qvec = np.cross(tvec, e1)
+        v = dot(np.broadcast_to(d, qvec.shape), qvec) * inv
+        hit &= ~((v < -1e-12) | (u + v > 1.0 + 1e-12))
+        t = dot(e2, qvec) * inv
+    return np.where(hit & (t > 0.0), t, np.nan)
 
 
-def mt_scan(mesh, orig, d, tmin=0.0):
+def mt_scan(mesh, orig, d):
     """Nearest (t, triangle id) over all triangles, ties to lower id."""
+    t = mt_hit(orig, d, *(mesh.vertices[mesh.triangles[:, k]] for k in range(3)))
     best = None
-    for i, (a, b, c) in enumerate(mesh.triangles):
-        t = mt_hit(orig, d, mesh.vertices[a], mesh.vertices[b],
-                   mesh.vertices[c], tmin)
-        if t is not None and (best is None or t < best[0] - 1e-12):
-            best = (t, i)
+    for i in np.flatnonzero(~np.isnan(t)):          # hits, in id order
+        if best is None or t[i] < best[0] - 1e-12:
+            best = (float(t[i]), int(i))
     return best
 
 
@@ -179,15 +182,6 @@ def test_occluded_variants(sphere3):
     assert not t[1] < np.inf                         # looking away
 
 
-def test_tmin_skips_near_hits(sphere3):
-    bvh = TriangleBVH(sphere3.vertices, sphere3.triangles)
-    origin = np.array([0.0, 1.5, -2.0])
-    d = np.array([0.0, 0.0, 1.0])
-    t_first = bvh.intersect_many(origin, d)[0][0]
-    t_second = bvh.intersect_many(origin, d, tmin=t_first + 1e-9)[0][0]
-    assert t_second > t_first + 0.5                  # back side of the sphere
-
-
 # ---------------------------------------------------------------------------
 # batched traversal against the exhaustive scan
 
@@ -232,18 +226,15 @@ def batches(name):
     return st.lists(rays(MESHES[name]), min_size=1, max_size=12)
 
 
-TMIN = st.one_of(st.just(0.0), st.floats(0.0, 2.5))
-
-
-def assert_matches_brute(name, batch, tmin, tmax=np.inf):
+def assert_matches_brute(name, batch, tmax=np.inf):
     mesh = MESHES[name]
     origins = np.array([o for o, _ in batch])
     dirs = np.array([d for _, d in batch])
-    t, tri, bary = BVHS[name].intersect_many(origins, dirs, tmin, tmax)
+    t, tri, bary = BVHS[name].intersect_many(origins, dirs, tmax=tmax)
     assert t.shape == tri.shape == (len(batch),) and bary.shape == (len(batch), 3)
     bound = np.broadcast_to(tmax, len(batch))
     for k, (o, d) in enumerate(batch):
-        want = intersect_brute(mesh.vertices, mesh.triangles, o, d, tmin)
+        want = intersect_brute(mesh.vertices, mesh.triangles, o, d)
         if want is None or not want[0] < bound[k]:
             assert tri[k] == -1 and t[k] == np.inf
         else:
@@ -252,15 +243,15 @@ def assert_matches_brute(name, batch, tmin, tmax=np.inf):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(batch=batches("bumpy"), tmin=TMIN)
-def test_intersect_many_matches_brute_on_bumpy_sphere(batch, tmin):
-    assert_matches_brute("bumpy", batch, tmin)
+@given(batch=batches("bumpy"))
+def test_intersect_many_matches_brute_on_bumpy_sphere(batch):
+    assert_matches_brute("bumpy", batch)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(batch=batches("grid"), tmin=TMIN)
-def test_intersect_many_matches_brute_on_plane_grid(batch, tmin):
-    assert_matches_brute("grid", batch, tmin)
+@given(batch=batches("grid"))
+def test_intersect_many_matches_brute_on_plane_grid(batch):
+    assert_matches_brute("grid", batch)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -269,7 +260,7 @@ def test_intersect_many_tmax_matches_brute(batch, data):
     """Per-ray upper bounds: only hits with t < tmax count."""
     tmax = np.array([data.draw(st.one_of(st.just(np.inf), st.floats(0.0, 4.0)))
                      for _ in batch])
-    assert_matches_brute("bumpy", batch, 0.0, tmax)
+    assert_matches_brute("bumpy", batch, tmax)
 
 
 def test_tmax_is_strict_at_the_nearest_hit():
@@ -283,6 +274,13 @@ def test_tmax_is_strict_at_the_nearest_hit():
     got = BVHS["bumpy"].intersect_many(origins[hit], dirs[hit], tmax=above)
     for g, w in zip(got, (t[hit], tri[hit], bary[hit])):
         np.testing.assert_array_equal(g, w)
+
+
+def test_tmax_is_keyword_only():
+    """A third positional argument is an error, not a silent bound."""
+    o, d = np.array([0.0, 1.5, -2.0]), np.array([0.0, 0.0, 1.0])
+    with pytest.raises(TypeError):
+        BVHS["bumpy"].intersect_many(o, d, 0.0)
 
 
 def test_subnormal_direction_component_is_zero():
@@ -356,17 +354,30 @@ def test_intersect_many_leaf_blocks_bound_memory():
 # ---------------------------------------------------------------------------
 # the level-by-level build against the node-at-a-time one
 
-def _tree(bvh):
-    return (bvh.order, bvh.node_left, bvh.node_right, bvh.node_start,
-            bvh.node_count)
+def by_depth(order, left, right, start, count):
+    """The oracle's preorder node arrays renumbered by depth, left to right
+    within a depth, as (order, child, start, count): a breadth-first walk
+    visits the nodes in their new order."""
+    walk = [0]
+    for node in walk:                   # the walk grows as it goes
+        if left[node] >= 0:
+            walk += [left[node], right[node]]
+    walk = np.array(walk)
+    new_id = np.empty(len(walk), dtype=np.int64)
+    new_id[walk] = np.arange(len(walk))
+    child = np.where(left[walk] < 0, -1, new_id[left[walk]])
+    return order, child, start[walk], count[walk]
 
 
 def assert_same_tree(vertices, triangles, leaf_size=8):
-    got = _tree(TriangleBVH(vertices, triangles, leaf_size))
-    want = bvh_tree_oracle(vertices, triangles, leaf_size)
-    for name, g, w in zip(("order", "left", "right", "start", "count"),
-                          got, want):
+    tree = TriangleBVH(vertices, triangles, leaf_size)
+    got = tree.order, tree.node_child, tree.node_start, tree.node_count
+    want = by_depth(*bvh_tree_oracle(vertices, triangles, leaf_size))
+    for name, g, w in zip(("order", "child", "start", "count"), got, want):
         assert np.array_equal(g, w), name
+    split = tree.node_child >= 0
+    assert np.array_equal(tree.node_child[split],
+                          1 + 2 * np.arange(split.sum()))
 
 
 @pytest.mark.parametrize("make", [
@@ -378,7 +389,7 @@ def assert_same_tree(vertices, triangles, leaf_size=8):
 ], ids=["bumpy4", "grid50", "ico3", "ico6", "bumpy6-seed3"])
 def test_level_build_matches_node_oracle(make):
     """Every node array equals the node-at-a-time construction's: the same
-    stable splits, the same depth-first preorder ids."""
+    stable splits, the same nodes once numbered by depth."""
     mesh = make()
     assert_same_tree(mesh.vertices, mesh.triangles)
 

@@ -184,6 +184,17 @@ def test_trace_degenerate_orientation_is_miss(sphere3):
     assert rec is None          # degenerate beta cannot resolve the offset
 
 
+@pytest.mark.parametrize("d_screen", [0.0, -1.0, np.nan])
+def test_trace_rejects_a_nonpositive_d_screen(sphere2, d_screen):
+    """A bad d_screen raises screen_point's error rather than tracing every
+    sample as a miss."""
+    sample = Recording(t=[0.0], p=[0.0, 1.5, -2.0], o=np.zeros(3), s=np.zeros(2))
+    with pytest.raises(GazeError, match="d_screen must be positive"):
+        trace_samples(sample, sphere2, d_screen)
+    with pytest.raises(GazeError, match="d_screen must be positive"):
+        sightlines(sample.p, sample.o, sample.s, d_screen)
+
+
 def _chain(p, o_deg, s, d_screen):
     """The per-sample sight-line direction, or None where the chain raises."""
     try:
@@ -210,7 +221,6 @@ def test_sightlines_match_per_sample_chain_bit_for_bit():
         else:
             assert np.array_equal(dirs[k], d)
     assert 0 < np.isnan(dirs[:, 0]).sum() < n
-    assert np.isnan(sightlines(p, o, s, 0.0)[1]).all()
 
 
 def test_trace_samples_match_per_ray_records(sphere3):

@@ -78,6 +78,64 @@ def test_cube_ply_diagonal(tmp_path):
     assert bounding_box_diagonal(mesh) == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
 
+TETRA_PLY = {
+    "vertex": (["property float x", "property float y", "property float z"],
+               ["0 0 0", "1 0 0", "0 1 0", "0 0 1"]),
+    "face": (["property list uchar int vertex_indices"],
+             ["3 0 2 1", "3 0 1 3", "3 0 3 2", "3 1 2 3"]),
+    "edge": (["property int vertex1", "property int vertex2"], ["0 1"]),
+}
+
+
+def _ply_text(*elements, **replace):
+    """A tetrahedron PLY with its elements in the given order; a keyword
+    replaces that element's (properties, rows)."""
+    parts = {**TETRA_PLY, **replace}
+    header, body = ["ply", "format ascii 1.0"], []
+    for name in elements:
+        props, rows = parts[name]
+        header += [f"element {name} {len(rows)}", *props]
+        body += rows
+    return "\n".join(header + ["end_header"] + body) + "\n"
+
+
+def test_ply_ignores_list_after_xyz_and_elements_after_faces(tmp_path):
+    path = tmp_path / "m.ply"
+    path.write_text(_ply_text("vertex", "face", "edge", vertex=(
+        [*TETRA_PLY["vertex"][0], "property list uchar int tag"],
+        [row + " 1 7" for row in TETRA_PLY["vertex"][1]])))
+    mesh = load_mesh(path)
+    np.testing.assert_array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0],
+                                                  [0, 1, 0], [0, 0, 1]])
+    np.testing.assert_array_equal(mesh.triangles[0], [0, 2, 1])
+
+
+@pytest.mark.parametrize("text, message", [
+    (_ply_text("vertex", "face", vertex=(
+        ["property list uchar int tag", *TETRA_PLY["vertex"][0]],
+        ["1 7 " + row for row in TETRA_PLY["vertex"][1]])),
+     "PLY vertex list property precedes x/y/z"),
+    (_ply_text("vertex", "face", face=(
+        ["property uchar flags", *TETRA_PLY["face"][0]],
+        ["3 " + row for row in TETRA_PLY["face"][1]])),
+     "PLY face element must start with its index list"),
+    (_ply_text("face", "vertex"),
+     "PLY elements must begin with vertex, then face"),
+    (_ply_text("vertex", "edge", "face"),
+     "PLY elements must begin with vertex, then face"),
+], ids=["vertex-list-before-xyz", "face-flags-before-list", "face-first",
+        "edge-between"])
+def test_ply_rejects_headers_the_body_parse_would_misread(tmp_path, text,
+                                                          message):
+    """Columns shifted by a list or a leading face property, or elements in
+    another order, used to load wrong numbers or fail on a misread row."""
+    path = tmp_path / "m.ply"
+    path.write_text(text)
+    with pytest.raises(MeshError) as err:
+        load_mesh(path)
+    assert str(err.value) == message
+
+
 def test_diagonal_trivia():
     assert bounding_box_diagonal(np.array([[0.0, 0, 0], [3, 4, 0]])) == 5.0
     assert bounding_box_diagonal(np.array([[2.0, 2, 2]])) == 0.0
