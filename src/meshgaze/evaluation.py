@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -28,15 +27,6 @@ from .io import read_text
 
 class EvaluationError(MeshgazeError):
     pass
-
-
-@dataclass
-class ViewScore:
-    pose_id: str
-    cc: float
-    se: float
-    kl: float
-    a_w: int
 
 
 def _on_domain(g, r, domain):
@@ -99,19 +89,15 @@ def metric_se(g, r, domain=None, variant: str = "unit_mean") -> float:
     return float(np.mean(np.abs(gh - rh)))
 
 
-def weighted_eval(scores, metric: str) -> float:
-    """Visitor-weighted aggregate E = sum(A_w * Eval_w) / sum(A_w)."""
-    scores = list(scores)
-    if not scores:
+def weighted_eval(a_w, values) -> float:
+    """The paper's visitor-weighted aggregate E = sum(A_w * Eval_w) /
+    sum(A_w) of per-view scores values with visit weights a_w."""
+    a = np.asarray(a_w, dtype=np.float64)
+    if not len(a):
         raise EvaluationError("no view scores to aggregate")
-    key = {"cc": "cc", "se": "se", "kl": "kl"}.get(metric.lower())
-    if key is None:
-        raise EvaluationError(f"unknown metric {metric!r}")
-    a = np.asarray([s.a_w for s in scores], dtype=np.float64)
     if (a < 1).any():
         raise EvaluationError("visit weights must be >= 1")
-    vals = np.asarray([getattr(s, key) for s in scores], dtype=np.float64)
-    return float(np.dot(a, vals) / a.sum())
+    return float(np.dot(a, np.asarray(values, dtype=np.float64)) / a.sum())
 
 
 def evaluate_views(views, cfg) -> dict:
@@ -123,7 +109,7 @@ def evaluate_views(views, cfg) -> dict:
     "kl", "A_w"}}, "aggregate": {"E_cc", "E_se", "E_kl"}}.  A view that
     cannot be scored, or a pose id given twice, raises naming the pose id.
     """
-    scores, per_view = [], {}
+    per_view = {}
     for pid, g, r, domain, a_w in views:
         if pid in per_view:
             raise EvaluationError(f"view {pid!r}: pose id given twice")
@@ -133,11 +119,11 @@ def evaluate_views(views, cfg) -> dict:
             kl = metric_kl(g, r, domain, cfg.eps_kl_floor)
         except EvaluationError as exc:
             raise EvaluationError(f"view {pid!r}: {exc}") from exc
-        scores.append(ViewScore(pose_id=pid, cc=cc, se=se, kl=kl, a_w=a_w))
         per_view[pid] = {"cc": cc, "se": se, "kl": kl, "A_w": a_w}
-    return {"views": per_view,
-            "aggregate": {f"E_{m}": weighted_eval(scores, m)
-                          for m in ("cc", "se", "kl")}}
+    weights = [v["A_w"] for v in per_view.values()]
+    return {"views": per_view, "aggregate": {
+        f"E_{m}": weighted_eval(weights, [v[m] for v in per_view.values()])
+        for m in ("cc", "se", "kl")}}
 
 
 def load_weights(path) -> dict:
@@ -266,25 +252,27 @@ def viewing_direction_dependence(entries, max_angle_deg: float = 90.0,
         raise EvaluationError("need at least 10 pose-tagged maps")
     dirs = head_orientations([o for o, _ in entries])
     maps = [np.asarray(v, dtype=np.float64) for _, v in entries]
+    if len({len(v) for v in maps}) > 1:
+        raise EvaluationError("maps are not aligned")
 
     n = len(entries)
-    pair_angle = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            cosang = float(np.clip(np.dot(dirs[i], dirs[j]), -1.0, 1.0))
-            ang = float(np.degrees(np.arccos(cosang)))
-            if ang <= max_angle_deg:
-                pair_angle[(i, j)] = ang
-    if len(pair_angle) < 2:
-        raise EvaluationError("not enough pose pairs within the angle limit")
-    pair_i, pair_j = (np.array(ids) for ids in zip(*pair_angle))
-    sims = np.array([plcc(maps[i], maps[j]) for i, j in pair_angle])
-    angles = np.array(list(pair_angle.values()))
+    pair_i, pair_j = np.triu_indices(n, 1)           # the (i < j) loop's order
+    angles = np.degrees(np.arccos(np.clip(rowdot(dirs[pair_i], dirs[pair_j]),
+                                          -1.0, 1.0)))
+    near = angles <= max_angle_deg
+    pair_i, pair_j, angles = pair_i[near], pair_j[near], angles[near]
+    sims = _similarities((maps[i], maps[j]) for i, j in zip(pair_i, pair_j))
+    defined = ~np.isnan(sims)
+    if defined.sum() < 2:
+        undefined = int((~defined).sum())
+        raise EvaluationError("not enough pose pairs within the angle limit" + (
+            f" ({undefined} left out: undefined map correlation)" if undefined else ""))
+    pair_i, pair_j, sims, angles = (x[defined] for x in (pair_i, pair_j, sims, angles))
 
     def corr_of(subset):
         member = np.zeros(n, dtype=bool)
         member[subset] = True
-        both = member[pair_i] & member[pair_j]       # pairs in pair_angle order
+        both = member[pair_i] & member[pair_j]       # pairs in (i, j) order
         xs, ys = sims[both], angles[both]
         if len(xs) < 2:
             return None
@@ -342,18 +330,18 @@ def initial_move_direction(recording, gate_m: float = 0.15) -> str:
 # studies: each takes {mesh name: Mesh} and {mesh name: Fixations} with the
 # same keys, and returns its report
 
-def _similarities(pairs) -> list:
+def _similarities(pairs) -> np.ndarray:
     """plcc of each map pair over their shared vertex-count prefix (maps of
-    different meshes pair up by vertex index); zero-variance pairs are
-    left out."""
+    different meshes pair up by vertex index); NaN where the correlation is
+    undefined (a constant map), and both studies leave those pairs out."""
     out = []
     for a, b in pairs:
         k = min(len(a), len(b))
         try:
             out.append(plcc(a[:k], b[:k]))
         except FdmError:
-            pass
-    return out
+            out.append(np.nan)
+    return np.array(out, dtype=np.float64)
 
 
 def inter_observer_study(meshes, fixations, cfg) -> dict:
@@ -362,9 +350,10 @@ def inter_observer_study(meshes, fixations, cfg) -> dict:
     maps = {m: [splat_fdm(meshes[m], fix[fix.recording == r], cfg.sigma_fdm,
                           cfg.fdm_cutoff_sigmas) for r in sorted(set(fix.recording))]
             for m, fix in sorted(fixations.items())}
-    same = _similarities(pair for m in maps for pair in combinations(maps[m], 2))
-    cross = _similarities(pair for a, b in combinations(maps, 2)
-                          for pair in product(maps[a], maps[b]))
+    same, cross = (s[~np.isnan(s)] for s in (
+        _similarities(pair for m in maps for pair in combinations(maps[m], 2)),
+        _similarities(pair for a, b in combinations(maps, 2)
+                      for pair in product(maps[a], maps[b]))))
     report = {"same_mesh_pairs": len(same), "cross_mesh_pairs": len(cross),
               "note": ("cross-mesh similarity uses index pairing over the "
                        "shared vertex-count prefix and serves as a noise "

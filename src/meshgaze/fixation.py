@@ -170,9 +170,14 @@ def cluster_center_random_walk(points, sigma_rw: float, lam: float = 0.85,
         return 0
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
-    w = np.exp(-dist / sigma_rw)
+    with np.errstate(over="ignore"):            # far apart: w = 0
+        w = np.exp(-dist / sigma_rw)
     np.fill_diagonal(w, 0.0)
-    t = w / w.sum(axis=1, keepdims=True)
+    reach = w.sum(axis=1, keepdims=True)
+    if not reach.all():                         # the walk would be NaN
+        raise FixationError(f"rw_sigma {sigma_rw!r} is too small: a cluster "
+                            "point has exp(-d / rw_sigma) = 0 to every other")
+    t = w / reach
 
     rho = (dist <= rho_radius).sum(axis=1).astype(np.float64)  # includes self
     rho /= rho.sum()

@@ -776,12 +776,13 @@ def bvh_tree_oracle(vertices, triangles, leaf_size=8):
 
 # ---------------------------------------------------------------------------
 # viewing-direction dependence oracle: the per-subset loop over the pair
-# dictionary that the masked pair arrays replaced, kept to pin its bytes
+# dictionary that the pair index arrays replaced, kept to pin its bytes; a
+# pair with a constant map is left out, as in the inter-observer study
 
 def vdd_oracle(entries, max_angle_deg=90.0, repetitions=100, seed=0,
                subset_frac=0.8):
     from meshgaze.evaluation import EvaluationError
-    from meshgaze.fdm import plcc
+    from meshgaze.fdm import FdmError, plcc
     entries = list(entries)
     if len(entries) < 10:
         raise EvaluationError("need at least 10 pose-tagged maps")
@@ -795,9 +796,16 @@ def vdd_oracle(entries, max_angle_deg=90.0, repetitions=100, seed=0,
             ang = float(np.degrees(np.arccos(cosang)))
             if ang <= max_angle_deg:
                 pair_angle[(i, j)] = ang
+    pair_sim, undefined = {}, 0
+    for i, j in list(pair_angle):
+        try:
+            pair_sim[(i, j)] = plcc(maps[i], maps[j])
+        except FdmError:                    # a constant map: left out
+            del pair_angle[(i, j)]
+            undefined += 1
     if len(pair_angle) < 2:
-        raise EvaluationError("not enough pose pairs within the angle limit")
-    pair_sim = {k: plcc(maps[k[0]], maps[k[1]]) for k in pair_angle}
+        raise EvaluationError("not enough pose pairs within the angle limit" + (
+            f" ({undefined} left out: undefined map correlation)" if undefined else ""))
 
     def corr_of(subset):
         xs, ys = [], []

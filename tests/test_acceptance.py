@@ -21,9 +21,9 @@ from conftest import (convex_oracle, criterion, facing_pose, intersect_brute,
 
 from meshgaze.cli import main as cli_main
 from meshgaze.config import RunConfig
-from meshgaze.evaluation import (ViewScore, bias_distance, metric_cc,
-                                 metric_kl, metric_se,
-                                 viewing_direction_dependence, weighted_eval)
+from meshgaze.evaluation import (bias_distance, metric_cc, metric_kl,
+                                 metric_se, viewing_direction_dependence,
+                                 weighted_eval)
 from meshgaze.fixation import FIXATION, SACCADE, classify_ivt, load_fixations
 from meshgaze.mesh import save_ply
 from meshgaze.primitives import bumpy_sphere, icosphere, plane_grid
@@ -162,19 +162,13 @@ def test_criterion_04_metric_identities():
 # ---------------------------------------------------------------------------
 # 5. weighted evaluation by hand
 
-def score(pid, value, a_w):
-    return ViewScore(pose_id=pid, cc=value, se=value, kl=value, a_w=a_w)
-
-
 def test_criterion_05_weighted_eval():
     with criterion(5, "weighted evaluation hand case and mean reduction"):
-        hand = [score("a", 0.3, 2), score("b", 0.6, 1)]
-        assert weighted_eval(hand, "cc") == pytest.approx(0.4, abs=1e-12)
+        assert weighted_eval([2, 1], [0.3, 0.6]) == pytest.approx(0.4, abs=1e-12)
         rng = np.random.default_rng(505)
         for _ in range(50):
             vals = rng.random(int(rng.integers(2, 30)))
-            scores = [score(f"v{i}", float(v), 1) for i, v in enumerate(vals)]
-            assert weighted_eval(scores, "kl") == pytest.approx(
+            assert weighted_eval([1] * len(vals), vals) == pytest.approx(
                 float(vals.mean()), abs=1e-12)
 
 

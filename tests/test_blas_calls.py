@@ -16,7 +16,6 @@ PACKAGE = os.path.dirname(meshgaze.__file__)
 
 PINNED = {
     "evaluation.weighted_eval": 1,
-    "evaluation.viewing_direction_dependence": 1,
     "evaluation.viewing_direction_dependence.corr_of": 3,
     "evaluation.initial_move_direction": 1,
     "fdm.plcc": 3,

@@ -23,11 +23,10 @@ import meshgaze
 from meshgaze import __version__
 from meshgaze.cli import main
 from meshgaze.config import RunConfig
-from meshgaze.evaluation import (ViewScore, bias_study,
-                                 direction_dependence_study, evaluate_views,
-                                 inter_observer_study, left_preference_study,
-                                 metric_cc, metric_kl, metric_se,
-                                 saccade_study, weighted_eval)
+from meshgaze.evaluation import (bias_study, direction_dependence_study,
+                                 evaluate_views, inter_observer_study,
+                                 left_preference_study, metric_cc, metric_kl,
+                                 metric_se, saccade_study, weighted_eval)
 from meshgaze.fdm import (load_map_csv, pose_buckets, pose_groups, save_map_csv,
                           splat_fdm)
 from meshgaze.fixation import Fixations, load_fixations
@@ -293,6 +292,26 @@ def test_process_bad_recording_makes_no_out(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_process_rw_sigma_out_of_reach_is_one_error(pipeline, tmp_path, capsys):
+    """An rw_sigma so small that a cluster point reaches no other one ends
+    in one `error:` line naming it and no --out; it used to exit 0 with a
+    numpy warning and each such centre silently the cluster's first point."""
+    scenario = SyntheticScenario(mesh_id="ball", targets=pipeline["targets"],
+                                 duration_s=1.0, noise_deg=0.5, subjects=1,
+                                 seed=11)
+    (tmp_path / "scenario.json").write_text(scenario_to_json(scenario))
+    rec, out = tmp_path / "rec", tmp_path / "fix"
+    assert run("synth", "--scenario", tmp_path / "scenario.json", "--mesh",
+               pipeline["mesh_path"], "--out", rec) == 0
+    assert run("process", "--mesh", pipeline["mesh_path"], "--recordings",
+               rec, "--out", tmp_path / "fix_default") == 0
+    assert run("process", "--mesh", pipeline["mesh_path"], "--recordings",
+               rec, "--out", out, "--set", "rw_sigma=1e-5") == 1
+    assert "rw_sigma 1e-05 is too small" in assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_process_empty_recordings_dir_fails(pipeline, tmp_path, capsys):
     empty = tmp_path / "rec"
     empty.mkdir()
@@ -497,20 +516,18 @@ def test_evaluate_weights_domain_and_formats(tmp_path):
                "--out", report_path) == 0
     report = read_json(report_path)
 
-    scores = [ViewScore(pose_id="m1", cc=metric_cc(g1, r1, mask1),
-                        se=metric_se(g1, r1, mask1), kl=metric_kl(g1, r1, mask1),
-                        a_w=3),
-              ViewScore(pose_id="m2", cc=metric_cc(g2, r2),
-                        se=metric_se(g2, r2), kl=metric_kl(g2, r2), a_w=2)]
-    for score in scores:
-        view = report["views"][score.pose_id]
-        assert view["cc"] == pytest.approx(score.cc, abs=1e-12)
-        assert view["se"] == pytest.approx(score.se, abs=1e-12)
-        assert view["kl"] == pytest.approx(score.kl, abs=1e-12)
-        assert view["A_w"] == score.a_w
+    a_w = [3, 2]
+    scores = {"cc": [metric_cc(g1, r1, mask1), metric_cc(g2, r2)],
+              "se": [metric_se(g1, r1, mask1), metric_se(g2, r2)],
+              "kl": [metric_kl(g1, r1, mask1), metric_kl(g2, r2)]}
+    for k, pid in enumerate(("m1", "m2")):
+        view = report["views"][pid]
+        for metric in ("cc", "se", "kl"):
+            assert view[metric] == pytest.approx(scores[metric][k], abs=1e-12)
+        assert view["A_w"] == a_w[k]
     assert report["views"]["m1"]["cc"] == pytest.approx(1.0, abs=1e-12)
     for metric in ("cc", "se", "kl"):
-        expect = weighted_eval(scores, metric)
+        expect = weighted_eval(a_w, scores[metric])
         assert report["aggregate"][f"E_{metric}"] == pytest.approx(expect,
                                                                    abs=1e-12)
 
@@ -520,7 +537,7 @@ def test_evaluate_weights_domain_and_formats(tmp_path):
                           RunConfig())
     assert body == {"views": report["views"], "aggregate": report["aggregate"]}
     for metric in ("cc", "se", "kl"):
-        a, x = [3, 2], [getattr(score, metric) for score in scores]
+        a, x = a_w, scores[metric]
         expect = (a[0] * x[0] + a[1] * x[1]) / (a[0] + a[1])
         assert body["aggregate"][f"E_{metric}"] == pytest.approx(expect,
                                                                  abs=1e-12)
@@ -792,6 +809,40 @@ def test_readme_evaluate_views_snippet_runs(capsys):
     cc_front = np.sum(dg * dr) / np.sqrt(np.sum(dg * dg) * np.sum(dr * dr))
     assert float(capsys.readouterr().out) == pytest.approx(
         (3 * cc_front + 1 * 1.0) / 4, abs=1e-12)
+
+
+def test_analyze_leaves_out_undefined_map_correlations(pipeline, tmp_path):
+    """At sigma_fdm=1e-4 no fixation reaches a vertex, so every map is
+    constant and no pair has a correlation: both the inter-observer and the
+    direction study leave those pairs out and skip, and all six reports are
+    written.  The direction study used to end analyze in `error: undefined
+    correlation` after three of them."""
+    mesh_dir, fix_root = tmp_path / "meshes", tmp_path / "fixations"
+    mesh_dir.mkdir()
+    rows = "".join(f"s00,{k},0.01,0.02,-0.99,{0.3 * k},1.6,-1.5,0.0,0.0,0.0,"
+                   "0.5,3\n" for k in range(12))     # 12 pose buckets, one height
+    for name in ("a", "b"):
+        shutil.copy(pipeline["mesh_path"], mesh_dir / f"{name}.ply")
+        (fix_root / name).mkdir(parents=True)
+        (fix_root / name / "s00.csv").write_text(
+            ",".join(["recording_id", "cluster_id", "x", "y", "z", "px", "py",
+                      "pz", "ox", "oy", "oz", "duration", "weight"]) + "\n" + rows)
+    out = tmp_path / "reports"
+    assert run("analyze", "--mesh-dir", mesh_dir, "--fixations", fix_root,
+               "--out", out, "--set", "sigma_fdm=1e-4") == 0
+    assert sorted(os.listdir(out)) == [
+        "bias.json", "direction_dependence.csv", "direction_dependence.json",
+        "inter_observer.json", "left_preference.json", "saccade.json"]
+    inter = read_json(out / "inter_observer.json")
+    assert inter["cross_mesh_pairs"] == 0 and "skipped" in inter
+    per_mesh = read_json(out / "direction_dependence.json")["per_mesh"]
+    assert sorted(per_mesh) == ["a", "b"]
+    for entry in per_mesh.values():
+        assert entry["maps"] == 12
+        assert entry["skipped"] == ("not enough pose pairs within the angle "
+                                    "limit (66 left out: undefined map correlation)")
+    assert (out / "direction_dependence.csv").read_text() == \
+        "mesh,correlation,abs_correlation\n"
 
 
 def test_analyze_without_recordings_skips_preference(pipeline, tmp_path):

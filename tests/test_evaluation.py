@@ -4,11 +4,11 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 import pytest
-from conftest import vdd_oracle
+from conftest import facing_oracle, vdd_oracle
 
 from meshgaze.config import RunConfig
 from meshgaze.evaluation import (LEFT, NONE, RIGHT, EvaluationError,
-                                 ViewScore, _t_two_sided_p, bias_distance,
+                                 _t_two_sided_p, bias_distance,
                                  evaluate_views, initial_move_direction,
                                  inter_observer_test, metric_cc, metric_kl,
                                  metric_se, viewing_direction_dependence,
@@ -109,34 +109,25 @@ def test_metrics_domain_restriction():
 # ---------------------------------------------------------------------------
 # aggregation
 
-def _scores(a_w, vals):
-    return [ViewScore(pose_id=f"p{i}", cc=v, se=v, kl=v, a_w=a)
-            for i, (a, v) in enumerate(zip(a_w, vals))]
-
-
 def test_weighted_eval_hand_value():
-    scores = _scores([2, 1], [0.3, 0.6])
-    assert weighted_eval(scores, "cc") == pytest.approx(0.4, abs=1e-12)
+    assert weighted_eval([2, 1], [0.3, 0.6]) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_weighted_eval_uniform_weights_match_mean():
     rng = np.random.default_rng(25)
     vals = rng.random(9)
-    scores = _scores([4] * 9, vals)
-    assert weighted_eval(scores, "kl") == pytest.approx(vals.mean(), abs=1e-12)
+    assert weighted_eval([4] * 9, vals) == pytest.approx(vals.mean(), abs=1e-12)
 
 
 def test_weighted_eval_single_view_passthrough():
-    assert weighted_eval(_scores([7], [0.123]), "se") == pytest.approx(0.123)
+    assert weighted_eval([7], [0.123]) == pytest.approx(0.123)
 
 
 def test_weighted_eval_errors():
     with pytest.raises(EvaluationError):
-        weighted_eval([], "cc")
+        weighted_eval([], [])
     with pytest.raises(EvaluationError):
-        weighted_eval(_scores([1], [0.5]), "auc")
-    with pytest.raises(EvaluationError):
-        weighted_eval(_scores([0], [0.5]), "cc")
+        weighted_eval([0], [0.5])
 
 
 def test_evaluate_views_names_the_view_it_cannot_score():
@@ -347,21 +338,53 @@ def _vdd_outcome(fn, entries, **kw):
         return str(exc)
 
 
-@pytest.mark.parametrize("case", range(6))
+def test_vdd_leaves_out_pairs_with_a_constant_map():
+    """A pair whose map correlation is undefined is left out, as in the
+    inter-observer study; with every map constant none is left, and the
+    error says why.  Maps of different lengths still raise."""
+    entries = _blend_entries()
+    entries[4] = (entries[4][0], np.zeros(4))
+    assert -1.0 <= viewing_direction_dependence(entries, seed=3) < -0.5
+    flat = [(o, np.full(4, 2.0)) for o, _ in entries]
+    with pytest.raises(EvaluationError, match=r"\(66 left out: undefined map "):
+        viewing_direction_dependence(flat)
+    entries[4] = (entries[4][0], np.zeros(5))
+    with pytest.raises(EvaluationError, match="maps are not aligned"):
+        viewing_direction_dependence(entries)
+
+
+def _loop_angles(angles):
+    """Each pose pair's facing angle as the oracle's pair loop forms it."""
+    dirs = [facing_oracle((a[0], a[1], 0.0)) for a in angles]
+    return [float(np.degrees(np.arccos(np.clip(np.dot(dirs[i], dirs[j]), -1.0, 1.0))))
+            for i in range(len(dirs)) for j in range(i + 1, len(dirs))]
+
+
+@pytest.mark.parametrize("case", range(9))
 def test_vdd_matches_pair_loop_oracle(case):
-    """Masked pair arrays give the loop's xs and ys in the loop's order, so
-    the same float or the same error, bit for bit."""
+    """Pair index arrays give the loop's xs and ys in the loop's order, so
+    the same float or the same error, bit for bit: with repeated poses
+    (case 6), a limit equal to one pair's angle (case 7) and a constant
+    map, whose pairs are left out (case 8)."""
     rng = np.random.default_rng(700 + case)
-    n = (10, 14, 25, 40, 12, 60)[case]
+    n = (10, 14, 25, 40, 12, 60, 16, 20, 15)[case]
     angles = rng.uniform(-60.0, 60.0, size=(n, 2))
     maps = rng.random((n, 30))
     if case == 4:
         maps[:] = maps[0]                       # zero similarity variance
+    if case == 6:
+        angles[n // 2:] = angles[:n - n // 2]   # each pose twice
+    if case == 8:
+        maps[3] = 0.5                           # undefined correlation
     entries = [((a[0], a[1], 0.0), m) for a, m in zip(angles, maps)]
-    for kw in ({}, {"max_angle_deg": 20.0, "seed": 5},
-               {"max_angle_deg": 8.0, "subset_frac": 0.3, "repetitions": 40},
-               {"subset_frac": 0.1, "seed": 2}, {"max_angle_deg": 0.01},
-               {"max_angle_deg": 12.0, "subset_frac": 0.05, "repetitions": 5}):
+    kws = [{}, {"max_angle_deg": 20.0, "seed": 5},
+           {"max_angle_deg": 8.0, "subset_frac": 0.3, "repetitions": 40},
+           {"subset_frac": 0.1, "seed": 2}, {"max_angle_deg": 0.01},
+           {"max_angle_deg": 12.0, "subset_frac": 0.05, "repetitions": 5}]
+    if case == 7:
+        limit = sorted(_loop_angles(angles))[n * (n - 1) // 4]
+        kws += [{"max_angle_deg": limit}, {"max_angle_deg": limit, "seed": 9}]
+    for kw in kws:
         got = _vdd_outcome(viewing_direction_dependence, entries, **kw)
         want = _vdd_outcome(vdd_oracle, entries, **kw)
         assert type(got) is type(want) and got == want

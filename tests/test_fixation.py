@@ -303,6 +303,17 @@ def test_random_walk_matches_dense_oracle():
         assert idx == rw_oracle(pts, 0.03), f"trial {trial}"
 
 
+def test_random_walk_with_no_reach_is_an_error():
+    """A sigma so small that exp(-d / sigma) is 0 from a point to every
+    other leaves a zero row, which made the walk NaN and the centre
+    silently the cluster's first point."""
+    pts = np.random.default_rng(3).normal(scale=0.01, size=(12, 3))
+    assert cluster_center_random_walk(pts, sigma_rw=0.03) == rw_oracle(pts, 0.03)
+    for sigma in (1e-5, 1e-310):
+        with pytest.raises(FixationError, match=r"rw_sigma .* is too small"):
+            cluster_center_random_walk(pts, sigma_rw=sigma)
+
+
 def test_center_duration_and_weight(cfg):
     cfg.min_fixation_s = 0.0
     pts = [(k * 1e-4, 0, 1) for k in range(6)]
