@@ -5,8 +5,10 @@ Each verb is a file adapter: it reads its input files, hands them to the
 library and writes the results.  ``main`` loads the --config FILE (flat
 key=value) and the repeatable --set KEY=VALUE overrides that every verb
 takes.  A verb is a pure function of its inputs, the config, and the
-seeds: reruns write byte-identical outputs.  All file writes are atomic
-(temp file + rename) and every metadata sidecar embeds the package version.
+seeds: reruns write byte-identical outputs.  A verb's outputs appear
+together or not at all: ``main`` runs it on a stage of --out
+(``io.staged``), so a verb that fails leaves --out absent or unchanged.
+Every metadata sidecar embeds the package version.
 
 The CLI runs numpy's BLAS on one thread.  With more, OpenBLAS keeps
 worker threads spinning for nothing in these short processes, and splits
@@ -120,7 +122,7 @@ def cmd_process(args, cfg) -> int:
     rec_files = _listing(args.recordings, stem=True)
     if not rec_files:
         raise _gaze.GazeError(f"no recordings found in {args.recordings!r}")
-    extracted, summary = {}, {}
+    summary = {}
     for rec_id, path in rec_files.items():
         recording = _gaze.load_recording(path, cfg.screen_half_extent)
         traced = _gaze.trace_samples(recording, mesh, cfg.d_screen)
@@ -133,9 +135,7 @@ def cmd_process(args, cfg) -> int:
         for w in warnings:
             _warn(f"{rec_id}: {w}")
         stats["warnings"] = warnings
-        extracted[rec_id], summary[rec_id] = fixations, stats
-    os.makedirs(args.out, exist_ok=True)    # once every recording is known good
-    for rec_id, fixations in extracted.items():
+        summary[rec_id] = stats
         _fixation.save_fixations(os.path.join(args.out, f"{rec_id}.csv"), fixations)
     _sidecar(os.path.join(args.out, "summary.json"),
              mesh=os.path.basename(args.mesh), recordings=summary,
@@ -152,7 +152,6 @@ def _load_fixation_dir(path) -> _fixation.Fixations:
 def cmd_fdm(args, cfg) -> int:
     mesh = _mesh_from_cfg(args.mesh, cfg)
     fixations = _load_fixation_dir(args.fixations)
-    os.makedirs(args.out, exist_ok=True)
     if not args.by_pose:
         values = _fdm.splat_fdm(mesh, fixations, cfg.sigma_fdm,
                                 cfg.fdm_cutoff_sigmas)
@@ -192,7 +191,6 @@ def cmd_saliency(args, cfg) -> int:
         poses += _visibility.load_poses(args.poses, cam)
     if not poses:
         raise _visibility.VisibilityError("no poses given (use --pose or --poses)")
-    os.makedirs(args.out, exist_ok=True)
     for pose in poses:
         smap = _saliency.saliency_map(mesh, pose, cfg)
         pid = smap.pose_id
@@ -273,9 +271,8 @@ def cmd_synth(args, cfg) -> int:
     targets = _synth.target_positions(scenario, mesh)
     for subject in range(scenario.subjects):
         recording = _synth.generate_recording(scenario, mesh, cfg, subject)
-        if subject == 0:        # --out is made once the scenario is known good
+        if subject == 0:
             _synth.check_targets_reachable(scenario, mesh, cfg, recording)
-            os.makedirs(args.out, exist_ok=True)
         _gaze.save_recording(os.path.join(args.out, f"s{subject:02d}.csv"),
                              recording)
     _sidecar(os.path.join(args.out, "targets.json"), mesh_id=scenario.mesh_id,
@@ -294,24 +291,23 @@ def cmd_analyze(args, cfg) -> int:
     if not shared:
         raise _evaluation.EvaluationError(
             "analyze needs per-mesh fixation subdirectories matching mesh files")
-    os.makedirs(args.out, exist_ok=True)
-    out = args.out
     meshes = {m: _mesh_from_cfg(mesh_files[m], cfg) for m in shared}
     fixations = {m: _load_fixation_dir(fix_dirs[m]) for m in shared}
-    _sidecar(os.path.join(out, "inter_observer.json"),
+    _sidecar(os.path.join(args.out, "inter_observer.json"),
              **_evaluation.inter_observer_study(meshes, fixations, cfg))
-    _sidecar(os.path.join(out, "bias.json"),
+    _sidecar(os.path.join(args.out, "bias.json"),
              **_evaluation.bias_study(meshes, fixations, cfg))
-    _sidecar(os.path.join(out, "saccade.json"), **_evaluation.saccade_study(fixations))
+    _sidecar(os.path.join(args.out, "saccade.json"),
+             **_evaluation.saccade_study(fixations))
     vdd = _evaluation.direction_dependence_study(meshes, fixations, cfg)
-    _sidecar(os.path.join(out, "direction_dependence.json"), **vdd)
-    _io.write_csv(os.path.join(out, "direction_dependence.csv"),
+    _sidecar(os.path.join(args.out, "direction_dependence.json"), **vdd)
+    _io.write_csv(os.path.join(args.out, "direction_dependence.csv"),
                   ["mesh", "correlation", "abs_correlation"],
                   [(m, repr(r["correlation"]), repr(r["abs_correlation"]))
                    for m, r in vdd["per_mesh"].items() if "correlation" in r])
 
     if not args.recordings:
-        _sidecar(os.path.join(out, "left_preference.json"),
+        _sidecar(os.path.join(args.out, "left_preference.json"),
                  skipped="no --recordings directory given")
         return 0
     recordings, problems = {}, {}
@@ -324,7 +320,7 @@ def cmd_analyze(args, cfg) -> int:
     problems.update(undecided)
     for name in sorted(problems):
         _warn(f"left-preference: {name}: {problems[name]}")
-    _sidecar(os.path.join(out, "left_preference.json"), **report)
+    _sidecar(os.path.join(args.out, "left_preference.json"), **report)
     return 0
 
 
@@ -379,7 +375,8 @@ def main(argv=None) -> int:
         cfg = _config.load_config(args.config) if args.config else _config.RunConfig()
         if args.set:
             cfg = _config.apply_overrides(cfg, args.set)
-        return args.func(args, cfg)
+        with _io.staged(args.out) as args.out:
+            return args.func(args, cfg)
     except (_config.MeshgazeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

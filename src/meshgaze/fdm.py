@@ -16,7 +16,7 @@ import numpy as np
 from .config import MeshgazeError
 from .gaze import head_orientations
 from .io import read_vertex_csv, write_csv
-from .mesh import Mesh, save_ply
+from .mesh import Mesh, gaussian, save_ply
 from .visibility import (ViewPose, VisibleSet, camera_from_config,
                          visible_points)
 
@@ -34,8 +34,7 @@ def splat_fdm(mesh: Mesh, fixations, sigma: float,
     """Per-vertex values (n,): the truncated Gaussian contributions of all
     fixations (a Fixations table), each vertex's summed in table order.
     No fixations, or none within reach of any vertex, give all zeros."""
-    if not sigma > 0:
-        raise FdmError("sigma must be positive")
+    weight = gaussian(sigma, "sigma_fdm", FdmError)
     values = np.zeros(len(mesh.vertices))
     radius = cutoff_sigmas * sigma
     step = max(1, _SPLAT_BLOCK // max(len(values), 1))
@@ -43,8 +42,7 @@ def splat_fdm(mesh: Mesh, fixations, sigma: float,
         position = fixations.position[lo:lo + step, None, :]
         d2 = np.sum((mesh.vertices - position) ** 2, axis=2)
         f, v = np.nonzero(d2 <= radius * radius)
-        np.add.at(values, v, fixations.weight[lo + f]
-                  * np.exp(-d2[f, v] / (2.0 * sigma * sigma)))
+        np.add.at(values, v, fixations.weight[lo + f] * weight(d2[f, v]))
     return values
 
 

@@ -1,16 +1,20 @@
 """Text files: the one module that opens, decodes or writes a file.
 
 Inputs are read as UTF-8; a file that cannot be opened, decoded or split
-into CSV rows raises the caller's ``MeshgazeError`` subclass.  Writes are
-atomic (temp file in the target directory, then rename), with LF line ends.
+into CSV rows raises the caller's ``MeshgazeError`` subclass.  Each file is
+written atomically (temp file in the target directory, then rename), with
+LF line ends; ``staged`` makes a whole set of files appear together or not
+at all, so a CLI verb that fails leaves its ``--out`` absent or unchanged.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -47,6 +51,34 @@ def write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def staged(path):
+    """Yields path's place in a stage directory, made in the nearest
+    existing directory among path and its ancestors, and moves what was
+    written there to path when the block ends normally: with one
+    os.replace where the target does not exist, file by file into an
+    existing directory.  The stage is removed on every exit, so nothing
+    appears outside it unless the block succeeds."""
+    base = os.path.abspath(path)
+    while not os.path.isdir(base):
+        base = os.path.dirname(base)
+    stage = tempfile.mkdtemp(dir=base, prefix=".stage-")
+    try:
+        yield os.path.normpath(os.path.join(stage, os.path.relpath(path, base)))
+        _merge(stage, base)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _merge(src, dst) -> None:
+    for name in os.listdir(src):
+        s, d = os.path.join(src, name), os.path.join(dst, name)
+        if os.path.isdir(s) and os.path.isdir(d):
+            _merge(s, d)
+        else:
+            os.replace(s, d)
 
 
 def write_csv(path, header, rows) -> None:

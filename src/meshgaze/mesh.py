@@ -173,6 +173,24 @@ def radius_pair_blocks(points, r: float):
             yield s + a, hi, np.stack((i, j))[:, np.argsort(i * n + j)]
 
 
+def gaussian(sigma: float, key: str, error):
+    """The Gaussian weight d2 -> exp(-d2 / (2 sigma^2)) of the splat, the
+    bias term and the curvature baseline.  Raises error naming key unless
+    sigma > 0, 2 sigma^2 is at least the smallest normal float (at 0 a
+    point's own weight is 0/0) and 2 sigma (the baseline's cutoff) is
+    finite; an overflowing 2 sigma^2 weighs every finite d2 as 1."""
+    two_var = 2.0 * sigma * sigma
+    if not (sigma > 0 and two_var >= np.finfo(np.float64).tiny
+            and 2.0 * sigma < math.inf):
+        raise error(f"{key} must be positive, with 2 {key}^2 a normal float, "
+                    f"got {sigma!r}")
+
+    def weight(d2):
+        with np.errstate(over="ignore"):
+            return np.exp(-d2 / two_var)
+    return weight
+
+
 # ---------------------------------------------------------------------------
 # file I/O
 

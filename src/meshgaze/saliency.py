@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MeshgazeError
-from .mesh import Mesh, bounding_box_diagonal, radius_pair_blocks
+from .mesh import Mesh, bounding_box_diagonal, gaussian, radius_pair_blocks
 from .visibility import ViewPose, VisibleSet, pose_hash, visible_points
 
 N_BINS = 11
@@ -193,14 +193,9 @@ def bias_weight(positions, center, sigma_c: float = 0.2,
     visible-set centroid.  The default exponent uses the unsquared
     distance over 2 sigma^2, as printed in the defining equation; squared
     selects the conventional Gaussian form."""
-    two_var = 2.0 * sigma_c * sigma_c    # 0 or subnormal: d / 2 sigma^2 overflows
-    if not (sigma_c > 0 and two_var >= np.finfo(np.float64).tiny):
-        raise SaliencyError("sigma_c must be positive, with 2 sigma_c^2 a "
-                            f"normal float, got {sigma_c!r}")
+    weight = gaussian(sigma_c, "sigma_c", SaliencyError)
     d = np.linalg.norm(np.asarray(positions, dtype=np.float64) - center, axis=1)
-    expo = d ** 2 if squared else d
-    with np.errstate(over="ignore"):            # far from the centroid: C = 0
-        return np.exp(-expo / two_var)
+    return weight(d ** 2 if squared else d)
 
 
 @dataclass
@@ -320,13 +315,16 @@ def mean_curvature(mesh: Mesh):
     return kappa, flags
 
 
-def _gaussian_averages(values, positions, sigmas) -> np.ndarray:
+def _gaussian_averages(values, positions, sigmas,
+                       error=SaliencyError) -> np.ndarray:
     """Gaussian-weighted neighborhood average, cutoff at 2 sigma, for each
     sigma in turn, as a (len(sigmas), n) array.  Each vertex sums itself
     first, then its radius pairs in (i, j) order.  The pairs are found once,
     at the widest cutoff, and taken one block of sources at a time; in a
     block each sigma filters the pairs the next wider sigma kept, and writes
-    only its block's slice of the output."""
+    only its block's slice of the output.  Each sigma is checked before
+    the pair search, which would reject an infinite radius first."""
+    weights = [gaussian(sigma, "sigma", error) for sigma in sigmas]
     out = np.empty((len(sigmas), len(values)))
     widest_first = sorted(range(len(sigmas)), key=lambda k: -sigmas[k])
     for lo, hi, pairs in radius_pair_blocks(positions,
@@ -338,7 +336,7 @@ def _gaussian_averages(values, positions, sigmas) -> np.ndarray:
             sigma = sigmas[k]
             keep = d2 <= (2.0 * sigma) * (2.0 * sigma)
             i, j, d2 = i[keep], j[keep], d2[keep]
-            wts = np.exp(-d2 / (2.0 * sigma * sigma))
+            wts = weights[k](d2)
             out[k, lo:hi] = (np.bincount(i, wts * values[j], minlength=hi - lo)
                              / np.bincount(i, wts, minlength=hi - lo))
     return out
@@ -379,8 +377,10 @@ def baseline_curvature_saliency(mesh: Mesh, eps_frac: float = 0.003,
     eps = eps_frac * diag
     scales = [m * eps for m in (2, 3, 4, 5, 6)]
     kappa, _ = mean_curvature(mesh)
-    averages = _gaussian_averages(kappa, mesh.vertices,
-                                  [f * sigma for sigma in scales for f in (1.0, 2.0)])
+    averages = _gaussian_averages(
+        kappa, mesh.vertices, [f * sigma for sigma in scales for f in (1.0, 2.0)],
+        lambda msg: SaliencyError(f"baseline_eps_frac {eps_frac!r} is out of "
+                                  f"range: {msg}"))
     combined = np.zeros(len(mesh.vertices))
     for fine, coarse in zip(averages[0::2], averages[1::2]):  # sigma, 2 sigma
         smap = np.abs(fine - coarse)

@@ -43,7 +43,31 @@ SRC = os.path.dirname(os.path.dirname(meshgaze.__file__))
 
 
 def run(*argv):
-    return main([str(a) for a in argv])
+    """main(argv); when it returns 1, every byte and directory under the
+    nearest existing directory above --out is as it was before the run."""
+    argv = [str(a) for a in argv]
+    if "--out" not in argv:
+        return main(argv)
+    watched = os.path.dirname(os.path.abspath(argv[argv.index("--out") + 1]))
+    while not os.path.isdir(watched):
+        watched = os.path.dirname(watched)
+    before = tree_bytes(watched)
+    code = main(argv)
+    if code == 1:
+        assert tree_bytes(watched) == before, f"a failed run changed {watched}"
+    return code
+
+
+def tree_bytes(root):
+    """{path relative to root: file bytes, or None for a directory}."""
+    tree = {}
+    for path, dirs, files in os.walk(root):
+        rel = os.path.relpath(path, root)
+        tree.update((os.path.join(rel, d), None) for d in dirs)
+        for name in files:
+            with open(os.path.join(path, name), "rb") as fh:
+                tree[os.path.join(rel, name)] = fh.read()
+    return tree
 
 
 def python(code, **env):
@@ -687,6 +711,22 @@ def test_baseline_outputs(pipeline, tmp_path):
     assert (tmp_path / "base.ply").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps_frac", ["1e-300", "1e308"])
+def test_baseline_scale_out_of_range_is_one_error(pipeline, tmp_path, capsys,
+                                                  eps_frac):
+    """A baseline_eps_frac whose Gaussian scales square to 0, or whose 2 sigma
+    cutoff overflows, ends in one `error:` line naming it, and the prefix's
+    directory is not made; 1e-300 used to exit 0 with NaN rows after
+    `invalid value` warnings, and 1e308 to end in `radius must be positive
+    and finite`."""
+    assert run("baseline", "--mesh", pipeline["mesh_path"], "--out",
+               tmp_path / "x" / "c", "--set", f"baseline_eps_frac={eps_frac}") == 1
+    err = assert_one_error_line(capsys)
+    assert f"baseline_eps_frac {float(eps_frac)!r} is out of range" in err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -1003,6 +1043,31 @@ def test_pose_bins_beyond_float_range_are_an_error(pipeline, tmp_path, capsys,
     assert "pose bins overflow" in err and key.split("=")[0] in err
 
 
+def test_failed_rerun_leaves_the_good_run_as_it_was(pipeline, tmp_path,
+                                                    capsys):
+    """A rerun into an --out that holds a good run and fails after its first
+    report leaves that run byte-identical (run() compares the trees); analyze
+    used to have rewritten inter_observer.json by then."""
+    mesh_dir, fix_root = tmp_path / "meshes", tmp_path / "fix"
+    mesh_dir.mkdir()
+    for name in ("a", "b"):                     # two meshes: a t statistic
+        shutil.copy(pipeline["mesh_path"], mesh_dir / f"{name}.ply")
+    shutil.copytree(pipeline["fix"], fix_root / "a")
+    (fix_root / "b").mkdir()
+    for rec, vertex in (("s00", 5), ("s01", 40)):
+        x, y, z = pipeline["mesh"].vertices[vertex].tolist()
+        (fix_root / "b" / f"{rec}.csv").write_text(
+            "recording_id,cluster_id,x,y,z,px,py,pz,ox,oy,oz,duration,weight\n"
+            f"{rec},0,{x!r},{y!r},{z!r},0.0,1.6,-1.5,0.0,0.0,0.0,0.5,3\n")
+    argv = ["analyze", "--mesh-dir", mesh_dir, "--fixations", fix_root,
+            "--out", tmp_path / "out"]
+    assert run(*argv) == 0
+    assert "t" in read_json(tmp_path / "out" / "inter_observer.json")
+    assert run(*argv, "--set", "sigma_fdm=0.08",
+               "--set", "pose_grid_m=1e-300") == 1
+    assert "pose bins overflow" in assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("verb", ["saliency", "analyze"])
 def test_negative_seed_is_an_error(pipeline, tmp_path, capsys, verb):
     """A negative seed is a config error: with uniqueness subsampled, or in
@@ -1023,7 +1088,7 @@ def test_negative_seed_is_an_error(pipeline, tmp_path, capsys, verb):
                 tmp_path / "fix", "--out", out]
     assert run(*argv, "--set", "seed=-1") == 1
     assert "seed must be >= 0" in assert_one_error_line(capsys)
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -1128,7 +1193,7 @@ def test_extreme_finite_setting_is_one_error_under_warning_errors(
     assert proc.stderr.startswith("error:"), proc.stderr
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert named in proc.stderr
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
 
 
 def assert_one_error_line(capsys):
@@ -1195,7 +1260,7 @@ def test_saliency_rejects_unusable_pose(pipeline, tmp_path, capsys, pose,
     assert run("saliency", "--mesh", pipeline["mesh_path"], "--pose", pose,
                "--out", out) == 1
     assert named in assert_one_error_line(capsys)
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", [

@@ -172,6 +172,14 @@ def test_splat_rejects_bad_sigma(plane):
         splat_fdm(plane, fix(np.empty((0, 3))), 0.0)
 
 
+def test_splat_rejects_sigma_whose_variance_underflows(plane):
+    """A sigma whose 2 sigma^2 underflows to 0 is an error naming sigma_fdm;
+    a fixation on a vertex used to give that vertex 0/0 = NaN."""
+    with pytest.raises(FdmError, match=r"sigma_fdm must be positive, with 2 "
+                       r"sigma_fdm\^2 a normal float, got 1e-300"):
+        splat_fdm(plane, fix(plane.vertices[840]), 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # correlation
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from meshgaze import mesh as mesh_module
 from meshgaze import primitives
 from meshgaze.mesh import (Mesh, MeshError, bounding_box_diagonal,
-                           compute_vertex_normals, load_mesh,
+                           compute_vertex_normals, gaussian, load_mesh,
                            radius_pair_blocks, radius_pairs, save_ply)
 
 TRI_OBJ = """\
@@ -282,6 +282,25 @@ def test_radius_pairs_rejects_bad_radius():
     for r in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(MeshError):
             radius_pairs(np.zeros((2, 3)), r)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_weight_and_its_scale_check():
+    """The weight is exp(-d2 / (2.0 * sigma * sigma)) bit for bit, 0 far out
+    without a warning, and 1 everywhere where 2 sigma^2 overflows; a sigma
+    that is not positive, whose 2 sigma^2 is 0 or subnormal (a point's own
+    weight 0/0), or whose 2 sigma overflows, raises the caller's error
+    naming its key."""
+    d2 = np.array([0.0, 1e-3, 0.5, 2.0, 1e18])
+    for sigma in (1e-3, 0.03, 0.2, 3.0, 1e150):
+        assert gaussian(sigma, "s", MeshError)(d2).tobytes() == \
+            np.exp(-d2 / (2.0 * sigma * sigma)).tobytes()
+    assert gaussian(1.1e-154, "s", MeshError)(d2).tolist() == [1.0] + [0.0] * 4
+    assert gaussian(1e300, "s", MeshError)(d2).tolist() == [1.0] * 5
+    for sigma in (0.0, -1.0, np.nan, 1e-160, 1.05e-154, 1e308, np.inf):
+        with pytest.raises(ValueError, match=r"^sigma_x must be positive, with "
+                           r"2 sigma_x\^2 a normal float, got "):
+            gaussian(sigma, "sigma_x", ValueError)
 
 
 def test_radius_pairs_chunked_like_whole(monkeypatch):
