@@ -114,31 +114,26 @@ _SOURCE_BLOCK = 1 << 14      # points whose neighbor cells are looked up at once
 _PAIR_CHUNK = 1 << 17        # candidate pairs tested at once
 
 
-def radius_pairs(points, r: float) -> np.ndarray:
-    """Every directed pair (i, j), i != j, with (dx*dx + dy*dy) + dz*dz <= r*r
-    for (dx, dy, dz) = p_j - p_i, as a (2, m) int64 array whose rows are i
-    and j, sorted by (i, j) as query_ball_point sorts them: the blocks of
-    radius_pair_blocks, concatenated."""
-    return np.concatenate([ij for _, _, ij in radius_pair_blocks(points, r)],
-                          axis=1)
-
-
 def radius_pair_blocks(points, r: float):
-    """The pairs of radius_pairs, one block of sources at a time.
+    """Every directed pair (i, j), i != j, with d2 = (dx*dx + dy*dy) + dz*dz
+    <= r*r for (dx, dy, dz) = p_j - p_i, one block of sources at a time.
 
-    Yields (lo, hi, ij): ij holds every pair whose i is in [lo, hi), sorted
-    by (i, j); the blocks cover [0, n) in order, so at most about
-    _PAIR_CHUNK candidate pairs are held at once.  Points are binned in
-    cells a little wider than r (wider still where an axis would need more
-    than _MAX_CELLS), so each pair spans cells at most one apart on every
-    axis, rounding of the cell coordinates included.
+    Yields (lo, hi, i, j, d2): int64 i and j and float64 d2 of every pair
+    whose i is in [lo, hi), sorted by (i, j) as query_ball_point sorts
+    them; the blocks cover [0, n) in order, so at most about _PAIR_CHUNK
+    candidate pairs are held at once.  d2 is the value the pair was
+    filtered by, so a caller needs no distance of its own.  Points are
+    binned in cells a little wider than r (wider still where an axis would
+    need more than _MAX_CELLS), so each pair spans cells at most one apart
+    on every axis, rounding of the cell coordinates included.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     r, n = float(r), len(points)
     if not (r > 0 and math.isfinite(r)):
         raise MeshError("radius must be positive and finite")
     if n < 2:
-        yield 0, n, np.zeros((2, 0), dtype=np.int64)
+        none = np.zeros(0, dtype=np.int64)
+        yield 0, n, none, none, np.zeros(0)
         return
     lo = points.min(axis=0)
     width = np.maximum(r * (1.0 + 1e-6), (points.max(axis=0) - lo) / _MAX_CELLS)
@@ -169,8 +164,9 @@ def radius_pair_blocks(points, r: float):
             for x in coords:
                 d2 += (x[j] - x[i]) ** 2
             keep = (d2 <= r * r) & (i != j)
-            i, j = i[keep], j[keep]
-            yield s + a, hi, np.stack((i, j))[:, np.argsort(i * n + j)]
+            i, j, d2 = i[keep], j[keep], d2[keep]
+            by = np.argsort(i * n + j)
+            yield s + a, hi, i[by], j[by], d2[by]
 
 
 def gaussian(sigma: float, key: str, error):

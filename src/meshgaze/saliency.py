@@ -36,16 +36,15 @@ class SaliencyError(MeshgazeError):
 # ---------------------------------------------------------------------------
 # FPFH descriptors
 
-def _pair_features_batch(p_s, n_s, p_t, n_t):
+def _pair_features_batch(p_s, n_s, p_t, n_t, d):
     """Darboux-frame angle features (alpha, phi, theta), vectorized.
 
-    p_s/n_s broadcast against (k, 3) targets; zero-length pairs must be
-    filtered by the caller.  The source of each pair is the point whose
-    normal makes the smaller angle with the connecting line, which keeps
-    the features symmetric in the pair.
+    p_s/n_s broadcast against (k, 3) targets at distances d (k,), which
+    the caller gives and keeps positive.  The source of each pair is the
+    point whose normal makes the smaller angle with the connecting line,
+    which keeps the features symmetric in the pair.
     """
     dp = p_t - p_s
-    d = np.linalg.norm(dp, axis=1)
     a1 = (n_s * dp).sum(axis=1) / d
     a2 = (n_t * dp).sum(axis=1) / d
     swap = np.abs(a1) < np.abs(a2)
@@ -73,9 +72,9 @@ def compute_fpfh(positions, normals, r: float):
     Simplified histograms (SPFH) are built per point over neighbors within
     r, then blended: FPFH(p) = SPFH(p) + (1/k) sum_q SPFH(q) / |p - q|,
     renormalized to sum 1.  Points with no neighbors in r get the uniform
-    descriptor and a True flag.  Sums run in radius_pairs order.  Features
-    are binned _FEATURE_PAIRS pairs at a time; the counts are integers, so
-    the blocks add up exactly.
+    descriptor and a True flag.  Sums run in radius_pair_blocks' order, at
+    distances sqrt(d2).  Features are binned _FEATURE_PAIRS pairs at a
+    time; the counts are integers, so the blocks add up exactly.
 
     Returns (descriptors (n, 33), flags (n,)).
     """
@@ -85,10 +84,9 @@ def compute_fpfh(positions, normals, r: float):
     normals = np.asarray(normals, dtype=np.float64)
     n = len(positions)
     blocks = []
-    for _, _, (i, j) in radius_pair_blocks(positions, r):
-        dist = np.linalg.norm(positions[j] - positions[i], axis=1)
-        keep = dist > 0
-        blocks.append((i[keep], j[keep], dist[keep]))
+    for _, _, i, j, d2 in radius_pair_blocks(positions, r):
+        keep = d2 > 0
+        blocks.append((i[keep], j[keep], np.sqrt(d2[keep])))
     i, j, dist = (np.concatenate(x) for x in zip(*blocks))
     del blocks
     k = np.bincount(i, minlength=n)
@@ -98,8 +96,8 @@ def compute_fpfh(positions, normals, r: float):
     counts = spfh.reshape(-1)
     for a in range(0, len(i), _FEATURE_PAIRS):
         ib, jb = i[a:a + _FEATURE_PAIRS], j[a:a + _FEATURE_PAIRS]
-        feats = _pair_features_batch(positions[ib], normals[ib],
-                                     positions[jb], normals[jb])
+        feats = _pair_features_batch(positions[ib], normals[ib], positions[jb],
+                                     normals[jb], dist[a:a + _FEATURE_PAIRS])
         # the block's sources run from ib[0] to ib[-1]: count from there
         slot = (ib - ib[0])[:, None] * DESCRIPTOR_SIZE + np.arange(
             0, DESCRIPTOR_SIZE, N_BINS)
@@ -285,14 +283,12 @@ def mean_curvature(mesh: Mesh):
         flags[np.unique(bad)] = True
 
     acc = np.zeros((n, 3))
-    area = np.zeros(n)
     corner = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     p0 = v[tris[:, 0]]
     p1 = v[tris[:, 1]]
     p2 = v[tris[:, 2]]
     tri_area = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
-    for c_i in range(3):
-        np.add.at(area, tris[:, c_i], tri_area / 3.0)
+    area = np.bincount(tris.T.ravel(), np.tile(tri_area / 3.0, 3), minlength=n)
 
     for slot, (i, j, k) in enumerate(corner):
         # cot of the angle at k, applied to edge (i, j)
@@ -319,19 +315,20 @@ def _gaussian_averages(values, positions, sigmas,
                        error=SaliencyError) -> np.ndarray:
     """Gaussian-weighted neighborhood average, cutoff at 2 sigma, for each
     sigma in turn, as a (len(sigmas), n) array.  Each vertex sums itself
-    first, then its radius pairs in (i, j) order.  The pairs are found once,
-    at the widest cutoff, and taken one block of sources at a time; in a
-    block each sigma filters the pairs the next wider sigma kept, and writes
-    only its block's slice of the output.  Each sigma is checked before
-    the pair search, which would reject an infinite radius first."""
+    first, at d2 = 0, then its radius pairs at their yielded d2 in (i, j)
+    order.  The pairs are found once, at the widest cutoff, and taken one
+    block of sources at a time; in a block each sigma filters the pairs the
+    next wider sigma kept, and writes only its block's slice of the output.
+    Each sigma is checked before the pair search, which would reject an
+    infinite radius first."""
     weights = [gaussian(sigma, "sigma", error) for sigma in sigmas]
     out = np.empty((len(sigmas), len(values)))
     widest_first = sorted(range(len(sigmas)), key=lambda k: -sigmas[k])
-    for lo, hi, pairs in radius_pair_blocks(positions,
-                                            2.0 * max(sigmas, default=1.0)):
-        i, j = (np.concatenate([np.arange(lo, hi), ids]) for ids in pairs)
-        d2 = np.sum((positions[j] - positions[i]) ** 2, axis=1)
-        i -= lo
+    for lo, hi, i, j, d2 in radius_pair_blocks(positions,
+                                               2.0 * max(sigmas, default=1.0)):
+        own = np.arange(lo, hi)
+        i, j = np.concatenate([own, i]) - lo, np.concatenate([own, j])
+        d2 = np.concatenate([np.zeros(hi - lo), d2])
         for k in widest_first:
             sigma = sigmas[k]
             keep = d2 <= (2.0 * sigma) * (2.0 * sigma)
@@ -366,24 +363,28 @@ def baseline_curvature_saliency(mesh: Mesh, eps_frac: float = 0.003,
     """Center-surround mean-curvature saliency at multiple scales.
 
     The scales are 2..6 times eps_frac times the bbox diagonal.  Per scale
-    sigma the map is |G(kappa, sigma) - G(kappa, 2 sigma)|,
-    suppressed by (max - mean-of-other-local-maxima)^2 and summed over
-    scales.  The sum is min-max normalized unless its dimensionless
+    sigma the map is |G(kappa, sigma) - G(kappa, 2 sigma)|, suppressed by
+    (max - mean-of-other-local-maxima)^2 and summed over scales; the 8
+    distinct sigmas are each smoothed once, checked in first-occurrence
+    order.  The sum is min-max normalized unless its dimensionless
     contrast (times diagonal^3, since curvature carries 1/length) falls
     below `guard`, in which case the map is all zeros — a featureless
     surface must not have tessellation noise amplified to full range.
     """
     diag = bounding_box_diagonal(mesh)
+    if not diag > 0:
+        raise SaliencyError("the mesh's bounding-box diagonal is 0")
     eps = eps_frac * diag
     scales = [m * eps for m in (2, 3, 4, 5, 6)]
     kappa, _ = mean_curvature(mesh)
-    averages = _gaussian_averages(
-        kappa, mesh.vertices, [f * sigma for sigma in scales for f in (1.0, 2.0)],
+    sigmas = list(dict.fromkeys(f * s for s in scales for f in (1.0, 2.0)))
+    averages = dict(zip(sigmas, _gaussian_averages(
+        kappa, mesh.vertices, sigmas,
         lambda msg: SaliencyError(f"baseline_eps_frac {eps_frac!r} is out of "
-                                  f"range: {msg}"))
+                                  f"range: {msg}"))))
     combined = np.zeros(len(mesh.vertices))
-    for fine, coarse in zip(averages[0::2], averages[1::2]):  # sigma, 2 sigma
-        smap = np.abs(fine - coarse)
+    for sigma in scales:
+        smap = np.abs(averages[sigma] - averages[2.0 * sigma])
         m = float(smap.max())
         mbar = _local_maxima_mean(smap, mesh.triangles)
         combined += smap * (m - mbar) ** 2

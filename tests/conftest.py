@@ -389,14 +389,14 @@ def fpfh_oracle(positions, normals, r):
     neighbors = []
     for i in range(n):
         ids = np.asarray([j for j in neighbor_lists[i] if j != i], dtype=np.int64)
-        if len(ids):
-            ids = ids[np.linalg.norm(positions[ids] - positions[i], axis=1) > 0]
+        dist = np.linalg.norm(positions[ids] - positions[i], axis=1)
+        ids, dist = ids[dist > 0], dist[dist > 0]
         neighbors.append(ids)
         if len(ids) == 0:
             flags[i] = True
             continue
         feats = _pair_features_batch(positions[i], normals[i],
-                                     positions[ids], normals[ids])
+                                     positions[ids], normals[ids], dist)
         for offset, feat, lo, hi in zip((0, N_BINS, 2 * N_BINS), feats,
                                         (-1.0, -1.0, -np.pi), (1.0, 1.0, np.pi)):
             idx = np.floor((feat - lo) / (hi - lo) * N_BINS).astype(np.int64)
@@ -462,12 +462,27 @@ def gaussian_average_oracle(values, positions, sigma):
     return out
 
 
+def radius_pairs_oracle(points, r):
+    """(i, j) of every pair i != j with (dx*dx + dy*dy) + dz*dz <= r*r,
+    sorted by (i, j): a k-d tree's sorted balls a little wider than r,
+    filtered by that rule."""
+    from scipy.spatial import cKDTree
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    balls = cKDTree(points).query_ball_point(points, r * (1.0 + 1e-6),
+                                             return_sorted=True)
+    i = np.repeat(np.arange(len(points)), [len(b) for b in balls])
+    j = np.fromiter((k for b in balls for k in b), dtype=np.int64, count=len(i))
+    d = points[j] - points[i]
+    keep = ((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+            <= r * r) & (i != j)
+    return i[keep], j[keep]
+
+
 def pair_list_averages_oracle(values, positions, sigmas):
     """The curvature baseline's Gaussian averages over the whole radius-pair
     list at once, one sigma after another, each filtered from all pairs."""
-    from meshgaze.mesh import radius_pairs
-    i, j = (np.concatenate([np.arange(len(values)), ids])
-            for ids in radius_pairs(positions, 2.0 * max(sigmas, default=1.0)))
+    i, j = (np.concatenate([np.arange(len(values)), ids]) for ids in
+            radius_pairs_oracle(positions, 2.0 * max(sigmas, default=1.0)))
     d2 = np.sum((positions[j] - positions[i]) ** 2, axis=1)
     for sigma in sigmas:
         keep = d2 <= (2.0 * sigma) * (2.0 * sigma)

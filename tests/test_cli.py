@@ -727,6 +727,20 @@ def test_baseline_scale_out_of_range_is_one_error(pipeline, tmp_path, capsys,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_baseline_of_a_zero_extent_mesh_is_one_error(tmp_path, capsys):
+    """A mesh whose vertices coincide has a bounding-box diagonal of 0, so
+    every baseline scale is 0: the one `error:` line names the diagonal,
+    not the default baseline_eps_frac, and the prefix's directory is not
+    made."""
+    mesh = tmp_path / "d.obj"
+    mesh.write_text("v 0 1.5 0\nv 0 1.5 0\nv 0 1.5 0\nf 1 2 3\n")
+    assert run("baseline", "--mesh", mesh, "--out", tmp_path / "b" / "c") == 1
+    err = assert_one_error_line(capsys)
+    assert "bounding-box diagonal is 0" in err and "baseline_eps_frac" not in err
+    assert not (tmp_path / "b").exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -1386,7 +1400,7 @@ def test_tracer_counts_the_rays_and_hits_of_trace_samples(pipeline):
 def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):
     """The runtime is numpy-only: no verb loads any scipy module.  A pooled
     fdm run splats by a direct distance pass, saliency and the baseline
-    find neighbors with radius_pairs, and the Welch test computes its
+    find neighbors with radius_pair_blocks, and the Welch test computes its
     p-value in-house, including inside a two-mesh analyze, whose
     cross-mesh pairs make the test run."""
     from meshgaze.evaluation import inter_observer_test

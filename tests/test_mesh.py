@@ -12,7 +12,7 @@ from meshgaze import mesh as mesh_module
 from meshgaze import primitives
 from meshgaze.mesh import (Mesh, MeshError, bounding_box_diagonal,
                            compute_vertex_normals, gaussian, load_mesh,
-                           radius_pair_blocks, radius_pairs, save_ply)
+                           radius_pair_blocks, save_ply)
 
 TRI_OBJ = """\
 # minimal
@@ -221,7 +221,13 @@ def test_normals_deterministic(sphere2):
 
 
 # ---------------------------------------------------------------------------
-# radius_pairs vs an exhaustive all-pairs scan
+# radius_pair_blocks vs an exhaustive all-pairs scan
+
+def radius_pairs(pts, r):
+    """(i, j, d2) of every block of radius_pair_blocks, concatenated."""
+    blocks = [b[2:] for b in radius_pair_blocks(pts, r)]
+    return tuple(np.concatenate(x) for x in zip(*blocks))
+
 
 def all_pairs(pts, r):
     """Every (i, j), i != j, with (dx^2 + dy^2) + dz^2 <= r^2, by (i, j)."""
@@ -235,11 +241,13 @@ def all_pairs(pts, r):
 def assert_pairs_exhaustive(pts, r):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = radius_pairs(pts, r)
+        i, j, d2 = radius_pairs(pts, r)
     want = all_pairs(pts, r)
-    assert got[0].dtype == got[1].dtype == np.int64
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
+    assert i.dtype == j.dtype == np.int64 and d2.dtype == np.float64
+    np.testing.assert_array_equal(i, want[0])
+    np.testing.assert_array_equal(j, want[1])
+    p = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    assert d2.tobytes() == np.sum((p[j] - p[i]) ** 2, axis=1).tobytes()
 
 
 COORD = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.25, 1.0]))
@@ -257,7 +265,7 @@ def test_radius_pairs_match_exhaustive_scan(pts, r):
 def test_radius_pairs_fixed_cases():
     line = np.array([[0.0, 0, 0], [0.5, 0, 0], [1.0, 0, 0], [1.5, 0, 0]])
     assert_pairs_exhaustive(line, 0.5)                     # d == r exactly
-    i, j = radius_pairs(line, 0.5)
+    i, j, _ = radius_pairs(line, 0.5)
     assert list(zip(i.tolist(), j.tolist())) == [
         (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
     same = np.array([[0.1, 0.2, 0.3]] * 3 + [[0.1, 0.2, 0.4]])
@@ -273,7 +281,7 @@ def test_radius_pairs_fixed_cases():
                     [1.0, 1.0, 1.0], [-1.0, 0.5, 0.0]])
     assert 1.0 / 2e-21 > 1e19                              # extent / r
     assert_pairs_exhaustive(far, 2e-21)
-    i, j = radius_pairs(far, 2e-21)
+    i, j, _ = radius_pairs(far, 2e-21)
     assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1),
                                                  (3, 4), (4, 3)]
 
@@ -281,7 +289,7 @@ def test_radius_pairs_fixed_cases():
 def test_radius_pairs_rejects_bad_radius():
     for r in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(MeshError):
-            radius_pairs(np.zeros((2, 3)), r)
+            next(radius_pair_blocks(np.zeros((2, 3)), r))
 
 
 @pytest.mark.filterwarnings("error")
@@ -310,8 +318,8 @@ def test_radius_pairs_chunked_like_whole(monkeypatch):
     monkeypatch.setattr(mesh_module, "_SOURCE_BLOCK", 37)
     monkeypatch.setattr(mesh_module, "_PAIR_CHUNK", 500)
     got = radius_pairs(pts, 0.2)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_radius_pair_blocks_cover_the_sources_in_order(monkeypatch):
@@ -323,20 +331,21 @@ def test_radius_pair_blocks_cover_the_sources_in_order(monkeypatch):
         monkeypatch.setattr(mesh_module, "_SOURCE_BLOCK", source_block)
         monkeypatch.setattr(mesh_module, "_PAIR_CHUNK", chunk)
         blocks = list(radius_pair_blocks(pts, 0.2))
-        bounds = [b for lo, hi, _ in blocks for b in (lo, hi)]
+        bounds = [b for lo, hi, *_ in blocks for b in (lo, hi)]
         assert bounds[0] == 0 and bounds[-1] == len(pts)
         assert bounds[1:-1:2] == bounds[2:-1:2]          # each starts at the last end
-        for lo, hi, (i, j) in blocks:
+        for lo, hi, *got in blocks:
             span = (want[0] >= lo) & (want[0] < hi)
-            np.testing.assert_array_equal(i, want[0][span])
-            np.testing.assert_array_equal(j, want[1][span])
+            for a, b in zip(got, want):
+                assert a.tobytes() == b[span].tobytes()
     for n in (0, 1):
-        ((lo, hi, ij),) = radius_pair_blocks(np.zeros((n, 3)), 1.0)
-        assert (lo, hi, ij.shape) == (0, n, (2, 0))
+        ((lo, hi, i, j, d2),) = radius_pair_blocks(np.zeros((n, 3)), 1.0)
+        assert (lo, hi, i.shape, j.shape, d2.shape) == (0, n, (0,), (0,), (0,))
+        assert i.dtype == j.dtype == np.int64 and d2.dtype == np.float64
 
 
 def _neighbors(pts, i, r):
-    a, b = radius_pairs(pts, r)
+    a, b, _ = radius_pairs(pts, r)
     return b[a == i]
 
 
@@ -353,7 +362,7 @@ def test_radius_query_matches_bruteforce():
 def test_radius_query_edge_radii():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 2, 0]])
     with pytest.raises(MeshError):
-        radius_pairs(pts, 0.0)
+        next(radius_pair_blocks(pts, 0.0))
     assert len(radius_pairs(pts, 0.999)[0]) == 0
     np.testing.assert_array_equal(_neighbors(pts, 0, 10.0), [1, 2])
 

@@ -10,10 +10,14 @@ absolute, splats to 1e-12 of their maximum: both sides round differently.
 
 The curvature baseline is left out: on these scenes it breaks relabelling
 by up to 1.2e-5 and translation by up to 2.3e-4, through the ties among
-the local maxima it averages.
+the local maxima it averages.  Its Gaussian averages, which have no ties,
+keep both relations to 1e-12 relative.  A translation of the poses by a
+whole number of grid cells shifts every pose bucket's cells by that number
+and keeps its members and A_w.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 
@@ -23,11 +27,11 @@ from conftest import facing_pose
 
 from meshgaze.config import RunConfig
 from meshgaze.evaluation import evaluate_views
-from meshgaze.fdm import splat_fdm
+from meshgaze.fdm import pose_groups, splat_fdm
 from meshgaze.fixation import Fixations
-from meshgaze.mesh import Mesh
+from meshgaze.mesh import Mesh, bounding_box_diagonal
 from meshgaze.primitives import bumpy_sphere, plane_grid
-from meshgaze.saliency import saliency_map
+from meshgaze.saliency import _gaussian_averages, mean_curvature, saliency_map
 from meshgaze.visibility import ViewPose, visible_points
 
 SHIFT = np.array([0.37, -0.21, 0.55])
@@ -131,3 +135,56 @@ def test_translation_leaves_maps_and_scores(name):
     for key, value in want_report["aggregate"].items():
         assert report["aggregate"][key] == pytest.approx(value, rel=1e-9,
                                                          abs=1e-12)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_gaussian_averages_under_relabelling_and_translation(level):
+    """The baseline's averages at its 8 distinct scales; relabelling changes
+    each vertex's summation order, translation the rounding of each d2."""
+    mesh = bumpy_sphere(level, seed=5)
+    kappa, _ = mean_curvature(mesh)
+    eps = CFG.baseline_eps_frac * bounding_box_diagonal(mesh)
+    sigmas = [m * eps for m in (2, 4, 3, 6, 8, 5, 10, 12)]
+    want = _gaussian_averages(kappa, mesh.vertices, sigmas)
+    perm = np.random.default_rng(17).permutation(len(kappa))
+    relabelled = _gaussian_averages(kappa[perm], mesh.vertices[perm], sigmas)
+    moved = _gaussian_averages(kappa, mesh.vertices + SHIFT, sigmas)
+    assert np.isfinite(want).all() and want.min() > 0
+    np.testing.assert_allclose(relabelled, want[:, perm], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(moved, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k", [3, -5])
+def test_pose_buckets_shift_by_whole_cells(k):
+    """Poses moved by k cells of a power-of-two grid, on every axis: each
+    bucket keeps its rows and its A_w (distinct recordings), and its key's
+    three cells grow by k.  The first two poses, at x = -0.1 and 0.1, lie
+    in two cells; truncating in place of flooring would pool them."""
+    cfg = dataclasses.replace(CFG, pose_grid_m=0.25)
+    rng = np.random.default_rng(11)
+    m = 40
+    cells = rng.integers(-3, 3, (6, 3))[rng.integers(0, 6, m)]
+    pose_p = (cells + rng.uniform(0.1, 0.9, (m, 3))) * cfg.pose_grid_m
+    pose_o = rng.choice([0.0, 20.0, 50.0], (m, 3))
+    pose_p[:2], pose_o[:2] = [[-0.1, 0.3, 0.3], [0.1, 0.3, 0.3]], 0.0
+    fixations = Fixations(recording=rng.choice(["s00", "s01", "s02"], m),
+                          cluster=np.arange(m), position=np.zeros((m, 3)),
+                          pose_p=pose_p, pose_o=pose_o,
+                          duration=np.full(m, 0.2), weight=np.ones(m))
+    moved = dataclasses.replace(fixations,
+                                pose_p=pose_p + k * cfg.pose_grid_m)
+
+    def shifted(key):
+        *xyz, a, e = key.split("_")
+        return "_".join([*(str(int(c) + k) for c in xyz), a, e])
+
+    def a_w(table):
+        keys = pose_groups(table, cfg, per_recording=True)
+        return collections.Counter(bucket for _, bucket in keys)
+
+    want = pose_groups(fixations, cfg)
+    got = pose_groups(moved, cfg)
+    assert 1 < len(want) < m and sum(map(len, want.values())) == m
+    assert {shifted(key): rows.tolist() for key, rows in want.items()} == \
+        {key: rows.tolist() for key, rows in got.items()}
+    assert {shifted(key): n for key, n in a_w(fixations).items()} == a_w(moved)

@@ -6,14 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import (facing_pose, fpfh_oracle, gaussian_average_oracle,
-                      pair_list_averages_oracle, peak_rss_mb, uniqueness_oracle,
-                      vertex_rings)
+                      pair_list_averages_oracle, peak_rss_mb,
+                      radius_pairs_oracle, uniqueness_oracle, vertex_rings)
 
 from meshgaze.config import RunConfig
 from meshgaze import mesh as mesh_module
 from meshgaze import saliency as saliency_module
-from meshgaze.mesh import Mesh, bounding_box_diagonal
-from meshgaze.primitives import bumpy_sphere, plane_grid
+from meshgaze.mesh import Mesh, bounding_box_diagonal, gaussian
+from meshgaze.primitives import bumpy_sphere, icosphere, plane_grid
 from meshgaze.saliency import (_BLOCK_CELLS, _PRODUCT_CELLS, _PRODUCT_ROWS,
                                DESCRIPTOR_SIZE, SaliencyError,
                                _gaussian_averages, baseline_curvature_saliency,
@@ -96,7 +96,7 @@ def test_fpfh_feature_blocks_match_oracle(monkeypatch, pairs):
     nrm = rng.normal(size=pos.shape)
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
     r = 0.5
-    i, j = mesh_module.radius_pairs(pos, r)
+    i, j = radius_pairs_oracle(pos, r)
     same = (pos[i] == pos[j]).all(axis=1)
     k = np.bincount(i[~same], minlength=len(pos))
     assert same.any() and (pairs < 8 or len(i) < pairs)
@@ -473,6 +473,36 @@ def test_gaussian_averages_include_the_cutoff():
     np.testing.assert_allclose(got, [(1.0 + 3.0 * w) / (1.0 + w),
                                      (3.0 + w) / (1.0 + w), 5.0], rtol=1e-15)
     np.testing.assert_array_equal(got, gaussian_average_oracle(values, pos, 0.5))
+
+
+def test_baseline_runs_each_distinct_scale_once(monkeypatch):
+    """sigma and 2 sigma over sigma = 2..6 eps are ten scales but eight
+    distinct ones: 2 (2 eps) is 4 eps and 2 (3 eps) is 6 eps bit for bit."""
+    calls = []
+
+    def counted(sigma, key, error):
+        calls.append(sigma)
+        return gaussian(sigma, key, error)
+    monkeypatch.setattr(saliency_module, "gaussian", counted)
+    mesh = bumpy_sphere(3, seed=3)
+    baseline_curvature_saliency(mesh)
+    eps = 0.003 * bounding_box_diagonal(mesh)
+    assert calls == [m * eps for m in (2, 4, 3, 6, 8, 5, 10, 12)]
+
+
+def test_baseline_reports_the_first_scale_out_of_range():
+    """Where 2 sigma overflows between sigma = 4 eps and 5 eps, the error
+    names the first such sigma of the list sigma, 2 sigma over sigma = 2..6
+    eps: 2 (3 eps), not the smaller 5 eps."""
+    mesh = icosphere(2)
+    eps_frac = 2e307 / bounding_box_diagonal(mesh)
+    eps = eps_frac * bounding_box_diagonal(mesh)
+    assert 2.0 * (4 * eps) < np.inf and 2.0 * (5 * eps) == np.inf
+    with pytest.raises(SaliencyError) as info:
+        baseline_curvature_saliency(mesh, eps_frac=eps_frac)
+    assert str(info.value) == (
+        f"baseline_eps_frac {eps_frac!r} is out of range: sigma must be "
+        f"positive, with 2 sigma^2 a normal float, got {2.0 * (3 * eps)!r}")
 
 
 def test_baseline_scale_invariance(spike_pack):
