@@ -16,7 +16,7 @@ import numpy as np
 from .config import MeshgazeError
 from .gaze import head_orientations
 from .io import read_vertex_csv, write_csv
-from .mesh import Mesh, gaussian, save_ply
+from .mesh import BLOCK_ELEMENTS, Mesh, gaussian, save_ply
 from .visibility import (ViewPose, VisibleSet, camera_from_config,
                          visible_points)
 
@@ -25,19 +25,16 @@ class FdmError(MeshgazeError):
     pass
 
 
-# fixation-vertex pairs per splat block: 3 MB of coordinate differences
-_SPLAT_BLOCK = 2 ** 17
-
-
 def splat_fdm(mesh: Mesh, fixations, sigma: float,
               cutoff_sigmas: float = 4.0) -> np.ndarray:
     """Per-vertex values (n,): the truncated Gaussian contributions of all
     fixations (a Fixations table), each vertex's summed in table order.
-    No fixations, or none within reach of any vertex, give all zeros."""
+    No fixations, or none within reach of any vertex, give all zeros.
+    Each block's (fixations, n, 3) difference holds about BLOCK_ELEMENTS."""
     weight = gaussian(sigma, "sigma_fdm", FdmError)
     values = np.zeros(len(mesh.vertices))
     radius = cutoff_sigmas * sigma
-    step = max(1, _SPLAT_BLOCK // max(len(values), 1))
+    step = max(1, BLOCK_ELEMENTS // (3 * len(values)))
     for lo in range(0, len(fixations), step):
         position = fixations.position[lo:lo + step, None, :]
         d2 = np.sum((mesh.vertices - position) ** 2, axis=2)

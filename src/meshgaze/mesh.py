@@ -110,8 +110,7 @@ def bounding_box_diagonal(mesh_or_vertices) -> float:
 
 
 _MAX_CELLS = 1 << 20         # grid cells per axis, so cell keys fit int64
-_SOURCE_BLOCK = 1 << 14      # points whose neighbor cells are looked up at once
-_PAIR_CHUNK = 1 << 17        # candidate pairs tested at once
+BLOCK_ELEMENTS = 1 << 14     # per pair-kernel temporary: 128 KiB of float64
 
 
 def radius_pair_blocks(points, r: float):
@@ -120,7 +119,7 @@ def radius_pair_blocks(points, r: float):
 
     Yields (lo, hi, i, j, d2): int64 i and j and float64 d2 of every pair
     whose i is in [lo, hi), sorted by (i, j) as query_ball_point sorts
-    them; the blocks cover [0, n) in order, so at most about _PAIR_CHUNK
+    them; the blocks cover [0, n) in order, so at most about BLOCK_ELEMENTS
     candidate pairs are held at once.  d2 is the value the pair was
     filtered by, so a caller needs no distance of its own.  Points are
     binned in cells a little wider than r (wider still where an axis would
@@ -145,8 +144,9 @@ def radius_pair_blocks(points, r: float):
     coords = points.T.copy()
     # the 3 x 3 columns of cells around a cell; each is one key range in z
     cols = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
-    for s in range(0, n, _SOURCE_BLOCK):
-        c = cell[s:s + _SOURCE_BLOCK]
+    sources = max(1, BLOCK_ELEMENTS // 9)          # (sources, 9) lookups
+    for s in range(0, n, sources):
+        c = cell[s:s + sources]
         xy = c[:, None, :2] + cols
         base = (xy[..., 0] * dims[1] + xy[..., 1]) * dims[2]
         first = np.searchsorted(key, base + np.maximum(c[:, 2:] - 1, 0))
@@ -154,7 +154,7 @@ def radius_pair_blocks(points, r: float):
                                side="right")
         count = np.where(((xy >= 0) & (xy < dims[:2])).all(axis=2),
                          last - first, 0)
-        step = max(1, _PAIR_CHUNK // int(count.sum(axis=1).max()))
+        step = max(1, BLOCK_ELEMENTS // int(count.sum(axis=1).max()))
         for a in range(0, len(c), step):
             f, k = first[a:a + step].ravel(), count[a:a + step].ravel()
             hi = s + a + len(k) // 9

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MeshgazeError
-from .mesh import Mesh, bounding_box_diagonal, gaussian, radius_pair_blocks
+from .mesh import (BLOCK_ELEMENTS, Mesh, bounding_box_diagonal, gaussian,
+                   radius_pair_blocks)
 from .visibility import ViewPose, VisibleSet, pose_hash, visible_points
 
 N_BINS = 11
@@ -25,8 +26,6 @@ N_FEATURES = 3
 DESCRIPTOR_SIZE = N_BINS * N_FEATURES  # 33
 _PRODUCT_CELLS = 1 << 19      # about the cells of one descriptor product
 _PRODUCT_ROWS = 384           # a multiple of every x86-64 DGEMM row tile
-_BLOCK_CELLS = 1 << 15        # cells per elementwise pass over the product
-_FEATURE_PAIRS = 1 << 13      # pairs whose features are binned at once
 
 
 class SaliencyError(MeshgazeError):
@@ -73,8 +72,8 @@ def compute_fpfh(positions, normals, r: float):
     r, then blended: FPFH(p) = SPFH(p) + (1/k) sum_q SPFH(q) / |p - q|,
     renormalized to sum 1.  Points with no neighbors in r get the uniform
     descriptor and a True flag.  Sums run in radius_pair_blocks' order, at
-    distances sqrt(d2).  Features are binned _FEATURE_PAIRS pairs at a
-    time; the counts are integers, so the blocks add up exactly.
+    distances sqrt(d2).  Features are binned BLOCK_ELEMENTS // 3 pairs at
+    a time; the counts are integers, so the blocks add up exactly.
 
     Returns (descriptors (n, 33), flags (n,)).
     """
@@ -94,10 +93,11 @@ def compute_fpfh(positions, normals, r: float):
 
     spfh = np.zeros((n, DESCRIPTOR_SIZE))
     counts = spfh.reshape(-1)
-    for a in range(0, len(i), _FEATURE_PAIRS):
-        ib, jb = i[a:a + _FEATURE_PAIRS], j[a:a + _FEATURE_PAIRS]
+    pairs = max(1, BLOCK_ELEMENTS // 3)
+    for a in range(0, len(i), pairs):
+        ib, jb = i[a:a + pairs], j[a:a + pairs]
         feats = _pair_features_batch(positions[ib], normals[ib], positions[jb],
-                                     normals[jb], dist[a:a + _FEATURE_PAIRS])
+                                     normals[jb], dist[a:a + pairs])
         # the block's sources run from ib[0] to ib[-1]: count from there
         slot = (ib - ib[0])[:, None] * DESCRIPTOR_SIZE + np.arange(
             0, DESCRIPTOR_SIZE, N_BINS)
@@ -134,7 +134,8 @@ def uniqueness(positions, descriptors, exact_limit: int = 5000,
     U(v_i) = 1 - exp(-mean_j Dis(i, j) / (1 + |x_i - x_j|)).  The mean runs
     over the whole visible set up to exact_limit points; above that it is
     estimated on a seeded uniform subsample of sample_size points, unless
-    that many points would be the whole set.
+    that many points would be the whole set.  The log, distances and means
+    run in place on row blocks of BLOCK_ELEMENTS cells of the product.
 
     Returns (u, subsampled: bool).
     """
@@ -156,12 +157,11 @@ def uniqueness(positions, descriptors, exact_limit: int = 5000,
 
     # BLAS products cut at multiples of _PRODUCT_ROWS rows, none shorter, give
     # the bytes of one uncut product: an empirical rule that the tests hold.
-    # The elementwise passes run on cache-sized row blocks of each, in place.
     acc = np.zeros(n)
     step = _PRODUCT_ROWS * max(1, _PRODUCT_CELLS // _PRODUCT_ROWS // len(cols))
     starts = range(0, max(1, n - _PRODUCT_ROWS + 1), step)
     chunk = min(n, max(step, n - starts[-1]))
-    rows = min(chunk, max(1, _BLOCK_CELLS // len(cols)))
+    rows = min(chunk, max(1, BLOCK_ELEMENTS // len(cols)))
     buf = np.empty((chunk, len(cols)))
     d, t = np.empty((rows, len(cols))), np.empty((rows, len(cols)))
     for s, e in zip(starts, [*starts[1:], n]):

@@ -141,7 +141,7 @@ def load_poses(path, camera: CameraModel) -> list[ViewPose]:
     """A poses file: one pose per line; blank and '#' lines are skipped."""
     text = read_text(path, "poses file", VisibilityError)
     return [parse_pose(line, camera) for line in text.split("\n")
-            if line.strip() and not line.startswith("#")]
+            if line.strip()[:1] not in ("", "#")]
 
 
 def save_visibility(path, vs: VisibleSet) -> None:

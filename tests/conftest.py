@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -53,6 +54,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         else:
             label, verdict = "not run", "MISSING"
         tr.write_line(f"criterion {num:2d} [{verdict}] {label}")
+
+
+def traced_peak(fn):
+    """(fn(), the bytes traced at fn's peak): numpy reports its buffers to
+    tracemalloc, so this counts what fn allocates, not the heap's layout."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def peak_rss_mb(code: str) -> float:

@@ -6,13 +6,12 @@ watertight kernel, so agreement is meaningful.
 """
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import bvh_tree_oracle, intersect_brute, intersect_triangles
+from conftest import (bvh_tree_oracle, intersect_brute, intersect_triangles,
+                      traced_peak)
 
 from meshgaze import bvh as bvh_module
 from meshgaze import primitives
@@ -341,12 +340,7 @@ def test_intersect_many_leaf_blocks_bound_memory():
     mesh = primitives.bumpy_sphere(4)
     tree = TriangleBVH(mesh.vertices, mesh.triangles)
     origins, dirs = random_rays(3000, np.array([0.0, 1.5, 0.0]), seed=8)
-    tracemalloc.start()
-    try:
-        _, tri, _ = tree.intersect_many(origins, dirs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, tri, _), peak = traced_peak(lambda: tree.intersect_many(origins, dirs))
     assert (tri >= 0).sum() > 2000
     assert peak < 12e6
 

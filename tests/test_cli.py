@@ -632,6 +632,17 @@ def test_saliency_poses_file(pipeline, tmp_path):
     assert len(pids) == 2
 
 
+def test_saliency_poses_file_indented_comment(pipeline, tmp_path):
+    """A '#' line is skipped whatever blanks come before the '#', as in a
+    config file; before, '  # note' was read as a pose and rejected."""
+    poses = tmp_path / "poses.txt"
+    poses.write_text("  # note\n0 1.6 -1.5 0 0 0\n\t#\n   \n")
+    out = tmp_path / "sal"
+    assert run("saliency", "--mesh", pipeline["mesh_path"],
+               "--poses", poses, "--out", out) == 0
+    assert len([n for n in os.listdir(out) if n.endswith(".csv")]) == 1
+
+
 def test_saliency_pose_errors(pipeline, tmp_path, capsys):
     assert run("saliency", "--mesh", pipeline["mesh_path"],
                "--pose", "1,2,3", "--out", tmp_path / "a") == 1

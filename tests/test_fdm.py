@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import pose_bucket_oracle, splat_oracle
+from conftest import pose_bucket_oracle, splat_oracle, traced_peak
 
 from meshgaze.fdm import (FdmError, build_ground_truth, load_map_csv, plcc,
                           pose_buckets, save_map_csv, save_map_ply, splat_fdm,
@@ -156,6 +156,19 @@ def test_splat_matches_per_fixation_oracle():
         got = splat_fdm(mesh, fix(points, weight=weights), sigma, cutoff)
         np.testing.assert_array_equal(
             got, splat_oracle(mesh, points, weights, sigma, cutoff))
+
+
+def test_splat_blocks_bound_traced_memory():
+    """Each splat block's (fixations, n, 3) difference holds about
+    BLOCK_ELEMENTS: 300 fixations on bumpy_sphere(4) allocate 0.31 MB
+    traced at the peak, where blocks of 2^17 fixation-vertex pairs took
+    5.3 MB."""
+    mesh = bumpy_sphere(4)
+    rng = np.random.default_rng(8)
+    points = mesh.vertices[rng.integers(0, len(mesh.vertices), 300)]
+    values, peak = traced_peak(lambda: splat_fdm(mesh, fix(points), 0.035))
+    assert (values > 0).sum() > 1000
+    assert peak < 0.4e6
 
 
 def test_splat_zero_mass_is_flagged(plane):

@@ -315,8 +315,7 @@ def test_radius_pairs_chunked_like_whole(monkeypatch):
     """Source blocks and pair chunks change nothing but the temporaries."""
     pts = primitives.bumpy_sphere(3).vertices
     want = radius_pairs(pts, 0.2)
-    monkeypatch.setattr(mesh_module, "_SOURCE_BLOCK", 37)
-    monkeypatch.setattr(mesh_module, "_PAIR_CHUNK", 500)
+    monkeypatch.setattr(mesh_module, "BLOCK_ELEMENTS", 500)
     got = radius_pairs(pts, 0.2)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
@@ -324,13 +323,16 @@ def test_radius_pairs_chunked_like_whole(monkeypatch):
 
 def test_radius_pair_blocks_cover_the_sources_in_order(monkeypatch):
     """Each block holds exactly the pairs of its sources [lo, hi), and the
-    blocks tile [0, n) in order."""
+    blocks tile [0, n) in order: in one block, in blocks cut where the
+    neighbour cells are looked up (every budget // 9 sources) and between
+    those cuts, and one source per block."""
     pts = primitives.bumpy_sphere(3).vertices
     want = radius_pairs(pts, 0.2)
-    for source_block, chunk in ((1 << 14, 1 << 20), (37, 500), (5, 1)):
-        monkeypatch.setattr(mesh_module, "_SOURCE_BLOCK", source_block)
-        monkeypatch.setattr(mesh_module, "_PAIR_CHUNK", chunk)
+    for budget, cuts in ((1 << 20, {0}), (500, None), (1, set(range(len(pts))))):
+        monkeypatch.setattr(mesh_module, "BLOCK_ELEMENTS", budget)
         blocks = list(radius_pair_blocks(pts, 0.2))
+        starts = {lo for lo, *_ in blocks}
+        assert starts == cuts if cuts else starts > set(range(0, len(pts), 55))
         bounds = [b for lo, hi, *_ in blocks for b in (lo, hi)]
         assert bounds[0] == 0 and bounds[-1] == len(pts)
         assert bounds[1:-1:2] == bounds[2:-1:2]          # each starts at the last end

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from conftest import (facing_pose, fpfh_oracle, gaussian_average_oracle,
                       pair_list_averages_oracle, peak_rss_mb,
-                      radius_pairs_oracle, uniqueness_oracle, vertex_rings)
+                      radius_pairs_oracle, traced_peak, uniqueness_oracle,
+                      vertex_rings)
 
 from meshgaze.config import RunConfig
 from meshgaze import mesh as mesh_module
 from meshgaze import saliency as saliency_module
-from meshgaze.mesh import Mesh, bounding_box_diagonal, gaussian
+from meshgaze.mesh import BLOCK_ELEMENTS, Mesh, bounding_box_diagonal, gaussian
 from meshgaze.primitives import bumpy_sphere, icosphere, plane_grid
-from meshgaze.saliency import (_BLOCK_CELLS, _PRODUCT_CELLS, _PRODUCT_ROWS,
+from meshgaze.saliency import (_PRODUCT_CELLS, _PRODUCT_ROWS,
                                DESCRIPTOR_SIZE, SaliencyError,
                                _gaussian_averages, baseline_curvature_saliency,
                                bias_weight, compute_fpfh, mean_curvature,
@@ -85,7 +86,8 @@ def test_fpfh_and_uniqueness_bytes_match_oracles(case):
 
 @pytest.mark.parametrize("pairs", [1, 7, 1 << 20])
 def test_fpfh_feature_blocks_match_oracle(monkeypatch, pairs):
-    """Features binned one pair, 7 pairs or every pair at a time give the
+    """Features binned one pair, 7 pairs or every pair at a time (a budget
+    of 3 * pairs elements, which sizes the radius pair blocks too) give the
     oracle's bytes.  The set has a dense patch beside a sparse one (unequal
     neighbor counts), coincident copies (pairs at distance 0, which count
     for neither point) and an isolated point."""
@@ -101,7 +103,8 @@ def test_fpfh_feature_blocks_match_oracle(monkeypatch, pairs):
     k = np.bincount(i[~same], minlength=len(pos))
     assert same.any() and (pairs < 8 or len(i) < pairs)
     assert k[-1] == 0 and k[:-1].min() > 0 and k.max() > 10 * k[:-1].min()
-    monkeypatch.setattr(saliency_module, "_FEATURE_PAIRS", pairs)
+    for module in (mesh_module, saliency_module):
+        monkeypatch.setattr(module, "BLOCK_ELEMENTS", 3 * pairs)
     desc, flags = compute_fpfh(pos, nrm, r)
     want_desc, want_flags = fpfh_oracle(pos, nrm, r)
     assert np.array_equal(desc, want_desc)
@@ -124,7 +127,7 @@ def _chunk_test_set(n):
 
 
 @pytest.mark.parametrize("n, kw", [
-    (4600, {}),
+    (2300, {}),
     (9000, {"exact_limit": 5000, "sample_size": 2300, "seed": 7}),
 ], ids=["exact", "subsampled"])
 def test_uniqueness_across_product_chunks_matches_oracle(n, kw):
@@ -133,7 +136,7 @@ def test_uniqueness_across_product_chunks_matches_oracle(n, kw):
     product in one piece."""
     cols = kw.get("sample_size", n)
     step = _product_step(cols)
-    assert step + _PRODUCT_ROWS <= n and step % (_BLOCK_CELLS // cols)
+    assert step + _PRODUCT_ROWS <= n and step % (BLOCK_ELEMENTS // cols)
     pos, desc = _chunk_test_set(n)
     u, subsampled = uniqueness(pos, desc, **kw)
     want_u, want_sub = uniqueness_oracle(pos, desc, rows=256, **kw)
@@ -445,14 +448,14 @@ def test_gaussian_averages_match_per_vertex_oracle(which, bumpy, spike_pack):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(kappa).max()
 
 
-@pytest.mark.parametrize("chunk", [1 << 20, 1 << 17, 20000, 1])
-def test_gaussian_averages_in_blocks_match_whole_pair_list(chunk, bumpy,
+@pytest.mark.parametrize("budget", [1 << 20, 1 << 17, 20000, 1])
+def test_gaussian_averages_in_blocks_match_whole_pair_list(budget, bumpy,
                                                            spike_pack,
                                                            monkeypatch):
     """Pair blocks, sigmas in any order, each filtered from the next wider
     one's survivors: every vertex sums the same terms in the same order as
     over the whole pair list, so the bytes are the same."""
-    monkeypatch.setattr(mesh_module, "_PAIR_CHUNK", chunk)
+    monkeypatch.setattr(mesh_module, "BLOCK_ELEMENTS", budget)
     for mesh in (bumpy, spike_pack[0], bumpy_sphere(3, amplitude=0.04, seed=3)):
         kappa, _ = mean_curvature(mesh)
         eps = 0.003 * bounding_box_diagonal(mesh)
@@ -537,9 +540,9 @@ def test_uniqueness_products_of_a_few_mb(n, budget):
 
 
 def test_baseline_pair_blocks_of_a_few_mb():
-    """Radius pairs in blocks of about 2^17 candidates: 54 MB on
-    bumpy_sphere(5), where blocks of 2^20 took 101 MB and all 1.8M pairs
-    at once 151 MB."""
+    """Radius pairs in blocks of about BLOCK_ELEMENTS candidates: with
+    blocks of 2^17 it took 54 MB on bumpy_sphere(5), where blocks of 2^20
+    took 101 MB and all 1.8M pairs at once 151 MB."""
     peak = peak_rss_mb(
         "from meshgaze.primitives import bumpy_sphere\n"
         "from meshgaze.saliency import baseline_curvature_saliency\n"
@@ -549,9 +552,9 @@ def test_baseline_pair_blocks_of_a_few_mb():
 
 def test_fpfh_feature_blocks_of_a_few_mb():
     """FPFH over all 10,242 vertices of icosphere(5) at r = 0.05 diag
-    (784,140 pairs): 83 MB with features binned 2^13 pairs at a time and
-    the descriptor finished in place, where whole-list temporaries took
-    332 MB."""
+    (784,140 pairs): 83 MB with features binned 2^13 pairs at a time (now
+    BLOCK_ELEMENTS // 3) and the descriptor finished in place, where
+    whole-list temporaries took 332 MB."""
     peak = peak_rss_mb(
         "from meshgaze.mesh import bounding_box_diagonal\n"
         "from meshgaze.primitives import icosphere\n"
@@ -578,3 +581,26 @@ def test_subsampled_saliency_map_memory_envelope():
         "smap = saliency_map(plane_grid(50, 50), pose, cfg)\n"
         "assert smap.visible == 2601 and smap.subsampled\n")
     assert peak < 51.5
+
+
+def test_baseline_pair_blocks_bound_traced_memory():
+    """Radius pairs streamed in blocks of BLOCK_ELEMENTS candidates: the
+    baseline on bumpy_sphere(4) allocates 2.2 MB traced at its peak, where
+    blocks of 2^17 candidates took 5.9 MB."""
+    mesh = bumpy_sphere(4)
+    out, peak = traced_peak(lambda: baseline_curvature_saliency(mesh))
+    assert out.max() == 1.0
+    assert peak < 2.7e6
+
+
+def test_fpfh_feature_blocks_bound_traced_memory():
+    """FPFH over all 2,562 vertices of bumpy_sphere(4) at r = 0.05 diag,
+    features binned BLOCK_ELEMENTS // 3 pairs at a time: 4.1 MB traced at
+    its peak, where 2^13-pair feature blocks and 2^17-candidate pair blocks
+    took 6.0 MB.  Most of it is the pair list itself."""
+    mesh = bumpy_sphere(4)
+    r = 0.05 * bounding_box_diagonal(mesh)
+    (_, flags), peak = traced_peak(
+        lambda: compute_fpfh(mesh.vertices, mesh.normals, r))
+    assert not flags.any()
+    assert peak < 4.9e6
