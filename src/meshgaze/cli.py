@@ -103,10 +103,17 @@ def _warn(msg: str) -> None:
 def _listing(directory, keep=lambda name: name.endswith(".csv"),
              stem=False) -> dict:
     """{name, or name without extension: path} of the entries of a
-    directory that keep accepts, in name order."""
-    return {os.path.splitext(name)[0] if stem else name:
-            os.path.join(directory, name)
-            for name in sorted(os.listdir(directory)) if keep(name)}
+    directory that keep accepts, in name order; two names of one stem
+    raise MeshgazeError."""
+    out = {}
+    for name in filter(keep, sorted(os.listdir(directory))):
+        path = os.path.join(directory, name)
+        key = os.path.splitext(name)[0] if stem else name
+        if key in out:
+            raise _config.MeshgazeError(
+                f"{out[key]!r} and {path!r} share the stem {key!r}")
+        out[key] = path
+    return out
 
 
 def _sidecar(path, /, **fields) -> None:

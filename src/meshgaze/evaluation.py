@@ -22,7 +22,7 @@ from .config import MeshgazeError
 from .fdm import FdmError, bucket_views, plcc, pose_groups, splat_fdm
 from .fixation import median, saccade_amplitudes
 from .gaze import head_orientations, rowdot
-from .io import read_text
+from .io import read_text, unique_keys
 
 
 class EvaluationError(MeshgazeError):
@@ -127,9 +127,11 @@ def evaluate_views(views, cfg) -> dict:
 
 
 def load_weights(path) -> dict:
-    """Per-view visit weights A_w: a JSON object of integers >= 1."""
+    """Per-view visit weights A_w: a JSON object of integers >= 1, each
+    pose id once."""
     try:
-        weights = json.loads(read_text(path, "weights file", EvaluationError))
+        weights = json.loads(read_text(path, "weights file", EvaluationError),
+                             object_pairs_hook=unique_keys)
     except ValueError as exc:
         raise EvaluationError(f"weights file {path!r}: {exc}") from exc
     if not isinstance(weights, dict):

@@ -211,7 +211,8 @@ def saccade_amplitudes(fixations: Fixations, first, second) -> np.ndarray:
 def extract_fixations(recording, traced, cfg,
                       recording_id: str = "") -> tuple[Fixations, dict]:
     """Full per-recording pipeline on a Recording table and its traced
-    stream [(row, record-or-None)]: classify, cluster, pick centers.
+    stream [(row, hit point or None)]: classify with D_k = |hit - P_k|,
+    cluster, pick centers.
 
     Each fixation's pose is the member nearest the cluster's temporal
     midpoint (ties to the earliest), its duration (t_last - t_first) + dt
@@ -220,10 +221,10 @@ def extract_fixations(recording, traced, cfg,
     """
     t = recording.t
     miss = np.full(3, np.nan)
-    points = np.array([miss if r is None else r.point for _, r in traced],
+    points = np.array([miss if y is None else y for _, y in traced],
                       dtype=np.float64).reshape(-1, 3)
-    distances = np.array([np.nan if r is None else r.distance
-                          for _, r in traced], dtype=np.float64)
+    gap = points - recording.p
+    distances = np.sqrt(rowdot(gap, gap))
     dt = nominal_dt(t)
     labels = classify_ivt(t, points, distances, cfg.ivt_h,
                           cfg.min_fixation_s, dt=dt)

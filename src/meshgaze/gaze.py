@@ -41,15 +41,6 @@ class Recording:
         return len(self.t)
 
 
-@dataclass
-class IntersectionRecord:
-    __slots__ = ("point", "triangle", "bary", "distance")
-    point: np.ndarray
-    triangle: int
-    bary: np.ndarray
-    distance: float     # |point - head position|
-
-
 _REST = np.array([0.0, 0.0, 1.0])
 
 
@@ -159,42 +150,31 @@ def sightlines(p, o_deg, s, d_screen: float):
     return p, directions
 
 
-def cast_hits(mesh: Mesh, origins, directions):
-    """Nearest mesh hit of each ray as arrays, all cast in one batched BVH
-    traversal: points (n, 3), distances (n,) from the origin, triangles
-    (n,) and bary (n, 3).  A miss or a NaN direction gives NaN rows and
-    triangle -1."""
+def cast_hits(mesh: Mesh, origins, directions) -> np.ndarray:
+    """Nearest mesh hit point (n, 3) of each ray, all cast in one batched
+    BVH traversal; a miss or a NaN direction gives a NaN row."""
     origins, directions = _rows(origins), _rows(directions)
-    n = len(origins)
-    tri = np.full(n, -1, dtype=np.int64)
-    bary = np.full((n, 3), np.nan)
     cast = np.flatnonzero(np.isfinite(directions).all(axis=1))
-    _, tri[cast], bary[cast] = mesh.bvh.intersect_many(origins[cast],
-                                                       directions[cast])
+    _, tri, bary = mesh.bvh.intersect_many(origins[cast], directions[cast])
     hit = tri >= 0
-    tv = mesh.vertices[mesh.triangles[tri[hit]]]
+    a, b, c = mesh.vertices[mesh.triangles[tri[hit]].T]
     w = bary[hit]
-    points = np.full((n, 3), np.nan)
-    points[hit] = w[:, :1] * tv[:, 0] + w[:, 1:2] * tv[:, 1] + w[:, 2:] * tv[:, 2]
-    gap = points[hit] - origins[hit]
-    distances = np.full(n, np.nan)
-    distances[hit] = np.sqrt(rowdot(gap, gap))
-    return points, distances, tri, bary
+    points = np.full((len(origins), 3), np.nan)
+    points[cast[hit]] = w[:, :1] * a + w[:, 1:2] * b + w[:, 2:] * c
+    return points
 
 
 def trace_samples(recording: Recording, mesh: Mesh, d_screen: float):
-    """[(row, record-or-None)] for a whole recording, cast in one batch;
-    each record views one row of cast_hits' arrays.
+    """[(row, hit point or None)] for a whole recording, cast in one batch;
+    each point views one row of cast_hits' array.
 
     A sample whose screen frame degenerates (head facing straight up or
     down) is treated as a miss rather than aborting the recording.
     """
-    points, distances, tri, bary = cast_hits(mesh, *sightlines(
-        recording.p, recording.o, recording.s, d_screen))
-    return [(k, None if t < 0 else IntersectionRecord(
-                point=y, triangle=t, bary=w, distance=d))
-            for k, (y, d, t, w) in enumerate(zip(points, distances.tolist(),
-                                                 tri.tolist(), bary))]
+    points = cast_hits(mesh, *sightlines(recording.p, recording.o,
+                                         recording.s, d_screen))
+    missed = np.isnan(points[:, 0]).tolist()
+    return [(k, None if m else y) for k, (y, m) in enumerate(zip(points, missed))]
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,17 @@ def write_csv(path, header, rows) -> None:
     write_text(path, buf.getvalue())
 
 
+def unique_keys(pairs) -> dict:
+    """json.loads' object_pairs_hook: the object's pairs as a dict; a key
+    the object repeats raises ValueError naming it."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def write_json(path, obj) -> None:
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 

@@ -56,7 +56,7 @@ class Mesh:
     def normals(self):
         if self._normals is None:
             self._normals = compute_vertex_normals(self.vertices,
-                                                   self.triangles)[0]
+                                                   self.triangles)
         return self._normals
 
     @property
@@ -81,24 +81,20 @@ def compute_vertex_normals(vertices, triangles):
 
     Each triangle contributes its geometric normal scaled by area (the
     cross product does both at once).  Zero-area triangles contribute
-    nothing.  Vertices with no usable incident area get a zero normal and
-    a True entry in the returned flag array.
+    nothing.  Vertices with no usable incident area get a zero normal.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     triangles = np.asarray(triangles, dtype=np.int64)
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
+    a, b, c = vertices[triangles.T]
     cross = np.cross(b - a, c - a)  # |cross| = 2 * area
     acc = np.zeros_like(vertices)
     for col in range(3):
         np.add.at(acc, triangles[:, col], cross)
     norms = np.linalg.norm(acc, axis=1)
-    flags = norms < 1e-300
     out = np.zeros_like(acc)
-    good = ~flags
+    good = ~(norms < 1e-300)
     out[good] = acc[good] / norms[good, None]
-    return out, flags
+    return out
 
 
 def bounding_box_diagonal(mesh_or_vertices) -> float:

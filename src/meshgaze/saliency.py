@@ -261,13 +261,9 @@ def saliency_map(mesh: Mesh, pose: ViewPose, cfg, vs: VisibleSet | None = None) 
 # curvature baseline
 
 def mean_curvature(mesh: Mesh):
-    """Discrete mean curvature magnitude per vertex (cotangent weights).
-
-    Edges shared by more than two triangles are non-manifold; their
-    contributions are skipped and the touching vertices flagged.
-
-    Returns (kappa (n,), flags (n,)).
-    """
+    """Discrete mean curvature magnitude kappa (n,) per vertex (cotangent
+    weights).  Edges shared by more than two triangles are non-manifold;
+    their contributions are skipped.  A vertex without area gets 0."""
     v = mesh.vertices
     tris = mesh.triangles
     n = len(v)
@@ -277,38 +273,30 @@ def mean_curvature(mesh: Mesh):
     _, inverse, counts = np.unique(ekey, axis=0, return_inverse=True,
                                    return_counts=True)
     edge_ok = counts[inverse] <= 2                      # per (tri, edge) slot
-    flags = np.zeros(n, dtype=bool)
-    bad = edges[~edge_ok]
-    if len(bad):
-        flags[np.unique(bad)] = True
 
     acc = np.zeros((n, 3))
     corner = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    p0 = v[tris[:, 0]]
-    p1 = v[tris[:, 1]]
-    p2 = v[tris[:, 2]]
-    tri_area = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
+    p = v[tris.T]                                       # (3, m, 3) corners
+    tri_area = 0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]), axis=1)
     area = np.bincount(tris.T.ravel(), np.tile(tri_area / 3.0, 3), minlength=n)
 
-    for slot, (i, j, k) in enumerate(corner):
+    for (i, j, k), ok in zip(corner, edge_ok.reshape(3, -1)):
         # cot of the angle at k, applied to edge (i, j)
-        a = v[tris[:, i]] - v[tris[:, k]]
-        b = v[tris[:, j]] - v[tris[:, k]]
+        a = p[i] - p[k]
+        b = p[j] - p[k]
         cross = np.linalg.norm(np.cross(a, b), axis=1)
         dot = np.einsum("ij,ij->i", a, b)
         with np.errstate(divide="ignore", invalid="ignore"):
             cot = np.where(cross > 1e-300, dot / cross, 0.0)
-        ok = edge_ok[slot * len(tris):(slot + 1) * len(tris)]
         cot = np.where(ok, cot, 0.0)
-        d_ij = v[tris[:, j]] - v[tris[:, i]]
+        d_ij = p[j] - p[i]
         np.add.at(acc, tris[:, i], cot[:, None] * d_ij)
         np.add.at(acc, tris[:, j], -cot[:, None] * d_ij)
 
     kappa = np.zeros(n)
     good = area > 1e-300
     kappa[good] = np.linalg.norm(acc[good], axis=1) / (4.0 * area[good])
-    flags |= ~good
-    return kappa, flags
+    return kappa
 
 
 def _gaussian_averages(values, positions, sigmas,
@@ -376,7 +364,7 @@ def baseline_curvature_saliency(mesh: Mesh, eps_frac: float = 0.003,
         raise SaliencyError("the mesh's bounding-box diagonal is 0")
     eps = eps_frac * diag
     scales = [m * eps for m in (2, 3, 4, 5, 6)]
-    kappa, _ = mean_curvature(mesh)
+    kappa = mean_curvature(mesh)
     sigmas = list(dict.fromkeys(f * s for s in scales for f in (1.0, 2.0)))
     averages = dict(zip(sigmas, _gaussian_averages(
         kappa, mesh.vertices, sigmas,

@@ -20,7 +20,7 @@ from .config import (AT_LEAST_1, COORD, MAX_COORD, NON_NEGATIVE, POSITIVE,
                      MeshgazeError, _is_int, check_fields, raise_first, within)
 from .gaze import (GazeError, Recording, cast_hits, head_orientations,
                    rowdot, screen_frames, screen_point, sightlines)
-from .io import read_text
+from .io import read_text, unique_keys
 from .mesh import Mesh
 
 
@@ -85,11 +85,12 @@ def scenario_to_json(sc: SyntheticScenario) -> str:
 
 
 def scenario_from_json(text: str) -> SyntheticScenario:
-    """Parse a scenario; raises ScenarioError on malformed JSON, unknown or
-    missing fields, or a field of the wrong type or out of its domain."""
+    """Parse a scenario; raises ScenarioError on malformed JSON, a repeated,
+    unknown or missing field, or a field of the wrong type or out of its
+    domain."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:
         raise ScenarioError(f"malformed scenario JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario JSON must be an object")
@@ -251,7 +252,7 @@ def check_targets_reachable(scenario: SyntheticScenario, mesh: Mesh, cfg,
                                                     cfg.d_screen)
         _raise_unaimable(o_vec, along, degenerate)
         points = cast_hits(mesh, *sightlines(p[ks], o_deg[ks], s,
-                                             cfg.d_screen))[0]
+                                             cfg.d_screen))
         miss = points - aim
         reached[aimed[ks][np.sqrt(rowdot(miss, miss)) <= tol]] = True
 

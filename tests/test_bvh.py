@@ -159,16 +159,18 @@ def test_intersect_triangles_degenerate():
 
 
 def test_barycentric_reconstruction(sphere2):
-    origin = np.array([0.0, 1.5, -3.0])
-    (point,), (distance,), (tri,), (bary,) = cast_hits(
-        sphere2, origin[None], np.array([[0.0, 0.0, 1.0]]))
+    origin, direction = np.array([0.0, 1.5, -3.0]), np.array([0.0, 0.0, 1.0])
+    (t,), (tri,), (bary,) = sphere2.bvh.intersect_many(origin[None],
+                                                       direction[None])
     assert tri >= 0
     a, b, c = sphere2.triangles[tri]
     recon = (bary[0] * sphere2.vertices[a] + bary[1] * sphere2.vertices[b]
              + bary[2] * sphere2.vertices[c])
+    (point,) = cast_hits(sphere2, origin[None], direction[None])
     np.testing.assert_allclose(recon, point, atol=1e-12)
+    np.testing.assert_allclose(recon, origin + t * direction, atol=1e-12)
     assert bary.min() >= 0 and bary.sum() == pytest.approx(1.0, abs=1e-9)
-    assert distance == pytest.approx(np.linalg.norm(point - origin), abs=1e-9)
+    assert t == pytest.approx(np.linalg.norm(recon - origin), abs=1e-9)
 
 
 def test_occluded_variants(sphere3):

@@ -223,6 +223,27 @@ def test_synth_rejects_scenario_that_is_not_an_object(pipeline, tmp_path,
     assert "must be an object" in assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("seed, named", [
+    ("11, \"seed\": 12", "duplicate key 'seed'"),
+    ("1" * 5000, "Exceeds the limit (4300 digits)"),
+], ids=["seed-twice", "seed-of-5000-digits"])
+def test_synth_rejects_a_repeated_or_unparsable_scenario_field(
+        pipeline, tmp_path, capsys, seed, named):
+    """A field given twice is an error naming it, where json.loads alone
+    kept the last "seed" and synth exited 0; an integer too long for int()
+    is one `error:` line, where it ended in a ValueError traceback."""
+    text = scenario_to_json(SyntheticScenario(
+        mesh_id="ball", targets=pipeline["targets"], duration_s=1.0,
+        subjects=1, seed=11))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"seed": 11', f'"seed": {seed}'))
+    out = tmp_path / "out"
+    assert run("synth", "--scenario", bad, "--mesh", pipeline["mesh_path"],
+               "--out", out) == 1
+    assert named in assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # process
 
@@ -755,6 +776,26 @@ def test_baseline_of_a_zero_extent_mesh_is_one_error(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # analyze
 
+def test_analyze_rejects_two_meshes_of_one_stem(pipeline, tmp_path, capsys):
+    """m.obj and m.ply in --mesh-dir are an error naming both files; the
+    listing kept the later name, so analyze exited 0 on m.ply alone."""
+    mesh_dir, fix_root = tmp_path / "meshes", tmp_path / "fixations"
+    mesh_dir.mkdir()
+    mesh = pipeline["mesh"]
+    (mesh_dir / "m.obj").write_text(
+        "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist())
+        + "".join(f"f {a} {b} {c}\n" for a, b, c in
+                  (mesh.triangles + 1).tolist()))
+    shutil.copy(pipeline["mesh_path"], mesh_dir / "m.ply")
+    shutil.copytree(pipeline["fix"], fix_root / "m")
+    out = tmp_path / "reports"
+    assert run("analyze", "--mesh-dir", mesh_dir, "--fixations", fix_root,
+               "--out", out) == 1
+    err = assert_one_error_line(capsys)
+    assert str(mesh_dir / "m.obj") in err and str(mesh_dir / "m.ply") in err
+    assert not out.exists()
+
+
 def test_analyze_reports(pipeline, tmp_path):
     mesh_dir = tmp_path / "meshes"
     fix_root = tmp_path / "fixations"
@@ -999,6 +1040,21 @@ def test_evaluate_rejects_malformed_weights(tmp_path, capsys, body):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_evaluate_rejects_a_repeated_pose_id_in_weights(tmp_path, capsys):
+    """A pose id given twice in weights.json is an error naming it; json.loads
+    alone kept the last weight, so E weighed view m1 by 7 and exited 0."""
+    for d in ("gt", "preds"):
+        (tmp_path / d).mkdir()
+        save_map_csv(tmp_path / d / "m1.csv", [0.5, 0.25, 0.75, 0.1])
+        save_map_csv(tmp_path / d / "m2.csv", [0.1, 0.75, 0.25, 0.5])
+    (tmp_path / "gt" / "weights.json").write_text('{"m1": 1, "m2": 2, "m1": 7}')
+    out = tmp_path / "r.json"
+    assert run("evaluate", "--ground-truth", tmp_path / "gt", "--predictions",
+               tmp_path / "preds", "--out", out) == 1
+    assert "duplicate key 'm1'" in assert_one_error_line(capsys)
+    assert not out.exists() and not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("field, value", [(2, "x"), (4, "nan"), (12, "0")],
@@ -1383,29 +1439,40 @@ def test_traced_saliency_records_its_kernel_spans(pipeline, tmp_path):
 
 def test_tracer_counts_the_rays_and_hits_of_trace_samples(pipeline):
     """perfbench's gaze.rays and gaze.hit_frac count trace_samples' pairs,
-    one per sample and a record for each hit; a change to the pairs' shape
-    would leave those metrics null or skewed.  A third of the samples face
-    away from the mesh, so the recording has hits and misses."""
+    one per sample and a point for each hit, and fixation.fixations the
+    rows of extract_fixations' table; a change to either shape would leave
+    those metrics null or skewed.  Every third sample of the first half
+    faces away from the mesh, so the recording has hits and misses, and
+    the second half has fixations."""
     perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
     out = python("import json, sys\n"
                  f"sys.path.insert(0, {perfbench!r})\n"
+                 "import numpy as np\n"
                  "import tracing\n"
                  "from meshgaze.config import RunConfig\n"
+                 "from meshgaze.fixation import extract_fixations\n"
                  "from meshgaze.gaze import (Recording, cast_hits, "
                  "load_recording, sightlines, trace_samples)\n"
                  "from meshgaze.mesh import load_mesh\n"
                  f"r = load_recording({str(pipeline['rec'] / 's00.csv')!r})\n"
                  "o = r.o.copy()\n"
-                 "o[::3] += [0.0, 180.0, 0.0]\n"
+                 "o[:len(o) // 2:3] += [0.0, 180.0, 0.0]\n"
                  "r = Recording(r.t, r.p, o, r.s)\n"
                  f"mesh = load_mesh({str(pipeline['mesh_path'])!r})\n"
-                 "d = RunConfig().d_screen\n"
-                 "hits = cast_hits(mesh, *sightlines(r.p, r.o, r.s, d))[2] >= 0\n"
-                 "counts = tracing._trace_counts(trace_samples(r, mesh, d))\n"
-                 "print(json.dumps([counts, len(r), int(hits.sum())]))\n")
-    counts, rays, hits = json.loads(out[0])
+                 "cfg = RunConfig()\n"
+                 "d = cfg.d_screen\n"
+                 "points = cast_hits(mesh, *sightlines(r.p, r.o, r.s, d))\n"
+                 "hits = int((~np.isnan(points).any(axis=1)).sum())\n"
+                 "traced = trace_samples(r, mesh, d)\n"
+                 "counts = tracing._trace_counts(traced)\n"
+                 "result = extract_fixations(r, traced, cfg)\n"
+                 "fixations = tracing._fixation_counts(result)\n"
+                 "print(json.dumps([counts, len(r), hits, fixations, "
+                 "len(result[0])]))\n")
+    counts, rays, hits, fixations, rows = json.loads(out[0])
     assert counts == {"rays": rays, "hits": hits}
     assert 0 < hits < rays
+    assert fixations == {"fixations": rows} and rows > 0
 
 
 def test_cli_import_leaves_scipy_unloaded(pipeline, tmp_path):

@@ -3,14 +3,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import ivt_oracle, saccade_amplitude_oracle
+from conftest import hit_records_oracle, ivt_oracle, saccade_amplitude_oracle
 
+from meshgaze import fixation
 from meshgaze.fixation import (FIXATION, MISS, SACCADE, FixationError,
                                Fixations, classify_ivt,
                                cluster_center_random_walk, extract_fixations,
                                group_clusters, load_fixations, median,
                                nominal_dt, saccade_amplitudes, save_fixations)
-from meshgaze.gaze import IntersectionRecord, Recording
+from meshgaze.gaze import Recording, sightlines, trace_samples
 
 H = 0.0075
 
@@ -26,16 +27,15 @@ def make_stream(points, distances, dt=1.0 / 120.0, miss_at=()):
 
 
 def traced_of(t, points, distances):
-    """A Recording and its (row, IntersectionRecord|None) pairs; sample k
-    has head position (k, 0, 0) and orientation (0, k, 0)."""
+    """A Recording and its (row, point or None) pairs; sample k has head
+    position (k, 0, 0) and orientation (0, k, 0).  The distances mark the
+    misses only: extract_fixations measures D_k from the head position."""
     k = np.arange(len(t), dtype=float)
     zero = np.zeros_like(k)
     recording = Recording(t=t, p=np.column_stack([k, zero, zero]),
                           o=np.column_stack([zero, k, zero]),
                           s=np.zeros((len(t), 2)))
-    traced = [(i, None if np.isnan(distances[i]) else IntersectionRecord(
-                  point=points[i].copy(), triangle=0,
-                  bary=np.array([1.0, 0.0, 0.0]), distance=float(distances[i])))
+    traced = [(i, None if np.isnan(distances[i]) else points[i].copy())
               for i in range(len(t))]
     return recording, traced
 
@@ -267,7 +267,7 @@ def test_singleton_cluster_short_circuits(cfg):
     assert cluster_center_random_walk([(0.1, 0.2, 0.3)], sigma_rw=0.03) == 0
     with pytest.raises(FixationError):
         cluster_center_random_walk(np.empty((0, 3)), sigma_rw=0.03)
-    # through the pipeline: steps of 0.002 are fixations (h * D = 0.0075)
+    # through the pipeline: steps of 0.002 are fixations (h * D > 0.0075)
     # but each lies outside a 0.001 cluster interval
     cfg.min_fixation_s = 0.0
     cfg.cluster_interval = 0.001
@@ -400,6 +400,37 @@ def test_extract_fixations_counts(cfg):
     assert stats["fixations"] == len(points) == 2
     np.testing.assert_allclose(points.position, [[0, 0, 1], [0.5, 0, 1]])
     assert points.weight.tolist() == [18, 23]
+
+
+def test_extract_fixations_hands_the_oracle_distances_to_ivt(sphere3, cfg,
+                                                           monkeypatch):
+    """The D_k that extract_fixations gives classify_ivt are the bytes of
+    the per-record oracle's |hit - P_k|, NaN at each miss and NaN ray."""
+    rng = np.random.default_rng(5)
+    n = 150
+    o = rng.normal(0.0, 8.0, size=(n, 3))
+    o[::7] = [90.0, 0.0, 0.0]            # straight down: a NaN sight-line
+    o[3::5] += [0.0, 180.0, 0.0]         # facing away: a miss
+    recording = Recording(t=np.arange(n) / 120.0,
+                          p=[0.0, 1.5, -2.0] + 0.1 * rng.normal(size=(n, 3)),
+                          o=o, s=rng.uniform(-0.05, 0.05, size=(n, 2)))
+    seen = []
+
+    def spy(t, points, distances, *args, **kwargs):
+        seen.append(distances)
+        return classify_ivt(t, points, distances, *args, **kwargs)
+
+    monkeypatch.setattr(fixation, "classify_ivt", spy)
+    extract_fixations(recording, trace_samples(recording, sphere3,
+                                               cfg.d_screen), cfg)
+    origins, directions = sightlines(recording.p, recording.o, recording.s,
+                                     cfg.d_screen)
+    want = np.array([np.nan if w is None else w[3] for w in
+                     hit_records_oracle(sphere3, origins, directions)])
+    (got,) = seen
+    assert got.tobytes() == want.tobytes()
+    cast = ~np.isnan(directions[:, 0])
+    assert not cast[::7].any() and 0 < np.isnan(got[cast]).sum() < cast.sum()
 
 
 def test_fixation_file_roundtrip(tmp_path):

@@ -161,27 +161,28 @@ def test_doubling_d_screen_keeps_direction_when_centered():
 
 def test_trace_sphere_hit_distance(sphere3):
     sample = Recording(t=[0.0], p=[0.0, 1.5, -2.0], o=np.zeros(3), s=np.zeros(2))
-    traced = trace_samples(sample, sphere3, d_screen=0.05)
-    (row, rec), = traced
-    assert row == 0 and rec is not None
-    assert rec.distance == pytest.approx(1.7, abs=0.02)
-    np.testing.assert_allclose(rec.point[:2], [0.0, 1.5], atol=1e-9)
+    (row, point), = trace_samples(sample, sphere3, d_screen=0.05)
+    (want, _, _, _), = hit_records_oracle(
+        sphere3, *sightlines(sample.p, sample.o, sample.s, 0.05))
+    assert row == 0 and np.array_equal(point, want)
+    assert np.linalg.norm(point - sample.p[0]) == pytest.approx(1.7, abs=0.02)
+    np.testing.assert_allclose(point[:2], [0.0, 1.5], atol=1e-9)
 
 
 def test_trace_miss_is_none(sphere3):
     sample = Recording(t=[0.0], p=[0.0, 1.5, -2.0],
                        o=[0.0, 180.0, 0.0],                 # facing away
                        s=np.zeros(2))
-    (row, rec), = trace_samples(sample, sphere3, d_screen=0.05)
-    assert rec is None
+    (row, point), = trace_samples(sample, sphere3, d_screen=0.05)
+    assert point is None
 
 
 def test_trace_degenerate_orientation_is_miss(sphere3):
     sample = Recording(t=[0.0], p=[0.0, 3.0, 0.0],
                        o=[90.0, 0.0, 0.0],                  # looking straight down
                        s=[0.01, 0.0])
-    (row, rec), = trace_samples(sample, sphere3, d_screen=0.05)
-    assert rec is None          # degenerate beta cannot resolve the offset
+    (row, point), = trace_samples(sample, sphere3, d_screen=0.05)
+    assert point is None        # degenerate beta cannot resolve the offset
 
 
 @pytest.mark.parametrize("d_screen", [0.0, -1.0, np.nan])
@@ -224,7 +225,8 @@ def test_sightlines_match_per_sample_chain_bit_for_bit():
 
 
 def test_trace_samples_match_per_ray_records(sphere3):
-    """Batched tracing gives the exhaustive scan's hits, bit for bit."""
+    """Batched tracing gives the exhaustive scan's hit points, bit for bit,
+    and intersect_many on the same sight-lines its triangles and bary."""
     rng = np.random.default_rng(4)
     rows = [(0.1 * k, np.array([0.0, 1.5, -2.0]) + 0.1 * rng.normal(size=3),
              rng.normal(0.0, 8.0, size=3), rng.uniform(-0.05, 0.05, size=2))
@@ -232,20 +234,22 @@ def test_trace_samples_match_per_ray_records(sphere3):
     recording = Recording(*map(np.array, zip(*rows)))
     traced = trace_samples(recording, sphere3, d_screen=0.05)
     assert [k for k, _ in traced] == list(range(len(rows)))
+    _, tris, barys = sphere3.bvh.intersect_many(*sightlines(
+        recording.p, recording.o, recording.s, 0.05))
     hits = 0
-    for (_, p, o, s), (_, rec) in zip(rows, traced):
+    for (_, p, o, s), (_, point), tri_k, bary_k in zip(rows, traced, tris,
+                                                       barys):
         want = intersect_brute(sphere3.vertices, sphere3.triangles, p,
                                _chain(p, o, s, 0.05))
-        assert (rec is None) == (want is None)
-        if rec is not None:
+        assert (point is None) == (want is None) == (tri_k < 0)
+        if point is not None:
             hits += 1
             _, tri, bary = want
             tv = sphere3.vertices[sphere3.triangles[tri]]
-            point = bary[0] * tv[0] + bary[1] * tv[1] + bary[2] * tv[2]
-            assert rec.triangle == tri
-            assert rec.distance == float(np.linalg.norm(point - p))
-            assert np.array_equal(rec.point, point)
-            assert np.array_equal(rec.bary, bary)
+            assert np.array_equal(
+                point, bary[0] * tv[0] + bary[1] * tv[1] + bary[2] * tv[2])
+            assert tri_k == tri
+            assert np.array_equal(bary_k, bary)
     assert 0 < hits < len(rows)
 
 
@@ -363,8 +367,8 @@ def test_sightline_at_the_head_is_nan_like_the_chain():
 
 
 def test_cast_hits_match_per_record_oracle(sphere3):
-    """Points, distances, triangles and bary of every ray equal the
-    one-record-at-a-time loop's, with NaN and -1 on misses and NaN rays."""
+    """The hit point of every ray equals the one-record-at-a-time loop's,
+    with a NaN row on misses and NaN rays."""
     rng = np.random.default_rng(8)
     n = 400
     origins = np.array([0.0, 1.5, -2.0]) + 0.3 * rng.normal(size=(n, 3))
@@ -372,19 +376,14 @@ def test_cast_hits_match_per_record_oracle(sphere3):
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     directions[::9] = np.nan
     directions[4::15] *= -1.0                        # facing away: misses
-    points, distances, tri, bary = cast_hits(sphere3, origins, directions)
+    points = cast_hits(sphere3, origins, directions)
     want = hit_records_oracle(sphere3, origins, directions)
+    assert points.shape == (n, 3)
     for k, w in enumerate(want):
         if w is None:
-            assert tri[k] == -1
-            assert np.isnan(points[k]).all() and np.isnan(distances[k])
-            assert np.isnan(bary[k]).all()
-            continue
-        point, triangle, b, dist = w
-        assert np.array_equal(points[k], point)
-        assert distances[k] == dist
-        assert tri[k] == triangle
-        assert np.array_equal(bary[k], b)
+            assert np.isnan(points[k]).all()
+        else:
+            assert np.array_equal(points[k], w[0])
     hits = sum(w is not None for w in want)
     assert 0 < hits < n - n // 9
 

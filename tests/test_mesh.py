@@ -206,13 +206,14 @@ def test_sphere_normals_radial(sphere3):
 
 
 def test_degenerate_triangle_flagged():
+    """A vertex with no usable incident area gets a zero normal."""
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]])
     tris = np.array([[0, 1, 2], [3, 3, 3]])       # second has zero area
     mesh = Mesh(verts, tris)
-    flags = compute_vertex_normals(verts, tris)[1]
-    assert flags[3]                               # only degenerate incidence
-    assert not flags[:3].any()
-    assert np.linalg.norm(mesh.normals[:3] - [0, 0, 1], axis=1).max() < 1e-12
+    normals = compute_vertex_normals(verts, tris)
+    assert np.array_equal(mesh.normals, normals)
+    assert (normals[3] == 0.0).all()              # only degenerate incidence
+    assert np.linalg.norm(normals[:3] - [0, 0, 1], axis=1).max() < 1e-12
 
 
 def test_normals_deterministic(sphere2):

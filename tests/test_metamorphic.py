@@ -142,7 +142,7 @@ def test_gaussian_averages_under_relabelling_and_translation(level):
     """The baseline's averages at its 8 distinct scales; relabelling changes
     each vertex's summation order, translation the rounding of each d2."""
     mesh = bumpy_sphere(level, seed=5)
-    kappa, _ = mean_curvature(mesh)
+    kappa = mean_curvature(mesh)
     eps = CFG.baseline_eps_frac * bounding_box_diagonal(mesh)
     sigmas = [m * eps for m in (2, 4, 3, 6, 8, 5, 10, 12)]
     want = _gaussian_averages(kappa, mesh.vertices, sigmas)

@@ -391,8 +391,8 @@ def test_saliency_map_empty_view_flagged(sphere3, cfg):
 # curvature baseline
 
 def test_mean_curvature_of_sphere(sphere3):
-    kappa, flags = mean_curvature(sphere3)
-    assert not flags.any()
+    kappa = mean_curvature(sphere3)
+    assert (kappa > 0).all()        # every vertex has area and curvature
     # discrete estimate of 1/R = 1/0.3; tessellation bias stays small
     assert np.median(kappa) == pytest.approx(1.0 / 0.3, rel=0.05)
     assert np.abs(kappa / (1.0 / 0.3) - 1.0).max() < 0.25
@@ -400,17 +400,36 @@ def test_mean_curvature_of_sphere(sphere3):
 
 def test_mean_curvature_flat_region_is_zero():
     plane = plane_grid(8, 8, size=1.0, center=(0.0, 0.0, 0.0))
-    kappa, _ = mean_curvature(plane)
+    kappa = mean_curvature(plane)
     interior = np.abs(kappa) < 1e-9
     assert interior.sum() >= 36     # all non-boundary vertices
 
 
 def test_mean_curvature_flags_nonmanifold_edge():
+    """kappa leaves out the cotangent terms of an edge that three triangles
+    share, and only those: a per-corner loop gives it, and the same loop
+    with the edge kept does not."""
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                       [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
     tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])   # edge 0-1 used thrice
-    _, flags = mean_curvature(Mesh(vertices=verts, triangles=tris))
-    assert flags[0] and flags[1]
+    kappa = mean_curvature(Mesh(vertices=verts, triangles=tris))
+
+    def per_corner(skip):
+        acc, area = np.zeros((5, 3)), np.zeros(5)
+        for tri in tris:
+            x = verts[tri]
+            area[tri] += np.linalg.norm(np.cross(x[1] - x[0], x[2] - x[0])) / 6
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                if {tri[i], tri[j]} == skip:
+                    continue
+                a, b = x[i] - x[k], x[j] - x[k]
+                cot = np.dot(a, b) / np.linalg.norm(np.cross(a, b))
+                acc[tri[i]] += cot * (x[j] - x[i])
+                acc[tri[j]] -= cot * (x[j] - x[i])
+        return np.linalg.norm(acc, axis=1) / (4.0 * area)
+
+    np.testing.assert_allclose(kappa, per_corner({0, 1}), rtol=1e-12)
+    assert np.abs(kappa - per_corner(set()))[:2].min() > 0.1
 
 
 def test_baseline_featureless_sphere_all_zero(sphere3):
@@ -440,7 +459,7 @@ def test_gaussian_averages_match_per_vertex_oracle(which, bumpy, spike_pack):
     np.dot, so they agree to rounding, not to the byte."""
     mesh = {"bumpy": bumpy, "spike": spike_pack[0],
             "golden": bumpy_sphere(3, amplitude=0.04, seed=3)}[which]
-    kappa, _ = mean_curvature(mesh)
+    kappa = mean_curvature(mesh)
     eps = 0.003 * bounding_box_diagonal(mesh)
     sigmas = [m * eps for m in (2, 3, 4, 5, 6, 8, 10, 12)]
     for sigma, got in zip(sigmas, _gaussian_averages(kappa, mesh.vertices, sigmas)):
@@ -457,7 +476,7 @@ def test_gaussian_averages_in_blocks_match_whole_pair_list(budget, bumpy,
     over the whole pair list, so the bytes are the same."""
     monkeypatch.setattr(mesh_module, "BLOCK_ELEMENTS", budget)
     for mesh in (bumpy, spike_pack[0], bumpy_sphere(3, amplitude=0.04, seed=3)):
-        kappa, _ = mean_curvature(mesh)
+        kappa = mean_curvature(mesh)
         eps = 0.003 * bounding_box_diagonal(mesh)
         sigmas = [f * m * eps for m in (2, 3, 4, 5, 6) for f in (1.0, 2.0)]
         sigmas += [7.0 * eps, 2.0 * eps, 12.0 * eps]

@@ -195,7 +195,7 @@ def test_noise_free_recording_hits_targets(sphere3, cfg):
     per_dwell = int(round(sc.dwell_s * sc.rate_hz))
     ks = range(0, len(recording), 17)
     points = cast_hits(sphere3, *sightlines(
-        recording.p[ks], recording.o[ks], recording.s[ks], cfg.d_screen))[0]
+        recording.p[ks], recording.o[ks], recording.s[ks], cfg.d_screen))
     hits = 0
     checked = 0
     for k, point in zip(ks, points):
